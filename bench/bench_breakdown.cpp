@@ -222,16 +222,12 @@ RunOutcome run(const char* label, const char* slug,
                    "%s\n        { \"phase\": \"%s\", \"seconds\": %.6f, "
                    "\"gflop\": %.3f, \"imbalance\": %.4f, "
                    "\"boxes_active\": %llu, \"boxes_total\": %llu, "
-                   "\"pairs\": %llu, "
-                   "\"movers\": %llu, \"chunks_rebuilt\": %llu, "
-                   "\"plan_reuse\": %llu }",
+                   "\"pairs\": %llu, \"plan_reuse\": %llu }",
                    first_phase ? "" : ",", name.c_str(), s.seconds,
                    static_cast<double>(s.flops) / 1e9, s.cost_imbalance,
                    static_cast<unsigned long long>(s.boxes_active),
                    static_cast<unsigned long long>(s.boxes_total),
                    static_cast<unsigned long long>(s.pairs),
-                   static_cast<unsigned long long>(s.movers),
-                   static_cast<unsigned long long>(s.chunks_rebuilt),
                    static_cast<unsigned long long>(s.plan_reuse));
       first_phase = false;
     }
@@ -379,7 +375,7 @@ int main(int argc, char** argv) {
     cfg.with_gradient = true;
     // Plummer softening keeps close encounters from scattering particles
     // out of the box mid-bench; the measurement targets solver cost.
-    cfg.softening = 1e-3;
+    cfg.kernel.softening = 1e-3;
     const std::size_t n_int = n / 4;
     core::FmmSolver solver(cfg);
     core::LeapfrogIntegrator integ(solver, core::ForceLaw::kGravity, 1e-6);

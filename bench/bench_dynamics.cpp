@@ -1,17 +1,19 @@
-// Per-step cost of the dynamic-stepping pipeline (DESIGN.md Section 14):
-// leapfrog runs on two clustered scenarios — a Plummer collapse and a
-// two-cluster merger — once with full per-step rebuilds and once with the
-// incremental stepping path (HFMM_STEP_INCREMENTAL semantics: mover-only
-// sort repair, persistent active sets, patched cost model, streamed force
-// accumulation). Every step's sort/active seconds and the incremental
-// counters (movers, plan_reuse, chunks_rebuilt) go to BENCH_dynamics.json;
-// the console table reports per-mode means so the sort+plan reduction is
-// visible at a glance.
+// Per-step cost of a leapfrog timestep loop (DESIGN.md Section 14): two
+// clustered scenarios — a Plummer collapse and a two-cluster merger — step
+// on one warm solver. Every step rebuilds the coordinate sort, the active
+// sets and the cost model, then streams the force evaluation through a
+// SolveView. Each step is timed with a wall clock around
+// LeapfrogIntegrator::step() (kick, drift, solve, kick); its sort and
+// active phase seconds ride along for attribution. Per-step rows go to
+// BENCH_dynamics.json; the console table reports each scenario's median
+// step and interquartile range.
 //
-// --smoke shrinks the run and validates the counters instead of timing:
-// the incremental mode must actually repair (sort plan_reuse >= 1) and the
-// full mode must never report reuse. CI runs this in the plain lane.
+// --smoke shrinks the run and checks the warm-step contract instead of
+// timing: every step after initialize() is a warm solve
+// (ForceStats::warm_evaluations == steps) and every evaluation streams
+// (streamed_evaluations == evaluations). CI runs this in the plain lane.
 
+#include <algorithm>
 #include <cstring>
 #include <iostream>
 #include <string>
@@ -21,51 +23,40 @@
 #include "hfmm/core/integrator.hpp"
 #include "hfmm/core/solver.hpp"
 #include "hfmm/util/particles.hpp"
+#include "hfmm/util/thread_pool.hpp"
 
 using namespace hfmm;
 
 namespace {
 
 struct StepRow {
-  double seconds = 0.0;       // full evaluation wall time
-  double sort_seconds = 0.0;  // coordinate sort (full or repair)
-  double active_seconds = 0.0;
-  std::uint64_t movers = 0;
-  std::uint64_t plan_reuse = 0;  // sort repairs + active/cost reuses
-  std::uint64_t chunks_rebuilt = 0;
+  double seconds = 0.0;         // wall clock around integ.step()
+  double sort_seconds = 0.0;    // coordinate sort phase of the step's solve
+  double active_seconds = 0.0;  // active sets + cost model phase
 };
 
-struct ModeRun {
+struct ScenarioRun {
   double cold_seconds = 0.0;
   std::vector<StepRow> steps;
-  std::uint64_t total(std::uint64_t StepRow::*f) const {
-    std::uint64_t s = 0;
-    for (const StepRow& r : steps) s += r.*f;
-    return s;
-  }
-  double mean(double StepRow::*f) const {
-    if (steps.empty()) return 0.0;
-    double s = 0.0;
-    for (const StepRow& r : steps) s += r.*f;
-    return s / static_cast<double>(steps.size());
+  core::ForceStats force;
+
+  // q-quantile of a per-step column (linear interpolation between order
+  // statistics).
+  double quantile(double StepRow::*f, double q) const {
+    std::vector<double> v;
+    for (const StepRow& r : steps) v.push_back(r.*f);
+    if (v.empty()) return 0.0;
+    std::sort(v.begin(), v.end());
+    const double pos = q * static_cast<double>(v.size() - 1);
+    const std::size_t lo = static_cast<std::size_t>(pos);
+    const std::size_t hi = std::min(lo + 1, v.size() - 1);
+    return v[lo] + (pos - static_cast<double>(lo)) * (v[hi] - v[lo]);
   }
 };
 
-StepRow capture(const PhaseBreakdown& b) {
-  StepRow row;
-  row.seconds = b.total_seconds();
-  const auto& phases = b.phases();
-  if (const auto it = phases.find("sort"); it != phases.end()) {
-    row.sort_seconds = it->second.seconds;
-    row.movers = it->second.movers;
-    row.plan_reuse += it->second.plan_reuse;
-  }
-  if (const auto it = phases.find("active"); it != phases.end()) {
-    row.active_seconds = it->second.seconds;
-    row.plan_reuse += it->second.plan_reuse;
-    row.chunks_rebuilt = it->second.chunks_rebuilt;
-  }
-  return row;
+double phase_seconds(const PhaseBreakdown& b, const char* phase) {
+  const auto it = b.phases().find(phase);
+  return it == b.phases().end() ? 0.0 : it->second.seconds;
 }
 
 ParticleSet make_scenario(const std::string& name, std::size_t n,
@@ -74,18 +65,16 @@ ParticleSet make_scenario(const std::string& name, std::size_t n,
   return make_two_clusters(n, Box3{}, seed);  // "two-cluster-merger"
 }
 
-// One leapfrog run: cold initialize() then `steps` steps, each step's
-// breakdown captured from the integrator.
-ModeRun run_mode(const std::string& scenario, std::size_t n,
-                 std::uint64_t steps, double dt, bool incremental) {
+// One leapfrog run: cold initialize() then `steps` timed steps.
+ScenarioRun run_scenario(const std::string& scenario, std::size_t n,
+                         std::uint64_t steps, double dt) {
   core::FmmConfig cfg;
   cfg.with_gradient = true;
   cfg.supernodes = true;
-  cfg.step_incremental = incremental;
   // Plummer softening keeps unresolved close encounters from slingshotting
-  // particles out of the pinned root cube mid-bench (same convention as
+  // particles across the domain mid-bench (same convention as
   // bench_breakdown's integrator loop); the measurement targets solver cost.
-  cfg.softening = 1e-3;
+  cfg.kernel.softening = 1e-3;
   core::FmmSolver solver(cfg);
   (void)solver.translations();
 
@@ -94,29 +83,21 @@ ModeRun run_mode(const std::string& scenario, std::size_t n,
   state.velocity.assign(n, Vec3{});  // cold start: gravity does the mixing
 
   core::LeapfrogIntegrator integ(solver, core::ForceLaw::kGravity, dt);
-  ModeRun run;
+  ScenarioRun run;
   WallTimer t;
   integ.initialize(state);
   run.cold_seconds = t.seconds();
   for (std::uint64_t s = 0; s < steps; ++s) {
+    t.reset();
     integ.step(state);
-    run.steps.push_back(capture(integ.last_breakdown()));
+    StepRow row;
+    row.seconds = t.seconds();
+    row.sort_seconds = phase_seconds(integ.last_breakdown(), "sort");
+    row.active_seconds = phase_seconds(integ.last_breakdown(), "active");
+    run.steps.push_back(row);
   }
+  run.force = integ.force_stats();
   return run;
-}
-
-void write_steps(std::FILE* json, const ModeRun& run) {
-  for (std::size_t i = 0; i < run.steps.size(); ++i) {
-    const StepRow& r = run.steps[i];
-    std::fprintf(json,
-                 "%s\n        { \"seconds\": %.6f, \"sort_seconds\": %.6f, "
-                 "\"active_seconds\": %.6f, \"movers\": %llu, "
-                 "\"plan_reuse\": %llu, \"chunks_rebuilt\": %llu }",
-                 i == 0 ? "" : ",", r.seconds, r.sort_seconds,
-                 r.active_seconds, static_cast<unsigned long long>(r.movers),
-                 static_cast<unsigned long long>(r.plan_reuse),
-                 static_cast<unsigned long long>(r.chunks_rebuilt));
-  }
 }
 
 }  // namespace
@@ -137,79 +118,85 @@ int main(int argc, char** argv) {
   const std::uint64_t steps = static_cast<std::uint64_t>(
       cli.get("steps", std::int64_t{smoke ? 6 : 20}));
   // Default dt keeps the per-step displacement realistic for an accurate
-  // integration (~10 movers/step at n=20000): per-step cost is the subject,
-  // and a timestep violent enough to relocate ~10% of the particles per
-  // step would (correctly) push every step to the full-rebuild fallback.
+  // integration: per-step solver cost is the subject.
   const double dt = cli.get("dt", smoke ? 1e-3 : 2e-4);
   bench::check_unused(cli);
 
   bench::print_header(
       "bench_dynamics",
       "Section 1/4 motivation — per-step cost of dynamic simulations "
-      "(incremental re-sort + persistent plans vs full rebuilds)");
+      "(full rebuild + streamed force evaluation every step)");
 
+  const std::size_t workers = ThreadPool::global().size();
   std::FILE* json = std::fopen(json_path, "w");
   if (json == nullptr)
     std::fprintf(stderr, "bench_dynamics: cannot write %s\n", json_path);
   else
     std::fprintf(json,
                  "{\n  \"bench\": \"bench_dynamics\",\n  \"n\": %zu,\n"
-                 "  \"steps\": %llu,\n  \"dt\": %.6g,\n  \"scenarios\": [",
-                 n, static_cast<unsigned long long>(steps), dt);
+                 "  \"steps\": %llu,\n  \"dt\": %.6g,\n  \"workers\": %zu,\n"
+                 "  \"scenarios\": [",
+                 n, static_cast<unsigned long long>(steps), dt, workers);
 
-  Table table({"scenario", "mode", "cold (s)", "step (s)", "sort (s)",
-               "active (s)", "movers/step", "plan_reuse", "chunks_rebuilt"});
+  Table table({"scenario", "cold (s)", "step median (s)", "step p25 (s)",
+               "step p75 (s)", "sort (ms)", "active (ms)", "warm evals",
+               "allocs"});
   bool ok = true;
   bool first_scenario = true;
   for (const char* scenario : {"plummer-collapse", "two-cluster-merger"}) {
-    if (json != nullptr)
-      std::fprintf(json, "%s\n    { \"name\": \"%s\", \"modes\": [",
-                   first_scenario ? "" : ",", scenario);
-    first_scenario = false;
-    bool first_mode = true;
-    for (const bool incremental : {false, true}) {
-      const ModeRun run = run_mode(scenario, n, steps, dt, incremental);
-      const char* mode = incremental ? "incremental" : "full";
-      table.row({scenario, mode, Table::num(run.cold_seconds, 3),
-                 Table::num(run.mean(&StepRow::seconds), 4),
-                 Table::num(run.mean(&StepRow::sort_seconds), 4),
-                 Table::num(run.mean(&StepRow::active_seconds), 4),
-                 Table::num(run.mean(&StepRow::seconds) > 0
-                                ? static_cast<double>(
-                                      run.total(&StepRow::movers)) /
-                                      static_cast<double>(steps)
-                                : 0.0,
-                            1),
-                 Table::num(run.total(&StepRow::plan_reuse)),
-                 Table::num(run.total(&StepRow::chunks_rebuilt))});
-      if (json != nullptr) {
+    const ScenarioRun run = run_scenario(scenario, n, steps, dt);
+    const core::ForceStats& fs = run.force;
+    const double median = run.quantile(&StepRow::seconds, 0.5);
+    const double p25 = run.quantile(&StepRow::seconds, 0.25);
+    const double p75 = run.quantile(&StepRow::seconds, 0.75);
+    table.row({scenario, Table::num(run.cold_seconds, 3),
+               Table::num(median, 4), Table::num(p25, 4), Table::num(p75, 4),
+               Table::num(1e3 * run.quantile(&StepRow::sort_seconds, 0.5), 3),
+               Table::num(1e3 * run.quantile(&StepRow::active_seconds, 0.5),
+                          3),
+               Table::num(fs.warm_evaluations),
+               Table::num(fs.workspace_allocs)});
+    if (json != nullptr) {
+      std::fprintf(
+          json,
+          "%s\n    { \"name\": \"%s\", \"cold_seconds\": %.6f, "
+          "\"step_median_seconds\": %.6f, \"step_p25_seconds\": %.6f, "
+          "\"step_p75_seconds\": %.6f, \"evaluations\": %llu, "
+          "\"warm_evaluations\": %llu, \"streamed_evaluations\": %llu, "
+          "\"workspace_allocs\": %llu, \"step_rows\": [",
+          first_scenario ? "" : ",", scenario, run.cold_seconds, median, p25,
+          p75, static_cast<unsigned long long>(fs.evaluations),
+          static_cast<unsigned long long>(fs.warm_evaluations),
+          static_cast<unsigned long long>(fs.streamed_evaluations),
+          static_cast<unsigned long long>(fs.workspace_allocs));
+      for (std::size_t i = 0; i < run.steps.size(); ++i) {
+        const StepRow& r = run.steps[i];
         std::fprintf(json,
-                     "%s\n      { \"mode\": \"%s\", \"cold_seconds\": %.6f, "
-                     "\"step_rows\": [",
-                     first_mode ? "" : ",", mode, run.cold_seconds);
-        write_steps(json, run);
-        std::fprintf(json, "\n      ] }");
+                     "%s\n      { \"seconds\": %.6f, \"sort_seconds\": %.6f, "
+                     "\"active_seconds\": %.6f }",
+                     i == 0 ? "" : ",", r.seconds, r.sort_seconds,
+                     r.active_seconds);
       }
-      first_mode = false;
-      // Counter contract (--smoke gate): the incremental mode must take the
-      // repair path at least once; the full mode must never report reuse.
-      const std::uint64_t reuse = run.total(&StepRow::plan_reuse);
-      if (incremental && reuse == 0) {
-        std::fprintf(stderr,
-                     "bench_dynamics: %s incremental run never reused a "
-                     "sort/plan (plan_reuse == 0)\n",
-                     scenario);
-        ok = false;
-      }
-      if (!incremental && reuse != 0) {
-        std::fprintf(stderr,
-                     "bench_dynamics: %s full-rebuild run reported "
-                     "plan_reuse == %llu (expected 0)\n",
-                     scenario, static_cast<unsigned long long>(reuse));
-        ok = false;
-      }
+      std::fprintf(json, "\n    ] }");
     }
-    if (json != nullptr) std::fprintf(json, "\n    ] }");
+    first_scenario = false;
+    // Warm-step contract (--smoke gate): after initialize() every step is
+    // a warm solve, and every evaluation streams through the SolveView.
+    // Workspace growth is allowed: moving particles can legitimately grow
+    // per-box buffers.
+    if (fs.warm_evaluations != steps ||
+        fs.streamed_evaluations != fs.evaluations) {
+      std::fprintf(stderr,
+                   "bench_dynamics: %s broke the warm-step contract "
+                   "(warm %llu of %llu steps, streamed %llu of %llu "
+                   "evaluations)\n",
+                   scenario,
+                   static_cast<unsigned long long>(fs.warm_evaluations),
+                   static_cast<unsigned long long>(steps),
+                   static_cast<unsigned long long>(fs.streamed_evaluations),
+                   static_cast<unsigned long long>(fs.evaluations));
+      ok = false;
+    }
   }
   table.print(std::cout);
   if (json != nullptr) {
@@ -218,9 +205,8 @@ int main(int argc, char** argv) {
     std::printf("\ndynamics JSON written to %s\n", json_path);
   }
   std::printf(
-      "\nexpected shape: incremental mode's per-step sort+active seconds "
-      "drop\nversus the full mode while movers stays a small fraction of "
-      "N.\n");
+      "\nexpected shape: sort + active are a small fraction of each step; "
+      "the step is\nthe force evaluation (near field + far-field chain).\n");
   if (smoke && !ok) return 1;
   return 0;
 }

@@ -21,7 +21,6 @@
 #include <vector>
 
 #include "bench_common.hpp"
-#include "hfmm/core/integrator.hpp"
 #include "hfmm/core/solver.hpp"
 #include "hfmm/util/particles.hpp"
 
@@ -97,11 +96,6 @@ int main(int argc, char** argv) {
   const core::KernelType kernel =
       parse_kernel(cli.get("kernel", std::string()));
   const bool vdw = kernel == core::KernelType::kVanDerWaals;
-  // --steps S: additionally time S incremental leapfrog steps per N (the
-  // dynamic-stepping per-step cost, step_incremental on) and report the
-  // mean step time alongside the static warm solve.
-  const std::uint64_t dyn_steps =
-      static_cast<std::uint64_t>(cli.get("steps", std::int64_t{0}));
 
   bench::print_header("bench_scaling",
                       "Abstract/Section 4 — linear scaling in N and P; "
@@ -124,9 +118,8 @@ int main(int argc, char** argv) {
               "dist %s, hierarchy %s, kernel %s)\n\n",
               dist.c_str(), core::to_string(hierarchy),
               core::to_string(kernel));
-  Table t1({"N", "depth", "cold (s)", "warm (s)", "step (s)",
-            "warm us/particle", "cycles/particle", "Gflop", "efficiency",
-            "near pairs", "tree"});
+  Table t1({"N", "depth", "cold (s)", "warm (s)", "warm us/particle",
+            "cycles/particle", "Gflop", "efficiency", "near pairs", "tree"});
   bool first_row = true;
   for (std::size_t n = nmax / 16; n <= nmax; n *= 4) {
     core::FmmConfig cfg;
@@ -144,37 +137,12 @@ int main(int argc, char** argv) {
     t.reset();
     (void)solver.solve(p);
     const double warm = t.seconds();
-    // Dynamic stepping: cold initialize, then S incremental leapfrog steps
-    // (each = kick/drift + one warm incremental solve).
-    // Short-range LJ on a random uniform cloud has near-singular core
-    // repulsion, so free dynamics would eject particles from the pinned
-    // vdw_box; the stepping column stays Laplace-only (the lj_cluster
-    // example covers vdW stepping on a physical configuration).
-    double step_seconds = 0.0;
-    if (dyn_steps > 0 && !vdw) {
-      core::FmmConfig scfg = cfg;
-      scfg.with_gradient = true;
-      scfg.step_incremental = true;
-      scfg.softening = 1e-3;
-      core::FmmSolver ssolver(scfg);
-      (void)ssolver.translations();
-      core::SimulationState st;
-      st.particles = p;
-      st.velocity.assign(n, Vec3{});
-      core::LeapfrogIntegrator integ(ssolver, core::ForceLaw::kGravity, 1e-4);
-      integ.initialize(st);
-      t.reset();
-      integ.run(st, dyn_steps);
-      step_seconds = t.seconds() / static_cast<double>(dyn_steps);
-    }
     const std::uint64_t near_pairs =
         r.breakdown.phases().count("near")
             ? r.breakdown.phases().at("near").pairs
             : 0;
     t1.row({Table::num(std::uint64_t(n)), Table::num(std::uint64_t(r.depth)),
             Table::num(secs, 3), Table::num(warm, 3),
-            dyn_steps > 0 && !vdw ? Table::num(step_seconds, 4)
-                                  : std::string("-"),
             Table::num(1e6 * warm / static_cast<double>(n), 3),
             Table::num(bench::cycles_per_particle(warm, n), 4),
             Table::num(static_cast<double>(r.breakdown.total_flops()) / 1e9,
@@ -189,7 +157,6 @@ int main(int argc, char** argv) {
                    "\"kernel\": \"%s\", "
                    "\"hierarchy_effective\": \"%s\", "
                    "\"cold_seconds\": %.6f, \"warm_seconds\": %.6f, "
-                   "\"step_seconds\": %.6f, \"dyn_steps\": %llu, "
                    "\"sparse\": %s, \"adaptive\": %s, \"ncrit\": %d, "
                    "\"front_leaves\": %zu, \"near_pairs\": %llu, "
                    "\"active_boxes\": %zu, "
@@ -197,8 +164,6 @@ int main(int argc, char** argv) {
                    first_row ? "" : ",", n, r.depth,
                    core::to_string(r.kernel),
                    core::to_string(r.hierarchy_effective), secs, warm,
-                   step_seconds,
-                   static_cast<unsigned long long>(dyn_steps),
                    r.sparse ? "true" : "false",
                    r.adaptive ? "true" : "false", r.ncrit, r.front_leaves,
                    static_cast<unsigned long long>(near_pairs),

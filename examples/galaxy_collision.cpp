@@ -41,7 +41,7 @@ int main(int argc, char** argv) {
   cfg.supernodes = true;
   // Plummer softening regularizes close encounters so the leapfrog stays
   // stable at this step size (applied in the near field; see near_field.hpp).
-  cfg.softening = softening;
+  cfg.kernel.softening = softening;
   core::FmmSolver solver(cfg);
 
   core::LeapfrogIntegrator integrator(solver, core::ForceLaw::kGravity, dt);

@@ -43,12 +43,6 @@ const char* to_string(AggregationMode m);
 const char* to_string(HierarchyMode m);
 const char* to_string(DistPartitioner m);
 
-/// Environment-backed defaults for FmmConfig's incremental-stepping knobs:
-/// HFMM_STEP_INCREMENTAL=0|1 (default 0) and HFMM_STEP_MOVER_THRESHOLD
-/// (default 0.10). Read once on first use.
-bool default_step_incremental();
-double default_step_mover_threshold();
-
 /// Environment-backed defaults for the adaptive hierarchy (DESIGN.md §15):
 /// HFMM_HIERARCHY=dense|sparse|auto|adaptive (default auto), HFMM_NCRIT
 /// (default 0 = cost-model selection) and HFMM_ADAPTIVE_MAX_DEPTH
@@ -80,11 +74,6 @@ struct FmmConfig {
   /// reuse the tree/near-field machinery with the far phases as empty DAG
   /// nodes. Env default HFMM_KERNEL=laplace|vdw.
   KernelSpec kernel{};
-  /// DEPRECATED alias for kernel.softening (the Laplace Plummer softening
-  /// now lives on the KernelSpec). A non-zero value here is forwarded to
-  /// kernel.softening by FmmSolver when the spec leaves it at 0, so
-  /// pre-KernelModel call sites behave unchanged.
-  double softening = 0.0;
   ExecutionMode mode = ExecutionMode::kThreads;
   AggregationMode aggregation = AggregationMode::kGemm;
   /// Sparse active-box hierarchy selection. kAuto measures the leaf-level
@@ -106,19 +95,6 @@ struct FmmConfig {
   /// Depth cap for the adaptive refinement front when `depth` is -1 (an
   /// explicit depth overrides it). Env override HFMM_ADAPTIVE_MAX_DEPTH.
   int adaptive_max_depth = default_adaptive_max_depth();
-  /// Incremental dynamic stepping (DESIGN.md Section 14): pin the hierarchy
-  /// root cube across solves and, while the particle count / depth / cube
-  /// stay valid, diff each solve's leaf assignment against the previous one
-  /// — repairing the sorted order in place and revalidating the sparse
-  /// active sets / cost model instead of rebuilding them. Results stay
-  /// bit-identical to a full rebuild ON THE SAME (pinned) cube; they are
-  /// NOT bitwise-comparable to a cold solve that derives a tight cube from
-  /// the moved positions, so the feature is opt-in (default off; env
-  /// override HFMM_STEP_INCREMENTAL=0|1). Ignored in data-parallel mode.
-  bool step_incremental = default_step_incremental();
-  /// Mover fraction above which an incremental step falls back to the full
-  /// counting sort. In [0, 1]; env override HFMM_STEP_MOVER_THRESHOLD.
-  double step_mover_threshold = default_step_mover_threshold();
 
   // Data-parallel execution knobs (ignored in the other modes).
   dp::MachineConfig machine{2, 2, 2};

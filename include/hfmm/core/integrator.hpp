@@ -74,9 +74,9 @@ class LeapfrogIntegrator {
 
   const ForceStats& force_stats() const { return force_stats_; }
 
-  /// Phase breakdown of the most recent force evaluation (sort seconds,
-  /// movers, plan_reuse, chunks_rebuilt, ...) — what the dynamics benches
-  /// report per step. Empty before initialize().
+  /// Phase breakdown of the most recent force evaluation (sort and active
+  /// seconds, ...) — what the dynamics benches report per step. Empty
+  /// before initialize().
   const PhaseBreakdown& last_breakdown() const { return last_breakdown_; }
 
  private:

@@ -9,10 +9,10 @@
 //     optional Plummer softening) is the only member today.
 //   - SHORT-RANGE kernels decay fast enough that everything beyond the
 //     d-separation U-list is negligible by construction. They reuse the
-//     tree build, the coordinate sort, the near-field plans, the phase
-//     graph and incremental stepping, while the far-field stages are kept
-//     in the DAG as empty nodes (zero boxes, zero pairs) so timelines and
-//     breakdowns stay shape-compatible across kernels.
+//     tree build, the coordinate sort, the near-field plans and the phase
+//     graph, while the far-field stages are kept in the DAG as empty nodes
+//     (zero boxes, zero pairs) so timelines and breakdowns stay
+//     shape-compatible across kernels.
 // Van der Waals (switched Lennard-Jones, CHARMM convention) is the first
 // short-range kernel: per-atom-type Rmin/epsilon tables with combining
 // rules, a cuton/cutoff switching window, and an optional minimum-image
@@ -49,8 +49,7 @@ bool default_vdw_periodic();
 struct KernelSpec {
   KernelType type = default_kernel_type();
 
-  /// Plummer softening of the Laplace near field (absorbed here from the
-  /// old FmmConfig::softening; that field still forwards). Laplace only.
+  /// Plummer softening of the Laplace near field. Laplace only.
   double softening = 0.0;
 
   /// Van der Waals dials (CHARMM convention): per-atom-type minimum-energy

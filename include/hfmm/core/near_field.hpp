@@ -43,9 +43,8 @@ struct NearFieldResult {
 };
 
 /// Physics of the near-field pair loop, resolved by the solver from its
-/// KernelSpec. Implicitly convertible from a softening length so
-/// pre-KernelModel call sites passing `cfg.softening` compile unchanged
-/// and run the identical Laplace arithmetic. For van der Waals the solver
+/// KernelSpec. Implicitly convertible from a softening length, so Laplace
+/// call sites pass `kernel.softening` directly. For van der Waals the solver
 /// fills the precomputed pair tables / switching constants and the
 /// per-particle type array (SORTED order, aligned with boxed.sorted); a
 /// period > 0 in `vdw` additionally wraps box neighbours and pair

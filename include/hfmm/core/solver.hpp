@@ -175,13 +175,13 @@ class FmmSolver {
                       const tree::Hierarchy& hier, FmmResult result);
   FmmResult solve_sparse_(const ParticleSet& particles,
                           const tree::Hierarchy& hier, FmmResult result,
-                          SolveView* view, bool sort_repaired);
+                          SolveView* view);
   FmmResult solve_adaptive_(const ParticleSet& particles,
                             const tree::Hierarchy& hier, FmmResult result,
-                            SolveView* view, bool sort_repaired);
+                            SolveView* view);
   FmmResult solve_dist_(const ParticleSet& particles,
                         const tree::Hierarchy& hier, FmmResult result,
-                        SolveView* view, bool sort_repaired);
+                        SolveView* view);
   FmmConfig config_;
   HierarchyMode hierarchy_requested_ = HierarchyMode::kAuto;
   std::unique_ptr<Impl> impl_;

@@ -41,32 +41,8 @@ BoxedParticles coordinate_sort(const ParticleSet& particles,
 
 /// Reusable temporaries of the counting sort (key arrays and cursors); pass
 /// the same instance across calls to keep repeated sorts allocation-free.
-/// After any sort through a SortScratch, `rank_of` / `flat_of` hold the
-/// CURRENT rank / leaf flat index per ORIGINAL particle index — the state
-/// coordinate_sort_step() diffs against on the next timestep.
 struct SortScratch {
   std::vector<std::uint32_t> rank_of, flat_of, cursor;
-
-  // Incremental-step state (coordinate_sort_step): new ranks, the previous
-  // permutation, per-rank join/leave counts and joiner buckets, and the
-  // list of ranks whose occupancy count changed (the invalidation set the
-  // solver's StepCache consumes). All reused across steps.
-  std::vector<std::uint32_t> rank_new;
-  std::vector<std::uint32_t> perm_prev;
-  std::vector<std::uint32_t> prev_count;
-  std::vector<std::uint32_t> joins, leaves, join_begin, join_sorted;
-  std::vector<std::uint32_t> mover_list;
-  std::vector<std::uint32_t> begin_new;
-  std::vector<std::uint8_t> moved;
-  std::vector<std::uint32_t> changed_ranks;  ///< ranks with a net count change
-};
-
-/// Outcome of one incremental sort step (see coordinate_sort_step()).
-struct StepSortResult {
-  std::size_t movers = 0;   ///< particles whose leaf box (rank) changed
-  bool repaired = false;    ///< in-place repair ran (no full counting sort)
-  bool counts_changed = false;     ///< some rank's occupancy count changed
-  bool emptiness_changed = false;  ///< some rank flipped empty <-> non-empty
 };
 
 /// In-place variant: writes into `out`, reusing its buffers (and
@@ -75,22 +51,6 @@ struct StepSortResult {
 void coordinate_sort(const ParticleSet& particles, const tree::Hierarchy& hier,
                      const BlockLayout& layout, BoxedParticles& out,
                      SortScratch* scratch = nullptr);
-
-/// Incremental re-sort for a timestep loop (DESIGN.md Section 14). `out` and
-/// `scratch` must hold the result of a previous sort of the SAME particle
-/// set (same n) over the SAME hierarchy geometry and layout; only positions
-/// may have changed since. Diffs each particle's new rank against
-/// `scratch.rank_of`: when the mover fraction is <= `mover_threshold` the
-/// sorted order is repaired in place (movers stably re-inserted, permutation
-/// and box offsets patched), otherwise the full counting sort reruns. Both
-/// paths produce output bit-identical to coordinate_sort() on the new
-/// positions. On return `scratch.changed_ranks` lists the ranks whose
-/// occupancy count changed — the chunk-plan invalidation set.
-StepSortResult coordinate_sort_step(const ParticleSet& particles,
-                                    const tree::Hierarchy& hier,
-                                    const BlockLayout& layout,
-                                    double mover_threshold,
-                                    BoxedParticles& out, SortScratch& scratch);
 
 /// A plain Morton-order grouping (no VU/local bit split) — the "naive sort"
 /// baseline for the Figure 5 locality experiment.

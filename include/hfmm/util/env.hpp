@@ -2,15 +2,15 @@
 // Typed HFMM_* environment parsing, in one place.
 //
 // Every dial the library reads from the environment (kernel backend
-// overrides, hierarchy/stepping defaults, vdW window) goes through these
-// helpers instead of hand-rolled getenv + strtod blocks scattered across
+// overrides, hierarchy defaults, vdW window) goes through these helpers
+// instead of hand-rolled getenv + strtod blocks scattered across
 // subsystems. The contract is uniform:
 //   * unset or empty variable -> the caller's fallback, silently;
 //   * a well-formed value inside the documented domain -> that value;
 //   * anything else -> one stderr line naming the variable, the rejected
 //     text and the expected domain, then the fallback. A malformed value is
-//     NEVER silently reinterpreted (the old boolean parse treated
-//     HFMM_STEP_INCREMENTAL=yes and =garbage identically as "on").
+//     NEVER silently reinterpreted (a boolean set to "garbage" is rejected,
+//     not read as "on").
 // Call sites keep their own `static const` caching; these functions parse
 // on every call and are safe to call concurrently (they only read the
 // environment and write stderr).

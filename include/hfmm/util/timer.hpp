@@ -51,14 +51,8 @@ struct PhaseStats {
   /// (mean chunk cost), >= 1.0; 0 when the phase ran unweighted. Merged by
   /// max — one overloaded chunk anywhere is what bounds the speedup.
   double cost_imbalance = 0.0;
-  /// Incremental-stepping counters (DESIGN.md Section 14). On the "sort"
-  /// phase: `movers` counts particles whose leaf box changed since the
-  /// previous solve and `plan_reuse` counts in-place repairs (no full
-  /// counting sort). On the "active" phase: `plan_reuse` counts reused
-  /// structures (active level sets, cost model) and `chunks_rebuilt` counts
-  /// cost-model entries recomputed by the diff-driven patch.
-  std::uint64_t movers = 0;
-  std::uint64_t chunks_rebuilt = 0;
+  /// On the "plan" phase: solve plans served by a shared plan cache (a hit
+  /// built by another client) instead of being built by this solve.
   std::uint64_t plan_reuse = 0;
   /// Distributed-execution counters (DESIGN.md Section 18), reported on the
   /// "let" phase: payload bytes pushed through / popped from the message
@@ -83,8 +77,6 @@ struct PhaseStats {
     boxes_total += o.boxes_total;
     pairs += o.pairs;
     if (o.cost_imbalance > cost_imbalance) cost_imbalance = o.cost_imbalance;
-    movers += o.movers;
-    chunks_rebuilt += o.chunks_rebuilt;
     plan_reuse += o.plan_reuse;
     bytes_sent += o.bytes_sent;
     bytes_recv += o.bytes_recv;

@@ -43,18 +43,6 @@ const char* to_string(HierarchyMode m) {
   return "?";
 }
 
-bool default_step_incremental() {
-  static const bool value = env::parse_bool("HFMM_STEP_INCREMENTAL", false);
-  return value;
-}
-
-double default_step_mover_threshold() {
-  static const double value =
-      env::parse_double("HFMM_STEP_MOVER_THRESHOLD", 0.10, 0.0, 1.0,
-                        "a fraction in [0, 1]");
-  return value;
-}
-
 HierarchyMode default_hierarchy_mode() {
   static const HierarchyMode value = [] {
     static constexpr const char* kChoices[] = {"dense", "sparse", "auto",
@@ -112,9 +100,6 @@ void FmmConfig::validate() const {
   if (sparse_threshold < 0.0 || sparse_threshold > 1.0)
     throw std::invalid_argument(
         "FmmConfig: sparse_threshold must be in [0, 1]");
-  if (step_mover_threshold < 0.0 || step_mover_threshold > 1.0)
-    throw std::invalid_argument(
-        "FmmConfig: step_mover_threshold must be in [0, 1]");
   if (ncrit < 0)
     throw std::invalid_argument(
         "FmmConfig: ncrit must be positive (or 0 = cost-model selection)");

@@ -146,13 +146,6 @@ FmmSolver::FmmSolver(FmmConfig config,
                      std::shared_ptr<service::PlanCache> cache)
     : config_(std::move(config)), impl_(std::make_unique<Impl>()) {
   impl_->cache = std::move(cache);
-  // Softening alias reconciliation: the legacy FmmConfig::softening forwards
-  // into the Laplace KernelSpec when the spec leaves it at 0, and the spec
-  // wins otherwise; afterwards the two fields agree, so pre-KernelModel code
-  // reading either sees the value that is actually applied.
-  if (config_.kernel.softening == 0.0 && config_.softening != 0.0)
-    config_.kernel.softening = config_.softening;
-  config_.softening = config_.kernel.softening;
   config_.validate();
   hierarchy_requested_ = config_.hierarchy;
   if (config_.mode == ExecutionMode::kDistributed) {
@@ -176,7 +169,7 @@ FmmSolver::FmmSolver(FmmConfig config,
     impl_->near.soft2 = 0.0;
     impl_->near.vdw = impl_->vdw.params;
   } else {
-    impl_->near = NearKernel{config_.softening};
+    impl_->near = NearKernel{config_.kernel.softening};
   }
   // Pool selection happens once here, not per solve: sequential mode owns a
   // one-thread pool; the parallel modes share the process-global pool.
@@ -800,49 +793,18 @@ FmmResult FmmSolver::solve_impl_(const ParticleSet& particles,
   result.plan_reused = result.breakdown["plan"].allocs == 0;
 
   SolveWorkspace& ws = impl_->ws;
-  internal::StepCache& step = ws.step;
 
-  // Incremental stepping (DESIGN.md Section 14): when enabled and the
-  // previous solve's sort state is reusable (same n and depth, new bounds
-  // still inside the pinned root cube), keep the previous cube so box keys
-  // are comparable across steps and the sort can be repaired by diff.
-  const bool step_enabled = config_.step_incremental &&
-                            config_.mode != ExecutionMode::kDataParallel;
-  step.cur_incremental = false;
-  step.cur_counts_changed = true;
-  step.cur_emptiness_changed = true;
-  Box3 cube;
-  if (!far_capable) {
-    // Short-range solves pin the root cube to the kernel's domain box:
-    // geometry (leaf side vs. cutoff, and the periodic wrap's box grid) is
-    // fixed at construction and identical across steps, so incremental
-    // stepping never loses the cube. Particles are expected to stay inside
-    // vdw_box (the LJ integrator loop wraps or reflects them there).
-    cube = tree::cube_containing(config_.kernel.vdw_box);
-    if (step_enabled && step.valid && step.n == n && step.depth == h)
-      step.cur_incremental = true;
-    if (!step.cur_incremental) {
-      step.active_valid = false;
-      step.cost_valid = false;
-    }
-  } else {
-    if (step_enabled && step.valid && step.n == n && step.depth == h) {
-      const Box3 b = particles.bounds();
-      if (step.cube.contains(b.lo) && step.cube.contains(b.hi)) {
-        cube = step.cube;
-        step.cur_incremental = true;
-      }
-    }
-    if (!step.cur_incremental) {
-      // The hierarchy's root cube is the only per-solve geometry (particles
-      // move); it is an O(1) object and all plan structure is expressed in
-      // box-side units, so the plan stays valid across solves.
-      cube = tree::cube_containing(particles.bounds());
-      step.active_valid = false;
-      step.cost_valid = false;
-    }
-  }
-  const tree::Hierarchy hier(cube, h);
+  // The hierarchy's root cube is the only per-solve geometry (particles
+  // move); it is an O(1) object and all plan structure is expressed in
+  // box-side units, so the plan stays valid across solves. Short-range
+  // solves pin it to the kernel's domain box instead: geometry (leaf side
+  // vs. cutoff, and the periodic wrap's box grid) is then fixed by the
+  // kernel. Particles are expected to stay inside vdw_box (the LJ
+  // integrator loop wraps or reflects them there).
+  const tree::Hierarchy hier(
+      tree::cube_containing(far_capable ? particles.bounds()
+                                        : config_.kernel.vdw_box),
+      h);
 
   ws.begin_solve();
   ThreadPool& pool = *impl_->pool;
@@ -859,9 +821,7 @@ FmmResult FmmSolver::solve_impl_(const ParticleSet& particles,
   // leaf occupancy, which needs the coordinate sort's output — so when the
   // sparse path is reachable the sort runs here (still charged to "sort")
   // and the graph's sort stage becomes a no-op. Dense-selected solves then
-  // proceed bit-identically: same sort output, same dense stages. The
-  // incremental step also sorts eagerly (its diff drives the StepCache
-  // revalidation below) even when the hierarchy is forced dense.
+  // proceed bit-identically: same sort output, same dense stages.
   // Short-range kernels read the per-particle type array in SORTED order;
   // inputs without a type channel get the all-zeros single-type array. The
   // pointer is re-bound after every sort because the sorted buffers can
@@ -871,56 +831,35 @@ FmmResult FmmSolver::solve_impl_(const ParticleSet& particles,
     ws.boxed.sorted.ensure_types();
     impl_->near.types = ws.boxed.sorted.type().data();
   };
+  // The non-empty leaf flats in sort-rank order (the active sets' input).
+  const auto collect_occupied = [&] {
+    const std::size_t cap_before = ws.occupied.capacity();
+    ws.occupied.clear();
+    const std::size_t ranks = ws.boxed.box_begin.size() - 1;
+    for (std::size_t r = 0; r < ranks; ++r)
+      if (ws.boxed.box_begin[r + 1] > ws.boxed.box_begin[r])
+        ws.occupied.push_back(ws.boxed.rank_to_flat[r]);
+    if (ws.occupied.capacity() != cap_before)
+      ws.allocs.fetch_add(1, std::memory_order_relaxed);
+  };
 
-  bool pre_sorted = false;
-  bool sort_repaired = false;
-  if (step_enabled || config_.hierarchy != HierarchyMode::kDense) {
+  const bool pre_sorted = config_.hierarchy != HierarchyMode::kDense;
+  if (pre_sorted) {
     {
       ScopedPhaseTimer timer(result.breakdown["sort"]);
-      if (step.cur_incremental) {
-        const dp::StepSortResult sr = dp::coordinate_sort_step(
-            particles, hier, layout, config_.step_mover_threshold, ws.boxed,
-            ws.sort_scratch);
-        result.breakdown["sort"].movers += sr.movers;
-        if (sr.repaired) {
-          result.breakdown["sort"].plan_reuse += 1;
-          sort_repaired = true;
-        }
-        step.cur_counts_changed = sr.counts_changed;
-        step.cur_emptiness_changed = sr.emptiness_changed;
-      } else {
-        dp::coordinate_sort(particles, hier, layout, ws.boxed,
-                            &ws.sort_scratch);
-      }
+      dp::coordinate_sort(particles, hier, layout, ws.boxed, &ws.sort_scratch);
     }
-    pre_sorted = true;
     bind_types();
-  }
-  if (config_.hierarchy != HierarchyMode::kDense) {
-    // The occupied leaf list only changes when some box flips empty <->
-    // non-empty; an incremental step whose diff says otherwise keeps it.
-    if (!(step.cur_incremental && !step.cur_emptiness_changed)) {
-      const std::size_t cap_before = ws.occupied.capacity();
-      ws.occupied.clear();
-      const std::size_t ranks = ws.boxed.box_begin.size() - 1;
-      for (std::size_t r = 0; r < ranks; ++r)
-        if (ws.boxed.box_begin[r + 1] > ws.boxed.box_begin[r])
-          ws.occupied.push_back(ws.boxed.rank_to_flat[r]);
-      if (ws.occupied.capacity() != cap_before)
-        ws.allocs.fetch_add(1, std::memory_order_relaxed);
-    }
+    collect_occupied();
     if (config_.mode == ExecutionMode::kDistributed)
-      return solve_dist_(particles, hier, std::move(result), view,
-                         sort_repaired);
+      return solve_dist_(particles, hier, std::move(result), view);
     if (config_.hierarchy == HierarchyMode::kAdaptive)
-      return solve_adaptive_(particles, hier, std::move(result), view,
-                             sort_repaired);
+      return solve_adaptive_(particles, hier, std::move(result), view);
     const double occ = static_cast<double>(ws.occupied.size()) /
                        static_cast<double>(hier.boxes_at(h));
     if (config_.hierarchy == HierarchyMode::kSparse ||
         occ < config_.sparse_threshold)
-      return solve_sparse_(particles, hier, std::move(result), view,
-                           sort_repaired);
+      return solve_sparse_(particles, hier, std::move(result), view);
   }
 
   const std::size_t k = config_.params.k();
@@ -937,15 +876,12 @@ FmmResult FmmSolver::solve_impl_(const ParticleSet& particles,
   using exec::NodeId;
   exec::PhaseGraph g;
 
-  const NodeId sort = g.add_serial(sort_repaired ? "sort.incremental" : "sort",
-                                   "sort", [&](PhaseStats&) {
-                                     if (!pre_sorted) {
-                                       dp::coordinate_sort(particles, hier,
-                                                           layout, ws.boxed,
-                                                           &ws.sort_scratch);
-                                       bind_types();
-                                     }
-                                   });
+  const NodeId sort = g.add_serial("sort", "sort", [&](PhaseStats&) {
+    if (!pre_sorted) {
+      dp::coordinate_sort(particles, hier, layout, ws.boxed, &ws.sort_scratch);
+      bind_types();
+    }
+  });
   const NodeId prep_levels =
       g.add_serial("prepare:levels", "workspace", [&](PhaseStats&) {
         if (!far_capable) return;  // no level stores for short-range solves
@@ -1140,17 +1076,8 @@ FmmResult FmmSolver::solve_impl_(const ParticleSet& particles,
   // reports (previously empty on dense solves).
   {
     ScopedPhaseTimer timer(result.breakdown["active"]);
-    if (config_.hierarchy == HierarchyMode::kDense) {
-      // The sparse dispatch block did not run; derive the occupied list.
-      const std::size_t cap_before = ws.occupied.capacity();
-      ws.occupied.clear();
-      const std::size_t ranks = ws.boxed.box_begin.size() - 1;
-      for (std::size_t r = 0; r < ranks; ++r)
-        if (ws.boxed.box_begin[r + 1] > ws.boxed.box_begin[r])
-          ws.occupied.push_back(ws.boxed.rank_to_flat[r]);
-      if (ws.occupied.capacity() != cap_before)
-        ws.allocs.fetch_add(1, std::memory_order_relaxed);
-    }
+    // The sparse dispatch block did not run; derive the occupied list.
+    if (!pre_sorted) collect_occupied();
     const std::size_t cap_before = ws.active.capacity_bytes();
     tree::build_active_levels(hier, ws.occupied, ws.active);
     if (ws.active.capacity_bytes() != cap_before)
@@ -1168,16 +1095,6 @@ FmmResult FmmSolver::solve_impl_(const ParticleSet& particles,
   for (int l = 0; l <= h; ++l) result.active_boxes += hier.boxes_at(l);
   result.workspace_bytes = ws.workspace_bytes();
   internal::publish_view(ws, config_, n, view);
-  if (step_enabled) {
-    step.valid = true;
-    step.n = n;
-    step.depth = h;
-    step.cube = hier.root();
-    // A dense solve leaves the sparse structures stale relative to the new
-    // sorted order; the next sparse solve must rebuild them.
-    step.active_valid = false;
-    step.cost_valid = false;
-  }
   return result;
 }
 

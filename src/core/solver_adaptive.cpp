@@ -127,8 +127,7 @@ void l2p_front_chunk(ActiveContext& ctx, std::size_t lo, std::size_t hi,
 // sparse executor over the pruned refined tree.
 FmmResult FmmSolver::solve_adaptive_(const ParticleSet& particles,
                                      const tree::Hierarchy& hier,
-                                     FmmResult result, SolveView* view,
-                                     bool sort_repaired) {
+                                     FmmResult result, SolveView* view) {
   const FmmPlan& plan = *impl_->plan;
   SolveWorkspace& ws = impl_->ws;
   ThreadPool& pool = *impl_->pool;
@@ -152,11 +151,7 @@ FmmResult FmmSolver::solve_adaptive_(const ParticleSet& particles,
   // nothing here.
   {
     ScopedPhaseTimer timer(result.breakdown["active"]);
-    if (ws.step.cur_incremental && !ws.step.cur_emptiness_changed &&
-        ws.step.active_valid) {
-      // No box flipped empty <-> non-empty: the full active sets still match.
-      result.breakdown["active"].plan_reuse += 1;
-    } else {
+    {
       const std::size_t cap_before = ws.active.capacity_bytes();
       tree::build_active_levels(hier, ws.occupied, ws.active);
       if (ws.active.capacity_bytes() != cap_before)
@@ -332,8 +327,7 @@ FmmResult FmmSolver::solve_adaptive_(const ParticleSet& particles,
   using exec::NodeId;
   exec::PhaseGraph g;
 
-  const NodeId sort = g.add_serial(sort_repaired ? "sort.incremental" : "sort",
-                                   "sort", [](PhaseStats&) {});
+  const NodeId sort = g.add_serial("sort", "sort", [](PhaseStats&) {});
   const NodeId prep_levels =
       g.add_serial("prepare:levels", "workspace", [&](PhaseStats&) {
         ws.prepare_levels_sparse(act, k);
@@ -420,7 +414,7 @@ FmmResult FmmSolver::solve_adaptive_(const ParticleSet& particles,
                                      ws.pair_begin, ws.pair_leaf};
         const NearFieldResult nf = near_field_adaptive_chunk(
             ws.boxed, aplan, config_.with_gradient, ws.near_scratch.chunks[c],
-            lo, hi, config_.softening);
+            lo, hi, config_.kernel.softening);
         st.flops += nf.flops;
         st.pairs += nf.pair_interactions;
       },
@@ -473,17 +467,6 @@ FmmResult FmmSolver::solve_adaptive_(const ParticleSet& particles,
   result.workspace_allocs = result.breakdown["workspace"].allocs;
   result.workspace_bytes = ws.workspace_bytes();
   internal::publish_view(ws, config_, n, view);
-  if (config_.step_incremental) {
-    ws.step.valid = true;
-    ws.step.n = n;
-    ws.step.depth = h;
-    ws.step.cube = hier.root();
-    // The full active sets match the sort (reusable); the front and its
-    // plans are rebuilt per solve, and ws.leaf_cost/near_cost now describe
-    // front leaves — a later sparse solve must rebuild them.
-    ws.step.active_valid = true;
-    ws.step.cost_valid = false;
-  }
   return result;
 }
 

@@ -313,8 +313,7 @@ struct RankRun {
 
 FmmResult FmmSolver::solve_dist_(const ParticleSet& particles,
                                  const tree::Hierarchy& hier, FmmResult result,
-                                 SolveView* view, bool sort_repaired) {
-  (void)sort_repaired;  // the eager sort already charged "sort"
+                                 SolveView* view) {
   const FmmPlan& plan = *impl_->plan;
   SolveWorkspace& gws = impl_->ws;
   const std::size_t n = particles.size();
@@ -702,14 +701,6 @@ FmmResult FmmSolver::solve_dist_(const ParticleSet& particles,
   result.workspace_allocs = result.breakdown["workspace"].allocs;
   result.workspace_bytes = ws_bytes;
   internal::publish_view(gws, config_, n, view);
-  if (config_.step_incremental) {
-    gws.step.valid = true;
-    gws.step.n = n;
-    gws.step.depth = h;
-    gws.step.cube = hier.root();
-    gws.step.active_valid = true;
-    gws.step.cost_valid = true;
-  }
   return result;
 }
 

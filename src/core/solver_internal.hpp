@@ -234,26 +234,6 @@ class ChunkArena {
   std::vector<ChunkSlot> slots_;
 };
 
-// Cross-solve incremental-stepping state (DESIGN.md Section 14). The
-// durable fields describe the sort state ws.boxed/ws.sort_scratch carry
-// from the previous solve: while n and depth match and the new bounds stay
-// inside the pinned root cube, the next solve may diff against it instead
-// of rebuilding. The cur_* fields are per-solve transients — solve() sets
-// them from the sort diff before dispatching, and the sparse executor reads
-// them to decide what to revalidate.
-struct StepCache {
-  bool valid = false;  ///< ws.boxed holds a steppable previous sort
-  std::size_t n = 0;
-  int depth = -1;
-  Box3 cube;  ///< pinned hierarchy root cube
-  bool active_valid = false;  ///< ws.active matches ws.boxed's occupancy
-  bool cost_valid = false;    ///< ws.leaf_cost/near_cost match ws.boxed
-  // Per-solve transients (set by solve(), read by solve_sparse_).
-  bool cur_incremental = false;  ///< this solve stepped from the cache
-  bool cur_counts_changed = true;
-  bool cur_emptiness_changed = true;
-};
-
 struct SolveWorkspace {
   // Box-major level stores: far/local potential vectors for every box of
   // every level, [level][flat_box * K + i]. Grown once, zeroed per solve.
@@ -278,10 +258,6 @@ struct SolveWorkspace {
   // Cost-model weights for cost-balanced chunk splits (leaf = particle
   // counts, near = near-field pair counts per active leaf).
   std::vector<std::uint64_t> leaf_cost, near_cost;
-  // Incremental-stepping cache plus the scratch list of active leaf indices
-  // whose cost entries the per-step patch recomputes.
-  StepCache step;
-  std::vector<std::uint32_t> cost_patch;
   // Adaptive leaf-front executor state (DESIGN.md Section 15): per-fine-leaf
   // body counts, subtree counts, the marked front (plus the ncrit-selector's
   // scratch front), the pruned refined-tree level sets with their leaf
@@ -378,12 +354,11 @@ struct SolveWorkspace {
   }
 };
 
-// Derives/revalidates the sparse active level sets (ws.active) and the
-// per-active-leaf cost model (ws.leaf_cost / ws.near_cost) from the sort
-// output in ws.boxed/ws.occupied — the "active" phase, shared by the sparse
-// and distributed executors. Reads the step-cache transients to pick
-// between full rebuild, diff-driven patch, and reuse. `periodic` selects
-// wrapped neighbour counting (periodic vdW). Defined in solver_sparse.cpp.
+// Derives the sparse active level sets (ws.active) and the per-active-leaf
+// cost model (ws.leaf_cost / ws.near_cost) from the sort output in
+// ws.boxed/ws.occupied — the "active" phase, shared by the sparse and
+// distributed executors. `periodic` selects wrapped neighbour counting
+// (periodic vdW). Defined in solver_sparse.cpp.
 void update_active_costs(const FmmConfig& config, const FmmPlan& plan,
                          const tree::Hierarchy& hier, bool periodic,
                          SolveWorkspace& ws, PhaseBreakdown& breakdown);

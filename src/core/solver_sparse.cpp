@@ -56,10 +56,7 @@ using internal::upward_chunk;
 // phase), shared by the sparse and distributed executors: particle counts
 // weight the leaf stages, near-field pair counts weight the near-field
 // chunks (and the distributed partitioner). Both reuse workspace buffers —
-// a warm solve grows nothing here. On an incremental step
-// (ws.step.cur_incremental) the sort diff drives what gets rebuilt: nothing
-// when no box changed occupancy, only the affected cost entries when counts
-// changed without any empty <-> non-empty flip, and everything otherwise.
+// a warm solve grows nothing here.
 void internal::update_active_costs(const FmmConfig& config,
                                    const internal::FmmPlan& plan,
                                    const tree::Hierarchy& hier, bool periodic,
@@ -69,26 +66,19 @@ void internal::update_active_costs(const FmmConfig& config,
   const std::span<const tree::Offset> offsets =
       plan.near_list(config.near_symmetry);
   ScopedPhaseTimer timer(breakdown["active"]);
-  const bool structures_ok =
-      ws.step.cur_incremental && !ws.step.cur_emptiness_changed;
-  if (structures_ok && ws.step.active_valid) {
-    // No box flipped empty <-> non-empty: the active level sets (and the
-    // dense->active maps) from the previous step are still exact.
-    breakdown["active"].plan_reuse += 1;
-  } else {
-    const std::size_t cap_before = ws.active.capacity_bytes();
-    tree::build_active_levels(hier, ws.occupied, ws.active);
-    if (ws.active.capacity_bytes() != cap_before)
-      ws.allocs.fetch_add(1, std::memory_order_relaxed);
-  }
+  const std::size_t cap_before = ws.active.capacity_bytes();
+  tree::build_active_levels(hier, ws.occupied, ws.active);
+  if (ws.active.capacity_bytes() != cap_before)
+    ws.allocs.fetch_add(1, std::memory_order_relaxed);
 
   const tree::LevelActiveSet& leaves = ws.active.levels[h];
   const std::size_t nl = leaves.count();
   const std::int32_t nside = hier.boxes_per_side(h);
-  // Cost entries for one active leaf (leaf = its particle count, near =
-  // its near-field pair count) — the full build and the per-step patch
-  // apply the identical formula.
-  const auto cost_at = [&](std::size_t ai) {
+  internal::grow(ws.leaf_cost, nl, ws.allocs);
+  internal::grow(ws.near_cost, nl, ws.allocs);
+  // Per active leaf: leaf = its particle count, near = its near-field pair
+  // count.
+  for (std::size_t ai = 0; ai < nl; ++ai) {
     const std::size_t f = leaves.boxes[ai];
     const tree::BoxCoord c = hier.coord_of(h, f);
     const std::uint64_t t = particles_in(ws.boxed, f);
@@ -108,65 +98,14 @@ void internal::update_active_costs(const FmmConfig& config,
       pairs += t * particles_in(ws.boxed, hier.flat_index(h, nb));
     }
     ws.near_cost[ai] = pairs;
-  };
-  if (structures_ok && ws.step.cost_valid) {
-    if (!ws.step.cur_counts_changed) {
-      // Count-preserving membership swaps don't move any cost entry.
-      breakdown["active"].plan_reuse += 1;
-    } else {
-      // A changed count at leaf g dirties g's own entries plus every
-      // leaf f whose near list reaches g (f + o == g for an offset o in
-      // the list — with the symmetric half list each pair is costed once,
-      // on the side that owns it, so the inverse offsets cover exactly
-      // the dependent entries).
-      ws.cost_patch.clear();
-      const tree::LevelActiveSet& la = ws.active.levels[h];
-      const auto push_flat = [&](tree::BoxCoord c) {
-        if (periodic) {
-          c.ix = (c.ix + nside) % nside;
-          c.iy = (c.iy + nside) % nside;
-          c.iz = (c.iz + nside) % nside;
-        } else if (c.ix < 0 || c.ix >= nside || c.iy < 0 || c.iy >= nside ||
-                   c.iz < 0 || c.iz >= nside) {
-          return;
-        }
-        const std::int32_t ai =
-            la.dense_to_active[hier.flat_index(h, c)];
-        if (ai >= 0) ws.cost_patch.push_back(static_cast<std::uint32_t>(ai));
-      };
-      for (const std::uint32_t r : ws.sort_scratch.changed_ranks) {
-        const tree::BoxCoord c =
-            hier.coord_of(h, ws.boxed.rank_to_flat[r]);
-        push_flat(c);
-        for (const tree::Offset& o : offsets) {
-          if (o == tree::Offset{0, 0, 0}) continue;
-          push_flat({c.ix - o.dx, c.iy - o.dy, c.iz - o.dz});
-        }
-      }
-      std::sort(ws.cost_patch.begin(), ws.cost_patch.end());
-      ws.cost_patch.erase(
-          std::unique(ws.cost_patch.begin(), ws.cost_patch.end()),
-          ws.cost_patch.end());
-      for (const std::uint32_t ai : ws.cost_patch) cost_at(ai);
-      breakdown["active"].chunks_rebuilt += ws.cost_patch.size();
-    }
-  } else {
-    internal::grow(ws.leaf_cost, nl, ws.allocs);
-    internal::grow(ws.near_cost, nl, ws.allocs);
-    for (std::size_t ai = 0; ai < nl; ++ai) cost_at(ai);
   }
 }
 
 // solve() has already run the coordinate sort (charged to "sort"), filled
 // ws.occupied with the non-empty leaf flats, and decided for this executor.
-// On an incremental step (ws.step.cur_incremental) the sort diff drives
-// what the "active" phase rebuilds: nothing when no box changed occupancy,
-// only the affected cost entries when counts changed without any empty <->
-// non-empty flip, and everything otherwise.
 FmmResult FmmSolver::solve_sparse_(const ParticleSet& particles,
                                    const tree::Hierarchy& hier,
-                                   FmmResult result, SolveView* view,
-                                   bool sort_repaired) {
+                                   FmmResult result, SolveView* view) {
   const FmmPlan& plan = *impl_->plan;
   SolveWorkspace& ws = impl_->ws;
   ThreadPool& pool = *impl_->pool;
@@ -210,8 +149,7 @@ FmmResult FmmSolver::solve_sparse_(const ParticleSet& particles,
   // The sort already ran (solve() needed its output to pick this executor);
   // the stage stays in the graph as a no-op so the timeline keeps the full
   // pipeline shape.
-  const NodeId sort = g.add_serial(sort_repaired ? "sort.incremental" : "sort",
-                                   "sort", [](PhaseStats&) {});
+  const NodeId sort = g.add_serial("sort", "sort", [](PhaseStats&) {});
   const NodeId prep_levels =
       g.add_serial("prepare:levels", "workspace", [&](PhaseStats&) {
         if (!far_capable) return;  // no level stores for short-range solves
@@ -373,14 +311,6 @@ FmmResult FmmSolver::solve_sparse_(const ParticleSet& particles,
   result.workspace_allocs = result.breakdown["workspace"].allocs;
   result.workspace_bytes = ws.workspace_bytes();
   internal::publish_view(ws, config_, n, view);
-  if (config_.step_incremental) {
-    ws.step.valid = true;
-    ws.step.n = n;
-    ws.step.depth = h;
-    ws.step.cube = hier.root();
-    ws.step.active_valid = true;  // this solve's active sets are current
-    ws.step.cost_valid = true;
-  }
   return result;
 }
 

@@ -3,10 +3,10 @@
 // and the acceptance bar — an R-rank ExecutionMode::kDistributed solve is
 // BITWISE identical to the single-rank sequential sparse executor (with the
 // non-symmetric near field the distributed mode forces), for Laplace and
-// van der Waals, uniform and clustered inputs, warm and incremental-step
-// solves, across every hierarchy request. The measured fabric traffic must
-// equal the LET plan's modeled bytes exactly — the pack loops realize the
-// model.
+// van der Waals, uniform and clustered inputs, cold and warm solves along a
+// drifting trajectory, across every hierarchy request. The measured fabric
+// traffic must equal the LET plan's modeled bytes exactly — the pack loops
+// realize the model.
 
 #include <gtest/gtest.h>
 
@@ -314,11 +314,11 @@ TEST(DistSolveTest, VdwClusteredPeriodicMatchesReference) {
 }
 
 TEST(DistSolveTest, IncrementalSteppingStaysBitwise) {
-  // Both solvers pin the root cube on the first solve and step the same
-  // trajectory; every step must agree bit for bit.
+  // Warm solves of both solvers step the same drifting trajectory (each
+  // solve rebuilds its sort and structures from the moved particles);
+  // every step must agree bit for bit.
   ParticleSet ps = make_uniform(1600, Box3{}, 108);
   core::FmmConfig base;
-  base.step_incremental = true;
 
   core::FmmSolver ref_solver(reference_of(base));
   core::FmmConfig dcfg = base;
@@ -331,8 +331,8 @@ TEST(DistSolveTest, IncrementalSteppingStaysBitwise) {
     const core::FmmResult got = dist_solver.solve(ps);
     expect_bitwise_equal(ref, got);
     expect_traffic_matches_model(got);
-    // Drift every particle toward the domain centre (stays inside the
-    // pinned cube; some cross leaf boundaries, exercising the repair path).
+    // Drift every particle toward the domain centre (the root cube shrinks
+    // with the bounds; some particles cross leaf boundaries).
     for (std::size_t i = 0; i < ps.size(); ++i) {
       Vec3 p = ps.position(i);
       p.x += (0.5 - p.x) * 0.04;

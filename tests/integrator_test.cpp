@@ -1,17 +1,13 @@
 // Tests for the leapfrog integrator: two-body orbits, energy conservation,
 // momentum conservation, and time-reversibility of the symplectic scheme —
-// plus the incremental dynamic-stepping pipeline (DESIGN.md Section 14):
-// mover-only sort repair bit-identical to the full rebuild, threshold
-// fallback, sparse plan patching, and long-run energy drift on the
-// streamed path.
+// plus long-run energy drift on the streamed warm-solve path (DESIGN.md
+// Section 14).
 
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <cstring>
 
 #include "hfmm/core/integrator.hpp"
-#include "hfmm/util/rng.hpp"
 
 namespace hfmm::core {
 namespace {
@@ -20,7 +16,7 @@ FmmSolver& gravity_solver() {
   static FmmConfig cfg = [] {
     FmmConfig c;
     c.with_gradient = true;
-    c.softening = 0.0;
+    c.kernel.softening = 0.0;
     return c;
   }();
   static FmmSolver solver(cfg);
@@ -68,7 +64,7 @@ TEST(IntegratorTest, CircularBinaryKeepsSeparation) {
 TEST(IntegratorTest, EnergyConservedForCluster) {
   FmmConfig cfg;
   cfg.with_gradient = true;
-  cfg.softening = 0.02;
+  cfg.kernel.softening = 0.02;
   FmmSolver solver(cfg);
   SimulationState s;
   s.particles = make_plummer(800, Box3{}, 11, /*mass=*/0.5);
@@ -86,7 +82,7 @@ TEST(IntegratorTest, EnergyConservedForCluster) {
 TEST(IntegratorTest, MomentumConserved) {
   FmmConfig cfg;
   cfg.with_gradient = true;
-  cfg.softening = 0.02;
+  cfg.kernel.softening = 0.02;
   FmmSolver solver(cfg);
   SimulationState s;
   s.particles = make_plummer(500, Box3{}, 13, 0.5);
@@ -102,7 +98,7 @@ TEST(IntegratorTest, TimeReversible) {
   // the initial positions to integration accuracy.
   FmmConfig cfg;
   cfg.with_gradient = true;
-  cfg.softening = 0.05;
+  cfg.kernel.softening = 0.05;
   FmmSolver solver(cfg);
   SimulationState s;
   s.particles = make_plummer(200, Box3{}, 17, 0.2);
@@ -148,164 +144,14 @@ TEST(IntegratorTest, ElectrostaticRepulsion) {
   EXPECT_LT((a.particles.position(0) - a.particles.position(1)).norm(), 0.2);
 }
 
-// ---------------------------------------------------------------------------
-// Incremental dynamic stepping (DESIGN.md Section 14).
-// ---------------------------------------------------------------------------
-
-// Pins the particle-set bounds with two stationary corner sentinels so a
-// cold solver derives the same root cube as the incremental solver's pinned
-// one — making their outputs bitwise comparable.
-ParticleSet pinned_uniform(std::size_t n, std::uint64_t seed) {
-  ParticleSet p = make_uniform(n, Box3{}, seed);
-  p.set(0, {0.0, 0.0, 0.0}, 1.0);
-  p.set(1, {1.0, 1.0, 1.0}, 1.0);
-  return p;
-}
-
-// Drifts interior particles [lo, hi) toward the box centre by `frac` of
-// their distance — movers that cannot create new bounds extremes.
-void drift_inward(ParticleSet& p, std::size_t lo, std::size_t hi,
-                  double frac) {
-  const Vec3 c{0.5, 0.5, 0.5};
-  for (std::size_t i = lo; i < hi; ++i)
-    p.set(i, p.position(i) + frac * (c - p.position(i)), p.charge(i));
-}
-
-void expect_bitwise_equal(const FmmResult& a, const FmmResult& b) {
-  ASSERT_EQ(a.phi.size(), b.phi.size());
-  ASSERT_EQ(a.grad.size(), b.grad.size());
-  for (std::size_t i = 0; i < a.phi.size(); ++i) {
-    ASSERT_EQ(a.phi[i], b.phi[i]) << "phi differs at " << i;
-    if (!a.grad.empty()) {
-      ASSERT_EQ(a.grad[i].x, b.grad[i].x) << "grad.x differs at " << i;
-      ASSERT_EQ(a.grad[i].y, b.grad[i].y) << "grad.y differs at " << i;
-      ASSERT_EQ(a.grad[i].z, b.grad[i].z) << "grad.z differs at " << i;
-    }
-  }
-}
-
-bool timeline_has_stage(const FmmResult& r, const char* stage) {
-  for (const auto& st : r.timeline)
-    if (st.stage == stage) return true;
-  return false;
-}
-
-TEST(IncrementalStep, RepairedSortBitwiseMatchesFullRebuild) {
-  FmmConfig cfg;
-  cfg.with_gradient = true;
-  cfg.step_incremental = true;
-  cfg.step_mover_threshold = 0.5;
-  FmmSolver inc(cfg);
-
-  ParticleSet p = pinned_uniform(3000, 21);
-  (void)inc.solve(p);  // cold solve establishes the step cache
-  drift_inward(p, 10, 100, 0.2);
-  const FmmResult r = inc.solve(p);
-
-  const PhaseStats& sort = r.breakdown.phases().at("sort");
-  EXPECT_EQ(sort.plan_reuse, 1u);  // the sort was repaired, not rebuilt
-  EXPECT_GT(sort.movers, 0u);
-  EXPECT_LT(sort.movers, 100u);
-  EXPECT_TRUE(timeline_has_stage(r, "sort.incremental"));
-
-  // An independent cold solver on the drifted set (same cube thanks to the
-  // pinned bounds) must produce identical bits.
-  FmmConfig full_cfg;
-  full_cfg.with_gradient = true;
-  FmmSolver full(full_cfg);
-  expect_bitwise_equal(r, full.solve(p));
-}
-
-TEST(IncrementalStep, FallsBackToFullSortAboveThreshold) {
-  FmmConfig cfg;
-  cfg.with_gradient = true;
-  cfg.step_incremental = true;
-  cfg.step_mover_threshold = 0.0;  // any mover crosses the threshold
-  FmmSolver inc(cfg);
-
-  ParticleSet p = pinned_uniform(1500, 33);
-  (void)inc.solve(p);
-  drift_inward(p, 10, 60, 0.25);
-  const FmmResult r = inc.solve(p);
-
-  const PhaseStats& sort = r.breakdown.phases().at("sort");
-  EXPECT_GT(sort.movers, 0u);      // the diff still ran and counted
-  EXPECT_EQ(sort.plan_reuse, 0u);  // but the full counting sort rebuilt
-  EXPECT_FALSE(timeline_has_stage(r, "sort.incremental"));
-  EXPECT_TRUE(timeline_has_stage(r, "sort"));
-
-  FmmConfig full_cfg;
-  full_cfg.with_gradient = true;
-  FmmSolver full(full_cfg);
-  expect_bitwise_equal(r, full.solve(p));
-}
-
-// Sparse executor: a one-particle membership change must keep the active
-// sets (plan_reuse) and patch only the handful of cost entries around the
-// source and destination leaves — never the whole cost model.
-TEST(IncrementalStep, SparsePatchesOnlyAffectedCostEntries) {
-  FmmConfig cfg;
-  cfg.with_gradient = true;
-  cfg.step_incremental = true;
-  cfg.step_mover_threshold = 0.5;
-  cfg.hierarchy = HierarchyMode::kSparse;
-  cfg.depth = 3;
-  FmmSolver inc(cfg);
-
-  // Two tight occupied clusters plus the corner sentinels; everything else
-  // of the 512-leaf grid stays empty.
-  const std::size_t per = 60;
-  ParticleSet p;
-  p.resize(2 * per + 2);
-  Xoshiro256 rng(77);
-  for (std::size_t i = 0; i < per; ++i) {
-    p.set(i, Vec3{0.19, 0.19, 0.19} +
-                 Vec3{rng.uniform(-0.01, 0.01), rng.uniform(-0.01, 0.01),
-                      rng.uniform(-0.01, 0.01)},
-          1.0);
-    p.set(per + i, Vec3{0.81, 0.81, 0.81} +
-                       Vec3{rng.uniform(-0.01, 0.01), rng.uniform(-0.01, 0.01),
-                            rng.uniform(-0.01, 0.01)},
-          1.0);
-  }
-  p.set(2 * per, {0.0, 0.0, 0.0}, 1.0);
-  p.set(2 * per + 1, {1.0, 1.0, 1.0}, 1.0);
-
-  (void)inc.solve(p);
-  // Move one particle from cluster A into cluster B's leaf: counts change
-  // in two already-occupied boxes, no box flips empty <-> non-empty.
-  p.set(3, {0.815, 0.815, 0.815}, p.charge(3));
-  const FmmResult r = inc.solve(p);
-
-  const PhaseStats& sort = r.breakdown.phases().at("sort");
-  EXPECT_EQ(sort.movers, 1u);
-  EXPECT_EQ(sort.plan_reuse, 1u);
-  const PhaseStats& active = r.breakdown.phases().at("active");
-  EXPECT_GE(active.plan_reuse, 1u);   // active sets reused
-  EXPECT_GE(active.chunks_rebuilt, 1u);
-  EXPECT_LE(active.chunks_rebuilt, 4u);  // only the occupied leaves, not 512
-  FmmConfig full_cfg = cfg;
-  full_cfg.step_incremental = false;
-  FmmSolver full(full_cfg);
-  expect_bitwise_equal(r, full.solve(p));
-
-  // A zero-mover step reuses everything and patches nothing.
-  const FmmResult r2 = inc.solve(p);
-  EXPECT_EQ(r2.breakdown.phases().at("sort").movers, 0u);
-  EXPECT_EQ(r2.breakdown.phases().at("sort").plan_reuse, 1u);
-  EXPECT_EQ(r2.breakdown.phases().at("active").plan_reuse, 2u);
-  EXPECT_EQ(r2.breakdown.phases().at("active").chunks_rebuilt, 0u);
-  expect_bitwise_equal(r2, full.solve(p));
-}
-
 // Long-run guard for the streamed kick-drift-accumulate path: 100 leapfrog
-// steps of a softened Plummer sphere with incremental stepping on must
-// conserve energy to leapfrog accuracy and stream every evaluation.
-TEST(IncrementalStep, HundredStepPlummerEnergyDrift) {
+// steps of a softened Plummer sphere on plain warm solves (every solve
+// rebuilds the sort and structures) must conserve energy to leapfrog
+// accuracy and stream every evaluation.
+TEST(IntegratorTest, HundredStepPlummerEnergyDrift) {
   FmmConfig cfg;
   cfg.with_gradient = true;
-  cfg.softening = 0.02;
-  cfg.step_incremental = true;
+  cfg.kernel.softening = 0.02;
   FmmSolver solver(cfg);
   SimulationState s;
   s.particles = make_plummer(500, Box3{}, 23, /*mass=*/0.5);

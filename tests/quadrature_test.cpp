@@ -139,6 +139,11 @@ struct RuleCase {
   std::size_t expect_k;
 };
 
+// Print a case by its name: gtest's default byte dump would put the address
+// of `name` (and padding bytes) into the listed test names, so they would
+// change from one build to the next.
+void PrintTo(const RuleCase& c, std::ostream* os) { *os << c.name; }
+
 class SphereRuleExactness : public ::testing::TestWithParam<RuleCase> {};
 
 TEST_P(SphereRuleExactness, PropertiesAndMoments) {

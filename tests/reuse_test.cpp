@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <ostream>
 #include <set>
 #include <string>
 #include <tuple>
@@ -202,22 +203,39 @@ TEST(ClusteredReuse, AlternatingDistributionsKeepWarmPathClustered) {
 }
 
 // A multi-step integrator run on one (warm) solver must match stepping with
-// a fresh solver per force evaluation to machine precision: the warm path
-// reuses plan and workspace but performs the identical arithmetic.
-TEST(IntegratorReuse, MultiStepMatchesFreshSolverPerStep) {
-  FmmConfig cfg = base_config(ExecutionMode::kThreads);
+// a fresh solver per force evaluation bit for bit: every solve rebuilds the
+// sort and structures from the moved particles, and the warm path reuses
+// only plan and workspace buffers, performing the identical arithmetic.
+// One case per executor: dense on uniform input (the plain test below);
+// sparse, adaptive and distributed (4 ranks) on clustered input.
+struct StepCase {
+  const char* name;
+  ExecutionMode mode;
+  HierarchyMode hierarchy;
+  bool plummer;
+};
+
+void PrintTo(const StepCase& c, std::ostream* os) { *os << c.name; }
+
+void expect_warm_stepping_matches_fresh(const StepCase& c) {
+  FmmConfig cfg = base_config(c.mode);
+  cfg.hierarchy = c.hierarchy;
+  cfg.dist_ranks = 4;
   const double dt = 1e-3;
   const std::size_t n = 800;
+  const auto initial = [&] {
+    return c.plummer ? make_plummer(n, Box3{}, 7) : make_uniform(n, Box3{}, 7);
+  };
 
   FmmSolver warm_solver(cfg);
   LeapfrogIntegrator warm(warm_solver, ForceLaw::kGravity, dt);
   SimulationState ws;
-  ws.particles = make_uniform(n, Box3{}, 7);
+  ws.particles = initial();
   ws.velocity.assign(n, Vec3{});
   warm.initialize(ws);
 
   SimulationState fs;
-  fs.particles = make_uniform(n, Box3{}, 7);
+  fs.particles = initial();
   fs.velocity.assign(n, Vec3{});
   {
     FmmSolver fresh(cfg);
@@ -250,6 +268,30 @@ TEST(IntegratorReuse, MultiStepMatchesFreshSolverPerStep) {
   EXPECT_EQ(stats.evaluations, 1u + steps);
   EXPECT_EQ(stats.warm_evaluations, static_cast<std::uint64_t>(steps));
 }
+
+TEST(IntegratorReuse, MultiStepMatchesFreshSolverPerStep) {
+  expect_warm_stepping_matches_fresh(
+      {"dense_uniform", ExecutionMode::kThreads, HierarchyMode::kDense, false});
+}
+
+class IntegratorReuseExecutors : public ::testing::TestWithParam<StepCase> {};
+
+TEST_P(IntegratorReuseExecutors, MultiStepMatchesFreshSolverPerStep) {
+  expect_warm_stepping_matches_fresh(GetParam());
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Executors, IntegratorReuseExecutors,
+    ::testing::Values(
+        StepCase{"sparse_plummer", ExecutionMode::kThreads,
+                 HierarchyMode::kSparse, true},
+        StepCase{"adaptive_plummer", ExecutionMode::kThreads,
+                 HierarchyMode::kAdaptive, true},
+        StepCase{"dist4_plummer", ExecutionMode::kDistributed,
+                 HierarchyMode::kSparse, true}),
+    [](const ::testing::TestParamInfo<StepCase>& info) {
+      return std::string(info.param.name);
+    });
 
 }  // namespace
 }  // namespace hfmm::core

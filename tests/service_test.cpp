@@ -387,6 +387,31 @@ TEST(ServiceTest, SecondClientOfSameWorkloadReusesCachedPlan) {
   EXPECT_TRUE(bitwise_equal(outcomes[0].result.phi, outcomes[1].result.phi));
 }
 
+// Tenants that differ only in kernel.softening must never share a pooled
+// client: alternating them through one service, each result must equal its
+// own solo sequential solve bit for bit (the service runs its clients
+// sequentially).
+TEST(ServiceTest, SofteningSeparatesPooledClients) {
+  service::SolverService svc;
+  const ParticleSet p = make_uniform(2000, Box3{}, 13);
+  core::FmmConfig plain;
+  core::FmmConfig soft = plain;
+  soft.kernel.softening = 0.05;
+  const auto solo = [&](core::FmmConfig cfg) {
+    cfg.mode = core::ExecutionMode::kSequential;
+    core::FmmSolver solver(cfg);
+    return solver.solve(p);
+  };
+  const core::FmmResult plain_ref = solo(plain);
+  const core::FmmResult soft_ref = solo(soft);
+  ASSERT_FALSE(bitwise_equal(plain_ref.phi, soft_ref.phi));
+  for (int round = 0; round < 2; ++round) {
+    SCOPED_TRACE(round);
+    EXPECT_TRUE(bitwise_equal(plain_ref.phi, svc.solve(plain, p).result.phi));
+    EXPECT_TRUE(bitwise_equal(soft_ref.phi, svc.solve(soft, p).result.phi));
+  }
+}
+
 TEST(ServiceTest, DataParallelRequestsAreRejected) {
   service::SolverService svc;
   core::FmmConfig cfg;

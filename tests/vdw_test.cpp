@@ -11,8 +11,7 @@
 //     reproducible);
 //   * end-to-end: FmmSolver with a short-range KernelSpec against an O(N^2)
 //     brute force on >= 2 distributions plus a periodic minimum-image case,
-//     empty far-field phases, warm-solve zero-alloc, seq == threads, and
-//     the deprecated softening alias still reaching the Laplace kernel.
+//     empty far-field phases, warm-solve zero-alloc, and seq == threads.
 
 #include <gtest/gtest.h>
 
@@ -505,27 +504,6 @@ TEST(VdwSolveTest, LaplaceAdaptiveRequestStaysAdaptive) {
   EXPECT_EQ(r.hierarchy_requested, core::HierarchyMode::kAdaptive);
   EXPECT_EQ(r.hierarchy_effective, core::HierarchyMode::kAdaptive);
   EXPECT_TRUE(r.adaptive);
-}
-
-// The deprecated FmmConfig::softening must forward into the Laplace
-// KernelSpec (and the spec must win when both are set), with identical
-// arithmetic either way.
-TEST(KernelSpecTest, SofteningAliasForwardsIntoLaplaceSpec) {
-  const ParticleSet ps = make_uniform(300, Box3{}, 11);
-  core::FmmConfig legacy;
-  legacy.with_gradient = true;
-  legacy.softening = 0.01;
-  core::FmmConfig spec;
-  spec.with_gradient = true;
-  spec.kernel.softening = 0.01;
-  core::FmmSolver ls(legacy), ss(spec);
-  EXPECT_EQ(ls.config().kernel.softening, 0.01);
-  EXPECT_EQ(ss.config().softening, 0.01);  // reconciled back onto the alias
-  const core::FmmResult a = ls.solve(ps);
-  const core::FmmResult b = ss.solve(ps);
-  EXPECT_EQ(a.kernel, core::KernelType::kLaplace3d);
-  EXPECT_EQ(0, std::memcmp(a.phi.data(), b.phi.data(),
-                           a.phi.size() * sizeof(double)));
 }
 
 TEST(KernelSpecTest, ValidateRejectsBadSpecs) {

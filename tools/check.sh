@@ -28,13 +28,9 @@ run_suite() {
   cmake -B "$build_dir" -S . "$@" >/dev/null
   cmake --build "$build_dir" -j "$jobs"
   ctest --test-dir "$build_dir" --output-on-failure -j "$jobs"
-  # Explicit re-run of the incremental-stepping suite so a sanitizer finding
-  # in the sort-repair / plan-patch path is attributed on its own row.
-  echo "== incremental-stepping suite =="
-  ctest --test-dir "$build_dir" --output-on-failure \
-    -R 'IncrementalStep|PkernBackendTest|Integrator'
-  # Adaptive-refinement suite on its own row for the same reason: the leaf
-  # front, U-list plan and multi-level leaf phases are the newest hot path.
+  # Adaptive-refinement suite on its own row, so a sanitizer finding there
+  # is attributed separately: the leaf front, U-list plan and multi-level
+  # leaf phases are the newest hot path.
   echo "== adaptive-refinement suite =="
   ctest --test-dir "$build_dir" --output-on-failure \
     -R 'RefinementTest|AdaptiveSolveTest'
