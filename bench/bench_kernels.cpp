@@ -544,10 +544,12 @@ int main(int argc, char** argv) {
       args.push_back(argv[i]);
   }
   int filtered_argc = static_cast<int>(args.size());
-  write_kernel_json(json_path);
+  // Parse (and reject) the flags before the sweep writes the JSON, so
+  // --help or a mistyped flag leaves an existing file untouched.
   benchmark::Initialize(&filtered_argc, args.data());
   if (benchmark::ReportUnrecognizedArguments(filtered_argc, args.data()))
     return 1;
+  write_kernel_json(json_path);
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
   return 0;

@@ -6,6 +6,9 @@
 // exploits Newton's third law at box granularity: a half-list H with
 // H u -H = all neighbors lets every box PAIR be evaluated once, writing
 // both directions — 62 instead of 124 box-box interactions for d = 2.
+// Its pkern calls cover x-rows of boxes rather than single boxes: the
+// coordinate sort stores x-neighbours contiguously, so a target box meets
+// the 62 boxes of H in ~13 calls (DESIGN.md Section 10).
 //
 // The pairwise arithmetic runs on the dispatched pkern backend (see
 // hfmm/pkern/kernels.hpp); baseline::direct_ranges remains the scalar
@@ -58,27 +61,46 @@ struct NearKernel {
   NearKernel(double softening) : soft2(softening * softening) {}  // implicit
 };
 
-/// Reusable workspace for near_field(). The per-chunk accumulation buffers
-/// are O(chunks x N); owning them at the caller means an integrator
-/// stepping the same system pays the allocation once, not every step.
-/// Buffers grow on demand and are reset (not shrunk) per call.
+/// Reusable workspace for near_field(). Each chunk's accumulation buffers
+/// cover only the particle span its calls write — its targets plus, for
+/// the symmetric list, the partners ahead of them — so the total is the sum
+/// of the chunk spans: about 3N for a uniform grid cut into one-plane
+/// slabs, since each slab's partners reach two planes ahead. Owning them at
+/// the caller means an integrator stepping the same system pays the
+/// allocation once, not every step. Buffers grow on demand and are reset
+/// (not shrunk) per call.
 struct NearFieldScratch {
+  /// One planned pkern call: targets [tb, te) against sources [sb, se) —
+  /// a target box against itself (sb == tb) or against a source run.
+  struct Run {
+    std::uint32_t tb = 0, te = 0, sb = 0, se = 0;
+  };
+  /// One x-row of an interaction list: offsets (dx_lo..dx_hi, dy, dz).
+  struct Row {
+    std::int32_t dx_lo = 0, dx_hi = 0, dy = 0, dz = 0;
+  };
   struct Chunk {
-    std::vector<double> phi;        ///< chunk-local potential, size N
-    std::vector<Vec3> grad;         ///< chunk-local gradient, size N
+    std::vector<double> phi;        ///< potential over the span: [i - lo]
+    std::vector<Vec3> grad;         ///< gradient over the span: [i - lo]
     std::vector<double> pair_phi;   ///< symmetric pair buffer (targets+sources)
     std::vector<double> pair_gx, pair_gy, pair_gz;  ///< SoA pair gradients
-    std::size_t lo = 0;             ///< first box of the chunk's range
+    std::vector<Run> runs;          ///< the chunk's calls, in evaluation order
+    std::vector<Row> rows;          ///< the interaction list grouped by x-row
+    std::size_t lo = 0, hi = 0;     ///< particle span [lo, hi) the chunk wrote
   };
   std::vector<Chunk> chunks;
 };
 
 /// Evaluates leaf boxes [box_lo, box_hi) into `ch`'s chunk-local buffers
-/// (resized and zeroed here). `offsets` is the precomputed interaction list —
-/// tree::near_field_half_offsets(d) when `symmetric`, else
-/// tree::near_field_offsets(d). Writes nothing outside `ch`; safe to run
-/// concurrently with other chunks and with the far-field stages. The
-/// returned flop count is analytic (pairs x per-pair kernel cost).
+/// (resized to the chunk's span and zeroed here). `offsets` is the
+/// precomputed interaction list — tree::near_field_half_offsets(d) when
+/// `symmetric`, else tree::near_field_offsets(d). Each target box walks the
+/// list as x-rows (one dx interval per (dy, dz)) and merges a row's boxes
+/// whose sorted particle ranges abut into one source run, so a row costs one
+/// pkern call instead of one per box. Writes nothing outside `ch`; safe to
+/// run concurrently with other chunks and with the far-field stages. The
+/// counts are per box pair, as if every box were its own call; the flop
+/// count is analytic (pairs x per-pair kernel cost).
 NearFieldResult near_field_chunk(const tree::Hierarchy& hier,
                                  const dp::BoxedParticles& boxed,
                                  std::span<const tree::Offset> offsets,
@@ -131,9 +153,10 @@ NearFieldResult near_field_adaptive_chunk(const dp::BoxedParticles& boxed,
                                           double softening = 0.0);
 
 /// Adds chunks [0, used) of `scr` into phi/grad over the particle range
-/// [lo, hi), in chunk-index order. Chunk index == ascending box range when
-/// the chunks came from a static split, so the floating-point accumulation
-/// order is fixed regardless of which thread ran which chunk.
+/// [lo, hi), each over its overlap with the chunk's span, in chunk-index
+/// order. Chunk index == ascending box range when the chunks came from a
+/// static split, so the floating-point accumulation order is fixed
+/// regardless of which thread ran which chunk.
 void near_field_accumulate(const NearFieldScratch& scr, std::size_t used,
                            bool with_gradient, std::span<double> phi,
                            std::span<Vec3> grad, std::size_t lo,

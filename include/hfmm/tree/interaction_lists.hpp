@@ -40,7 +40,9 @@ std::vector<Offset> near_field_offsets(int separation);
 
 /// Near-field offsets excluding self, split into a half-list H such that
 /// H and -H partition the 124 (d=2) neighbors: used by the Newton-3rd-law
-/// symmetric near-field evaluation (paper Section 3.4, Figure 10).
+/// symmetric near-field evaluation (paper Section 3.4, Figure 10). H is the
+/// z-major positive half, (dz, dy, dx) > (0, 0, 0), in z-major order: at
+/// d = 2 its 62 offsets form 13 x-rows, 12 of them full 5-box rows.
 std::vector<Offset> near_field_half_offsets(int separation);
 
 /// Interactive-field offsets for a child in octant `octant` (0..7), at the

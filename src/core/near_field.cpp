@@ -11,9 +11,12 @@ namespace hfmm::core {
 
 namespace {
 
+using Run = NearFieldScratch::Run;
+using Row = NearFieldScratch::Row;
+
 struct BoxRange {
-  std::size_t begin = 0, end = 0;
-  std::size_t count() const { return end - begin; }
+  std::uint32_t begin = 0, end = 0;
+  std::uint32_t count() const { return end - begin; }
 };
 
 BoxRange range_of(const dp::BoxedParticles& boxed, std::size_t flat) {
@@ -21,16 +24,206 @@ BoxRange range_of(const dp::BoxedParticles& boxed, std::size_t flat) {
   return {boxed.box_begin[rank], boxed.box_begin[rank + 1]};
 }
 
-// Shared chunk body: evaluates `count` leaf boxes whose flat indices come
-// from `flat_of(i)` — a contiguous range on the dense path, an active-box
-// list slice on the sparse path. The arithmetic is identical either way
-// (the sparse path only skips boxes that contribute nothing).
+// Largest source run one pkern call takes. The symmetric kernels sweep the
+// whole source block once per target, reading x/y/z/q and updating the
+// phi/gx/gy/gz pair-buffer entries: 8 arrays x 8 B x 256 = 16 KB, inside
+// L1d. It also leaves the fat core boxes of clustered inputs to one call
+// per box, where a longer run only streams a bigger block past each target.
+constexpr std::uint32_t kRunCap = 256;
+
 // Analytic per-pair flop cost of the switched-LJ kernel (r2, table lookup,
 // x^12/x^6 powers, switch polynomial; gradient adds the c2 * d updates).
 std::uint64_t vdw_pair_flops(bool with_gradient) {
   return with_gradient ? 34 : 24;
 }
 
+// Groups an interaction list into x-rows: consecutive offsets with the same
+// (dy, dz) and dx one apart share a row. The self offset is left out (a box
+// against itself is its own call), which splits the full list's (0, 0) row
+// in two. Both standard lists are z-major with dx fastest, so each (dy, dz)
+// becomes one row; any other order only yields shorter rows.
+void group_rows(std::span<const tree::Offset> offsets,
+                std::vector<Row>& rows) {
+  rows.clear();
+  for (const tree::Offset& o : offsets) {
+    if (o == tree::Offset{0, 0, 0}) continue;
+    if (!rows.empty()) {
+      Row& r = rows.back();
+      if (r.dy == o.dy && r.dz == o.dz && r.dx_hi + 1 == o.dx) {
+        r.dx_hi = o.dx;
+        continue;
+      }
+    }
+    rows.push_back({o.dx, o.dx, o.dy, o.dz});
+  }
+}
+
+// Plans a chunk's pkern calls into ch.runs and sets [ch.lo, ch.hi) to the
+// particle span they write; returns the per-box-pair counts. The `count`
+// target boxes come from `flat_of(i)` — a contiguous range on the dense
+// path, an active-box list slice on the sparse path. Per nonempty target
+// box: the box against itself, then per x-row one run for each stretch of
+// boxes whose sorted particle ranges abut. The z|y|x coordinate-sort key
+// puts x-neighbours side by side, so a full row is usually one run; a run
+// breaks where ranges do not abut (multi-VU DP keys, the periodic seam)
+// and before it would pass kRunCap.
+//
+// Only the symmetric list merges. The plain list keeps one call per box,
+// so a particle's sum does not depend on where its neighbours sit in
+// memory: the distributed executor (plain list, owned boxes then ghosts)
+// then reproduces the single-rank solve bit for bit.
+template <typename FlatOf>
+NearFieldResult plan_runs(const tree::Hierarchy& hier,
+                          const dp::BoxedParticles& boxed,
+                          std::span<const tree::Offset> offsets,
+                          bool symmetric, bool periodic,
+                          NearFieldScratch::Chunk& ch, std::size_t count,
+                          FlatOf flat_of) {
+  const int h = hier.depth();
+  const std::int32_t n = hier.boxes_per_side(h);
+  const auto wrap = [n](std::int32_t v) { return (v + n) % n; };
+
+  group_rows(offsets, ch.rows);
+  ch.runs.clear();
+  std::size_t lo = boxed.sorted.size(), hi = 0;
+  const auto emit = [&](const Run& r) {
+    ch.runs.push_back(r);
+    lo = std::min<std::size_t>(lo, symmetric ? std::min(r.tb, r.sb) : r.tb);
+    hi = std::max<std::size_t>(hi, symmetric ? std::max(r.te, r.se) : r.te);
+  };
+
+  NearFieldResult res;
+  for (std::size_t bi = 0; bi < count; ++bi) {
+    const std::size_t f = flat_of(bi);
+    const BoxRange tr = range_of(boxed, f);
+    const std::uint64_t t = tr.count();
+    if (t == 0) continue;
+    if (t > 1) {
+      emit({tr.begin, tr.end, tr.begin, tr.end});
+      res.pair_interactions += t * (t - 1);
+      ++res.box_interactions;
+    }
+    const tree::BoxCoord c = hier.coord_of(h, f);
+    for (const Row& row : ch.rows) {
+      tree::BoxCoord nb{0, c.iy + row.dy, c.iz + row.dz};
+      std::int32_t x0 = c.ix + row.dx_lo, x1 = c.ix + row.dx_hi;
+      if (periodic) {
+        nb.iy = wrap(nb.iy);
+        nb.iz = wrap(nb.iz);
+      } else {
+        if (nb.iy < 0 || nb.iy >= n || nb.iz < 0 || nb.iz >= n) continue;
+        x0 = std::max(x0, 0);
+        x1 = std::min(x1, n - 1);
+      }
+      Run run{tr.begin, tr.end, 0, 0};
+      for (std::int32_t x = x0; x <= x1; ++x) {
+        nb.ix = periodic ? wrap(x) : x;
+        const BoxRange sr = range_of(boxed, hier.flat_index(h, nb));
+        if (sr.count() == 0) continue;
+        res.pair_interactions += t * sr.count();
+        ++res.box_interactions;
+        const bool open = run.se > run.sb;
+        if (open && symmetric && sr.begin == run.se &&
+            run.se - run.sb + sr.count() <= kRunCap) {
+          run.se = sr.end;
+          continue;
+        }
+        if (open) emit(run);
+        run.sb = sr.begin;
+        run.se = sr.end;
+      }
+      if (run.se > run.sb) emit(run);
+    }
+  }
+  ch.lo = ch.runs.empty() ? 0 : lo;
+  ch.hi = ch.runs.empty() ? 0 : hi;
+  return res;
+}
+
+// Sizes the chunk's buffers to its span and executes ch.runs in plan order.
+void execute_runs(const dp::BoxedParticles& boxed, bool symmetric,
+                  bool with_gradient, const NearKernel& kern,
+                  NearFieldScratch::Chunk& ch) {
+  const std::size_t lo = ch.lo;
+  ch.phi.assign(ch.hi - lo, 0.0);  // phi[i - lo] holds particle i
+  if (with_gradient) ch.grad.assign(ch.hi - lo, Vec3{});
+  std::size_t pair_len = 0;
+  for (const Run& r : ch.runs)
+    if (symmetric && r.sb != r.tb)
+      pair_len = std::max<std::size_t>(pair_len, r.te - r.tb + r.se - r.sb);
+  if (ch.pair_phi.size() < pair_len) ch.pair_phi.resize(pair_len);
+  if (with_gradient && ch.pair_gx.size() < pair_len) {
+    ch.pair_gx.resize(pair_len);
+    ch.pair_gy.resize(pair_len);
+    ch.pair_gz.resize(pair_len);
+  }
+
+  const ParticleSet& p = boxed.sorted;
+  const double* X = p.x().data();
+  const double* Y = p.y().data();
+  const double* Z = p.z().data();
+  const double* Q = p.q().data();
+  const std::int32_t* T = kern.types;
+  const double soft2 = kern.soft2;
+  const bool vdw = kern.type == KernelType::kVanDerWaals;
+  const pkern::KernelBackend& back = pkern::active_kernel();
+  double* phi = ch.phi.data();
+  Vec3* grad = with_gradient ? ch.grad.data() : nullptr;
+  double* pphi = ch.pair_phi.data();
+  double* pgx = with_gradient ? ch.pair_gx.data() : nullptr;
+  double* pgy = ch.pair_gy.data();
+  double* pgz = ch.pair_gz.data();
+
+  // Accumulates a pair-buffer segment onto the span buffers at particle i0.
+  const auto scatter = [&](std::size_t from, std::size_t i0, std::size_t len) {
+    for (std::size_t j = 0; j < len; ++j) phi[i0 - lo + j] += pphi[from + j];
+    if (!with_gradient) return;
+    for (std::size_t j = 0; j < len; ++j)
+      grad[i0 - lo + j] += Vec3{pgx[from + j], pgy[from + j], pgz[from + j]};
+  };
+
+  for (std::size_t k = 0; k < ch.runs.size();) {
+    const std::uint32_t tb = ch.runs[k].tb, te = ch.runs[k].te;
+    const std::size_t t = te - tb;
+    // The target part of the pair buffer ([0, t)) accumulates over all of
+    // the box's source runs and lands once; each run's source part
+    // ([t, t + s)) is zeroed, filled and scattered per call.
+    bool crossed = false;
+    for (; k < ch.runs.size() && ch.runs[k].tb == tb; ++k) {
+      const Run& r = ch.runs[k];
+      if (!symmetric || r.sb == r.tb) {
+        // Plain call straight into the span buffers (self or full list).
+        double* out = phi + (tb - lo);
+        Vec3* gout = with_gradient ? grad + (tb - lo) : nullptr;
+        if (vdw)
+          back.p2p_vdw(X, Y, Z, T, tb, te, r.sb, r.se, out, gout, kern.vdw);
+        else
+          back.p2p(X, Y, Z, Q, tb, te, r.sb, r.se, out, gout, soft2);
+        continue;
+      }
+      // Both directions in one pass; the paper's Figure 10 trick.
+      const std::size_t s = r.se - r.sb;
+      const std::size_t from = crossed ? t : 0;
+      std::fill_n(pphi + from, t + s - from, 0.0);
+      if (with_gradient) {
+        std::fill_n(pgx + from, t + s - from, 0.0);
+        std::fill_n(pgy + from, t + s - from, 0.0);
+        std::fill_n(pgz + from, t + s - from, 0.0);
+      }
+      if (vdw)
+        back.p2p_vdw_symmetric(X, Y, Z, T, tb, te, r.sb, r.se, pphi, pgx,
+                               pgy, pgz, kern.vdw);
+      else
+        back.p2p_symmetric(X, Y, Z, Q, tb, te, r.sb, r.se, pphi, pgx, pgy,
+                           pgz, soft2);
+      scatter(t, r.sb, s);
+      crossed = true;
+    }
+    if (crossed) scatter(0, tb, t);
+  }
+}
+
+// Shared chunk body of both near_field_chunk forms: plan, then execute.
 template <typename FlatOf>
 NearFieldResult evaluate_boxes(const tree::Hierarchy& hier,
                                const dp::BoxedParticles& boxed,
@@ -39,117 +232,15 @@ NearFieldResult evaluate_boxes(const tree::Hierarchy& hier,
                                NearFieldScratch::Chunk& ch,
                                const NearKernel& kern, std::size_t count,
                                FlatOf flat_of) {
-  const int h = hier.depth();
-  const std::int32_t n = hier.boxes_per_side(h);
-  const ParticleSet& p = boxed.sorted;
-  const double* X = p.x().data();
-  const double* Y = p.y().data();
-  const double* Z = p.z().data();
-  const double* Q = p.q().data();
-  const double soft2 = kern.soft2;
   const bool vdw = kern.type == KernelType::kVanDerWaals;
-  const std::int32_t* T = kern.types;
   // Periodic vdW: neighbour offsets wrap around the grid instead of
   // falling off it (the pair kernel wraps the displacements to match).
   // KernelSpec::validate + the solver's depth policy guarantee n >= 8, so
   // the +/-2 offsets stay distinct after the wrap.
   const bool periodic = vdw && kern.vdw.period > 0.0;
-  const pkern::KernelBackend& back = pkern::active_kernel();
-
-  // Kernel-dispatched range-range evaluations: identical outputs layout,
-  // physics chosen once per chunk.
-  const auto p2p = [&](const BoxRange& tr, const BoxRange& sr) {
-    if (vdw)
-      back.p2p_vdw(X, Y, Z, T, tr.begin, tr.end, sr.begin, sr.end,
-                   ch.phi.data() + tr.begin,
-                   with_gradient ? ch.grad.data() + tr.begin : nullptr,
-                   kern.vdw);
-    else
-      back.p2p(X, Y, Z, Q, tr.begin, tr.end, sr.begin, sr.end,
-               ch.phi.data() + tr.begin,
-               with_gradient ? ch.grad.data() + tr.begin : nullptr, soft2);
-  };
-  const auto p2p_symmetric = [&](const BoxRange& tr, const BoxRange& sr) {
-    if (vdw)
-      back.p2p_vdw_symmetric(X, Y, Z, T, tr.begin, tr.end, sr.begin, sr.end,
-                             ch.pair_phi.data(),
-                             with_gradient ? ch.pair_gx.data() : nullptr,
-                             ch.pair_gy.data(), ch.pair_gz.data(), kern.vdw);
-    else
-      back.p2p_symmetric(X, Y, Z, Q, tr.begin, tr.end, sr.begin, sr.end,
-                         ch.pair_phi.data(),
-                         with_gradient ? ch.pair_gx.data() : nullptr,
-                         ch.pair_gy.data(), ch.pair_gz.data(), soft2);
-  };
-
-  ch.phi.assign(p.size(), 0.0);
-  Vec3* my_grad = nullptr;
-  if (with_gradient) {
-    ch.grad.assign(p.size(), Vec3{});
-    my_grad = ch.grad.data();
-  }
-  NearFieldResult res;
-
-  for (std::size_t bi = 0; bi < count; ++bi) {
-    const std::size_t f = flat_of(bi);
-    const tree::BoxCoord c = hier.coord_of(h, f);
-    const BoxRange tr = range_of(boxed, f);
-    if (tr.count() == 0 && !symmetric) continue;
-
-    // Intra-box interactions (always symmetric-safe: same box).
-    if (tr.count() > 1) {
-      p2p(tr, tr);
-      res.pair_interactions += tr.count() * (tr.count() - 1);
-      ++res.box_interactions;
-    }
-
-    for (const tree::Offset& o : offsets) {
-      if (o == tree::Offset{0, 0, 0}) continue;
-      tree::BoxCoord nb{c.ix + o.dx, c.iy + o.dy, c.iz + o.dz};
-      if (periodic) {
-        nb.ix = (nb.ix + n) % n;
-        nb.iy = (nb.iy + n) % n;
-        nb.iz = (nb.iz + n) % n;
-      } else if (nb.ix < 0 || nb.ix >= n || nb.iy < 0 || nb.iy >= n ||
-                 nb.iz < 0 || nb.iz >= n) {
-        continue;
-      }
-      const BoxRange sr = range_of(boxed, hier.flat_index(h, nb));
-      if (sr.count() == 0 || tr.count() == 0) continue;
-      if (symmetric) {
-        // Both directions in one pass; the paper's Figure 10 trick.
-        const std::size_t tot = tr.count() + sr.count();
-        ch.pair_phi.assign(tot, 0.0);
-        if (with_gradient) {
-          ch.pair_gx.assign(tot, 0.0);
-          ch.pair_gy.assign(tot, 0.0);
-          ch.pair_gz.assign(tot, 0.0);
-        }
-        p2p_symmetric(tr, sr);
-        for (std::size_t i = 0; i < tr.count(); ++i)
-          ch.phi[tr.begin + i] += ch.pair_phi[i];
-        for (std::size_t j = 0; j < sr.count(); ++j)
-          ch.phi[sr.begin + j] += ch.pair_phi[tr.count() + j];
-        if (with_gradient) {
-          for (std::size_t i = 0; i < tr.count(); ++i) {
-            my_grad[tr.begin + i] +=
-                Vec3{ch.pair_gx[i], ch.pair_gy[i], ch.pair_gz[i]};
-          }
-          for (std::size_t j = 0; j < sr.count(); ++j) {
-            const std::size_t s = tr.count() + j;
-            my_grad[sr.begin + j] +=
-                Vec3{ch.pair_gx[s], ch.pair_gy[s], ch.pair_gz[s]};
-          }
-        }
-        res.pair_interactions += tr.count() * sr.count();
-        ++res.box_interactions;
-      } else {
-        p2p(tr, sr);
-        res.pair_interactions += tr.count() * sr.count();
-        ++res.box_interactions;
-      }
-    }
-  }
+  NearFieldResult res = plan_runs(hier, boxed, offsets, symmetric, periodic,
+                                  ch, count, flat_of);
+  execute_runs(boxed, symmetric, with_gradient, kern, ch);
 
   // Flop count is analytic (pairs x per-pair cost), not measured.
   const std::uint64_t per_pair =
@@ -169,7 +260,6 @@ NearFieldResult near_field_chunk(const tree::Hierarchy& hier,
                                  NearFieldScratch::Chunk& ch,
                                  std::size_t box_lo, std::size_t box_hi,
                                  const NearKernel& kern) {
-  ch.lo = box_lo;
   return evaluate_boxes(hier, boxed, offsets, symmetric, with_gradient, ch,
                         kern, box_hi - box_lo,
                         [box_lo](std::size_t i) { return box_lo + i; });
@@ -182,7 +272,6 @@ NearFieldResult near_field_chunk(const tree::Hierarchy& hier,
                                  NearFieldScratch::Chunk& ch,
                                  std::span<const std::uint32_t> boxes,
                                  const NearKernel& kern) {
-  ch.lo = boxes.empty() ? 0 : boxes.front();
   return evaluate_boxes(hier, boxed, offsets, symmetric, with_gradient, ch,
                         kern, boxes.size(),
                         [boxes](std::size_t i) { return boxes[i]; });
@@ -203,11 +292,31 @@ NearFieldResult near_field_adaptive_chunk(const dp::BoxedParticles& boxed,
   const double soft2 = softening * softening;
   const pkern::KernelBackend& kern = pkern::active_kernel();
 
-  ch.lo = leaf_lo;
-  ch.phi.assign(p.size(), 0.0);
+  // The span: every run of the chunk's leaves and of their partners. A
+  // partner may sit before its owner in sorted order, so this can reach
+  // back past the chunk's own particles.
+  std::size_t lo = p.size(), hi = 0;
+  const auto cover = [&](std::uint32_t leaf) {
+    for (std::uint32_t r = plan.run_begin[leaf]; r < plan.run_begin[leaf + 1];
+         ++r) {
+      lo = std::min<std::size_t>(lo, plan.run_bounds[2 * r]);
+      hi = std::max<std::size_t>(hi, plan.run_bounds[2 * r + 1]);
+    }
+  };
+  for (std::size_t li = leaf_lo; li < leaf_hi; ++li) {
+    cover(static_cast<std::uint32_t>(li));
+    for (std::uint32_t pi = plan.pair_begin[li]; pi < plan.pair_begin[li + 1];
+         ++pi)
+      cover(plan.pair_leaf[pi]);
+  }
+  if (lo > hi) lo = hi = 0;
+  ch.lo = lo;
+  ch.hi = hi;
+  ch.phi.assign(hi - lo, 0.0);
+  double* phi = ch.phi.data();  // phi[i - lo] holds particle i
   Vec3* my_grad = nullptr;
   if (with_gradient) {
-    ch.grad.assign(p.size(), Vec3{});
+    ch.grad.assign(hi - lo, Vec3{});
     my_grad = ch.grad.data();
   }
   NearFieldResult res;
@@ -230,16 +339,18 @@ NearFieldResult near_field_adaptive_chunk(const dp::BoxedParticles& boxed,
     kern.p2p_symmetric(X, Y, Z, Q, tb, te, sb, se, ch.pair_phi.data(),
                        with_gradient ? ch.pair_gx.data() : nullptr,
                        ch.pair_gy.data(), ch.pair_gz.data(), soft2);
-    for (std::size_t i = 0; i < tn; ++i) ch.phi[tb + i] += ch.pair_phi[i];
+    for (std::size_t i = 0; i < tn; ++i) phi[tb - lo + i] += ch.pair_phi[i];
     for (std::size_t j = 0; j < sn; ++j)
-      ch.phi[sb + j] += ch.pair_phi[tn + j];
+      phi[sb - lo + j] += ch.pair_phi[tn + j];
     if (with_gradient) {
       for (std::size_t i = 0; i < tn; ++i) {
-        my_grad[tb + i] += Vec3{ch.pair_gx[i], ch.pair_gy[i], ch.pair_gz[i]};
+        my_grad[tb - lo + i] +=
+            Vec3{ch.pair_gx[i], ch.pair_gy[i], ch.pair_gz[i]};
       }
       for (std::size_t j = 0; j < sn; ++j) {
         const std::size_t s = tn + j;
-        my_grad[sb + j] += Vec3{ch.pair_gx[s], ch.pair_gy[s], ch.pair_gz[s]};
+        my_grad[sb - lo + j] +=
+            Vec3{ch.pair_gx[s], ch.pair_gy[s], ch.pair_gz[s]};
       }
     }
     res.pair_interactions += weight * tn * sn;
@@ -254,8 +365,8 @@ NearFieldResult near_field_adaptive_chunk(const dp::BoxedParticles& boxed,
       const std::size_t b = plan.run_bounds[2 * ri];
       const std::size_t e = plan.run_bounds[2 * ri + 1];
       if (e - b > 1) {
-        kern.p2p(X, Y, Z, Q, b, e, b, e, ch.phi.data() + b,
-                 with_gradient ? my_grad + b : nullptr, soft2);
+        kern.p2p(X, Y, Z, Q, b, e, b, e, phi + (b - lo),
+                 with_gradient ? my_grad + (b - lo) : nullptr, soft2);
         res.pair_interactions += (e - b) * (e - b - 1);
         ++res.box_interactions;
       }
@@ -287,11 +398,11 @@ void near_field_accumulate(const NearFieldScratch& scr, std::size_t used,
                            std::span<Vec3> grad, std::size_t lo,
                            std::size_t hi) {
   for (std::size_t c = 0; c < used; ++c) {
-    const double* src = scr.chunks[c].phi.data();
-    for (std::size_t i = lo; i < hi; ++i) phi[i] += src[i];
+    const NearFieldScratch::Chunk& ch = scr.chunks[c];
+    const std::size_t a = std::max(lo, ch.lo), b = std::min(hi, ch.hi);
+    for (std::size_t i = a; i < b; ++i) phi[i] += ch.phi[i - ch.lo];
     if (with_gradient) {
-      const Vec3* gsrc = scr.chunks[c].grad.data();
-      for (std::size_t i = lo; i < hi; ++i) grad[i] += gsrc[i];
+      for (std::size_t i = a; i < b; ++i) grad[i] += ch.grad[i - ch.lo];
     }
   }
 }
@@ -308,12 +419,14 @@ NearFieldResult near_field(const tree::Hierarchy& hier,
 
   // Static chunking mirrors ThreadPool::parallel_chunks, so the chunk index
   // of a range is just lo / step — no atomic ticket, and chunk-index order
-  // is box-range order by construction. The buffers live in caller-owned
-  // scratch (or a local fallback) so repeated calls — an integrator's
-  // timestep loop — reuse the capacity.
-  const std::size_t chunks = std::max<std::size_t>(
+  // is box-range order by construction. `chunks` counts the nonempty
+  // pieces only, so no stale chunk is ever accumulated. The buffers live in
+  // caller-owned scratch (or a local fallback) so repeated calls — an
+  // integrator's timestep loop — reuse the capacity.
+  const std::size_t want = std::max<std::size_t>(
       1, std::min(pool.size(), boxes));
-  const std::size_t step = (boxes + chunks - 1) / chunks;
+  const std::size_t step = (boxes + want - 1) / want;
+  const std::size_t chunks = (boxes + step - 1) / step;
   NearFieldScratch local;
   NearFieldScratch& scr = scratch != nullptr ? *scratch : local;
   if (scr.chunks.size() < chunks) scr.chunks.resize(chunks);

@@ -865,12 +865,9 @@ FmmResult FmmSolver::solve_impl_(const ParticleSet& particles,
   const std::size_t k = config_.params.k();
   const std::size_t W = pool.size();
   const std::size_t leaf_boxes = hier.boxes_at(h);
-  // Near-field chunk policy: one chunk on one worker preserves the classic
-  // sequential accumulation bitwise; with threads, finer chunks let idle
-  // workers drain the near field while the far-field chain runs. The count
-  // is fixed here (not by the scheduler), so results are reproducible.
-  const std::size_t nf_chunks =
-      W == 1 ? 1 : std::min(leaf_boxes, 4 * W);
+  // Near-field chunk policy: a fixed count independent of W (see
+  // kNearChunks), so sequential and threaded solves agree bitwise.
+  const std::size_t nf_chunks = internal::near_chunk_count(leaf_boxes);
 
   SharedContext ctx{config_, plan, hier, ws};
   using exec::NodeId;

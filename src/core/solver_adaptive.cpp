@@ -134,7 +134,6 @@ FmmResult FmmSolver::solve_adaptive_(const ParticleSet& particles,
   const std::size_t n = particles.size();
   const std::size_t k = config_.params.k();
   const int h = hier.depth();
-  const std::size_t W = pool.size();
 
   const std::span<const tree::Offset> near_full{plan.near_offsets};
   const std::span<const tree::Offset> near_half{plan.near_half_offsets};
@@ -320,8 +319,7 @@ FmmResult FmmSolver::solve_adaptive_(const ParticleSet& particles,
   for (int l = 0; l <= maxL; ++l)
     result.level_occupancy[l] = act.occupancy(l);
 
-  const std::size_t nf_chunks =
-      std::max<std::size_t>(1, W == 1 ? 1 : std::min(nl, 4 * W));
+  const std::size_t nf_chunks = internal::near_chunk_count(nl);
 
   ActiveContext ctx{config_, plan, hier, ws, act, &ws.pruned_leaf};
   using exec::NodeId;

@@ -234,6 +234,19 @@ class ChunkArena {
   std::vector<ChunkSlot> slots_;
 };
 
+// Near-stage chunk count of the dense, sparse and adaptive executors,
+// bounded by the leaf count. It is a constant, not a function of the worker
+// count, so a sequential solve and a threaded one group the near-field sums
+// the same way and agree bitwise on any host. 16 is 4 chunks a worker on a
+// 4-core host, fine enough for idle workers to drain the near field while
+// the far-field chain runs; span-sized chunk buffers keep 16 chunks cheap in
+// sequential mode. A pool wider than 16 runs the near stage on 16 workers.
+constexpr std::size_t kNearChunks = 16;
+
+inline std::size_t near_chunk_count(std::size_t leaves) {
+  return std::max<std::size_t>(1, std::min(leaves, kNearChunks));
+}
+
 struct SolveWorkspace {
   // Box-major level stores: far/local potential vectors for every box of
   // every level, [level][flat_box * K + i]. Grown once, zeroed per solve.
@@ -334,7 +347,7 @@ struct SolveWorkspace {
              pruned.capacity_bytes();
     for (const auto& ch : near_scratch.chunks) {
       total += cap(ch.phi) + cap(ch.grad) + cap(ch.pair_phi) + cap(ch.pair_gx) +
-               cap(ch.pair_gy) + cap(ch.pair_gz);
+               cap(ch.pair_gy) + cap(ch.pair_gz) + cap(ch.runs) + cap(ch.rows);
     }
     total += boxed.sorted.size() * 4 * sizeof(double);
     total += cap(boxed.box_begin) + cap(boxed.perm) + cap(boxed.box_of) +

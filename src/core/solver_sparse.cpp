@@ -112,7 +112,6 @@ FmmResult FmmSolver::solve_sparse_(const ParticleSet& particles,
   const std::size_t n = particles.size();
   const std::size_t k = config_.params.k();
   const int h = hier.depth();
-  const std::size_t W = pool.size();
 
   // Derive the active level sets and the per-leaf cost model ("active"
   // phase) — shared with the distributed executor, see update_active_costs.
@@ -136,11 +135,8 @@ FmmResult FmmSolver::solve_sparse_(const ParticleSet& particles,
   }
 
   const std::size_t active_leaves = act.levels[h].count();
-  // Same policy as the dense executor: one chunk on one worker, 4W
-  // cost-weighted chunks otherwise.
-  const std::size_t nf_cap =
-      W == 1 ? 1 : std::min(active_leaves, 4 * W);
-  const std::size_t nf_chunks = std::max<std::size_t>(1, nf_cap);
+  // Same fixed count as the dense executor, split by cost.
+  const std::size_t nf_chunks = internal::near_chunk_count(active_leaves);
 
   ActiveContext ctx{config_, plan, hier, ws, act};
   using exec::NodeId;

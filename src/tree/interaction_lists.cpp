@@ -33,9 +33,12 @@ std::vector<Offset> near_field_offsets(int separation) {
 std::vector<Offset> near_field_half_offsets(int separation) {
   std::vector<Offset> out;
   for (const Offset& o : near_field_offsets(separation)) {
-    // Lexicographically positive half: negation maps it onto the other half,
-    // so H and -H partition the non-self neighbors.
-    if (o > Offset{0, 0, 0}) out.push_back(o);
+    // z-major positive half, (dz, dy, dx) > (0, 0, 0): negation maps it onto
+    // the other half, so H and -H partition the non-self neighbors. Every
+    // partner lies ahead of its box in flat (z, y, x) order, and each
+    // (dy, dz) keeps a whole dx interval — one x-row per (dy, dz).
+    if (o.dz > 0 || (o.dz == 0 && (o.dy > 0 || (o.dy == 0 && o.dx > 0))))
+      out.push_back(o);
   }
   return out;
 }

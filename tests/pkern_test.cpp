@@ -2,8 +2,9 @@
 // Every dispatchable backend must reproduce the scalar references —
 // baseline::direct_ranges for P2P, anderson::evaluate_inner for L2P — to
 // within the rsqrt+Newton error budget (<= 1e-12 relative), including tail
-// lanes, self-pair skipping, softening, and the near-field driver's
-// symmetric/non-symmetric equivalence on degenerate box populations.
+// lanes, self-pair skipping, softening, the near-field driver's
+// symmetric/non-symmetric equivalence on degenerate box populations, and
+// its merged source runs against one call per box pair.
 
 #include <gtest/gtest.h>
 
@@ -444,6 +445,279 @@ TEST_P(NearFieldEdgeTest, ScratchReuseIsDeterministic) {
     EXPECT_DOUBLE_EQ(first[i], second[i]);
     EXPECT_DOUBLE_EQ(g1[i].x, g2[i].x);
   }
+}
+
+// --- Merged source runs against the per-box evaluation ---------------------
+
+// One near-field input: particles sorted for a layout, the target boxes a
+// chunk evaluates (ascending flat indices), and the pair kernel.
+struct NearInput {
+  tree::Hierarchy hier;
+  dp::BoxedParticles boxed;
+  std::vector<std::uint32_t> boxes;
+  core::NearKernel kern;
+  // vdW pair tables (2 x 2 types) the kernel points into.
+  std::vector<double> rmin2, eps;
+};
+
+NearInput sorted_input(const ParticleSet& p, int depth,
+                       const dp::MachineConfig& machine) {
+  const tree::Hierarchy hier(Box3{}, depth);
+  const dp::BlockLayout layout(hier.boxes_per_side(depth), machine);
+  return {hier, dp::coordinate_sort(p, hier, layout), {}, {}, {}, {}};
+}
+
+std::uint32_t box_count(const NearInput& in, std::size_t flat) {
+  return in.boxed.count_in_rank(in.boxed.flat_to_rank[flat]);
+}
+
+struct PerBox {
+  std::vector<double> phi;
+  std::vector<Vec3> grad;
+  std::uint64_t pairs = 0, box_pairs = 0;
+};
+
+// The evaluation the merged runs replace: one plain pkern call per (target
+// box, source box) pair — both directions for the half list — into
+// full-size buffers, with the per-box-pair counts.
+PerBox per_box_reference(const NearInput& in,
+                         std::span<const std::uint32_t> boxes,
+                         std::span<const tree::Offset> offsets,
+                         bool symmetric) {
+  const pkern::KernelBackend& k = pkern::active_kernel();
+  const ParticleSet& p = in.boxed.sorted;
+  const int h = in.hier.depth();
+  const std::int32_t n = in.hier.boxes_per_side(h);
+  const bool vdw = in.kern.type == core::KernelType::kVanDerWaals;
+  const bool periodic = vdw && in.kern.vdw.period > 0.0;
+  PerBox r;
+  r.phi.assign(p.size(), 0.0);
+  r.grad.assign(p.size(), Vec3{});
+  const auto call = [&](std::size_t ft, std::size_t fs) {
+    const std::uint32_t tb = in.boxed.box_begin[in.boxed.flat_to_rank[ft]];
+    const std::uint32_t sb = in.boxed.box_begin[in.boxed.flat_to_rank[fs]];
+    const std::uint32_t te = tb + box_count(in, ft), se = sb + box_count(in, fs);
+    if (vdw)
+      k.p2p_vdw(p.x().data(), p.y().data(), p.z().data(), in.kern.types, tb,
+                te, sb, se, r.phi.data() + tb, r.grad.data() + tb,
+                in.kern.vdw);
+    else
+      k.p2p(p.x().data(), p.y().data(), p.z().data(), p.q().data(), tb, te,
+            sb, se, r.phi.data() + tb, r.grad.data() + tb, in.kern.soft2);
+  };
+  for (const std::uint32_t f : boxes) {
+    const std::uint64_t t = box_count(in, f);
+    if (t == 0) continue;
+    if (t > 1) {
+      call(f, f);
+      r.pairs += t * (t - 1);
+      ++r.box_pairs;
+    }
+    const tree::BoxCoord c = in.hier.coord_of(h, f);
+    for (const tree::Offset& o : offsets) {
+      if (o == tree::Offset{0, 0, 0}) continue;
+      tree::BoxCoord nb{c.ix + o.dx, c.iy + o.dy, c.iz + o.dz};
+      if (periodic) {
+        nb = {(nb.ix + n) % n, (nb.iy + n) % n, (nb.iz + n) % n};
+      } else if (!in.hier.in_bounds(h, nb)) {
+        continue;
+      }
+      const std::size_t fs = in.hier.flat_index(h, nb);
+      const std::uint64_t s = box_count(in, fs);
+      if (s == 0) continue;
+      call(f, fs);
+      if (symmetric) call(fs, f);
+      r.pairs += t * s;
+      ++r.box_pairs;
+    }
+  }
+  return r;
+}
+
+// The whole near field of `in.boxes`, split into three chunks and reduced
+// by near_field_accumulate.
+std::pair<std::vector<double>, std::vector<Vec3>> chunked_field(
+    const NearInput& in, std::span<const tree::Offset> offsets,
+    bool symmetric) {
+  const std::size_t n = in.boxed.sorted.size();
+  const std::span<const std::uint32_t> all{in.boxes};
+  core::NearFieldScratch scr;
+  scr.chunks.resize(3);
+  const std::size_t step = (all.size() + 2) / 3;
+  for (std::size_t c = 0; c < 3; ++c) {
+    const std::size_t lo = std::min(all.size(), c * step);
+    const std::size_t hi = std::min(all.size(), lo + step);
+    core::near_field_chunk(in.hier, in.boxed, offsets, symmetric, true,
+                           scr.chunks[c], all.subspan(lo, hi - lo), in.kern);
+  }
+  std::vector<double> phi(n, 0.0);
+  std::vector<Vec3> grad(n);
+  core::near_field_accumulate(scr, 3, true, phi, grad, 0, n);
+  return {std::move(phi), std::move(grad)};
+}
+
+// One chunk over the targets `chunk` (a slice of `in.boxes`), both lists:
+// the counts equal the per-box reference (box pairs, not pkern calls), the
+// values agree with it within 1e-12, the chunk's buffers are exactly its
+// span (a fresh chunk, so an out-of-span write trips ASan) and the
+// reference writes nothing outside that span. Then the symmetric near field
+// of all of `in.boxes` agrees with the plain one. `sym_span`, when given,
+// receives the symmetric chunk's span.
+void expect_runs_match_per_box(
+    const NearInput& in, std::span<const std::uint32_t> chunk,
+    std::pair<std::size_t, std::size_t>* sym_span = nullptr) {
+  const std::vector<tree::Offset> full = tree::near_field_offsets(2);
+  const std::vector<tree::Offset> half = tree::near_field_half_offsets(2);
+  for (const bool symmetric : {false, true}) {
+    SCOPED_TRACE(symmetric ? "half list" : "full list");
+    const std::span<const tree::Offset> offsets{symmetric ? half : full};
+    core::NearFieldScratch::Chunk ch;
+    const core::NearFieldResult got = core::near_field_chunk(
+        in.hier, in.boxed, offsets, symmetric, true, ch, chunk, in.kern);
+    if (symmetric && sym_span != nullptr) *sym_span = {ch.lo, ch.hi};
+    const PerBox ref = per_box_reference(in, chunk, offsets, symmetric);
+    EXPECT_EQ(got.pair_interactions, ref.pairs);
+    EXPECT_EQ(got.box_interactions, ref.box_pairs);
+    ASSERT_LE(ch.lo, ch.hi);
+    ASSERT_EQ(ch.phi.size(), ch.hi - ch.lo);
+    ASSERT_EQ(ch.grad.size(), ch.hi - ch.lo);
+    for (std::size_t i = 0; i < ref.phi.size(); ++i) {
+      if (i < ch.lo || i >= ch.hi) {
+        EXPECT_EQ(ref.phi[i], 0.0) << "needed write outside the span at " << i;
+        continue;
+      }
+      const double scale = std::abs(ref.phi[i]) + 1.0;
+      EXPECT_NEAR(ch.phi[i - ch.lo], ref.phi[i], kTol * scale) << i;
+      const double gscale = ref.grad[i].norm() + 1.0;
+      EXPECT_NEAR(ch.grad[i - ch.lo].x, ref.grad[i].x, kTol * gscale) << i;
+      EXPECT_NEAR(ch.grad[i - ch.lo].z, ref.grad[i].z, kTol * gscale) << i;
+    }
+  }
+
+  const auto plain = chunked_field(in, full, false);
+  const auto symm = chunked_field(in, half, true);
+  for (std::size_t i = 0; i < plain.first.size(); ++i) {
+    EXPECT_NEAR(symm.first[i], plain.first[i],
+                kTol * (std::abs(plain.first[i]) + 1.0)) << i;
+    const double gscale = plain.second[i].norm() + 1.0;
+    EXPECT_NEAR(symm.second[i].x, plain.second[i].x, kTol * gscale) << i;
+    EXPECT_NEAR(symm.second[i].y, plain.second[i].y, kTol * gscale) << i;
+    EXPECT_NEAR(symm.second[i].z, plain.second[i].z, kTol * gscale) << i;
+  }
+}
+
+// The middle third of a box list.
+std::span<const std::uint32_t> middle_third(
+    const std::vector<std::uint32_t>& boxes) {
+  return std::span<const std::uint32_t>(boxes).subspan(boxes.size() / 3,
+                                                       boxes.size() / 3);
+}
+
+std::vector<std::uint32_t> flat_range(std::size_t lo, std::size_t hi) {
+  std::vector<std::uint32_t> out;
+  for (std::size_t f = lo; f < hi; ++f)
+    out.push_back(static_cast<std::uint32_t>(f));
+  return out;
+}
+
+TEST_P(NearFieldEdgeTest, RunsMatchPerBoxOnDenseRange) {
+  // Uniform background plus a dense 2x2x2-box block holding ~150 particles
+  // a box, so its rows pass the 256-particle run cap and split.
+  ParticleSet p = make_uniform(1500, Box3{}, 31, -1.0, 1.0);
+  const ParticleSet core_block =
+      make_uniform(1200, Box3{{0.25, 0.25, 0.25}, {0.5, 0.5, 0.5}}, 32);
+  const std::size_t n0 = p.size();
+  p.resize(n0 + core_block.size());
+  for (std::size_t i = 0; i < core_block.size(); ++i)
+    p.set(n0 + i, core_block.position(i), core_block.q()[i]);
+  NearInput in = sorted_input(p, 3, {1, 1, 1});
+  in.kern = core::NearKernel(1e-3);
+  in.boxes = flat_range(0, in.hier.boxes_at(3));
+  expect_runs_match_per_box(in, middle_third(in.boxes));
+
+  // Merging is real: a uniform chunk makes fewer pkern calls than it counts
+  // box pairs. And no source run passes the 256-particle cap (no single box
+  // here holds that many, so only the cap can split the dense block's rows).
+  core::NearFieldScratch::Chunk ch;
+  const auto half = tree::near_field_half_offsets(2);
+  const core::NearFieldResult r = core::near_field_chunk(
+      in.hier, in.boxed, half, true, false, ch, 0, in.hier.boxes_at(3));
+  EXPECT_LT(ch.runs.size() * 2, r.box_interactions);
+  for (const core::NearFieldScratch::Run& run : ch.runs)
+    EXPECT_LE(run.se - run.sb, 256u);
+}
+
+TEST_P(NearFieldEdgeTest, RunsMatchPerBoxOnActiveListWithEmptyBoxes) {
+  // A cluster in one corner plus a sprinkle of outliers: most boxes, and
+  // whole stretches of rows, are empty; the chunk walks only the occupied
+  // list, as the sparse executor does.
+  ParticleSet p = make_uniform(900, Box3{{0.0, 0.0, 0.0}, {0.4, 0.3, 0.5}},
+                               41, -1.0, 1.0);
+  const ParticleSet outliers = make_uniform(60, Box3{}, 42);
+  const std::size_t n0 = p.size();
+  p.resize(n0 + outliers.size());
+  for (std::size_t i = 0; i < outliers.size(); ++i)
+    p.set(n0 + i, outliers.position(i), 1.0);
+  NearInput in = sorted_input(p, 3, {1, 1, 1});
+  in.kern = core::NearKernel(0.0);
+  for (std::size_t f = 0; f < in.hier.boxes_at(3); ++f)
+    if (box_count(in, f) > 0) in.boxes.push_back(static_cast<std::uint32_t>(f));
+  ASSERT_LT(in.boxes.size(), in.hier.boxes_at(3) / 2);
+  expect_runs_match_per_box(in, middle_third(in.boxes));
+}
+
+TEST_P(NearFieldEdgeTest, RunsMatchPerBoxOnPeriodicVdwSeam) {
+  // Periodic van der Waals on an 8^3 grid: rows of boxes at x = 0, 1, 6, 7
+  // wrap across the seam, and the top planes' partners wrap to the bottom,
+  // so a chunk's span reaches back to the start of the particle order.
+  ParticleSet p = make_uniform(1500, Box3{}, 51);
+  p.ensure_types();
+  for (std::size_t i = 0; i < p.size(); ++i)
+    p.type()[i] = static_cast<std::int32_t>(i % 2);
+  NearInput in = sorted_input(p, 3, {1, 1, 1});
+  const double rmin[2] = {0.03, 0.025}, epsv[2] = {1.0, 0.5};
+  in.rmin2.resize(4);
+  in.eps.resize(4);
+  for (int a = 0; a < 2; ++a)
+    for (int b = 0; b < 2; ++b) {
+      const double rm = 0.5 * (rmin[a] + rmin[b]);
+      in.rmin2[2 * a + b] = rm * rm;
+      in.eps[2 * a + b] = std::sqrt(epsv[a] * epsv[b]);
+    }
+  in.kern.type = core::KernelType::kVanDerWaals;
+  in.kern.types = in.boxed.sorted.type().data();
+  pkern::VdwParams& vp = in.kern.vdw;
+  vp.rmin2 = in.rmin2.data();
+  vp.eps = in.eps.data();
+  vp.ntypes = 2;
+  vp.cuton2 = 0.08 * 0.08;
+  vp.cutoff2 = 0.12 * 0.12;
+  vp.cm3o = vp.cutoff2 - 3.0 * vp.cuton2;
+  const double denom = vp.cutoff2 - vp.cuton2;
+  vp.inv_denom = 1.0 / (denom * denom * denom);
+  vp.inv_denom6 = 6.0 * vp.inv_denom;
+  vp.period = 1.0;
+  vp.inv_period = 1.0;
+  in.boxes = flat_range(0, in.hier.boxes_at(3));
+  expect_runs_match_per_box(in, middle_third(in.boxes));
+  // A chunk over the top two planes: its partners wrap to the bottom planes.
+  const std::span<const std::uint32_t> top =
+      std::span<const std::uint32_t>(in.boxes).subspan(6 * 64);
+  std::pair<std::size_t, std::size_t> span;
+  expect_runs_match_per_box(in, top, &span);
+  EXPECT_LT(span.first, in.boxed.box_begin[in.boxed.flat_to_rank[top.front()]]);
+  EXPECT_EQ(span.second, in.boxed.sorted.size());
+}
+
+TEST_P(NearFieldEdgeTest, RunsMatchPerBoxOnMultiVuSort) {
+  // The DP executor's sort key puts VU-address bits above local bits, so
+  // x-neighbours on either side of a VU boundary are far apart in sorted
+  // order and a row's run must break there.
+  const ParticleSet p = make_uniform(2500, Box3{}, 61, -1.0, 1.0);
+  NearInput in = sorted_input(p, 3, {2, 2, 2});
+  in.kern = core::NearKernel(1e-3);
+  in.boxes = flat_range(0, in.hier.boxes_at(3));
+  expect_runs_match_per_box(in, middle_third(in.boxes));
 }
 
 INSTANTIATE_TEST_SUITE_P(Backends, NearFieldEdgeTest,
