@@ -105,7 +105,7 @@ RunOutcome run(const char* label, const char* slug,
       p.set_type(i, static_cast<std::int32_t>(i % 2));
   }
   core::FmmSolver solver(cfg);
-  (void)solver.translations();
+  (void)solver.precompute();
   WallTimer t;
   const core::FmmResult r = solver.solve(p);
   const double total = t.seconds();

@@ -40,7 +40,7 @@ int main(int argc, char** argv) {
     cfg.depth = depth;
     cfg.supernodes = true;
     core::FmmSolver solver(cfg);
-    (void)solver.translations();
+    (void)solver.precompute();
     WallTimer t;
     const core::FmmResult r = solver.solve(p);
     const double secs = t.seconds();

@@ -76,7 +76,7 @@ ScenarioRun run_scenario(const std::string& scenario, std::size_t n,
   // bench_breakdown's integrator loop); the measurement targets solver cost.
   cfg.kernel.softening = 1e-3;
   core::FmmSolver solver(cfg);
-  (void)solver.translations();
+  (void)solver.precompute();
 
   core::SimulationState state;
   state.particles = make_scenario(scenario, n, 1203);

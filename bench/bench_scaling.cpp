@@ -129,7 +129,7 @@ int main(int argc, char** argv) {
     ParticleSet p = make_dist(dist, n, 606);
     if (vdw) type_particles(p);
     core::FmmSolver solver(cfg);
-    (void)solver.translations();
+    (void)solver.precompute();
     WallTimer t;
     const core::FmmResult r = solver.solve(p);
     const double secs = t.seconds();
@@ -196,7 +196,7 @@ int main(int argc, char** argv) {
     if (vdw) apply_vdw(cfg);
     const std::size_t vus = cfg.machine.total_vus();
     core::FmmSolver solver(cfg);
-    (void)solver.translations();
+    (void)solver.precompute();
     WallTimer t;
     const core::FmmResult r = solver.solve(p);
     const double secs = t.seconds();

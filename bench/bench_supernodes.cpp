@@ -33,7 +33,7 @@ int main(int argc, char** argv) {
       cfg.params = anderson::params_for_order(order);
       cfg.supernodes = super;
       core::FmmSolver solver(cfg);
-      (void)solver.translations();
+      (void)solver.precompute();
       WallTimer t;
       const core::FmmResult r = solver.solve(p);
       const double secs = t.seconds();

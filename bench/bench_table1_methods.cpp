@@ -68,7 +68,7 @@ int main(int argc, char** argv) {
     cfg.params = params;
     cfg.supernodes = supernodes;
     core::FmmSolver solver(cfg);
-    (void)solver.translations();  // exclude precompute from the timing
+    (void)solver.precompute();  // exclude precompute from the timing
     WallTimer t;
     const core::FmmResult r = solver.solve(p);
     Row row{name, t.seconds(), r.breakdown.total_flops(), 0.0};

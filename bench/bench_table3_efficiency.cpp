@@ -48,7 +48,7 @@ int main(int argc, char** argv) {
       cfg.params = params;
       cfg.aggregation = agg;
       core::FmmSolver solver(cfg);
-      (void)solver.translations();
+      (void)solver.precompute();
       WallTimer t;
       const core::FmmResult r = solver.solve(p);
       const double total_time = t.seconds();

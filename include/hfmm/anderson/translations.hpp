@@ -18,6 +18,7 @@
 //       for complete sibling octets (paper Section 2.3).
 
 #include <cstddef>
+#include <span>
 #include <vector>
 
 #include "hfmm/anderson/params.hpp"
@@ -57,6 +58,38 @@ TranslationMatrix build_outer_to_points(const Params& params, double a_src,
 TranslationMatrix build_inner_to_points(const Params& params, double a_src,
                                         double a_dst,
                                         const Vec3& dst_center_minus_src);
+
+/// Where one translation's spheres sit, in units of the TARGET box side (=
+/// child side for T1/T3): the source approximation's kind and radius, the
+/// destination radius, and the destination centre minus the source centre.
+/// One function per family below holds that family's geometry; the
+/// TranslationSet and the solver's own matrix store both build from them.
+struct TranslationGeometry {
+  bool src_is_outer = true;
+  double a_src = 0.0;
+  double a_dst = 0.0;
+  Vec3 dst_minus_src;
+};
+
+/// T1: child (octant o) outer -> parent outer.
+TranslationGeometry t1_geometry(const Params& params, int octant);
+/// T3: parent inner -> child (octant o) inner.
+TranslationGeometry t3_geometry(const Params& params, int octant);
+/// T2: same-level source outer at `offset` -> target inner.
+TranslationGeometry t2_geometry(const Params& params,
+                                const tree::Offset& offset);
+/// Supernode T2: source outer at `parent_offset` (parent-level box units,
+/// relative to the target's parent) -> target child (octant o) inner.
+TranslationGeometry supernode_geometry(const Params& params, int octant,
+                                       const tree::Offset& parent_offset);
+
+/// Writes the K x K matrix of `geometry` into `out` (size K*K): the paper's
+/// T when `transposed` is false, T^T (row i weights source point i, the B
+/// operand of the box-major product G[nb x K] * T^T) when true. Every entry
+/// is computed the same way in both orientations, so they agree bitwise.
+void build_translation_into(const Params& params,
+                            const TranslationGeometry& geometry,
+                            bool transposed, std::span<double> out);
 
 /// The full set of precomputed matrices for one parameter choice and
 /// near-field separation d. All geometry is expressed in units of the

@@ -22,6 +22,15 @@ namespace hfmm::blas {
 void gemv(const double* a, std::size_t lda, const double* x, double* y,
           std::size_t m, std::size_t n, bool accumulate);
 
+/// y (+)= x B: one row vector x[1 x k] times B[k x n] (ldb), row-major —
+/// one box of the box-major product G * T^T, reading T^T in the same
+/// orientation gemm does. Each y[j] accumulates x[i] B[i][j] for i = 0..k-1
+/// in order, the sequence gemv applies to row j of B^T, so the two agree
+/// bitwise. If accumulate is false, y is overwritten. y must not overlap x
+/// or B.
+void vecmat(const double* x, const double* b, std::size_t ldb, double* y,
+            std::size_t k, std::size_t n, bool accumulate);
+
 /// C (+)= A B.  A: m x k (lda), B: k x n (ldb), C: m x n (ldc), row-major.
 void gemm(const double* a, std::size_t lda, const double* b, std::size_t ldb,
           double* c, std::size_t ldc, std::size_t m, std::size_t n,

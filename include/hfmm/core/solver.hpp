@@ -22,7 +22,6 @@
 #include <span>
 #include <vector>
 
-#include "hfmm/anderson/translations.hpp"
 #include "hfmm/core/config.hpp"
 #include "hfmm/exec/graph.hpp"
 #include "hfmm/tree/hierarchy.hpp"
@@ -140,7 +139,8 @@ class FmmSolver {
   FmmSolver& operator=(const FmmSolver&) = delete;
 
   /// Computes the potential (and optionally gradient) induced at every
-  /// particle by all the others.
+  /// particle by all the others. Throws std::invalid_argument, before any
+  /// work, when a position or charge is not finite.
   FmmResult solve(const ParticleSet& particles);
 
   /// Streamed variant: leaves the outputs in sorted order behind `view`
@@ -155,9 +155,12 @@ class FmmSolver {
   /// FmmResult::hierarchy_effective).
   HierarchyMode hierarchy_requested() const { return hierarchy_requested_; }
 
-  /// The precomputed translation matrices (shared across solve() calls);
-  /// built lazily on first use.
-  const anderson::TranslationSet& translations();
+  /// Builds this solver's translation matrices if no solve has yet (a
+  /// timing loop calls it to keep precompute out of its timings) and
+  /// returns their resident bytes: one K x K matrix per translation the
+  /// executor applies (DESIGN.md Section 11). 0 for short-range kernels,
+  /// which have no translations.
+  std::size_t precompute();
 
   /// Depth that will be used for `n` particles under this configuration.
   int depth_for(std::size_t n) const;

@@ -2,9 +2,11 @@
 // service::PlanCache — a shared, thread-safe cache of the solver's
 // immutable precomputed state (DESIGN.md Section 17):
 //
-//   * TranslationData — per quadrature/separation/supernode configuration,
-//     depth-independent, shared by every plan built from it. Never evicted
-//     (there are only a handful of rules in practice).
+//   * TranslationData — per quadrature/separation configuration and matrix
+//     set (the supernode set, or the union-offset set that solves without
+//     supernodes and data-parallel solves apply), depth-independent, shared
+//     by every plan built from it. Never evicted (there are only a handful
+//     of rules in practice).
 //   * FmmPlan — per (translation config, kernel, depth, hierarchy mode),
 //     refcounted and LRU-evicted. Eviction while a solve is in flight is
 //     safe: clients hold shared_ptr leases, so the plan outlives its cache
@@ -61,9 +63,9 @@ class PlanCache {
   PlanCache(const PlanCache&) = delete;
   PlanCache& operator=(const PlanCache&) = delete;
 
-  /// The translation machinery for `config`'s quadrature/separation/
-  /// supernode choice; built on first use. `hit` (optional) reports
-  /// whether it was served from cache.
+  /// The translation machinery for `config`'s quadrature, separation and
+  /// matrix set; built on first use. `hit` (optional) reports whether it
+  /// was served from cache.
   std::shared_ptr<const core::internal::TranslationData> translations(
       const core::FmmConfig& config, bool* hit = nullptr);
 

@@ -9,24 +9,17 @@ namespace hfmm::anderson {
 
 namespace {
 
-void build_matrix(const Params& params, double a_src, double a_dst,
-                  const Vec3& dst_minus_src, bool src_is_outer,
-                  std::span<double> out) {
-  const auto& rule = params.rule;
-  const std::size_t k = rule.size();
-  if (out.size() != k * k)
-    throw std::invalid_argument("build_matrix: bad output size");
-  for (std::size_t j = 0; j < k; ++j) {
-    const Vec3 x_rel = dst_minus_src + a_dst * rule.points[j];
-    double* row = out.data() + j * k;
-    for (std::size_t i = 0; i < k; ++i) {
-      const double kv =
-          src_is_outer
-              ? outer_kernel(params.truncation, a_src, rule.points[i], x_rel)
-              : inner_kernel(params.truncation, a_src, rule.points[i], x_rel);
-      row[i] = kv * rule.weights[i];
-    }
-  }
+TranslationMatrix build(const Params& params, const TranslationGeometry& g) {
+  TranslationMatrix t;
+  t.k = params.k();
+  t.m.resize(t.k * t.k);
+  build_translation_into(params, g, /*transposed=*/false, t.m);
+  return t;
+}
+
+Vec3 to_vec3(const tree::Offset& o) {
+  return {static_cast<double>(o.dx), static_cast<double>(o.dy),
+          static_cast<double>(o.dz)};
 }
 
 }  // namespace
@@ -34,21 +27,67 @@ void build_matrix(const Params& params, double a_src, double a_dst,
 TranslationMatrix build_outer_to_points(const Params& params, double a_src,
                                         double a_dst,
                                         const Vec3& dst_center_minus_src) {
-  TranslationMatrix t;
-  t.k = params.k();
-  t.m.resize(t.k * t.k);
-  build_matrix(params, a_src, a_dst, dst_center_minus_src, true, t.m);
-  return t;
+  return build(params, {true, a_src, a_dst, dst_center_minus_src});
 }
 
 TranslationMatrix build_inner_to_points(const Params& params, double a_src,
                                         double a_dst,
                                         const Vec3& dst_center_minus_src) {
-  TranslationMatrix t;
-  t.k = params.k();
-  t.m.resize(t.k * t.k);
-  build_matrix(params, a_src, a_dst, dst_center_minus_src, false, t.m);
-  return t;
+  return build(params, {false, a_src, a_dst, dst_center_minus_src});
+}
+
+// Child outer (radius a_child_out, centred at the octant offset from the
+// parent centre) -> parent outer points (radius 2 a_child_out at origin).
+TranslationGeometry t1_geometry(const Params& params, int octant) {
+  const Vec3 child = tree::Hierarchy::octant_offset(octant);
+  return {true, params.outer_ratio, 2.0 * params.outer_ratio,
+          /*parent - child=*/-child};
+}
+
+// Parent inner (origin) -> child inner points (octant offset).
+TranslationGeometry t3_geometry(const Params& params, int octant) {
+  const Vec3 child = tree::Hierarchy::octant_offset(octant);
+  return {false, 2.0 * params.inner_ratio, params.inner_ratio,
+          /*child - parent=*/child};
+}
+
+// Source outer at an integer offset -> target inner at the origin.
+TranslationGeometry t2_geometry(const Params& params,
+                                const tree::Offset& offset) {
+  return {true, params.outer_ratio, params.inner_ratio,
+          /*target - source=*/-to_vec3(offset)};
+}
+
+// Target child centre at the origin; its parent centre at -octant_offset
+// (in child units); the source parent centre at parent_centre + 2 D.
+TranslationGeometry supernode_geometry(const Params& params, int octant,
+                                       const tree::Offset& parent_offset) {
+  const Vec3 parent_centre = -tree::Hierarchy::octant_offset(octant);
+  const Vec3 src = parent_centre + 2.0 * to_vec3(parent_offset);
+  return {true, 2.0 * params.outer_ratio, params.inner_ratio,
+          /*target - source=*/-src};
+}
+
+void build_translation_into(const Params& params, const TranslationGeometry& g,
+                            bool transposed, std::span<double> out) {
+  const auto& rule = params.rule;
+  const std::size_t k = rule.size();
+  if (out.size() != k * k)
+    throw std::invalid_argument("build_translation_into: bad output size");
+  // Entry (j, i) lands at out[j * k + i] in T and at out[i * k + j] in T^T.
+  const std::size_t row_stride = transposed ? 1 : k;
+  const std::size_t col_stride = transposed ? k : 1;
+  for (std::size_t j = 0; j < k; ++j) {
+    const Vec3 x_rel = g.dst_minus_src + g.a_dst * rule.points[j];
+    double* row = out.data() + j * row_stride;
+    for (std::size_t i = 0; i < k; ++i) {
+      const double kv =
+          g.src_is_outer
+              ? outer_kernel(params.truncation, g.a_src, rule.points[i], x_rel)
+              : inner_kernel(params.truncation, g.a_src, rule.points[i], x_rel);
+      row[i * col_stride] = kv * rule.weights[i];
+    }
+  }
 }
 
 TranslationSet::TranslationSet(const Params& params, int separation,
@@ -58,27 +97,14 @@ TranslationSet::TranslationSet(const Params& params, int separation,
   if (separation < 1)
     throw std::invalid_argument("TranslationSet: separation must be >= 1");
 
-  // Geometry in units of the CHILD (target-level) box side.
-  const double a_child_out = params_.outer_ratio;
-  const double a_child_in = params_.inner_ratio;
-  const double a_parent_out = 2.0 * params_.outer_ratio;
-  const double a_parent_in = 2.0 * params_.inner_ratio;
-
-  // T1: child outer (radius a_child_out, centred at octant offset from the
-  // parent centre) -> parent outer points (radius a_parent_out at origin).
-  // T3: parent inner (origin) -> child inner points (octant offset).
   t1_.reserve(8);
   t3_.reserve(8);
   for (int o = 0; o < 8; ++o) {
-    const Vec3 child = tree::Hierarchy::octant_offset(o);
-    t1_.push_back(build_outer_to_points(params_, a_child_out, a_parent_out,
-                                        /*parent - child=*/-child));
-    t3_.push_back(build_inner_to_points(params_, a_parent_in, a_child_in,
-                                        /*child - parent=*/child));
+    t1_.push_back(build(params_, t1_geometry(params_, o)));
+    t3_.push_back(build(params_, t3_geometry(params_, o)));
   }
 
-  // T2: source outer at integer offset -> target inner at origin, same
-  // level, offsets covering the whole (4d+3)^3 cube.
+  // T2: offsets covering the whole (4d+3)^3 cube.
   const std::size_t cube = tree::offset_cube_size(separation);
   t2_.resize(cube);
   const std::int32_t r = 2 * separation + 1;
@@ -93,15 +119,10 @@ TranslationSet::TranslationSet(const Params& params, int separation,
           t2_[idx].m.assign(params_.k() * params_.k(), 0.0);
           continue;
         }
-        const Vec3 src{static_cast<double>(dx), static_cast<double>(dy),
-                       static_cast<double>(dz)};
-        t2_[idx] = build_outer_to_points(params_, a_child_out, a_child_in,
-                                         /*target - source=*/-src);
+        t2_[idx] = build(params_, t2_geometry(params_, off));
       }
 
   // Supernode T2: parent-level source outer sphere -> target child inner.
-  // Target child centre at origin; its parent centre at -octant_offset (in
-  // child units); source parent centre at parent_centre + 2 * D.
   supernode_entries_.resize(8);
   supernode_.resize(8);
   for (int o = 0; o < 8; ++o) {
@@ -112,12 +133,8 @@ TranslationSet::TranslationSet(const Params& params, int separation,
         supernode_[o].emplace_back();  // placeholder; plain t2() is used
         continue;
       }
-      const Vec3 parent_centre = -tree::Hierarchy::octant_offset(o);
-      const Vec3 src = parent_centre + 2.0 * Vec3{static_cast<double>(entry.offset.dx),
-                                                  static_cast<double>(entry.offset.dy),
-                                                  static_cast<double>(entry.offset.dz)};
-      supernode_[o].push_back(build_outer_to_points(
-          params_, a_parent_out, a_child_in, /*target - source=*/-src));
+      supernode_[o].push_back(
+          build(params_, supernode_geometry(params_, o, entry.offset)));
     }
   }
 }
@@ -136,9 +153,7 @@ std::size_t TranslationSet::resident_bytes() const {
 }
 
 void TranslationSet::build_t1_into(int octant, std::span<double> out) const {
-  const Vec3 child = tree::Hierarchy::octant_offset(octant);
-  build_matrix(params_, params_.outer_ratio, 2.0 * params_.outer_ratio, -child,
-               true, out);
+  build_translation_into(params_, t1_geometry(params_, octant), false, out);
 }
 
 void TranslationSet::build_t2_into(std::size_t cube_index,
@@ -146,17 +161,12 @@ void TranslationSet::build_t2_into(std::size_t cube_index,
   const std::int32_t r = 2 * separation_ + 1;
   const std::int32_t n = 2 * r + 1;
   const auto idx = static_cast<std::int32_t>(cube_index);
-  const std::int32_t dx = idx % n - r;
-  const std::int32_t dy = (idx / n) % n - r;
-  const std::int32_t dz = static_cast<std::int32_t>(idx / (n * n)) - r;
-  if (dx == 0 && dy == 0 && dz == 0) {
+  const tree::Offset off{idx % n - r, (idx / n) % n - r, idx / (n * n) - r};
+  if (off.dx == 0 && off.dy == 0 && off.dz == 0) {
     std::fill(out.begin(), out.end(), 0.0);
     return;
   }
-  const Vec3 src{static_cast<double>(dx), static_cast<double>(dy),
-                 static_cast<double>(dz)};
-  build_matrix(params_, params_.outer_ratio, params_.inner_ratio, -src, true,
-               out);
+  build_translation_into(params_, t2_geometry(params_, off), false, out);
 }
 
 }  // namespace hfmm::anderson

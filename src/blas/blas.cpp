@@ -19,6 +19,17 @@ void gemv(const double* a, std::size_t lda, const double* x, double* y,
   }
 }
 
+void vecmat(const double* x, const double* b, std::size_t ldb, double* y,
+            std::size_t k, std::size_t n, bool accumulate) {
+  double* __restrict__ out = y;
+  if (!accumulate) std::fill(out, out + n, 0.0);
+  for (std::size_t i = 0; i < k; ++i) {
+    const double xi = x[i];
+    const double* __restrict__ row = b + i * ldb;
+    for (std::size_t j = 0; j < n; ++j) out[j] += xi * row[j];
+  }
+}
+
 void gemm(const double* a, std::size_t lda, const double* b, std::size_t ldb,
           double* c, std::size_t ldc, std::size_t m, std::size_t n,
           std::size_t k, bool accumulate) {

@@ -13,19 +13,21 @@ namespace hfmm::service {
 namespace {
 
 using core::internal::FmmPlan;
+using core::internal::MatrixSet;
 using core::internal::TranslationData;
 
 // Everything TranslationData::build reads from the config: the quadrature
-// rule identity (K + truncation + sphere ratios), the separation, and
-// whether the supernode matrices exist. Doubles are keyed by bit pattern —
-// configs are constructed from the same literals, not computed.
+// rule identity (K + truncation + sphere ratios), the separation, and the
+// matrix set the executor applies (supernodes and mode decide it, see
+// matrix_set_for). Doubles are keyed by bit pattern — configs are
+// constructed from the same literals, not computed.
 struct TransKey {
   std::size_t k = 0;
   int truncation = 0;
   std::uint64_t outer_bits = 0;
   std::uint64_t inner_bits = 0;
   int separation = 0;
-  bool supernodes = false;
+  MatrixSet set = MatrixSet::kUnion;
   bool operator==(const TransKey&) const = default;
 };
 
@@ -36,7 +38,7 @@ TransKey trans_key(const core::FmmConfig& config) {
   key.outer_bits = std::bit_cast<std::uint64_t>(config.params.outer_ratio);
   key.inner_bits = std::bit_cast<std::uint64_t>(config.params.inner_ratio);
   key.separation = config.separation;
-  key.supernodes = config.supernodes;
+  key.set = core::internal::matrix_set_for(config);
   return key;
 }
 
@@ -47,7 +49,7 @@ struct TransKeyHash {
     h = hash_combine(h, static_cast<std::size_t>(key.outer_bits));
     h = hash_combine(h, static_cast<std::size_t>(key.inner_bits));
     h = hash_combine(h, static_cast<std::size_t>(key.separation));
-    h = hash_combine(h, static_cast<std::size_t>(key.supernodes));
+    h = hash_combine(h, static_cast<std::size_t>(key.set));
     return h;
   }
 };

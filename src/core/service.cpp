@@ -15,6 +15,7 @@
 #include "hfmm/service/lru.hpp"
 #include "hfmm/util/thread_pool.hpp"
 #include "hfmm/util/timer.hpp"
+#include "solver_internal.hpp"
 
 namespace hfmm::service {
 
@@ -155,12 +156,14 @@ std::vector<SolveOutcome> SolverService::solve_batch(
   if (nreq == 0) return outcomes;
 
   // Validate + canonicalize every request before any work is scheduled, so
-  // a bad config rejects the batch atomically.
+  // a bad config or a non-finite input rejects the batch atomically.
   std::vector<core::FmmConfig> admitted(nreq);
   std::vector<std::string> sigs(nreq);
   for (std::size_t i = 0; i < nreq; ++i) {
     if (requests[i].particles == nullptr)
       throw std::invalid_argument("SolverService: request without particles");
+    core::internal::validate_particles(
+        *requests[i].particles, "SolverService: request " + std::to_string(i));
     admitted[i] = admitted_config(requests[i].config);
     sigs[i] = client_signature(admitted[i]);
     outcomes[i].modeled_cost =

@@ -6,10 +6,12 @@
 #include <cmath>
 #include <cstring>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "hfmm/anderson/kernels.hpp"
 #include "hfmm/anderson/leaf_ops.hpp"
+#include "hfmm/anderson/translations.hpp"
 #include "hfmm/blas/blas.hpp"
 #include "hfmm/core/near_field.hpp"
 #include "hfmm/dp/multigrid.hpp"
@@ -20,8 +22,8 @@
 
 namespace hfmm::core {
 
-using internal::AppMatrix;
 using internal::FmmPlan;
+using internal::MatrixSet;
 using internal::SolveWorkspace;
 using internal::TranslationData;
 using internal::UnionOffset;
@@ -47,31 +49,79 @@ std::vector<UnionOffset> build_union_offsets(int d) {
   return out;
 }
 
+void validate_particles(const ParticleSet& particles,
+                        std::string_view context) {
+  const std::span<const double> fields[] = {particles.x(), particles.y(),
+                                            particles.z(), particles.q()};
+  constexpr const char* names[] = {"x coordinate", "y coordinate",
+                                   "z coordinate", "charge"};
+  for (std::size_t i = 0; i < particles.size(); ++i)
+    for (int f = 0; f < 4; ++f)
+      if (!std::isfinite(fields[f][i]))
+        throw std::invalid_argument(std::string(context) + ": particle " +
+                                    std::to_string(i) + " has a non-finite " +
+                                    names[f]);
+}
+
 std::shared_ptr<const TranslationData> TranslationData::build(
     const FmmConfig& config) {
   WallTimer t;
+  const anderson::Params& params = config.params;
+  const int d = config.separation;
   auto trans = std::make_shared<TranslationData>();
-  trans->tset = std::make_unique<anderson::TranslationSet>(
-      config.params, config.separation, config.supernodes);
+  trans->set = matrix_set_for(config);
+  trans->union_offsets = build_union_offsets(d);
+
+  // Assign every matrix of the set a slot in the store, then build each
+  // straight into its slot. T2 slots are shared by offset-cube index.
+  std::vector<anderson::TranslationGeometry> geometry;
+  const auto add = [&](const anderson::TranslationGeometry& g) {
+    geometry.push_back(g);
+    return geometry.size() - 1;
+  };
+  constexpr std::size_t kNone = ~std::size_t{0};
+  std::vector<std::size_t> t2_slot(tree::offset_cube_size(d), kNone);
+  const auto t2_slot_of = [&](const tree::Offset& o) {
+    std::size_t& slot = t2_slot[tree::offset_cube_index(o, d)];
+    if (slot == kNone) slot = add(anderson::t2_geometry(params, o));
+    return slot;
+  };
+  std::array<std::size_t, 8> t1_slot{}, t3_slot{};
   for (int o = 0; o < 8; ++o) {
-    trans->t1[o].set(trans->tset->t1(o));
-    trans->t3[o].set(trans->tset->t3(o));
+    t1_slot[o] = add(anderson::t1_geometry(params, o));
+    t3_slot[o] = add(anderson::t3_geometry(params, o));
   }
-  trans->union_offsets = build_union_offsets(config.separation);
-  trans->t2.resize(tree::offset_cube_size(config.separation));
-  for (const UnionOffset& u : trans->union_offsets)
-    trans->t2[tree::offset_cube_index(u.o, config.separation)].set(
-        trans->tset->t2(u.o));
-  if (config.supernodes) {
+  std::array<std::vector<std::size_t>, 8> supernode_slot;
+  if (trans->set == MatrixSet::kUnion) {
+    for (const UnionOffset& u : trans->union_offsets) t2_slot_of(u.o);
+  } else {
     for (int o = 0; o < 8; ++o) {
-      const auto& entries = trans->tset->supernode_list(o);
-      trans->supernode[o].resize(entries.size());
-      for (std::size_t e = 0; e < entries.size(); ++e) {
-        if (entries[e].source_level_up == 1)
-          trans->supernode[o][e].set(trans->tset->supernode_t2(o, e));
-      }
+      trans->supernode_lists[o] = tree::supernode_interactive(o, d);
+      for (const tree::SupernodeEntry& e : trans->supernode_lists[o])
+        supernode_slot[o].push_back(
+            e.source_level_up == 1
+                ? add(anderson::supernode_geometry(params, o, e.offset))
+                : t2_slot_of(e.offset));
     }
   }
+
+  const std::size_t kk = params.k() * params.k();
+  trans->store.resize(geometry.size() * kk);
+  for (std::size_t s = 0; s < geometry.size(); ++s)
+    anderson::build_translation_into(params, geometry[s], /*transposed=*/true,
+                                     {trans->store.data() + s * kk, kk});
+  const auto at = [&](std::size_t slot) {
+    return trans->store.data() + slot * kk;
+  };
+  for (int o = 0; o < 8; ++o) {
+    trans->t1[o] = at(t1_slot[o]);
+    trans->t3[o] = at(t3_slot[o]);
+    for (const std::size_t slot : supernode_slot[o])
+      trans->supernode[o].push_back(at(slot));
+  }
+  trans->t2.assign(t2_slot.size(), nullptr);
+  for (std::size_t i = 0; i < t2_slot.size(); ++i)
+    if (t2_slot[i] != kNone) trans->t2[i] = at(t2_slot[i]);
   trans->build_seconds = t.seconds();
   return trans;
 }
@@ -86,12 +136,13 @@ std::shared_ptr<const FmmPlan> FmmPlan::build(
   plan->depth = depth;
   plan->k = config.params.k();
   // Short-range plans (trans == nullptr) carry only the near-field lists;
-  // the supernode gather plans exist to drive translations that never run.
-  if (config.supernodes && plan->trans) {
+  // the supernode gather plans exist to drive translations that never run,
+  // and only the kSupernode set holds the matrices they reference.
+  if (plan->trans && plan->trans->set == MatrixSet::kSupernode) {
     plan->supernode_plans.resize(depth + 1);
     for (int l = 2; l <= depth; ++l)
-      plan->supernode_plans[l] = build_supernode_plan(
-          *plan->trans, config.separation, std::int32_t{1} << l);
+      plan->supernode_plans[l] =
+          build_supernode_plan(*plan->trans, std::int32_t{1} << l);
   }
   plan->near_offsets = tree::near_field_offsets(config.separation);
   plan->near_half_offsets = tree::near_field_half_offsets(config.separation);
@@ -183,8 +234,9 @@ FmmSolver::FmmSolver(FmmConfig config,
 
 FmmSolver::~FmmSolver() = default;
 
-const anderson::TranslationSet& FmmSolver::translations() {
-  return *impl_->translation_data(config_).tset;
+std::size_t FmmSolver::precompute() {
+  if (!config_.kernel.far_field_capable()) return 0;
+  return impl_->translation_data(config_).resident_bytes();
 }
 
 int depth_for(const FmmConfig& config_, std::size_t n) {
@@ -236,28 +288,27 @@ bool FmmSolver::plan_ready(std::size_t n) const {
 
 namespace internal {
 
-void apply_rows(const AppMatrix& m, const double* src, double* dst,
-                std::size_t nb, AggregationMode mode, std::size_t batch_slab,
-                std::uint64_t& flops) {
-  const std::size_t k = m.k;
+void apply_rows(const double* tt, std::size_t k, const double* src,
+                double* dst, std::size_t nb, AggregationMode mode,
+                std::size_t batch_slab, std::uint64_t& flops) {
   switch (mode) {
     case AggregationMode::kGemv:
       for (std::size_t b = 0; b < nb; ++b)
-        blas::gemv(m.t, k, src + b * k, dst + b * k, k, k, true);
+        blas::vecmat(src + b * k, tt, k, dst + b * k, k, k, true);
       break;
     case AggregationMode::kGemm:
-      blas::gemm(src, k, m.tt.data(), k, dst, k, nb, k, k, true);
+      blas::gemm(src, k, tt, k, dst, k, nb, k, k, true);
       break;
     case AggregationMode::kGemmBatch: {
       const std::size_t slab = std::max<std::size_t>(1, batch_slab);
       const std::size_t full = nb / slab;
       if (full > 0)
-        blas::gemm_batch(src, k, slab * k, m.tt.data(), k, 0, dst, k,
-                         slab * k, slab, k, k, full, true);
+        blas::gemm_batch(src, k, slab * k, tt, k, 0, dst, k, slab * k, slab,
+                         k, k, full, true);
       const std::size_t rem = nb - full * slab;
       if (rem > 0)
-        blas::gemm(src + full * slab * k, k, m.tt.data(), k,
-                   dst + full * slab * k, k, rem, k, k, true);
+        blas::gemm(src + full * slab * k, k, tt, k, dst + full * slab * k, k,
+                   rem, k, k, true);
       break;
     }
   }
@@ -277,14 +328,13 @@ constexpr std::int32_t ceil_div2(std::int32_t a) { return floor_div2(a + 1); }
 }  // namespace
 
 SupernodeLevelPlan build_supernode_plan(const TranslationData& trans,
-                                        int separation,
                                         std::int32_t n_child) {
   SupernodeLevelPlan plan;
   const std::int32_t np = n_child / 2;
   for (int octant = 0; octant < 8; ++octant) {
     const std::int32_t ov[3] = {octant & 1, (octant >> 1) & 1,
                                 (octant >> 2) & 1};
-    const auto& entries = trans.tset->supernode_list(octant);
+    const auto& entries = trans.supernode_lists[octant];
     for (std::size_t e = 0; e < entries.size(); ++e) {
       const tree::SupernodeEntry& entry = entries[e];
       SupernodePlanEntry pe;
@@ -307,10 +357,7 @@ SupernodeLevelPlan build_supernode_plan(const TranslationData& trans,
         if (pe.lo[axis] >= pe.hi[axis]) empty = true;
       }
       if (empty) continue;
-      pe.matrix = pe.parent_source
-                      ? &trans.supernode[octant][e]
-                      : &trans.t2[tree::offset_cube_index(entry.offset,
-                                                          separation)];
+      pe.matrix = trans.supernode[octant][e];
       plan.per_octant[octant].push_back(pe);
     }
   }
@@ -388,7 +435,7 @@ void upward_chunk(SharedContext& ctx, int l, std::size_t chunk,
         std::memcpy(scratch + px * k,
                     crow + (static_cast<std::size_t>(2 * px + cx0)) * k,
                     k * sizeof(double));
-      internal::apply_rows(ctx.trans().t1[o], scratch, prow, np,
+      internal::apply_rows(ctx.trans().t1[o], k, scratch, prow, np,
                            ctx.config.aggregation, 8, local_flops);
     }
   }
@@ -444,8 +491,7 @@ void interactive_chunk(SharedContext& ctx, int l, std::size_t chunk,
   {
     for (std::size_t z = lo; z < hi; ++z) {
       for (const UnionOffset& u : ctx.trans().union_offsets) {
-        const AppMatrix& m =
-            ctx.trans().t2[tree::offset_cube_index(u.o, d)];
+        const double* m = ctx.trans().t2[tree::offset_cube_index(u.o, d)];
         const std::size_t sz = z + r + u.o.dz;
         if (u.all_parities) {
           switch (ctx.config.aggregation) {
@@ -462,7 +508,8 @@ void interactive_chunk(SharedContext& ctx, int l, std::size_t chunk,
                     static_cast<std::size_t>(n) * k * sizeof(double));
               local_copy += static_cast<std::size_t>(n) * n * k * 8;
               internal::apply_rows(
-                  m, src_slab, local + static_cast<std::size_t>(z) * n * n * k,
+                  m, k, src_slab,
+                  local + static_cast<std::size_t>(z) * n * n * k,
                   static_cast<std::size_t>(n) * n, AggregationMode::kGemm, 0,
                   local_flops);
               break;
@@ -472,7 +519,7 @@ void interactive_chunk(SharedContext& ctx, int l, std::size_t chunk,
               // grid, no copies (the CMSSL multiple-instance trick).
               blas::gemm_batch(
                   pad.data() + ((sz * np + (r + u.o.dy)) * np + r + u.o.dx) * k,
-                  k, static_cast<std::size_t>(np) * k, m.tt.data(), k, 0,
+                  k, static_cast<std::size_t>(np) * k, m, k, 0,
                   local + static_cast<std::size_t>(z) * n * n * k, k,
                   static_cast<std::size_t>(n) * k, n, k, k, n, true);
               local_flops += blas::gemm_flops(static_cast<std::size_t>(n) * n,
@@ -482,15 +529,16 @@ void interactive_chunk(SharedContext& ctx, int l, std::size_t chunk,
             case AggregationMode::kGemv: {
               for (std::int32_t y = 0; y < n; ++y)
                 for (std::int32_t x = 0; x < n; ++x)
-                  blas::gemv(m.t, k,
-                             pad.data() + ((sz * np + (y + r + u.o.dy)) * np +
-                                           (x + r + u.o.dx)) *
-                                              k,
-                             local + ((static_cast<std::size_t>(z) * n + y) *
-                                          n +
-                                      x) *
-                                         k,
-                             k, k, true);
+                  blas::vecmat(pad.data() + ((sz * np + (y + r + u.o.dy)) *
+                                                 np +
+                                             (x + r + u.o.dx)) *
+                                                k,
+                               m, k,
+                               local + ((static_cast<std::size_t>(z) * n + y) *
+                                            n +
+                                        x) *
+                                           k,
+                               k, k, true);
               local_flops += blas::gemm_flops(static_cast<std::size_t>(n) * n,
                                               k, k);
               break;
@@ -518,8 +566,7 @@ void interactive_chunk(SharedContext& ctx, int l, std::size_t chunk,
             local_copy += cnt * k * 8;
             // Multiply into a scratch strip, then scatter-accumulate.
             std::fill(out_strip, out_strip + cnt * k, 0.0);
-            blas::gemm(dst_strip, k, m.tt.data(), k, out_strip, k, cnt, k, k,
-                       false);
+            blas::gemm(dst_strip, k, m, k, out_strip, k, cnt, k, k, false);
             local_flops += blas::gemm_flops(cnt, k, k);
             std::size_t w = 0;
             for (std::int32_t x = x0; x < n; x += xstep) {
@@ -578,7 +625,7 @@ void supernode_chunk(SharedContext& ctx, int l, std::size_t chunk,
             if (pz < pe.lo[2] || pz >= pe.hi[2]) continue;
             const std::int32_t xlo = pe.lo[0], xlen = pe.hi[0] - pe.lo[0];
             const std::int32_t ylo = pe.lo[1], ylen = pe.hi[1] - pe.lo[1];
-            const AppMatrix& m = *pe.matrix;
+            const double* m = pe.matrix;
             // Source base pointer for parent row py and its x stride.
             const auto src_row = [&](std::int32_t py) -> const double* {
               if (pe.parent_source) {
@@ -611,8 +658,8 @@ void supernode_chunk(SharedContext& ctx, int l, std::size_t chunk,
                   const double* src = src_row(py);
                   double* dst = dst_row(py);
                   for (std::int32_t i = 0; i < xlen; ++i)
-                    blas::gemv(m.t, k, src + i * src_xstride,
-                               dst + i * 2 * k, k, k, true);
+                    blas::vecmat(src + i * src_xstride, m, k, dst + i * 2 * k,
+                                 k, k, true);
                 }
                 break;
               }
@@ -639,8 +686,7 @@ void supernode_chunk(SharedContext& ctx, int l, std::size_t chunk,
                   }
                 }
                 std::fill(out, out + rows * k, 0.0);
-                blas::gemm(slab, k, m.tt.data(), k, out, k, rows, k, k,
-                           false);
+                blas::gemm(slab, k, m, k, out, k, rows, k, k, false);
                 const double* r = out;
                 for (std::int32_t py = ylo; py < ylo + ylen; ++py) {
                   double* dst = dst_row(py);
@@ -660,7 +706,7 @@ void supernode_chunk(SharedContext& ctx, int l, std::size_t chunk,
                     pe.parent_source ? static_cast<std::size_t>(np) * k
                                      : 2 * static_cast<std::size_t>(n) * k;
                 blas::gemm_batch(src_row(ylo), src_xstride, stride_a,
-                                 m.tt.data(), k, 0, dst_row(ylo), 2 * k,
+                                 m, k, 0, dst_row(ylo), 2 * k,
                                  2 * static_cast<std::size_t>(n) * k, xlen,
                                  k, k, ylen, true);
                 break;
@@ -700,7 +746,7 @@ void downward_chunk(SharedContext& ctx, int l, std::size_t chunk,
       const std::int32_t cy = 2 * py + ((o >> 1) & 1);
       const std::int32_t cx0 = o & 1;
       std::fill(scratch, scratch + static_cast<std::size_t>(np) * k, 0.0);
-      internal::apply_rows(ctx.trans().t3[o], prow, scratch, np,
+      internal::apply_rows(ctx.trans().t3[o], k, prow, scratch, np,
                            ctx.config.aggregation, 8, local_flops);
       double* crow =
           child + (static_cast<std::size_t>(cz) * nc + cy) * nc * k;
@@ -759,6 +805,7 @@ FmmResult FmmSolver::solve(const ParticleSet& particles, SolveView& view) {
 
 FmmResult FmmSolver::solve_impl_(const ParticleSet& particles,
                                  SolveView* view) {
+  internal::validate_particles(particles, "FmmSolver::solve");
   const std::size_t n = particles.size();
   const bool far_capable = config_.kernel.far_field_capable();
   FmmResult result;
@@ -943,11 +990,15 @@ FmmResult FmmSolver::solve_impl_(const ParticleSet& particles,
     chain = id;
   }
   const auto far_ready = [&](int l) { return l == h ? p2m : up[l]; };
+  const NodeId upward_done = chain;
 
   // Downward/interactive: per level, T3 (l > 2) then T2, both writing
   // local[l] — the T3 -> T2 edge fixes the floating-point accumulation
   // order. The non-supernode T2 splits into pad (fill the shared padded
   // grid) and apply; pad(l) must wait for apply(l-1) to release the grid.
+  // Every translation stage takes scratch from ws.arena, so the first T2
+  // stage also waits for the whole upward chain: without supernodes its
+  // sources are ready at up[2], and it would otherwise overlap up[1].
   NodeId prev_apply = 0;
   bool have_prev_apply = false;
   for (int l = 2; l <= h; ++l) {
@@ -985,6 +1036,7 @@ FmmResult FmmSolver::solve_impl_(const ParticleSet& particles,
           [&, l](std::size_t c, std::size_t lo, std::size_t hi,
                  PhaseStats& st) { interactive_chunk(ctx, l, c, lo, hi, st); });
       g.depend(apply, pad);
+      if (l == 2) g.depend(apply, upward_done);
       if (has_t3) g.depend(apply, t3);
       prev_apply = apply;
       have_prev_apply = true;

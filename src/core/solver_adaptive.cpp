@@ -350,7 +350,8 @@ FmmResult FmmSolver::solve_adaptive_(const ParticleSet& particles,
   g.depend(p2m, prep_levels);
 
   // Upward chain over the pruned parents; up[l] completes far[l] (leaves at
-  // level l were written directly by P2M — the gemvs accumulate on top).
+  // level l were written directly by P2M — the per-box T1 products
+  // accumulate on top).
   std::vector<NodeId> up(maxL, p2m);
   NodeId chain = p2m;
   for (int l = maxL - 1; l >= 1; --l) {

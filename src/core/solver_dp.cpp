@@ -31,8 +31,6 @@ namespace hfmm::core {
 
 namespace {
 
-using internal::AppMatrix;
-
 // Machine VU rank holding a box of a (possibly folded) level layout.
 std::size_t machine_rank(const dp::Machine& m, const dp::BlockLayout& layout,
                          const tree::BoxCoord& c) {
@@ -223,9 +221,8 @@ FmmResult FmmSolver::solve_dp_(const ParticleSet& particles,
                   double* dst = temp_parent->at(vu, lx, ly, lz).data();
                   for (int o = 0; o < 8; ++o) {
                     const tree::BoxCoord cc = tree::Hierarchy::child_of(pc, o);
-                    blas::gemv(trans->t1[o].t, k,
-                               temp_child->at_global(cc).data(), dst, k, k,
-                               true);
+                    blas::vecmat(temp_child->at_global(cc).data(),
+                                 trans->t1[o], k, dst, k, k, true);
                   }
                 }
           });
@@ -286,10 +283,10 @@ FmmResult FmmSolver::solve_dp_(const ParticleSet& particles,
                     const tree::BoxCoord c =
                         level_layout.global_of({vu, lx, ly, lz});
                     const int o = tree::Hierarchy::octant_of(c);
-                    blas::gemv(
-                        trans->t3[o].t, k,
+                    blas::vecmat(
                         local_parent->at_global(tree::Hierarchy::parent_of(c))
                             .data(),
+                        trans->t3[o], k,
                         temp_local->at(vu, lx, ly, lz).data(), k, k, true);
                   }
             });
@@ -334,14 +331,12 @@ FmmResult FmmSolver::solve_dp_(const ParticleSet& particles,
                     const int oct = tree::Hierarchy::octant_of(c);
                     double* dst = temp_local->at(vu, lx, ly, lz).data();
                     for (const auto& off : tree::interactive_offsets(oct, d)) {
-                      const AppMatrix& m =
-                          trans->t2[tree::offset_cube_index(off, d)];
-                      blas::gemv(m.t, k,
-                                 halo.at(vu, lx + ghost + off.dx,
-                                         ly + ghost + off.dy,
-                                         lz + ghost + off.dz)
-                                     .data(),
-                                 dst, k, k, true);
+                      blas::vecmat(halo.at(vu, lx + ghost + off.dx,
+                                           ly + ghost + off.dy,
+                                           lz + ghost + off.dz)
+                                       .data(),
+                                   trans->t2[tree::offset_cube_index(off, d)],
+                                   k, dst, k, k, true);
                     }
                   }
             });
@@ -361,10 +356,9 @@ FmmResult FmmSolver::solve_dp_(const ParticleSet& particles,
                       if (s.ix < 0 || s.ix >= nl || s.iy < 0 || s.iy >= nl ||
                           s.iz < 0 || s.iz >= nl)
                         continue;
-                      const AppMatrix& m =
-                          trans->t2[tree::offset_cube_index(off, d)];
-                      blas::gemv(m.t, k, temp_far->at_global(s).data(), dst, k,
-                                 k, true);
+                      blas::vecmat(temp_far->at_global(s).data(),
+                                   trans->t2[tree::offset_cube_index(off, d)],
+                                   k, dst, k, k, true);
                     }
                   }
             });

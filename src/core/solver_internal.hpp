@@ -20,9 +20,9 @@
 #include <cstdint>
 #include <memory>
 #include <span>
+#include <string_view>
 #include <vector>
 
-#include "hfmm/anderson/translations.hpp"
 #include "hfmm/blas/blas.hpp"
 #include "hfmm/core/near_field.hpp"
 #include "hfmm/core/solver.hpp"
@@ -33,23 +33,13 @@
 
 namespace hfmm::core::internal {
 
-// An application-ready translation matrix: `t` is the paper's T (row j
-// produces destination point j), `tt` its transpose. Aggregated application
-// treats box-major data G[nb x K] as C = G * T^T, so BLAS-3 paths use `tt`;
-// per-box BLAS-2 uses `t` directly.
-struct AppMatrix {
-  const double* t = nullptr;
-  std::vector<double> tt;
-  std::size_t k = 0;
-
-  void set(const anderson::TranslationMatrix& m) {
-    t = m.data();
-    k = m.k;
-    tt.resize(k * k);
-    for (std::size_t j = 0; j < k; ++j)
-      for (std::size_t i = 0; i < k; ++i) tt[i * k + j] = m.m[j * k + i];
-  }
-};
+// Throws std::invalid_argument naming the first particle whose position or
+// charge is not finite (NaN or +-inf), prefixed by `context`. One such input
+// would otherwise turn every potential of a solve into NaN. FmmSolver::solve
+// checks its input with it; the service checks every request of a batch
+// before any solve runs.
+void validate_particles(const ParticleSet& particles,
+                        std::string_view context);
 
 // One union interactive-field offset plus its per-axis parity admissibility
 // (paper Section 3.3.2: sibling ranges [-2d-p, 2d+1-p] per axis).
@@ -61,27 +51,60 @@ struct UnionOffset {
 
 std::vector<UnionOffset> build_union_offsets(int separation);
 
-// Applies dst[nb x K] (+)= src[nb x K] * m.tt under the chosen aggregation
-// mode. src/dst rows are contiguous box-major potential vectors.
-void apply_rows(const AppMatrix& m, const double* src, double* dst,
-                std::size_t nb, AggregationMode mode, std::size_t batch_slab,
-                std::uint64_t& flops);
+// Applies dst[nb x K] (+)= src[nb x K] * tt under the chosen aggregation
+// mode, where tt is a K x K matrix T^T. src/dst rows are contiguous
+// box-major potential vectors.
+void apply_rows(const double* tt, std::size_t k, const double* src,
+                double* dst, std::size_t nb, AggregationMode mode,
+                std::size_t batch_slab, std::uint64_t& flops);
 
 // ---------------------------------------------------------------------------
 // TranslationData: the position-independent translation machinery — built
 // once per config, shared (by shared_ptr) by every FmmPlan depth.
 // ---------------------------------------------------------------------------
 
+// Which translation matrices a TranslationData builds: only those its
+// executor applies (DESIGN.md Section 11).
+enum class MatrixSet : std::uint8_t {
+  // T1/T3 plus the T2 of all 1206 union interactive offsets (d = 2): every
+  // executor without supernodes, and the data-parallel executor always —
+  // its interactive stage walks the per-octant offset lists.
+  kUnion,
+  // T1/T3 plus the matrices the eight supernode lists reference: 784
+  // parent-level matrices and 218 distinct same-level T2 offsets (d = 2).
+  kSupernode,
+};
+
+inline MatrixSet matrix_set_for(const FmmConfig& config) {
+  return config.supernodes && config.mode != ExecutionMode::kDataParallel
+             ? MatrixSet::kSupernode
+             : MatrixSet::kUnion;
+}
+
 struct TranslationData {
-  std::unique_ptr<anderson::TranslationSet> tset;
-  std::array<AppMatrix, 8> t1, t3;
-  // T2 application matrices by offset-cube index (built for union offsets).
-  std::vector<AppMatrix> t2;
+  MatrixSet set = MatrixSet::kUnion;
+  // Every matrix of the set, once, in the gemm orientation T^T (row i
+  // weights source point i): K * K doubles each, back to back. Aggregated
+  // application reads it as gemm's B; per-box application through
+  // blas::vecmat.
+  std::vector<double> store;
+  std::array<const double*, 8> t1{}, t3{};
+  // T2 by offset-cube index; null for offsets outside the set.
+  std::vector<const double*> t2;
   std::vector<UnionOffset> union_offsets;
-  // Supernode application matrices per octant, aligned with
-  // tset->supernode_list(octant).
-  std::array<std::vector<AppMatrix>, 8> supernode;
+  // kSupernode only: per octant, tree::supernode_interactive and, aligned
+  // with it, each entry's matrix (its T2 for same-level entries).
+  std::array<std::vector<tree::SupernodeEntry>, 8> supernode_lists;
+  std::array<std::vector<const double*>, 8> supernode;
   double build_seconds = 0.0;
+
+  TranslationData() = default;
+  // The matrix pointers above point into `store`; a copy would alias it.
+  TranslationData(const TranslationData&) = delete;
+  TranslationData& operator=(const TranslationData&) = delete;
+
+  // Resident matrix bytes: exactly matrices x K^2 x 8.
+  std::size_t resident_bytes() const { return store.size() * sizeof(double); }
 
   static std::shared_ptr<const TranslationData> build(const FmmConfig& config);
 };
@@ -94,7 +117,7 @@ struct TranslationData {
 // lists the solver would otherwise rebuild (and branch on) per box. Entries
 // whose rectangle is empty at this level are dropped at build time.
 struct SupernodePlanEntry {
-  const AppMatrix* matrix = nullptr;  // T2 (same level) or supernode matrix
+  const double* matrix = nullptr;     // T^T of the T2 or supernode matrix
   tree::Offset offset;                // source offset, source-level box units
   bool parent_source = false;         // source lives at level l - 1
   std::int32_t lo[3] = {0, 0, 0};     // parent-coord rect, [lo, hi) per axis
@@ -107,15 +130,16 @@ struct SupernodeLevelPlan {
 
 // Builds the plan for a level with `n_child` boxes per side (>= 4).
 SupernodeLevelPlan build_supernode_plan(const TranslationData& trans,
-                                        int separation, std::int32_t n_child);
+                                        std::int32_t n_child);
 
 // ---------------------------------------------------------------------------
 // FmmPlan: the immutable per-(config, depth) solve plan. Everything in here
 // is position-independent structure (paper Sections 2.3, 3.3.4): the
-// translation set, the per-level supernode gather plans, and the near-field
-// interaction lists. The hierarchy's root cube is the only geometry derived
-// per solve (particles move), and it is an O(1) object — translation
-// matrices are expressed in box-side units, so they are scale-invariant.
+// translation data, the per-level supernode gather plans, and the
+// near-field interaction lists. The hierarchy's root cube is the only
+// geometry derived per solve (particles move), and it is an O(1) object —
+// translation matrices are expressed in box-side units, so they are
+// scale-invariant.
 // ---------------------------------------------------------------------------
 
 struct FmmPlan {
@@ -127,8 +151,8 @@ struct FmmPlan {
   KernelType kernel = KernelType::kLaplace3d;
   int depth = 0;
   std::size_t k = 0;
-  // Supernode gather plans indexed by level (empty when supernodes are off;
-  // levels < 2 unused).
+  // Supernode gather plans indexed by level (empty unless the translation
+  // data is the kSupernode set; levels < 2 unused).
   std::vector<SupernodeLevelPlan> supernode_plans;
   // Near-field interaction lists (full and the Newton-3rd-law half list).
   std::vector<tree::Offset> near_offsets;

@@ -12,9 +12,10 @@
 //   * the near field and the leaf phases split into cost-weighted chunks
 //     (particle counts / pair counts) instead of equal box counts.
 // Active boxes are not contiguous in the dense grids, so translations apply
-// per box (BLAS-2 gemv) through the dense->active maps; the dense executor
-// remains the BLAS-3 fast path for (near-)uniform inputs — solve() picks
-// between them from the measured leaf occupancy (HierarchyMode::kAuto).
+// per box (BLAS-2, blas::vecmat) through the dense->active maps; the dense
+// executor remains the BLAS-3 fast path for (near-)uniform inputs —
+// solve() picks between them from the measured leaf occupancy
+// (HierarchyMode::kAuto).
 //
 // Reproducibility: active lists are ascending flat indices, stage chunk
 // splits are fixed before the graph runs, and per-box source application

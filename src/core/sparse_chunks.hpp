@@ -129,8 +129,8 @@ inline void upward_chunk(ActiveContext& ctx, int l, std::size_t lo,
       const std::int32_t ca =
           children.dense_to_active[ctx.hier.flat_index(l + 1, cc)];
       if (ca < 0) continue;
-      blas::gemv(ctx.trans().t1[o].t, k,
-                 child + static_cast<std::size_t>(ca) * k, dst, k, k, true);
+      blas::vecmat(child + static_cast<std::size_t>(ca) * k,
+                   ctx.trans().t1[o], k, dst, k, k, true);
       local_flops += blas::gemm_flops(1, k, k);
     }
   }
@@ -153,9 +153,8 @@ inline void downward_chunk(ActiveContext& ctx, int l, std::size_t lo,
     const int o = tree::Hierarchy::octant_of(c);
     const std::int32_t pa = parents.dense_to_active[ctx.hier.flat_index(
         l - 1, tree::Hierarchy::parent_of(c))];
-    blas::gemv(ctx.trans().t3[o].t, k,
-               parent + static_cast<std::size_t>(pa) * k, child + ci * k, k, k,
-               true);
+    blas::vecmat(parent + static_cast<std::size_t>(pa) * k, ctx.trans().t3[o],
+                 k, child + ci * k, k, k, true);
     local_flops += blas::gemm_flops(1, k, k);
   }
   stats.flops += local_flops;
@@ -189,8 +188,9 @@ inline void interactive_chunk(ActiveContext& ctx, int l, std::size_t lo,
         continue;
       const std::int32_t sa = act.dense_to_active[ctx.hier.flat_index(l, s)];
       if (sa < 0) continue;
-      blas::gemv(ctx.trans().t2[tree::offset_cube_index(u.o, d)].t, k,
-                 far + static_cast<std::size_t>(sa) * k, dst, k, k, true);
+      blas::vecmat(far + static_cast<std::size_t>(sa) * k,
+                   ctx.trans().t2[tree::offset_cube_index(u.o, d)], k, dst, k,
+                   k, true);
       local_flops += blas::gemm_flops(1, k, k);
     }
   }
@@ -242,7 +242,7 @@ inline void supernode_chunk(ActiveContext& ctx, int l, std::size_t lo,
         if (sa < 0) continue;
         src = far + static_cast<std::size_t>(sa) * k;
       }
-      blas::gemv(pe.matrix->t, k, src, dst, k, k, true);
+      blas::vecmat(src, pe.matrix, k, dst, k, k, true);
       local_flops += blas::gemm_flops(1, k, k);
     }
   }

@@ -1,5 +1,5 @@
-// Unit tests for the dense kernels: gemv/gemm against a naive reference,
-// the multiple-instance batch, and the small factorizations.
+// Unit tests for the dense kernels: gemv/vecmat/gemm against a naive
+// reference, the multiple-instance batch, and the small factorizations.
 
 #include <gtest/gtest.h>
 
@@ -83,6 +83,28 @@ TEST(GemvTest, OverwriteMode) {
     double s = 0;
     for (std::size_t j = 0; j < 4; ++j) s += a[i * 4 + j] * x[j];
     EXPECT_NEAR(y[i], s, 1e-13);
+  }
+}
+
+// The solver stores each translation once, as T^T, and applies one box
+// with vecmat; it must reproduce gemv on T bit for bit so every executor's
+// output is unchanged.
+TEST(VecmatTest, MatchesGemvOnTransposeBitwise) {
+  for (const std::size_t k : {std::size_t{12}, std::size_t{72}}) {
+    const std::vector<double> t = random_matrix(k, k, 40 + k);
+    std::vector<double> tt(k * k);
+    for (std::size_t j = 0; j < k; ++j)
+      for (std::size_t i = 0; i < k; ++i) tt[i * k + j] = t[j * k + i];
+    const std::vector<double> x = random_matrix(1, k, 41 + k);
+    const std::vector<double> y0 = random_matrix(1, k, 42 + k);
+    for (const bool accumulate : {true, false}) {
+      std::vector<double> want = y0, got = y0;
+      gemv(t.data(), k, x.data(), want.data(), k, k, accumulate);
+      vecmat(x.data(), tt.data(), k, got.data(), k, k, accumulate);
+      for (std::size_t j = 0; j < k; ++j)
+        EXPECT_EQ(got[j], want[j])
+            << "K " << k << ", accumulate " << accumulate << ", j " << j;
+    }
   }
 }
 

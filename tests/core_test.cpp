@@ -5,6 +5,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
+#include <stdexcept>
+#include <string>
 #include <tuple>
 
 #include "hfmm/baseline/direct.hpp"
@@ -208,6 +211,92 @@ TEST(FmmSolverTest, PaperAccuracyHeadlines) {
     cfg.params = anderson::params_for_order(14);
     const double err = solve_and_compare(cfg, p);
     EXPECT_GT(digits(err), 6.0);  // ~7 digits
+  }
+}
+
+// Without supernodes the first T2 stage's sources are ready before the
+// upward chain ends, yet both take scratch from the same per-chunk arena, so
+// the graph must still order them. Threaded dense solves, each on a fresh
+// solver (cold scratch, so stages grow their buffers) and then warm, must
+// match the sequential solve bit for bit.
+TEST(FmmSolverTest, ThreadedDenseNoSupernodesMatchesSequentialBitwise) {
+  const ParticleSet p = make_uniform(2000, Box3{}, 68);
+  FmmConfig cfg = base_config();
+  cfg.hierarchy = HierarchyMode::kDense;
+  cfg.supernodes = false;
+  cfg.mode = ExecutionMode::kSequential;
+  const FmmResult ref = FmmSolver(cfg).solve(p);
+  cfg.mode = ExecutionMode::kThreads;
+  for (int rep = 0; rep < 20; ++rep) {
+    FmmSolver solver(cfg);
+    for (int warm = 0; warm < 2; ++warm) {
+      const FmmResult r = solver.solve(p);
+      ASSERT_EQ(r.phi.size(), ref.phi.size());
+      for (std::size_t i = 0; i < ref.phi.size(); ++i)
+        ASSERT_EQ(r.phi[i], ref.phi[i])
+            << "rep " << rep << ", warm " << warm << ", particle " << i;
+    }
+  }
+}
+
+// Each solver keeps one copy of each matrix its executor applies (DESIGN.md
+// Section 11): at K = 72, 8 T1 + 8 T3 + the 1002 matrices the supernode
+// lists reference, or 8 + 8 + the 1206 union T2 offsets without supernodes
+// and in data-parallel mode, which never applies supernode matrices.
+TEST(FmmSolverTest, PrecomputeHoldsOnlyTheAppliedMatrices) {
+  const auto bytes = [](ExecutionMode mode, bool supernodes) {
+    FmmConfig cfg;
+    cfg.params = anderson::params_d14_k72();
+    cfg.mode = mode;
+    cfg.supernodes = supernodes;
+    return FmmSolver(cfg).precompute();
+  };
+  const std::size_t supernode_set = 1018 * 72 * 72 * sizeof(double);
+  const std::size_t union_set = 1222 * 72 * 72 * sizeof(double);
+  EXPECT_EQ(supernode_set, 42218496u);
+  EXPECT_EQ(union_set, 50678784u);
+  for (const ExecutionMode mode :
+       {ExecutionMode::kSequential, ExecutionMode::kThreads,
+        ExecutionMode::kDistributed}) {
+    EXPECT_EQ(bytes(mode, true), supernode_set);
+    EXPECT_EQ(bytes(mode, false), union_set);
+  }
+  EXPECT_EQ(bytes(ExecutionMode::kDataParallel, true), union_set);
+  EXPECT_EQ(bytes(ExecutionMode::kDataParallel, false), union_set);
+}
+
+// One NaN or infinity in the input would turn every potential into NaN;
+// every executor rejects it up front, naming the first bad particle.
+TEST(FmmSolverTest, RejectsNonFiniteInputs) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  struct Bad {
+    std::size_t index;
+    int field;  // 0..2 = x, y, z; 3 = charge
+    double value;
+    const char* message;
+  };
+  const Bad cases[] = {{5, 0, nan, "particle 5 has a non-finite x"},
+                       {17, 3, inf, "particle 17 has a non-finite charge"},
+                       {3999, 2, -inf, "particle 3999 has a non-finite z"}};
+  for (const ExecutionMode mode :
+       {ExecutionMode::kSequential, ExecutionMode::kThreads,
+        ExecutionMode::kDataParallel}) {
+    for (const Bad& bad : cases) {
+      ParticleSet p = make_uniform(4000, Box3{}, 9);
+      const std::span<double> fields[] = {p.x(), p.y(), p.z(), p.q()};
+      fields[bad.field][bad.index] = bad.value;
+      FmmConfig cfg = base_config();
+      cfg.mode = mode;
+      FmmSolver solver(cfg);
+      try {
+        solver.solve(p);
+        ADD_FAILURE() << "accepted " << bad.message;
+      } catch (const std::invalid_argument& e) {
+        EXPECT_NE(std::string(e.what()).find(bad.message), std::string::npos)
+            << e.what();
+      }
+    }
   }
 }
 

@@ -18,17 +18,21 @@
 
 #include <chrono>
 #include <cstring>
+#include <limits>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "hfmm/anderson/params.hpp"
+#include "hfmm/baseline/direct.hpp"
 #include "hfmm/core/solver.hpp"
 #include "hfmm/hfmm_c.h"
 #include "hfmm/service/lru.hpp"
 #include "hfmm/service/plan_cache.hpp"
 #include "hfmm/service/service.hpp"
+#include "hfmm/util/errors.hpp"
 #include "hfmm/util/particles.hpp"
 
 namespace hfmm {
@@ -163,6 +167,25 @@ TEST(PlanCacheTest, SamePlanKeyHitsDifferentDepthMisses) {
   // Both depths share one translation set: built once, hit once.
   EXPECT_EQ(s.trans_misses, 1u);
   EXPECT_GE(s.trans_hits, 1u);
+}
+
+// The data-parallel executor walks the union T2 offsets even with
+// supernodes on, so it gets its own translation entry: a threaded solver on
+// the same cache must not hand it the supernode set, nor take the union set.
+TEST(PlanCacheTest, DataParallelAndThreadedGetDifferentTranslations) {
+  auto cache = std::make_shared<service::PlanCache>(8);
+  const ParticleSet p = make_uniform(1500, Box3{}, 12);
+  const baseline::DirectResult direct = baseline::direct_all(p, false);
+  for (const core::ExecutionMode mode :
+       {core::ExecutionMode::kDataParallel, core::ExecutionMode::kThreads}) {
+    core::FmmConfig cfg;
+    cfg.supernodes = true;
+    cfg.mode = mode;
+    core::FmmSolver solver(cfg, cache);
+    const core::FmmResult r = solver.solve(p);
+    EXPECT_LT(compare_fields(r.phi, direct.phi).rms_rel, 1e-3);
+  }
+  EXPECT_EQ(cache->stats().trans_misses, 2u);
 }
 
 TEST(PlanCacheTest, CapacityOneEvictsButInFlightPlanSurvives) {
@@ -422,6 +445,24 @@ TEST(ServiceTest, DataParallelRequestsAreRejected) {
   EXPECT_EQ(s.solves, 0u);  // rejected before any work
 }
 
+TEST(ServiceTest, NonFiniteRequestRejectsBatchBeforeAnySolve) {
+  service::SolverService svc;
+  const core::FmmConfig cfg;
+  const ParticleSet good = make_uniform(500, Box3{}, 4);
+  ParticleSet bad = good;
+  bad.x()[7] = std::numeric_limits<double>::quiet_NaN();
+  const service::SolveRequest batch[] = {{cfg, &good}, {cfg, &bad}};
+  try {
+    svc.solve_batch(batch);
+    ADD_FAILURE() << "accepted a NaN coordinate";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("request 1: particle 7"),
+              std::string::npos)
+        << e.what();
+  }
+  EXPECT_EQ(svc.stats().solves, 0u);  // the good request did not run either
+}
+
 TEST(ServiceTest, ModeledCostGrowsWithNAndK) {
   core::FmmConfig cfg;
   EXPECT_GT(service::modeled_cost(cfg, 10000),
@@ -642,6 +683,31 @@ TEST(CApiTest, ErrorMappingAndVersioning) {
   req.phi = nullptr;
   EXPECT_EQ(hfmm_solve(ctx, &req, nullptr), HFMM_ERROR_INVALID_ARGUMENT);
 
+  hfmm_plan_destroy(plan);
+  hfmm_context_destroy(ctx);
+}
+
+TEST(CApiTest, NonFiniteInputsAreInvalidArguments) {
+  hfmm_context* ctx = nullptr;
+  ASSERT_EQ(hfmm_context_create(&ctx), HFMM_OK);
+  hfmm_config cfg;
+  hfmm_config_init(&cfg);
+  hfmm_plan* plan = nullptr;
+  ASSERT_EQ(hfmm_plan_create(ctx, &cfg, 600, &plan), HFMM_OK);
+  const ParticleSet p = make_uniform(600, Box3{}, 31);
+  const double inf = std::numeric_limits<double>::infinity();
+  CApiFixture nan_x(p), inf_q(p), neg_inf_z(p);
+  nan_x.x[5] = std::numeric_limits<double>::quiet_NaN();
+  inf_q.q[17] = inf;
+  neg_inf_z.z[599] = -inf;
+  for (CApiFixture* f : {&nan_x, &inf_q, &neg_inf_z}) {
+    const hfmm_request req = f->request(plan);
+    EXPECT_EQ(hfmm_solve(ctx, &req, nullptr), HFMM_ERROR_INVALID_ARGUMENT);
+  }
+  hfmm_context_stats stats{};
+  stats.struct_size = sizeof(hfmm_context_stats);
+  ASSERT_EQ(hfmm_context_stats_query(ctx, &stats), HFMM_OK);
+  EXPECT_EQ(stats.solves, 0u);
   hfmm_plan_destroy(plan);
   hfmm_context_destroy(ctx);
 }

@@ -176,10 +176,20 @@ if [[ "$lane" == all || "$lane" == asan ]]; then
   echo "== tier-1: ASan + UBSan build =="
   # halt_on_error so UBSan findings fail the suite instead of just logging.
   export UBSAN_OPTIONS="print_stacktrace=1:halt_on_error=1"
-  run_suite build-sanitize \
-    -DHFMM_SANITIZE=address,undefined \
-    -DCMAKE_BUILD_TYPE=RelWithDebInfo \
-    -DHFMM_BUILD_BENCH=OFF -DHFMM_BUILD_EXAMPLES=OFF
+  asan_flags=(-DHFMM_SANITIZE=address,undefined
+              -DCMAKE_BUILD_TYPE=RelWithDebInfo
+              -DHFMM_BUILD_BENCH=OFF -DHFMM_BUILD_EXAMPLES=OFF)
+  cmake -B build-sanitize -S . "${asan_flags[@]}" >/dev/null
+  cmake --build build-sanitize -j "$jobs"
+  # Far-field scratch race: without supernodes the upward and interactive
+  # stages of a threaded dense solve share per-chunk scratch, and a missing
+  # graph edge let them overlap in about one run in five. Repeat the two
+  # solves that exposed it until one fails, before the full suite so a
+  # known failure there cannot skip this step.
+  echo "== far-field scratch race repeats =="
+  ctest --test-dir build-sanitize --output-on-failure --repeat until-fail:50 \
+    -R 'FmmSolverTest.ThreadedDenseNoSupernodesMatchesSequentialBitwise|FmmSolverTest.PaperAccuracyHeadlines'
+  run_suite build-sanitize "${asan_flags[@]}"
 fi
 
 if [[ "$lane" == all || "$lane" == tsan ]]; then
