@@ -7,8 +7,7 @@
 // shape as BENCH_kernels.json):
 //   { "bench": "bench_breakdown",
 //     "configs": [ { "label": "d5_k12", "n":.., "k":.., "depth":..,
-//       "mode": "threads", "dist": "uniform", "hierarchy": "auto",
-//       "sparse": false, "adaptive": false, "ncrit":.., "front_leaves":..,
+//       "mode": "threads", "dist": "uniform", "sparse": false,
 //       "active_boxes":.., "workspace_bytes":..,
 //       "occupancy": [..],
 //       "total_seconds":.., "warm_seconds":.., "warm_allocs":..,
@@ -24,10 +23,10 @@
 // the best-of-3 warm solve on the reused plan/workspace.
 //
 // --dist {uniform,plummer,two-clusters} selects the particle distribution
-// for the headline configs; a pinned Plummer N=100k dense/sparse/adaptive
-// triple at depth 4 and 5 always runs so the sparse hierarchy's cold/warm
-// cost, workspace footprint and the adaptive front's near-field pair count
-// are diffable against the dense path.
+// for the headline configs; pinned Plummer N=100k rows at depth 4, depth 5
+// and the automatic depth always run (on the sparse executor, which the
+// leaf occupancy selects), so the sparse executor's cold/warm cost,
+// workspace footprint and near-field pair count stay diffable.
 
 #include <cstring>
 #include <iostream>
@@ -68,26 +67,17 @@ core::KernelType parse_kernel(const std::string& name) {
 struct RunOpts {
   std::string dist = "uniform";
   int depth = -1;  // -1 = occupancy policy
-  core::HierarchyMode hierarchy = core::HierarchyMode::kAuto;
   core::KernelType kernel = core::KernelType::kLaplace3d;
   bool vdw_periodic = false;
 };
 
-struct RunOutcome {
-  double cold = 0.0;
-  double warm = 0.0;
-  std::size_t workspace_bytes = 0;
-  std::uint64_t near_pairs = 0;
-};
-
-RunOutcome run(const char* label, const char* slug,
-               const anderson::Params& params, std::size_t n, bool dp_mode,
-               std::FILE* json, bool first, const RunOpts& opts = {}) {
+void run(const char* label, const char* slug, const anderson::Params& params,
+         std::size_t n, bool dp_mode, std::FILE* json, bool first,
+         const RunOpts& opts = {}) {
   core::FmmConfig cfg;
   cfg.params = params;
   cfg.supernodes = true;
   cfg.depth = opts.depth;
-  cfg.hierarchy = opts.hierarchy;
   if (dp_mode) {
     cfg.mode = core::ExecutionMode::kDataParallel;
     cfg.machine = {2, 2, 2};
@@ -126,12 +116,10 @@ RunOutcome run(const char* label, const char* slug,
     warm_allocs = w.workspace_allocs;
   }
 
-  std::printf("\n%s  (N = %zu, K = %zu, depth %d, %s, dist %s, kernel %s, "
-              "%s hierarchy%s)\n",
+  std::printf("\n%s  (N = %zu, K = %zu, depth %d, %s, dist %s, kernel %s%s)\n",
               label, n, r.k, r.depth, dp_mode ? "data-parallel" : "threads",
               opts.dist.c_str(), core::to_string(r.kernel),
-              core::to_string(cfg.hierarchy),
-              r.sparse ? " [sparse active]" : "");
+              r.sparse ? ", sparse active" : "");
   Table table({"phase", "time (s)", "share", "Gflop", "efficiency"});
   for (const auto& [name, s] : r.breakdown.phases()) {
     if (name == "comm") continue;
@@ -151,8 +139,6 @@ RunOutcome run(const char* label, const char* slug,
       static_cast<unsigned long long>(warm_allocs));
   std::printf("workspace: %.2f MB heap; active boxes %zu",
               static_cast<double>(r.workspace_bytes) / 1e6, r.active_boxes);
-  if (r.adaptive)
-    std::printf("; ncrit %d, %zu front leaves", r.ncrit, r.front_leaves);
   const std::uint64_t near_pairs =
       r.breakdown.phases().count("near")
           ? r.breakdown.phases().at("near").pairs
@@ -194,19 +180,14 @@ RunOutcome run(const char* label, const char* slug,
     std::fprintf(json,
                  "%s\n    { \"label\": \"%s\", \"n\": %zu, \"k\": %zu, "
                  "\"depth\": %d, \"mode\": \"%s\", \"kernel\": \"%s\",\n"
-                 "      \"dist\": \"%s\", \"hierarchy\": \"%s\", "
-                 "\"hierarchy_effective\": \"%s\", "
-                 "\"sparse\": %s, \"adaptive\": %s, \"ncrit\": %d, "
-                 "\"front_leaves\": %zu, \"active_boxes\": %zu, "
+                 "      \"dist\": \"%s\", \"sparse\": %s, "
+                 "\"active_boxes\": %zu, "
                  "\"workspace_bytes\": %zu,\n      \"occupancy\": [",
                  first ? "" : ",", slug, n, r.k, r.depth,
                  dp_mode ? "data_parallel" : "threads",
                  core::to_string(r.kernel), opts.dist.c_str(),
-                 core::to_string(cfg.hierarchy),
-                 core::to_string(r.hierarchy_effective),
-                 r.sparse ? "true" : "false",
-                 r.adaptive ? "true" : "false", r.ncrit, r.front_leaves,
-                 r.active_boxes, r.workspace_bytes);
+                 r.sparse ? "true" : "false", r.active_boxes,
+                 r.workspace_bytes);
     for (std::size_t l = 0; l < r.level_occupancy.size(); ++l)
       std::fprintf(json, "%s%.6f", l == 0 ? "" : ", ", r.level_occupancy[l]);
     std::fprintf(json,
@@ -244,7 +225,6 @@ RunOutcome run(const char* label, const char* slug,
     }
     std::fprintf(json, "\n      ] }");
   }
-  return {total, warm, r.workspace_bytes, near_pairs};
 }
 
 }  // namespace
@@ -287,66 +267,23 @@ int main(int argc, char** argv) {
   run("D=5 / K=12, simulated 8-VU machine", "d5_k12_dp",
       anderson::params_d5_k12(), n / 2, true, json, false, opts);
 
-  // Pinned dense-vs-sparse pair on a clustered (Plummer) distribution: the
-  // sparse active-box hierarchy's headline comparison, at depth 4 (near-
-  // field dominated at N=100k) and depth 5 (translation dominated).
-  std::printf(
-      "\n==== clustered dense/sparse/adaptive comparison (Plummer) ====\n");
-  for (const int depth : {4, 5}) {
+  // Pinned Plummer rows, where the leaf occupancy selects the sparse
+  // executor: depth 4 (near-field dominated at N=100k), depth 5
+  // (translation dominated) and the automatic depth.
+  std::printf("\n==== clustered input (Plummer) ====\n");
+  for (const int depth : {4, 5, -1}) {
     RunOpts d = opts;
     d.dist = "plummer";
     d.depth = depth;
-    d.hierarchy = core::HierarchyMode::kDense;
     char label[96], slug[64];
-    std::snprintf(label, sizeof label, "Plummer depth-%d, dense hierarchy",
-                  depth);
-    std::snprintf(slug, sizeof slug, "plummer_d%d_dense", depth);
-    const RunOutcome dense = run(label, slug, anderson::params_d5_k12(), n,
-                                 false, json, false, d);
-    d.hierarchy = core::HierarchyMode::kSparse;
-    std::snprintf(label, sizeof label, "Plummer depth-%d, sparse hierarchy",
-                  depth);
-    std::snprintf(slug, sizeof slug, "plummer_d%d_sparse", depth);
-    const RunOutcome sparse = run(label, slug, anderson::params_d5_k12(), n,
-                                  false, json, false, d);
-    std::printf(
-        "\nplummer depth-%d sparse vs dense: warm %.3f s -> %.3f s "
-        "(%.2fx), workspace %.2f MB -> %.2f MB (%.2fx)\n",
-        depth, dense.warm, sparse.warm, dense.warm / sparse.warm,
-        static_cast<double>(dense.workspace_bytes) / 1e6,
-        static_cast<double>(sparse.workspace_bytes) / 1e6,
-        static_cast<double>(dense.workspace_bytes) /
-            static_cast<double>(sparse.workspace_bytes));
-  }
-
-  // Adaptive ncrit refinement against the best uniform-leaf sparse solve:
-  // the §15 headline. Both pick their own depth (occupancy rule vs
-  // refinement cap); the adaptive front must cut the near-field pair count
-  // and the warm wall-clock on the clustered core.
-  {
-    RunOpts d = opts;
-    d.dist = "plummer";
-    d.depth = -1;
-    d.hierarchy = core::HierarchyMode::kSparse;
-    const RunOutcome sparse = run("Plummer, uniform-leaf sparse (auto depth)",
-                                  "plummer_sparse_auto",
-                                  anderson::params_d5_k12(), n, false, json,
-                                  false, d);
-    d.hierarchy = core::HierarchyMode::kAdaptive;
-    const RunOutcome adaptive = run("Plummer, adaptive ncrit front",
-                                    "plummer_adaptive",
-                                    anderson::params_d5_k12(), n, false, json,
-                                    false, d);
-    std::printf(
-        "\nplummer adaptive vs uniform sparse: warm %.3f s -> %.3f s "
-        "(%.2fx), near pairs %llu -> %llu (%.2fx)\n",
-        sparse.warm, adaptive.warm, sparse.warm / adaptive.warm,
-        static_cast<unsigned long long>(sparse.near_pairs),
-        static_cast<unsigned long long>(adaptive.near_pairs),
-        static_cast<double>(sparse.near_pairs) /
-            static_cast<double>(adaptive.near_pairs == 0
-                                    ? 1
-                                    : adaptive.near_pairs));
+    if (depth > 0) {
+      std::snprintf(label, sizeof label, "Plummer depth-%d", depth);
+      std::snprintf(slug, sizeof slug, "plummer_d%d_sparse", depth);
+    } else {
+      std::snprintf(label, sizeof label, "Plummer, automatic depth");
+      std::snprintf(slug, sizeof slug, "plummer_sparse_auto");
+    }
+    run(label, slug, anderson::params_d5_k12(), n, false, json, false, d);
   }
 
   // Pinned Laplace/vdW pair at the same N: the short-range tier runs the

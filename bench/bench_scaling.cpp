@@ -9,11 +9,10 @@
 //       communication fraction stays bounded (the paper: 10-25%).
 //
 // --dist {uniform,plummer,two-clusters} selects the particle distribution
-// (clustered inputs exercise the sparse active-box hierarchy) and
-// --hierarchy {auto,dense,sparse,adaptive} the tree policy for the N sweep
-// (adaptive = the §15 per-box ncrit leaf front). The N sweep is written to
-// BENCH_scaling.json (--json=FILE) with the distribution, the per-level
-// active-box occupancy and the near-field pair count of every row.
+// (clustered inputs select the sparse active-box executor). The N sweep is
+// written to BENCH_scaling.json (--json=FILE) with the distribution, the
+// executor that ran, the per-level active-box occupancy and the near-field
+// pair count of every row.
 
 #include <cstring>
 #include <iostream>
@@ -64,18 +63,6 @@ void type_particles(ParticleSet& p) {
     p.set_type(i, static_cast<std::int32_t>(i % 2));
 }
 
-core::HierarchyMode parse_hierarchy(const std::string& s) {
-  if (s.empty()) return core::default_hierarchy_mode();  // honor HFMM_HIERARCHY
-  if (s == "auto") return core::HierarchyMode::kAuto;
-  if (s == "dense") return core::HierarchyMode::kDense;
-  if (s == "sparse") return core::HierarchyMode::kSparse;
-  if (s == "adaptive") return core::HierarchyMode::kAdaptive;
-  std::fprintf(stderr,
-               "unknown --hierarchy %s (auto|dense|sparse|adaptive)\n",
-               s.c_str());
-  std::exit(1);
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -91,8 +78,6 @@ int main(int argc, char** argv) {
   const std::size_t nmax =
       static_cast<std::size_t>(cli.get("nmax", std::int64_t{256000}));
   const std::string dist = cli.get("dist", std::string("uniform"));
-  const core::HierarchyMode hierarchy =
-      parse_hierarchy(cli.get("hierarchy", std::string()));
   const core::KernelType kernel =
       parse_kernel(cli.get("kernel", std::string()));
   const bool vdw = kernel == core::KernelType::kVanDerWaals;
@@ -107,24 +92,20 @@ int main(int argc, char** argv) {
   else
     std::fprintf(json,
                  "{\n  \"bench\": \"bench_scaling\",\n  \"dist\": \"%s\",\n"
-                 "  \"hierarchy\": \"%s\",\n  \"kernel\": \"%s\",\n"
-                 "  \"n_sweep\": [",
-                 dist.c_str(), core::to_string(hierarchy),
-                 core::to_string(kernel));
+                 "  \"kernel\": \"%s\",\n  \"n_sweep\": [",
+                 dist.c_str(), core::to_string(kernel));
 
   // ---- Sweep 1: N, shared-memory executor, supernodes on (the paper's
   // production configuration).
   std::printf("[1] particle-count sweep (threads executor, supernodes, "
-              "dist %s, hierarchy %s, kernel %s)\n\n",
-              dist.c_str(), core::to_string(hierarchy),
-              core::to_string(kernel));
+              "dist %s, kernel %s)\n\n",
+              dist.c_str(), core::to_string(kernel));
   Table t1({"N", "depth", "cold (s)", "warm (s)", "warm us/particle",
             "cycles/particle", "Gflop", "efficiency", "near pairs", "tree"});
   bool first_row = true;
   for (std::size_t n = nmax / 16; n <= nmax; n *= 4) {
     core::FmmConfig cfg;
     cfg.supernodes = true;
-    cfg.hierarchy = hierarchy;
     if (vdw) apply_vdw(cfg);
     ParticleSet p = make_dist(dist, n, 606);
     if (vdw) type_particles(p);
@@ -150,22 +131,18 @@ int main(int argc, char** argv) {
             Table::percent(bench::efficiency(r.breakdown.total_flops(),
                                              r.breakdown.total_seconds())),
             Table::num(near_pairs),
-            r.adaptive ? "adaptive" : (r.sparse ? "sparse" : "dense")});
+            r.sparse ? "sparse" : "dense"});
     if (json != nullptr) {
       std::fprintf(json,
                    "%s\n    { \"n\": %zu, \"depth\": %d, "
                    "\"kernel\": \"%s\", "
-                   "\"hierarchy_effective\": \"%s\", "
                    "\"cold_seconds\": %.6f, \"warm_seconds\": %.6f, "
-                   "\"sparse\": %s, \"adaptive\": %s, \"ncrit\": %d, "
-                   "\"front_leaves\": %zu, \"near_pairs\": %llu, "
+                   "\"sparse\": %s, \"near_pairs\": %llu, "
                    "\"active_boxes\": %zu, "
                    "\"workspace_bytes\": %zu, \"occupancy\": [",
                    first_row ? "" : ",", n, r.depth,
-                   core::to_string(r.kernel),
-                   core::to_string(r.hierarchy_effective), secs, warm,
+                   core::to_string(r.kernel), secs, warm,
                    r.sparse ? "true" : "false",
-                   r.adaptive ? "true" : "false", r.ncrit, r.front_leaves,
                    static_cast<unsigned long long>(near_pairs),
                    r.active_boxes, r.workspace_bytes);
       for (std::size_t l = 0; l < r.level_occupancy.size(); ++l)

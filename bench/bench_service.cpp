@@ -1,7 +1,7 @@
 // Solver-as-a-service throughput/latency measurement (DESIGN.md Section 17).
 //
 // A mixed multi-tenant load — Laplace K=12, Laplace K=72, a clustered
-// sparse-hierarchy tenant, and a short-range vdW tenant — is admitted as
+// tenant (sparse executor), and a short-range vdW tenant — is admitted as
 // interleaved batches through one SolverService. Reported per scenario:
 // warm-solve latency (p50/p95/mean) and the warm-path guarantees
 // (plan_reused, zero workspace growth); for the batch: aggregate solves/sec;
@@ -32,22 +32,19 @@ struct Scenario {
   const char* dist;  // uniform | two-clusters
   bool vdw;
   int order;  // 5 (K = 12) or 14 (K = 72)
-  core::HierarchyMode hierarchy;
 };
 
 const Scenario kScenarios[] = {
-    {"laplace_k12_uniform", "uniform", false, 5, core::HierarchyMode::kAuto},
-    {"laplace_k72_uniform", "uniform", false, 14, core::HierarchyMode::kAuto},
-    {"laplace_k12_clustered", "two-clusters", false, 5,
-     core::HierarchyMode::kSparse},
-    {"vdw_k12_uniform", "uniform", true, 5, core::HierarchyMode::kAuto},
+    {"laplace_k12_uniform", "uniform", false, 5},
+    {"laplace_k72_uniform", "uniform", false, 14},
+    {"laplace_k12_clustered", "two-clusters", false, 5},
+    {"vdw_k12_uniform", "uniform", true, 5},
 };
 
 core::FmmConfig scenario_config(const Scenario& s) {
   core::FmmConfig cfg;
   cfg.params = s.order == 14 ? anderson::params_d14_k72()
                              : anderson::params_d5_k12();
-  cfg.hierarchy = s.hierarchy;
   if (s.vdw) {
     cfg.kernel.type = core::KernelType::kVanDerWaals;
     cfg.kernel.vdw_rmin = {0.02, 0.016};
@@ -163,7 +160,7 @@ int main(int argc, char** argv) {
 
   const service::ServiceStats stats = svc.stats();
 
-  Table table({"scenario", "kernel", "K", "dist", "hierarchy", "p50 ms",
+  Table table({"scenario", "kernel", "K", "dist", "executor", "p50 ms",
                "p95 ms", "mean ms"});
   std::FILE* json = std::fopen(json_path, "w");
   if (json == nullptr)
@@ -181,25 +178,24 @@ int main(int argc, char** argv) {
     double mean = 0.0;
     for (const double t : lat) mean += t;
     mean = lat.empty() ? 0.0 : mean * 1e3 / static_cast<double>(lat.size());
-    // Every copy of a scenario runs the same workload; report the
-    // hierarchy actually in effect from its cold outcome.
+    // Every copy of a scenario runs the same workload; report the executor
+    // that ran from its cold outcome.
     std::size_t first = 0;
     while (scenario_of[first] != s) ++first;
     const core::FmmResult& probe = cold[first].result;
+    const char* executor = probe.sparse ? "sparse" : "dense";
     table.row({kScenarios[s].name, core::to_string(probe.kernel),
-               std::to_string(probe.k), kScenarios[s].dist,
-               core::to_string(probe.hierarchy_effective),
-               Table::num(p50, 3), Table::num(p95, 3),
-               Table::num(mean, 3)});
+               std::to_string(probe.k), kScenarios[s].dist, executor,
+               Table::num(p50, 3), Table::num(p95, 3), Table::num(mean, 3)});
     if (json != nullptr)
       std::fprintf(json,
                    "%s\n    { \"name\": \"%s\", \"kernel\": \"%s\", "
                    "\"k\": %zu, \"dist\": \"%s\", "
-                   "\"hierarchy_effective\": \"%s\", \"depth\": %d, "
+                   "\"executor\": \"%s\", \"depth\": %d, "
                    "\"p50_ms\": %.6f, \"p95_ms\": %.6f, \"mean_ms\": %.6f }",
                    s == 0 ? "" : ",", kScenarios[s].name,
                    core::to_string(probe.kernel), probe.k, kScenarios[s].dist,
-                   core::to_string(probe.hierarchy_effective), probe.depth,
+                   executor, probe.depth,
                    p50, p95, mean);
   }
   table.print(std::cout);

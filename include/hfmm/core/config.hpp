@@ -30,26 +30,9 @@ enum class AggregationMode {
   kGemmBatch,  ///< multiple-instance GEMM over subgrid slabs (CMSSL style)
 };
 
-/// How the box hierarchy is enumerated (DESIGN.md Sections 13 and 15):
-enum class HierarchyMode {
-  kDense,     ///< dense 8^l arrays per level (the classic layout)
-  kSparse,    ///< active-box level sets derived from leaf occupancy
-  kAuto,      ///< sparse when leaf occupancy < sparse_threshold, else dense
-  kAdaptive,  ///< per-box ncrit refinement: non-uniform leaf front (§15)
-};
-
 const char* to_string(ExecutionMode m);
 const char* to_string(AggregationMode m);
-const char* to_string(HierarchyMode m);
 const char* to_string(DistPartitioner m);
-
-/// Environment-backed defaults for the adaptive hierarchy (DESIGN.md §15):
-/// HFMM_HIERARCHY=dense|sparse|auto|adaptive (default auto), HFMM_NCRIT
-/// (default 0 = cost-model selection) and HFMM_ADAPTIVE_MAX_DEPTH
-/// (default 7, the cap on the refinement front). Read once on first use.
-HierarchyMode default_hierarchy_mode();
-int default_ncrit();
-int default_adaptive_max_depth();
 
 /// Environment-backed defaults for the distributed executor (DESIGN.md §18):
 /// HFMM_DIST_RANKS (default 4, in [1, 64]) and
@@ -76,25 +59,6 @@ struct FmmConfig {
   KernelSpec kernel{};
   ExecutionMode mode = ExecutionMode::kThreads;
   AggregationMode aggregation = AggregationMode::kGemm;
-  /// Sparse active-box hierarchy selection. kAuto measures the leaf-level
-  /// occupancy after the coordinate sort and switches to the sparse
-  /// executor only when it falls below sparse_threshold — dense (near-)
-  /// uniform inputs keep the dense path and its exact bit patterns.
-  /// kAdaptive (opt-in, env HFMM_HIERARCHY=adaptive) replaces the single
-  /// global leaf level with a per-box ncrit-refined leaf front (DESIGN.md
-  /// §15); in data-parallel mode it degrades to the kAuto behaviour.
-  HierarchyMode hierarchy = default_hierarchy_mode();
-  /// kAuto's occupancy cutoff: fraction of non-empty leaf boxes below which
-  /// the sparse path is selected. In [0, 1]; 0 forces dense under kAuto.
-  double sparse_threshold = 0.9;
-  /// kAdaptive leaf-split threshold: a box splits while it holds more than
-  /// ncrit bodies (up to the refinement depth cap). 0 = pick the value per
-  /// solve by minimizing the modeled cost (near-field pair count plus
-  /// translation count — tree::select_ncrit). Env override HFMM_NCRIT.
-  int ncrit = default_ncrit();
-  /// Depth cap for the adaptive refinement front when `depth` is -1 (an
-  /// explicit depth overrides it). Env override HFMM_ADAPTIVE_MAX_DEPTH.
-  int adaptive_max_depth = default_adaptive_max_depth();
 
   // Data-parallel execution knobs (ignored in the other modes).
   dp::MachineConfig machine{2, 2, 2};

@@ -122,36 +122,6 @@ NearFieldResult near_field_chunk(const tree::Hierarchy& hier,
                                  std::span<const std::uint32_t> boxes,
                                  const NearKernel& kern = NearKernel{});
 
-/// Run/pair plan of an adaptive leaf front (DESIGN.md Section 15), borrowed
-/// from the solve workspace. Leaves follow the front's canonical (level,
-/// flat) enumeration. `run_begin` is a CSR over leaves into `run_bounds`,
-/// which holds one [particle_lo, particle_hi) pair per run — the contiguous
-/// sorted-order ranges covering the leaf's subtree. `pair_begin` is a CSR
-/// over leaves into `pair_leaf`, the U-list partner leaf ids OWNED by each
-/// leaf (each unordered leaf adjacency appears under exactly one owner).
-struct AdaptiveLeafPlan {
-  std::span<const std::uint32_t> run_begin;
-  std::span<const std::uint32_t> run_bounds;
-  std::span<const std::uint32_t> pair_begin;
-  std::span<const std::uint32_t> pair_leaf;
-};
-
-/// Adaptive-front chunk: evaluates front leaves [leaf_lo, leaf_hi) — every
-/// intra-leaf pair (per-run self interactions plus run-run crosses) and
-/// every owned U-list adjacency, all through the symmetric pair buffer so
-/// both directions land in `ch` at once. Pair accounting matches the
-/// uniform-leaf chunk: intra-leaf pairs are counted ordered (t*(t-1)),
-/// cross-leaf adjacencies once per unordered pair. The evaluation order is
-/// fixed (leaves ascending, runs ascending, partners in pair_leaf order),
-/// so results are bitwise-reproducible for any chunk split.
-NearFieldResult near_field_adaptive_chunk(const dp::BoxedParticles& boxed,
-                                          const AdaptiveLeafPlan& plan,
-                                          bool with_gradient,
-                                          NearFieldScratch::Chunk& ch,
-                                          std::size_t leaf_lo,
-                                          std::size_t leaf_hi,
-                                          double softening = 0.0);
-
 /// Adds chunks [0, used) of `scr` into phi/grad over the particle range
 /// [lo, hi), each over its overlap with the chunk's span, in chunk-index
 /// order. Chunk index == ascending box range when the chunks came from a

@@ -61,29 +61,14 @@ struct FmmResult {
   std::size_t leaf_boxes = 0;
   bool plan_reused = false;  ///< warm solve: no plan construction happened
   std::uint64_t workspace_allocs = 0;  ///< heap-growth events this solve
-  /// True when the solve ran on the sparse active-box executor (forced by
-  /// HierarchyMode::kSparse or selected by kAuto's occupancy cutoff).
+  /// True when the solve ran on the sparse active-box executor, which the
+  /// solver selects when fewer than 90% of the leaf boxes hold a particle
+  /// (DESIGN.md Section 13); in data-parallel mode, when the multigrid moves
+  /// were masked by the same rule. Distributed solves always run sparse.
   bool sparse = false;
-  /// True when the solve ran on the adaptive leaf-front executor
-  /// (HierarchyMode::kAdaptive, DESIGN.md Section 15).
-  bool adaptive = false;
-  /// The hierarchy mode the caller configured, verbatim.
-  HierarchyMode hierarchy_requested = HierarchyMode::kAuto;
-  /// The hierarchy mode actually in effect for this solve. Differs from
-  /// hierarchy_requested exactly when the solver degraded the request —
-  /// today that is kAdaptive -> kAuto for short-range kernels, which have
-  /// no adaptive leaf-front executor (see FmmSolver ctor).
-  HierarchyMode hierarchy_effective = HierarchyMode::kAuto;
-  /// The ncrit the adaptive front was refined with (config.ncrit, or the
-  /// cost-model selection when config.ncrit == 0). 0 on non-adaptive solves.
-  int ncrit = 0;
-  /// Leaves of the adaptive front (== leaf_boxes on adaptive solves).
-  std::size_t front_leaves = 0;
   /// Total active boxes over all levels (== total dense boxes when dense).
   std::size_t active_boxes = 0;
-  /// Per-level active-box fraction, level_occupancy[l] in (0, 1]; filled
-  /// whenever the active sets were derived (sparse solves, and DP solves
-  /// with hierarchy != kDense).
+  /// Per-level active-box fraction, level_occupancy[l] in (0, 1].
   std::vector<double> level_occupancy;
   /// Heap footprint (capacity) of the solve workspace after this solve.
   std::size_t workspace_bytes = 0;
@@ -120,10 +105,10 @@ struct SolveView {
 };
 
 /// Depth the solver will use for `n` particles under `config` — the
-/// automatic-depth rule (Section 2.3 occupancy balance, the adaptive
-/// refinement cap, and the short-range cutoff-coverage cap), or the
-/// explicit config.depth. Free function so the service's admission cost
-/// model can price a request without instantiating a solver.
+/// automatic-depth rule (Section 2.3 occupancy balance and the short-range
+/// cutoff-coverage cap), or the explicit config.depth. Free function so the
+/// service's admission cost model can price a request without instantiating
+/// a solver.
 int depth_for(const FmmConfig& config, std::size_t n);
 
 class FmmSolver {
@@ -150,11 +135,6 @@ class FmmSolver {
 
   const FmmConfig& config() const { return config_; }
 
-  /// The hierarchy mode the caller asked for, before any degradation;
-  /// config().hierarchy is the mode in effect (see
-  /// FmmResult::hierarchy_effective).
-  HierarchyMode hierarchy_requested() const { return hierarchy_requested_; }
-
   /// Builds this solver's translation matrices if no solve has yet (a
   /// timing loop calls it to keep precompute out of its timings) and
   /// returns their resident bytes: one K x K matrix per translation the
@@ -179,14 +159,10 @@ class FmmSolver {
   FmmResult solve_sparse_(const ParticleSet& particles,
                           const tree::Hierarchy& hier, FmmResult result,
                           SolveView* view);
-  FmmResult solve_adaptive_(const ParticleSet& particles,
-                            const tree::Hierarchy& hier, FmmResult result,
-                            SolveView* view);
   FmmResult solve_dist_(const ParticleSet& particles,
                         const tree::Hierarchy& hier, FmmResult result,
                         SolveView* view);
   FmmConfig config_;
-  HierarchyMode hierarchy_requested_ = HierarchyMode::kAuto;
   std::unique_ptr<Impl> impl_;
 };
 

@@ -44,7 +44,7 @@ extern "C" {
 #endif
 
 /* Bumped when the binary interface changes incompatibly. */
-#define HFMM_ABI_VERSION 1
+#define HFMM_ABI_VERSION 2
 
 typedef enum hfmm_status {
   HFMM_OK = 0,
@@ -59,24 +59,16 @@ typedef enum hfmm_kernel {
   HFMM_KERNEL_VDW = 1,     /* Lennard-Jones 6-12, near field only */
 } hfmm_kernel;
 
-typedef enum hfmm_hierarchy {
-  HFMM_HIERARCHY_DENSE = 0,
-  HFMM_HIERARCHY_SPARSE = 1,
-  HFMM_HIERARCHY_AUTO = 2,
-  HFMM_HIERARCHY_ADAPTIVE = 3,
-} hfmm_hierarchy;
-
 typedef struct hfmm_context hfmm_context;
 typedef struct hfmm_plan hfmm_plan;
 
 /* Workload configuration. hfmm_config_init() fills the defaults (order 5,
- * Laplace, auto hierarchy, automatic depth, no gradient); override fields
- * after. The vdw_* block is read only when kernel == HFMM_KERNEL_VDW. */
+ * Laplace, automatic depth, no gradient); override fields after. The
+ * vdw_* block is read only when kernel == HFMM_KERNEL_VDW. */
 typedef struct hfmm_config {
   size_t struct_size; /* = sizeof(hfmm_config), set by hfmm_config_init */
   int order;          /* quadrature order: 5 (K = 12) or 14 (K = 72)    */
   int kernel;         /* hfmm_kernel                                     */
-  int hierarchy;      /* hfmm_hierarchy                                  */
   int depth;          /* explicit hierarchy depth, or -1 = automatic     */
   int with_gradient;  /* nonzero: also compute the field gradient        */
   int supernodes;     /* nonzero: Section 2.3 supernode aggregation      */
@@ -118,9 +110,6 @@ typedef struct hfmm_solve_info {
   size_t struct_size;
   int depth;                /* hierarchy depth used                       */
   int plan_reused;          /* nonzero: no plan construction this solve   */
-  int hierarchy_effective;  /* hfmm_hierarchy actually in effect (may
-                             * differ from the request: adaptive degrades
-                             * to auto for short-range kernels)           */
   uint64_t workspace_allocs; /* heap-growth events (0 on a warm solve)    */
   double seconds;           /* solve wall time                            */
   double queue_seconds;     /* batch admission wait before the solve ran  */

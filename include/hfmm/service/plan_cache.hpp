@@ -7,7 +7,7 @@
 //     supernodes and data-parallel solves apply), depth-independent, shared
 //     by every plan built from it. Never evicted (there are only a handful
 //     of rules in practice).
-//   * FmmPlan — per (translation config, kernel, depth, hierarchy mode),
+//   * FmmPlan — per (translation config, kernel, depth),
 //     refcounted and LRU-evicted. Eviction while a solve is in flight is
 //     safe: clients hold shared_ptr leases, so the plan outlives its cache
 //     entry.

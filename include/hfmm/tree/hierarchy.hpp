@@ -83,7 +83,9 @@ class Hierarchy {
 };
 
 /// Smallest cube containing `b`, centred on b's centre, padded by `pad`
-/// relative side fraction so boundary particles land strictly inside.
+/// relative side fraction so boundary particles land strictly inside. The
+/// half-side is at least 2^-20 max(1, |centre|_inf), so a zero-extent `b`
+/// still yields a cube of positive side.
 Box3 cube_containing(const Box3& b, double pad = 1e-6);
 
 /// The paper's optimal-depth rule (Section 2.3): pick h so the number of

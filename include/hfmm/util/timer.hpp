@@ -43,9 +43,8 @@ struct PhaseStats {
   /// vs. the dense box count it would visit without sparse level sets.
   std::uint64_t boxes_active = 0;
   std::uint64_t boxes_total = 0;
-  /// Particle pair interactions the phase evaluated (the "near" phase): the
-  /// direct comparison between the uniform leaf level and the adaptive leaf
-  /// front, surfaced in the bench JSON so pair-count regressions fail fast.
+  /// Particle pair interactions the phase evaluated (the "near" phase),
+  /// surfaced in the bench JSON so pair-count regressions fail fast.
   std::uint64_t pairs = 0;
   /// Cost-model imbalance of the phase's worst stage: (max chunk cost) /
   /// (mean chunk cost), >= 1.0; 0 when the phase ran unweighted. Merged by

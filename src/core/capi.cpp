@@ -33,7 +33,6 @@ struct hfmm_plan {
 namespace {
 
 using hfmm::core::FmmConfig;
-using hfmm::core::HierarchyMode;
 using hfmm::core::KernelType;
 
 hfmm_status translate_config(const hfmm_config& in, FmmConfig& out) {
@@ -44,10 +43,6 @@ hfmm_status translate_config(const hfmm_config& in, FmmConfig& out) {
     case 14: out.params = hfmm::anderson::params_d14_k72(); break;
     default: return HFMM_ERROR_UNSUPPORTED;  // other orders have no rule
   }
-  if (in.hierarchy < HFMM_HIERARCHY_DENSE ||
-      in.hierarchy > HFMM_HIERARCHY_ADAPTIVE)
-    return HFMM_ERROR_INVALID_ARGUMENT;
-  out.hierarchy = static_cast<HierarchyMode>(in.hierarchy);
   if (in.depth != -1 && in.depth < 2) return HFMM_ERROR_INVALID_ARGUMENT;
   out.depth = in.depth;
   out.with_gradient = in.with_gradient != 0;
@@ -128,7 +123,6 @@ void scatter_outputs(const hfmm::service::SolveOutcome& outcome,
   if (info != nullptr) {
     info->depth = r.depth;
     info->plan_reused = r.plan_reused ? 1 : 0;
-    info->hierarchy_effective = static_cast<int>(r.hierarchy_effective);
     info->workspace_allocs = r.workspace_allocs;
     info->seconds = r.breakdown.total_seconds();
     info->queue_seconds = outcome.queue_seconds;
@@ -160,7 +154,6 @@ void hfmm_config_init(hfmm_config* config) {
   config->struct_size = sizeof(hfmm_config);
   config->order = 5;
   config->kernel = HFMM_KERNEL_LAPLACE;
-  config->hierarchy = HFMM_HIERARCHY_AUTO;
   config->depth = -1;
 }
 
@@ -190,17 +183,11 @@ hfmm_status hfmm_plan_create(hfmm_context* context, const hfmm_config* config,
     const hfmm_status st = translate_config(*config, plan->config);
     if (st != HFMM_OK) return st;
     plan->config.validate();  // throws invalid_argument on bad vdW spec
-    // Pin the solve plan at the depth the hint selects, mirroring the
-    // solver's config reconciliation (adaptive degrades to auto for
-    // short-range kernels) so the pinned entry is the one solves will hit.
-    if (n_hint > 0) {
-      FmmConfig pinned = plan->config;
-      if (!pinned.kernel.far_field_capable() &&
-          pinned.hierarchy == HierarchyMode::kAdaptive)
-        pinned.hierarchy = HierarchyMode::kAuto;
+    // Pin the solve plan at the depth the hint selects, so the pinned
+    // entry is the one solves will hit.
+    if (n_hint > 0)
       plan->lease = context->service.plan_cache()->plan(
-          pinned, hfmm::core::depth_for(pinned, n_hint));
-    }
+          plan->config, hfmm::core::depth_for(plan->config, n_hint));
     *out = plan.release();
     return HFMM_OK;
   });
@@ -272,7 +259,7 @@ const char* hfmm_status_string(hfmm_status status) {
   return "unknown status";
 }
 
-const char* hfmm_version(void) { return "1.0.0"; }
+const char* hfmm_version(void) { return "2.0.0"; }
 
 int hfmm_abi_version(void) { return HFMM_ABI_VERSION; }
 

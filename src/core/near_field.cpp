@@ -277,122 +277,6 @@ NearFieldResult near_field_chunk(const tree::Hierarchy& hier,
                         [boxes](std::size_t i) { return boxes[i]; });
 }
 
-NearFieldResult near_field_adaptive_chunk(const dp::BoxedParticles& boxed,
-                                          const AdaptiveLeafPlan& plan,
-                                          bool with_gradient,
-                                          NearFieldScratch::Chunk& ch,
-                                          std::size_t leaf_lo,
-                                          std::size_t leaf_hi,
-                                          double softening) {
-  const ParticleSet& p = boxed.sorted;
-  const double* X = p.x().data();
-  const double* Y = p.y().data();
-  const double* Z = p.z().data();
-  const double* Q = p.q().data();
-  const double soft2 = softening * softening;
-  const pkern::KernelBackend& kern = pkern::active_kernel();
-
-  // The span: every run of the chunk's leaves and of their partners. A
-  // partner may sit before its owner in sorted order, so this can reach
-  // back past the chunk's own particles.
-  std::size_t lo = p.size(), hi = 0;
-  const auto cover = [&](std::uint32_t leaf) {
-    for (std::uint32_t r = plan.run_begin[leaf]; r < plan.run_begin[leaf + 1];
-         ++r) {
-      lo = std::min<std::size_t>(lo, plan.run_bounds[2 * r]);
-      hi = std::max<std::size_t>(hi, plan.run_bounds[2 * r + 1]);
-    }
-  };
-  for (std::size_t li = leaf_lo; li < leaf_hi; ++li) {
-    cover(static_cast<std::uint32_t>(li));
-    for (std::uint32_t pi = plan.pair_begin[li]; pi < plan.pair_begin[li + 1];
-         ++pi)
-      cover(plan.pair_leaf[pi]);
-  }
-  if (lo > hi) lo = hi = 0;
-  ch.lo = lo;
-  ch.hi = hi;
-  ch.phi.assign(hi - lo, 0.0);
-  double* phi = ch.phi.data();  // phi[i - lo] holds particle i
-  Vec3* my_grad = nullptr;
-  if (with_gradient) {
-    ch.grad.assign(hi - lo, Vec3{});
-    my_grad = ch.grad.data();
-  }
-  NearFieldResult res;
-
-  // Symmetric range-range evaluation through the pair buffer; `weight` is
-  // the pair-count multiplier (2 for intra-leaf run crosses, which the
-  // uniform chunk would count ordered; 1 for cross-leaf adjacencies).
-  const auto sym_ranges = [&](std::size_t tb, std::size_t te, std::size_t sb,
-                              std::size_t se, std::uint64_t weight) {
-    const std::size_t tn = te - tb;
-    const std::size_t sn = se - sb;
-    if (tn == 0 || sn == 0) return;
-    const std::size_t tot = tn + sn;
-    ch.pair_phi.assign(tot, 0.0);
-    if (with_gradient) {
-      ch.pair_gx.assign(tot, 0.0);
-      ch.pair_gy.assign(tot, 0.0);
-      ch.pair_gz.assign(tot, 0.0);
-    }
-    kern.p2p_symmetric(X, Y, Z, Q, tb, te, sb, se, ch.pair_phi.data(),
-                       with_gradient ? ch.pair_gx.data() : nullptr,
-                       ch.pair_gy.data(), ch.pair_gz.data(), soft2);
-    for (std::size_t i = 0; i < tn; ++i) phi[tb - lo + i] += ch.pair_phi[i];
-    for (std::size_t j = 0; j < sn; ++j)
-      phi[sb - lo + j] += ch.pair_phi[tn + j];
-    if (with_gradient) {
-      for (std::size_t i = 0; i < tn; ++i) {
-        my_grad[tb - lo + i] +=
-            Vec3{ch.pair_gx[i], ch.pair_gy[i], ch.pair_gz[i]};
-      }
-      for (std::size_t j = 0; j < sn; ++j) {
-        const std::size_t s = tn + j;
-        my_grad[sb - lo + j] +=
-            Vec3{ch.pair_gx[s], ch.pair_gy[s], ch.pair_gz[s]};
-      }
-    }
-    res.pair_interactions += weight * tn * sn;
-    ++res.box_interactions;
-  };
-
-  for (std::size_t li = leaf_lo; li < leaf_hi; ++li) {
-    const std::uint32_t r0 = plan.run_begin[li];
-    const std::uint32_t r1 = plan.run_begin[li + 1];
-    // Intra-leaf: each run against itself, then ascending run crosses.
-    for (std::uint32_t ri = r0; ri < r1; ++ri) {
-      const std::size_t b = plan.run_bounds[2 * ri];
-      const std::size_t e = plan.run_bounds[2 * ri + 1];
-      if (e - b > 1) {
-        kern.p2p(X, Y, Z, Q, b, e, b, e, phi + (b - lo),
-                 with_gradient ? my_grad + (b - lo) : nullptr, soft2);
-        res.pair_interactions += (e - b) * (e - b - 1);
-        ++res.box_interactions;
-      }
-      for (std::uint32_t rj = ri + 1; rj < r1; ++rj)
-        sym_ranges(b, e, plan.run_bounds[2 * rj], plan.run_bounds[2 * rj + 1],
-                   2);
-    }
-    // Owned U-list adjacencies: all run pairs against each partner leaf.
-    for (std::uint32_t pi = plan.pair_begin[li]; pi < plan.pair_begin[li + 1];
-         ++pi) {
-      const std::uint32_t partner = plan.pair_leaf[pi];
-      const std::uint32_t s0 = plan.run_begin[partner];
-      const std::uint32_t s1 = plan.run_begin[partner + 1];
-      for (std::uint32_t ri = r0; ri < r1; ++ri) {
-        for (std::uint32_t rj = s0; rj < s1; ++rj)
-          sym_ranges(plan.run_bounds[2 * ri], plan.run_bounds[2 * ri + 1],
-                     plan.run_bounds[2 * rj], plan.run_bounds[2 * rj + 1], 1);
-      }
-    }
-  }
-
-  res.flops = res.pair_interactions *
-              (baseline::direct_pair_flops(with_gradient) + 4);
-  return res;
-}
-
 void near_field_accumulate(const NearFieldScratch& scr, std::size_t used,
                            bool with_gradient, std::span<double> phi,
                            std::span<Vec3> grad, std::size_t lo,

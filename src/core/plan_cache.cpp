@@ -55,14 +55,11 @@ struct TransKeyHash {
 };
 
 // Plan identity: the translation config it builds on, plus the kernel
-// family, the depth, and the configured hierarchy mode (the service keys
-// workloads by hierarchy so dense/sparse/adaptive tenants get distinct
-// entries even though today's plan content does not depend on the mode).
+// family and the depth.
 struct PlanKey {
   TransKey trans;
   int kernel = 0;
   int depth = 0;
-  int hierarchy = 0;
   bool operator==(const PlanKey&) const = default;
 };
 
@@ -71,7 +68,6 @@ PlanKey plan_key(const core::FmmConfig& config, int depth) {
   key.trans = trans_key(config);
   key.kernel = static_cast<int>(config.kernel.type);
   key.depth = depth;
-  key.hierarchy = static_cast<int>(config.hierarchy);
   return key;
 }
 
@@ -80,7 +76,6 @@ struct PlanKeyHash {
     std::size_t h = TransKeyHash{}(key.trans);
     h = hash_combine(h, static_cast<std::size_t>(key.kernel));
     h = hash_combine(h, static_cast<std::size_t>(key.depth));
-    h = hash_combine(h, static_cast<std::size_t>(key.hierarchy));
     return h;
   }
 };

@@ -27,7 +27,7 @@ namespace {
 // path forces mode to sequential first, so the execution mode never
 // appears here.
 std::string client_signature(const core::FmmConfig& c) {
-  char buf[768];  // 13 %a doubles at ~24 chars each plus the int fields
+  char buf[768];  // 12 %a doubles at ~24 chars each plus the int fields
   std::size_t vdw_hash = 0;
   for (const double r : c.kernel.vdw_rmin)
     vdw_hash = hash_combine(vdw_hash, std::bit_cast<std::uint64_t>(r));
@@ -35,14 +35,13 @@ std::string client_signature(const core::FmmConfig& c) {
     vdw_hash = hash_combine(vdw_hash, std::bit_cast<std::uint64_t>(e));
   std::snprintf(
       buf, sizeof buf,
-      "k%zu;t%d;o%a;i%a;d%d;ppl%a;sep%d;sn%d;sym%d;g%d;agg%d;h%d;st%a;"
-      "nc%d;amd%d;kt%d;soft%a;vc%a;vf%a;vp%d;vbox%a,%a,%a,%a,%a,%a;vh%zx",
+      "k%zu;t%d;o%a;i%a;d%d;ppl%a;sep%d;sn%d;sym%d;g%d;agg%d;"
+      "kt%d;soft%a;vc%a;vf%a;vp%d;vbox%a,%a,%a,%a,%a,%a;vh%zx",
       c.params.k(), c.params.truncation, c.params.outer_ratio,
       c.params.inner_ratio, c.depth, c.particles_per_leaf, c.separation,
       static_cast<int>(c.supernodes), static_cast<int>(c.near_symmetry),
       static_cast<int>(c.with_gradient), static_cast<int>(c.aggregation),
-      static_cast<int>(c.hierarchy), c.sparse_threshold, c.ncrit,
-      c.adaptive_max_depth, static_cast<int>(c.kernel.type),
+      static_cast<int>(c.kernel.type),
       c.kernel.softening, c.kernel.vdw_cuton, c.kernel.vdw_cutoff,
       static_cast<int>(c.kernel.vdw_periodic), c.kernel.vdw_box.lo.x,
       c.kernel.vdw_box.lo.y, c.kernel.vdw_box.lo.z, c.kernel.vdw_box.hi.x,
@@ -163,7 +162,8 @@ std::vector<SolveOutcome> SolverService::solve_batch(
     if (requests[i].particles == nullptr)
       throw std::invalid_argument("SolverService: request without particles");
     core::internal::validate_particles(
-        *requests[i].particles, "SolverService: request " + std::to_string(i));
+        *requests[i].particles, requests[i].config.kernel,
+        "SolverService: request " + std::to_string(i));
     admitted[i] = admitted_config(requests[i].config);
     sigs[i] = client_signature(admitted[i]);
     outcomes[i].modeled_cost =

@@ -49,8 +49,12 @@ std::vector<UnionOffset> build_union_offsets(int d) {
   return out;
 }
 
-void validate_particles(const ParticleSet& particles,
+void validate_particles(const ParticleSet& particles, const KernelSpec& kernel,
                         std::string_view context) {
+  const auto reject = [&](std::size_t i, const std::string& what) {
+    throw std::invalid_argument(std::string(context) + ": particle " +
+                                std::to_string(i) + " has " + what);
+  };
   const std::span<const double> fields[] = {particles.x(), particles.y(),
                                             particles.z(), particles.q()};
   constexpr const char* names[] = {"x coordinate", "y coordinate",
@@ -58,9 +62,16 @@ void validate_particles(const ParticleSet& particles,
   for (std::size_t i = 0; i < particles.size(); ++i)
     for (int f = 0; f < 4; ++f)
       if (!std::isfinite(fields[f][i]))
-        throw std::invalid_argument(std::string(context) + ": particle " +
-                                    std::to_string(i) + " has a non-finite " +
-                                    names[f]);
+        reject(i, std::string("a non-finite ") + names[f]);
+  // Only short-range kernels read the type ids, as indices into their pair
+  // tables; particles without a type channel are all type 0.
+  if (kernel.far_field_capable() || !particles.has_types()) return;
+  const std::span<const std::int32_t> type = particles.type();
+  const auto ntypes = static_cast<std::int64_t>(kernel.vdw_types());
+  for (std::size_t i = 0; i < type.size(); ++i)
+    if (type[i] < 0 || type[i] >= ntypes)
+      reject(i, "type id " + std::to_string(type[i]) + " outside [0, " +
+                    std::to_string(ntypes) + ")");
 }
 
 std::shared_ptr<const TranslationData> TranslationData::build(
@@ -198,23 +209,15 @@ FmmSolver::FmmSolver(FmmConfig config,
     : config_(std::move(config)), impl_(std::make_unique<Impl>()) {
   impl_->cache = std::move(cache);
   config_.validate();
-  hierarchy_requested_ = config_.hierarchy;
   if (config_.mode == ExecutionMode::kDistributed) {
-    // Owner-computes execution (DESIGN.md Section 18) runs on the sparse
-    // active-box machinery — ownership and the LET are defined over the
-    // active level sets — and requires the non-symmetric near field so every
-    // target's contributions accumulate on the owning rank in the fixed
-    // offset order (the bitwise-identity requirement; the symmetric half
-    // list would write both sides of a pair, which crosses rank boundaries).
-    config_.hierarchy = HierarchyMode::kSparse;
+    // Owner-computes execution (DESIGN.md Section 18) requires the
+    // non-symmetric near field so every target's contributions accumulate
+    // on the owning rank in the fixed offset order (the bitwise-identity
+    // requirement; the symmetric half list would write both sides of a
+    // pair, which crosses rank boundaries).
     config_.near_symmetry = false;
   }
   if (!config_.kernel.far_field_capable()) {
-    // Short-range kernels run on the uniform-leaf executors; the adaptive
-    // leaf front has no U-list notion of a cutoff sphere, so degrade it to
-    // the occupancy-based auto selection.
-    if (config_.hierarchy == HierarchyMode::kAdaptive)
-      config_.hierarchy = HierarchyMode::kAuto;
     impl_->vdw.build(config_.kernel);
     impl_->near.type = config_.kernel.type;
     impl_->near.soft2 = 0.0;
@@ -241,17 +244,6 @@ std::size_t FmmSolver::precompute() {
 
 int depth_for(const FmmConfig& config_, std::size_t n) {
   if (config_.depth >= 0) return config_.depth;
-  if (config_.hierarchy == HierarchyMode::kAdaptive &&
-      config_.mode != ExecutionMode::kDataParallel) {
-    // Refinement CAP for the adaptive leaf front (DESIGN.md Section 15):
-    // sort ~two levels deeper than the ~1-body-per-leaf depth so dense
-    // cluster cores can keep splitting — the ncrit front, not this cap,
-    // decides the actual leaf sizes. (The data-parallel executor has no
-    // adaptive path; it treats kAdaptive as sparse masking at the normal
-    // occupancy depth.)
-    return std::clamp(tree::optimal_depth(n, 1.0) + 2, 3,
-                      config_.adaptive_max_depth);
-  }
   double occupancy = config_.particles_per_leaf;
   if (occupancy <= 0.0) {
     // Balance near-field (~occupancy^2) against traversal (~K^2 per box,
@@ -805,14 +797,12 @@ FmmResult FmmSolver::solve(const ParticleSet& particles, SolveView& view) {
 
 FmmResult FmmSolver::solve_impl_(const ParticleSet& particles,
                                  SolveView* view) {
-  internal::validate_particles(particles, "FmmSolver::solve");
+  internal::validate_particles(particles, config_.kernel, "FmmSolver::solve");
   const std::size_t n = particles.size();
   const bool far_capable = config_.kernel.far_field_capable();
   FmmResult result;
   result.k = config_.params.k();
   result.kernel = config_.kernel.type;
-  result.hierarchy_requested = hierarchy_requested_;
-  result.hierarchy_effective = config_.hierarchy;
   // Cold-path construction, charged to the solve that triggers it: the
   // translation set ("precompute", config-wide) and the per-depth plan
   // ("plan"). Warm solves reuse both and report zero here. Short-range
@@ -864,22 +854,24 @@ FmmResult FmmSolver::solve_impl_(const ParticleSet& particles,
   const dp::MachineConfig one_vu{1, 1, 1};
   const dp::BlockLayout layout(hier.boxes_per_side(h), one_vu);
 
-  // Sparse dispatch (DESIGN.md Section 13): the dense/sparse decision needs
-  // leaf occupancy, which needs the coordinate sort's output — so when the
-  // sparse path is reachable the sort runs here (still charged to "sort")
-  // and the graph's sort stage becomes a no-op. Dense-selected solves then
-  // proceed bit-identically: same sort output, same dense stages.
+  // Executor dispatch (DESIGN.md Section 13): the dense/sparse decision
+  // needs leaf occupancy, which needs the coordinate sort's output, so the
+  // sort runs here (charged to "sort") and the graph's sort stage is a
+  // no-op.
+  {
+    ScopedPhaseTimer timer(result.breakdown["sort"]);
+    dp::coordinate_sort(particles, hier, layout, ws.boxed, &ws.sort_scratch);
+  }
   // Short-range kernels read the per-particle type array in SORTED order;
   // inputs without a type channel get the all-zeros single-type array. The
   // pointer is re-bound after every sort because the sorted buffers can
   // reallocate when the workspace grows.
-  const auto bind_types = [&] {
-    if (far_capable) return;
+  if (!far_capable) {
     ws.boxed.sorted.ensure_types();
     impl_->near.types = ws.boxed.sorted.type().data();
-  };
+  }
   // The non-empty leaf flats in sort-rank order (the active sets' input).
-  const auto collect_occupied = [&] {
+  {
     const std::size_t cap_before = ws.occupied.capacity();
     ws.occupied.clear();
     const std::size_t ranks = ws.boxed.box_begin.size() - 1;
@@ -888,26 +880,13 @@ FmmResult FmmSolver::solve_impl_(const ParticleSet& particles,
         ws.occupied.push_back(ws.boxed.rank_to_flat[r]);
     if (ws.occupied.capacity() != cap_before)
       ws.allocs.fetch_add(1, std::memory_order_relaxed);
-  };
-
-  const bool pre_sorted = config_.hierarchy != HierarchyMode::kDense;
-  if (pre_sorted) {
-    {
-      ScopedPhaseTimer timer(result.breakdown["sort"]);
-      dp::coordinate_sort(particles, hier, layout, ws.boxed, &ws.sort_scratch);
-    }
-    bind_types();
-    collect_occupied();
-    if (config_.mode == ExecutionMode::kDistributed)
-      return solve_dist_(particles, hier, std::move(result), view);
-    if (config_.hierarchy == HierarchyMode::kAdaptive)
-      return solve_adaptive_(particles, hier, std::move(result), view);
-    const double occ = static_cast<double>(ws.occupied.size()) /
-                       static_cast<double>(hier.boxes_at(h));
-    if (config_.hierarchy == HierarchyMode::kSparse ||
-        occ < config_.sparse_threshold)
-      return solve_sparse_(particles, hier, std::move(result), view);
   }
+  if (config_.mode == ExecutionMode::kDistributed)
+    return solve_dist_(particles, hier, std::move(result), view);
+  const double occ = static_cast<double>(ws.occupied.size()) /
+                     static_cast<double>(hier.boxes_at(h));
+  if (occ < internal::kSparseBelowOccupancy)
+    return solve_sparse_(particles, hier, std::move(result), view);
 
   const std::size_t k = config_.params.k();
   const std::size_t W = pool.size();
@@ -920,12 +899,9 @@ FmmResult FmmSolver::solve_impl_(const ParticleSet& particles,
   using exec::NodeId;
   exec::PhaseGraph g;
 
-  const NodeId sort = g.add_serial("sort", "sort", [&](PhaseStats&) {
-    if (!pre_sorted) {
-      dp::coordinate_sort(particles, hier, layout, ws.boxed, &ws.sort_scratch);
-      bind_types();
-    }
-  });
+  // The sort already ran (dispatch needed its output); the stage stays in
+  // the graph as a no-op so the timeline keeps the full pipeline shape.
+  const NodeId sort = g.add_serial("sort", "sort", [](PhaseStats&) {});
   const NodeId prep_levels =
       g.add_serial("prepare:levels", "workspace", [&](PhaseStats&) {
         if (!far_capable) return;  // no level stores for short-range solves
@@ -1100,8 +1076,8 @@ FmmResult FmmSolver::solve_impl_(const ParticleSet& particles,
         result.breakdown, &result.timeline);
 
   // Per-phase box counts: the dense executor visits every box of a phase's
-  // levels, so active == total here (the sparse/adaptive executors report
-  // smaller active counts against the same totals).
+  // levels, so active == total here (the sparse executor reports smaller
+  // active counts against the same totals).
   {
     const auto record = [&](const char* phase, int lo_l, int hi_l) {
       PhaseStats& st = result.breakdown[phase];
@@ -1122,11 +1098,9 @@ FmmResult FmmSolver::solve_impl_(const ParticleSet& particles,
   // Measured leaf occupancy for the result record ("active" phase): the
   // dense executor does not need the active sets to run, but deriving them
   // afterwards gives benches the same per-level occupancy the sparse path
-  // reports (previously empty on dense solves).
+  // reports.
   {
     ScopedPhaseTimer timer(result.breakdown["active"]);
-    // The sparse dispatch block did not run; derive the occupied list.
-    if (!pre_sorted) collect_occupied();
     const std::size_t cap_before = ws.active.capacity_bytes();
     tree::build_active_levels(hier, ws.occupied, ws.active);
     if (ws.active.capacity_bytes() != cap_before)

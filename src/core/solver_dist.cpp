@@ -14,10 +14,10 @@
 // solve is clean under TSan by construction.
 //
 // Bitwise identity to the single-rank sparse executor (the acceptance bar):
-//   * the constructor forces HierarchyMode::kSparse and near_symmetry =
-//     false, so every target's near-field contributions accumulate while
-//     processing its OWN leaf, in the fixed offset order — independent of
-//     which other leaves share the chunk;
+//   * the constructor forces near_symmetry = false, so every target's
+//     near-field contributions accumulate while processing its OWN leaf, in
+//     the fixed offset order — independent of which other leaves share the
+//     chunk;
 //   * rank-local particle copies and received halo rows are bit-exact
 //     copies of the same doubles, and every per-box stage (P2M, T1, T2, T3,
 //     L2P) applies the identical fixed-order arithmetic of sparse_chunks.hpp

@@ -120,15 +120,15 @@ FmmResult FmmSolver::solve_dp_(const ParticleSet& particles,
         stats.comm_bytes += loc.off_vu_bytes;
       });
 
-  // --- Active-box level sets (hierarchy != kDense): the multigrid moves
-  // take the per-level dense->active masks so inactive sections are neither
-  // copied nor counted as communication. The embedded grids start zeroed
-  // and inactive far fields are exactly zero, so the masked moves are
-  // value-identical to the dense ones — only the comm counters change.
+  // --- Active-box level sets: when fewer than kSparseBelowOccupancy of the
+  // leaves hold a particle, the multigrid moves take the per-level
+  // dense->active masks so inactive sections are neither copied nor counted
+  // as communication. The embedded grids start zeroed and inactive far
+  // fields are exactly zero, so the masked moves are value-identical to the
+  // dense ones — only the comm counters change.
   bool use_mask = false;
   const exec::NodeId active_stage =
       g.add_serial("active", "active", [&](PhaseStats& stats) {
-        if (config_.hierarchy == HierarchyMode::kDense) return;
         const std::size_t cap_before =
             ws.occupied.capacity() * sizeof(std::uint32_t) +
             ws.active.capacity_bytes();
@@ -142,9 +142,7 @@ FmmResult FmmSolver::solve_dp_(const ParticleSet& particles,
                 ws.active.capacity_bytes() !=
             cap_before)
           ws.allocs.fetch_add(1, std::memory_order_relaxed);
-        const double occ = ws.active.occupancy(h);
-        use_mask = config_.hierarchy == HierarchyMode::kSparse ||
-                   occ < config_.sparse_threshold;
+        use_mask = ws.active.occupancy(h) < internal::kSparseBelowOccupancy;
         stats.boxes_active += ws.active.total_active();
         stats.boxes_total += ws.active.total_dense();
       });
@@ -539,15 +537,10 @@ FmmResult FmmSolver::solve_dp_(const ParticleSet& particles,
       ws.allocs.load(std::memory_order_relaxed);
   result.workspace_allocs = result.breakdown["workspace"].allocs;
   result.sparse = use_mask;
-  if (config_.hierarchy != HierarchyMode::kDense) {
-    result.active_boxes = ws.active.total_active();
-    result.level_occupancy.resize(h + 1);
-    for (int l = 0; l <= h; ++l)
-      result.level_occupancy[l] = ws.active.occupancy(l);
-  } else {
-    result.active_boxes = 0;
-    for (int l = 0; l <= h; ++l) result.active_boxes += hier.boxes_at(l);
-  }
+  result.active_boxes = ws.active.total_active();
+  result.level_occupancy.resize(h + 1);
+  for (int l = 0; l <= h; ++l)
+    result.level_occupancy[l] = ws.active.occupancy(l);
   result.workspace_bytes = ws.workspace_bytes();
   return result;
 }

@@ -29,17 +29,24 @@
 #include "hfmm/dp/sort.hpp"
 #include "hfmm/tree/active_set.hpp"
 #include "hfmm/tree/interaction_lists.hpp"
-#include "hfmm/tree/refinement.hpp"
 
 namespace hfmm::core::internal {
 
 // Throws std::invalid_argument naming the first particle whose position or
-// charge is not finite (NaN or +-inf), prefixed by `context`. One such input
-// would otherwise turn every potential of a solve into NaN. FmmSolver::solve
-// checks its input with it; the service checks every request of a batch
-// before any solve runs.
-void validate_particles(const ParticleSet& particles,
+// charge is not finite (NaN or +-inf), or, for short-range kernels, whose
+// type id lies outside the kernel's type table, prefixed by `context`. A
+// non-finite input would otherwise turn every potential of a solve into NaN,
+// and a bad type id would index the pair tables out of bounds.
+// FmmSolver::solve checks its input with it; the service checks every
+// request of a batch before any solve runs.
+void validate_particles(const ParticleSet& particles, const KernelSpec& kernel,
                         std::string_view context);
+
+// The executor selection rule (DESIGN.md Section 13): a solve runs on the
+// sparse active-box executor when fewer than this fraction of its leaf boxes
+// hold a particle, and on the dense executor otherwise. The data-parallel
+// executor masks its multigrid moves by the same rule.
+constexpr double kSparseBelowOccupancy = 0.9;
 
 // One union interactive-field offset plus its per-axis parity admissibility
 // (paper Section 3.3.2: sibling ranges [-2d-p, 2d+1-p] per axis).
@@ -258,8 +265,7 @@ class ChunkArena {
   std::vector<ChunkSlot> slots_;
 };
 
-// Near-stage chunk count of the dense, sparse and adaptive executors,
-// bounded by the leaf count. It is a constant, not a function of the worker
+// Near-stage chunk count of the dense and sparse executors, bounded by the leaf count. It is a constant, not a function of the worker
 // count, so a sequential solve and a threaded one group the near-field sums
 // the same way and agree bitwise on any host. 16 is 4 chunks a worker on a
 // 4-core host, fine enough for idle workers to drain the near field while
@@ -295,21 +301,6 @@ struct SolveWorkspace {
   // Cost-model weights for cost-balanced chunk splits (leaf = particle
   // counts, near = near-field pair counts per active leaf).
   std::vector<std::uint64_t> leaf_cost, near_cost;
-  // Adaptive leaf-front executor state (DESIGN.md Section 15): per-fine-leaf
-  // body counts, subtree counts, the marked front (plus the ncrit-selector's
-  // scratch front), the pruned refined-tree level sets with their leaf
-  // flags, and the U-list run/pair plan in canonical leaf order — run_begin
-  // is a CSR over front leaves into run_bounds ([particle_lo, particle_hi)
-  // pairs), pair_begin a CSR into pair_leaf (partner leaf ids). All reused
-  // across solves.
-  std::vector<std::uint32_t> leaf_counts;
-  std::vector<std::vector<std::uint32_t>> subtree_counts;
-  tree::LeafFront front, front_scratch;
-  tree::ActiveLevels pruned;
-  std::vector<std::vector<std::uint8_t>> pruned_leaf;
-  std::vector<std::uint32_t> run_begin, run_bounds, pair_begin, pair_leaf;
-  std::vector<std::uint32_t> fine_owner;  // fine active leaf -> front leaf id
-  std::vector<std::uint32_t> run_cursor;  // counting-sort cursor scratch
   // Heap-growth events since begin_solve() (reported as workspace allocs).
   std::atomic<std::uint64_t> allocs{0};
 
@@ -362,13 +353,6 @@ struct SolveWorkspace {
     total += cap(phi_sorted) + cap(grad_sorted) + cap(pad);
     total += cap(occupied) + cap(leaf_cost) + cap(near_cost);
     total += active.capacity_bytes();
-    total += cap(leaf_counts) + cap(run_begin) + cap(run_bounds) +
-             cap(pair_begin) + cap(pair_leaf) + cap(fine_owner) +
-             cap(run_cursor);
-    for (const auto& v : subtree_counts) total += cap(v);
-    for (const auto& v : pruned_leaf) total += cap(v);
-    total += front.capacity_bytes() + front_scratch.capacity_bytes() +
-             pruned.capacity_bytes();
     for (const auto& ch : near_scratch.chunks) {
       total += cap(ch.phi) + cap(ch.grad) + cap(ch.pair_phi) + cap(ch.pair_gx) +
                cap(ch.pair_gy) + cap(ch.pair_gz) + cap(ch.runs) + cap(ch.rows);

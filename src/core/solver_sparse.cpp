@@ -15,7 +15,7 @@
 // per box (BLAS-2, blas::vecmat) through the dense->active maps; the dense
 // executor remains the BLAS-3 fast path for (near-)uniform inputs —
 // solve() picks between them from the measured leaf occupancy
-// (HierarchyMode::kAuto).
+// (internal::kSparseBelowOccupancy).
 //
 // Reproducibility: active lists are ascending flat indices, stage chunk
 // splits are fixed before the graph runs, and per-box source application

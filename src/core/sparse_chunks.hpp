@@ -1,19 +1,9 @@
 #pragma once
 // Active-set translation chunk bodies shared by the sparse executor
-// (solver_sparse.cpp — one uniform leaf level over full-depth active sets)
-// and the adaptive executor (solver_adaptive.cpp — the pruned leaf-front
-// tree, DESIGN.md Section 15). The arithmetic is identical in both: every
-// stage iterates ACTIVE indices of the supplied level sets and applies the
-// same fixed offset order as the dense path, so results stay
-// bitwise-reproducible regardless of scheduling.
-//
-// The only adaptive-specific branch is in supernode_chunk: a parent-level
-// source that is a FRONT LEAF is skipped, because every particle pair
-// between a leaf's subtree and the boxes it is near is evaluated DIRECTLY
-// by the U list (the leaf is, by construction, inside the d-neighborhood of
-// the target's parent — never separated at any deeper level). Applying its
-// supernode translation as well would double-count those pairs. The sparse
-// executor passes no leaf flags and keeps its exact historical behavior.
+// (solver_sparse.cpp) and the distributed executor (solver_dist.cpp, over
+// each rank's pruned level sets). Every stage iterates ACTIVE indices of the
+// supplied level sets and applies the same fixed offset order as the dense
+// path, so results stay bitwise-reproducible regardless of scheduling.
 
 #include <cstdint>
 
@@ -32,9 +22,6 @@ struct ActiveContext {
   const tree::Hierarchy& hier;
   SolveWorkspace& ws;
   const tree::ActiveLevels& act;
-  /// Per level, per active index of `act`: 1 when the box is a front leaf
-  /// (adaptive executor); null on the sparse path.
-  const std::vector<std::vector<std::uint8_t>>* leaf_flags = nullptr;
 
   const TranslationData& trans() const { return *plan.trans; }
 };
@@ -111,8 +98,8 @@ inline void l2p_chunk(ActiveContext& ctx, std::size_t lo, std::size_t hi,
 // Upward T1 over active PARENTS [lo, hi) of level l: each parent gathers
 // its active children (octant order 0..7 — the dense accumulation order)
 // through the dense->active map of level l + 1. Children absent from the
-// set (inactive, or pruned under a front leaf) hold an exactly-zero or
-// P2M-written far field, so skipping them changes nothing.
+// set are inactive and hold an exactly-zero far field, so skipping them
+// changes nothing.
 inline void upward_chunk(ActiveContext& ctx, int l, std::size_t lo,
                          std::size_t hi, PhaseStats& stats) {
   const std::size_t k = ctx.config.params.k();
@@ -200,16 +187,13 @@ inline void interactive_chunk(ActiveContext& ctx, int l, std::size_t lo,
 // Supernode T2 over active TARGETS [lo, hi) of level l: the precomputed
 // gather plan's rectangles already encode source-in-bounds per (octant,
 // entry) — a target only needs its parent coordinate inside the rectangle
-// plus an active lookup on the source. Parent-level sources that are front
-// leaves are suppressed (see the header comment).
+// plus an active lookup on the source.
 inline void supernode_chunk(ActiveContext& ctx, int l, std::size_t lo,
                             std::size_t hi, PhaseStats& stats) {
   const std::size_t k = ctx.config.params.k();
   const tree::LevelActiveSet& act = ctx.act.levels[l];
   const tree::LevelActiveSet& act_parent = ctx.act.levels[l - 1];
   const SupernodeLevelPlan& plan = ctx.plan.supernode_plans[l];
-  const std::vector<std::uint8_t>* parent_leaf =
-      ctx.leaf_flags != nullptr ? &(*ctx.leaf_flags)[l - 1] : nullptr;
   const double* far = ctx.ws.far[l].data();
   const double* far_parent = ctx.ws.far[l - 1].data();
   double* local = ctx.ws.local[l].data();
@@ -230,9 +214,6 @@ inline void supernode_chunk(ActiveContext& ctx, int l, std::size_t lo,
         const std::int32_t sa =
             act_parent.dense_to_active[ctx.hier.flat_index(l - 1, s)];
         if (sa < 0) continue;
-        if (parent_leaf != nullptr &&
-            (*parent_leaf)[static_cast<std::size_t>(sa)] != 0)
-          continue;  // front leaf: its pairs are on the U list
         src = far_parent + static_cast<std::size_t>(sa) * k;
       } else {
         const tree::BoxCoord s{c.ix + pe.offset.dx, c.iy + pe.offset.dy,

@@ -54,7 +54,14 @@ bool Hierarchy::in_bounds(int level, const BoxCoord& c) const {
 
 Box3 cube_containing(const Box3& b, double pad) {
   const Vec3 c = b.center();
-  const double half = 0.5 * b.max_side() * (1.0 + pad);
+  // A zero-extent box (one particle, or all coincident) would give a
+  // zero-side cube, and Hierarchy::leaf_of would divide 0 by 0. Floor the
+  // half-side at 2^-20 of the centre's magnitude (at least 2^-20), far above
+  // the rounding of a coordinate there.
+  const double scale =
+      std::max({1.0, std::abs(c.x), std::abs(c.y), std::abs(c.z)});
+  const double half =
+      std::max(0.5 * b.max_side() * (1.0 + pad), std::ldexp(scale, -20));
   return {c - Vec3{half, half, half}, c + Vec3{half, half, half}};
 }
 

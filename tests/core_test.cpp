@@ -222,10 +222,10 @@ TEST(FmmSolverTest, PaperAccuracyHeadlines) {
 TEST(FmmSolverTest, ThreadedDenseNoSupernodesMatchesSequentialBitwise) {
   const ParticleSet p = make_uniform(2000, Box3{}, 68);
   FmmConfig cfg = base_config();
-  cfg.hierarchy = HierarchyMode::kDense;
   cfg.supernodes = false;
   cfg.mode = ExecutionMode::kSequential;
   const FmmResult ref = FmmSolver(cfg).solve(p);
+  ASSERT_FALSE(ref.sparse);  // uniform input fills the leaves: dense
   cfg.mode = ExecutionMode::kThreads;
   for (int rep = 0; rep < 20; ++rep) {
     FmmSolver solver(cfg);
@@ -295,6 +295,36 @@ TEST(FmmSolverTest, RejectsNonFiniteInputs) {
       } catch (const std::invalid_argument& e) {
         EXPECT_NE(std::string(e.what()).find(bad.message), std::string::npos)
             << e.what();
+      }
+    }
+  }
+}
+
+// All particles at one point give particle bounds of zero extent; the root
+// cube must still have a positive side, or every leaf index is 0 / 0. With
+// softening the potentials are finite, and they must equal direct
+// summation (n - 1 times 1 / softening each) in every mode, wherever the
+// point sits.
+TEST(FmmSolverTest, CoincidentInputsMatchDirectSummation) {
+  const double softening = 1e-3;
+  for (const ExecutionMode mode :
+       {ExecutionMode::kSequential, ExecutionMode::kThreads,
+        ExecutionMode::kDataParallel}) {
+    for (const double v : {0.0, 0.5, 1e6, 1e20}) {
+      for (const std::size_t n : {1u, 2u, 9u, 100u}) {
+        ParticleSet p(n);
+        for (std::size_t i = 0; i < n; ++i) p.set(i, {v, v, v}, 1.0);
+        FmmConfig cfg;
+        cfg.mode = mode;
+        cfg.kernel.softening = softening;
+        const FmmResult r = FmmSolver(cfg).solve(p);
+        const baseline::DirectResult d =
+            baseline::direct_all(p, false, &ThreadPool::global(), softening);
+        ASSERT_EQ(r.phi.size(), n);
+        for (std::size_t i = 0; i < n; ++i)
+          EXPECT_NEAR(r.phi[i], d.phi[i], 1e-12 * std::abs(d.phi[i]))
+              << to_string(mode) << ", point " << v << ", n " << n
+              << ", particle " << i;
       }
     }
   }

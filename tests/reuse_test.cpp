@@ -159,8 +159,8 @@ INSTANTIATE_TEST_SUITE_P(AllModes, ReuseModes,
                            return s;
                          });
 
-// Clustered inputs select the sparse active-box hierarchy under kAuto; the
-// reuse guarantees must hold there too: warm solves are bitwise identical
+// Clustered inputs select the sparse active-box executor; the reuse
+// guarantees must hold there too: warm solves are bitwise identical
 // and grow no workspace heap. (Run standalone as the reuse_test_clustered
 // CI fixture.)
 TEST(ClusteredReuse, WarmSparseSolveBitwiseIdenticalClustered) {
@@ -207,19 +207,20 @@ TEST(ClusteredReuse, AlternatingDistributionsKeepWarmPathClustered) {
 // sort and structures from the moved particles, and the warm path reuses
 // only plan and workspace buffers, performing the identical arithmetic.
 // One case per executor: dense on uniform input (the plain test below);
-// sparse, adaptive and distributed (4 ranks) on clustered input.
+// sparse and distributed (4 ranks) on clustered input, where the leaf
+// occupancy selects the sparse executor.
 struct StepCase {
   const char* name;
   ExecutionMode mode;
-  HierarchyMode hierarchy;
   bool plummer;
+  int depth;
 };
 
 void PrintTo(const StepCase& c, std::ostream* os) { *os << c.name; }
 
 void expect_warm_stepping_matches_fresh(const StepCase& c) {
   FmmConfig cfg = base_config(c.mode);
-  cfg.hierarchy = c.hierarchy;
+  cfg.depth = c.depth;
   cfg.dist_ranks = 4;
   const double dt = 1e-3;
   const std::size_t n = 800;
@@ -267,11 +268,16 @@ void expect_warm_stepping_matches_fresh(const StepCase& c) {
   const ForceStats& stats = warm.force_stats();
   EXPECT_EQ(stats.evaluations, 1u + steps);
   EXPECT_EQ(stats.warm_evaluations, static_cast<std::uint64_t>(steps));
+  // The case starts on the executor it names: uniform 800 fills every
+  // depth-2 leaf, Plummer 800 about half the depth-3 leaves, and the
+  // distributed executor is always sparse.
+  EXPECT_EQ(FmmSolver(cfg).solve(initial()).sparse,
+            c.plummer || c.mode == ExecutionMode::kDistributed);
 }
 
 TEST(IntegratorReuse, MultiStepMatchesFreshSolverPerStep) {
   expect_warm_stepping_matches_fresh(
-      {"dense_uniform", ExecutionMode::kThreads, HierarchyMode::kDense, false});
+      {"dense_uniform", ExecutionMode::kThreads, false, 2});
 }
 
 class IntegratorReuseExecutors : public ::testing::TestWithParam<StepCase> {};
@@ -283,12 +289,8 @@ TEST_P(IntegratorReuseExecutors, MultiStepMatchesFreshSolverPerStep) {
 INSTANTIATE_TEST_SUITE_P(
     Executors, IntegratorReuseExecutors,
     ::testing::Values(
-        StepCase{"sparse_plummer", ExecutionMode::kThreads,
-                 HierarchyMode::kSparse, true},
-        StepCase{"adaptive_plummer", ExecutionMode::kThreads,
-                 HierarchyMode::kAdaptive, true},
-        StepCase{"dist4_plummer", ExecutionMode::kDistributed,
-                 HierarchyMode::kSparse, true}),
+        StepCase{"sparse_plummer", ExecutionMode::kThreads, true, 3},
+        StepCase{"dist4_plummer", ExecutionMode::kDistributed, true, 3}),
     [](const ::testing::TestParamInfo<StepCase>& info) {
       return std::string(info.param.name);
     });

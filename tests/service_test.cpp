@@ -6,7 +6,7 @@
 //     refcount guarantee that eviction never invalidates an in-flight value,
 //   * PlanCache sharing — one build per (config, depth), translation data
 //     shared across depths, eviction accounting,
-//   * service-vs-solo bitwise identity for every hierarchy mode and kernel,
+//   * service-vs-solo bitwise identity for both executors and kernels,
 //     solo and inside randomized mixed batches,
 //   * warm-path guarantees — cached-plan solves report plan_reused with
 //     zero workspace heap growth, pooled clients are reused,
@@ -254,16 +254,17 @@ TEST(PlanCacheTest, TtlExpiresIdlePlans) {
 
 // --- SolverService: bitwise identity to solo solves ----------------------
 
-struct ModeCase {
-  core::HierarchyMode hierarchy;
+// One case per executor and kernel: uniform inputs select the dense
+// executor, clustered ones the sparse executor.
+struct ExecutorCase {
+  bool clustered;
   bool vdw;
   const char* name;
 };
 
-core::FmmConfig case_config(const ModeCase& c) {
+core::FmmConfig case_config(const ExecutorCase& c) {
   core::FmmConfig cfg;
   cfg.with_gradient = true;
-  cfg.hierarchy = c.hierarchy;
   if (c.vdw) {
     cfg.kernel.type = core::KernelType::kVanDerWaals;
     cfg.kernel.vdw_rmin = {0.11, 0.14};
@@ -274,12 +275,10 @@ core::FmmConfig case_config(const ModeCase& c) {
   return cfg;
 }
 
-ParticleSet case_particles(const ModeCase& c, std::uint64_t seed) {
-  // Clustered inputs for the sparse executor (which exists to exploit
-  // them), uniform otherwise; vdW solves carry per-particle types.
-  ParticleSet p = c.hierarchy == core::HierarchyMode::kSparse
-                      ? make_two_clusters(700, Box3{}, seed)
-                      : make_uniform(700, Box3{}, seed);
+ParticleSet case_particles(const ExecutorCase& c, std::uint64_t seed) {
+  // vdW solves carry per-particle types.
+  ParticleSet p = c.clustered ? make_two_clusters(700, Box3{}, seed)
+                              : make_uniform(700, Box3{}, seed);
   if (c.vdw) {
     p.ensure_types();
     for (std::size_t i = 0; i < p.size(); ++i)
@@ -288,35 +287,27 @@ ParticleSet case_particles(const ModeCase& c, std::uint64_t seed) {
   return p;
 }
 
-const ModeCase kModeCases[] = {
-    {core::HierarchyMode::kDense, false, "dense_laplace"},
-    {core::HierarchyMode::kSparse, false, "sparse_laplace"},
-    {core::HierarchyMode::kAdaptive, false, "adaptive_laplace"},
-    {core::HierarchyMode::kDense, true, "dense_vdw"},
-    {core::HierarchyMode::kSparse, true, "sparse_vdw"},
-    {core::HierarchyMode::kAdaptive, true, "adaptive_vdw"},
+const ExecutorCase kExecutorCases[] = {
+    {false, false, "dense_laplace"},
+    {true, false, "sparse_laplace"},
+    {false, true, "dense_vdw"},
+    {true, true, "sparse_vdw"},
 };
 
 TEST(ServiceTest, BitwiseIdenticalToSoloAcrossModesAndKernels) {
   service::SolverService svc;
-  for (const ModeCase& c : kModeCases) {
+  for (const ExecutorCase& c : kExecutorCases) {
     SCOPED_TRACE(c.name);
     const core::FmmConfig cfg = case_config(c);
     const ParticleSet p = case_particles(c, 91);
     core::FmmSolver solo(cfg);
     const core::FmmResult ref = solo.solve(p);
     const service::SolveOutcome out = svc.solve(cfg, p);
+    EXPECT_EQ(ref.sparse, c.clustered);
+    EXPECT_EQ(out.result.sparse, ref.sparse);
     EXPECT_TRUE(bitwise_equal(ref.phi, out.result.phi));
     EXPECT_TRUE(bitwise_equal(ref.grad, out.result.grad));
     EXPECT_EQ(ref.depth, out.result.depth);
-    EXPECT_EQ(ref.hierarchy_effective, out.result.hierarchy_effective);
-    // The degradation surface must flow through the service untouched:
-    // adaptive + short-range kernel runs as auto and says so.
-    if (c.vdw && c.hierarchy == core::HierarchyMode::kAdaptive) {
-      EXPECT_EQ(out.result.hierarchy_requested,
-                core::HierarchyMode::kAdaptive);
-      EXPECT_EQ(out.result.hierarchy_effective, core::HierarchyMode::kAuto);
-    }
   }
 }
 
@@ -324,7 +315,7 @@ TEST(ServiceTest, MixedBatchMatchesSoloSolves) {
   service::SolverService svc;
   std::vector<core::FmmConfig> configs;
   std::vector<ParticleSet> particles;
-  for (const ModeCase& c : kModeCases) {
+  for (const ExecutorCase& c : kExecutorCases) {
     configs.push_back(case_config(c));
     particles.push_back(case_particles(c, 123));
   }
@@ -334,7 +325,7 @@ TEST(ServiceTest, MixedBatchMatchesSoloSolves) {
   const std::vector<service::SolveOutcome> outcomes = svc.solve_batch(batch);
   ASSERT_EQ(outcomes.size(), configs.size());
   for (std::size_t i = 0; i < configs.size(); ++i) {
-    SCOPED_TRACE(kModeCases[i].name);
+    SCOPED_TRACE(kExecutorCases[i].name);
     core::FmmSolver solo(configs[i]);
     const core::FmmResult ref = solo.solve(particles[i]);
     EXPECT_TRUE(bitwise_equal(ref.phi, outcomes[i].result.phi));
@@ -354,7 +345,8 @@ TEST(ServiceTest, RepeatedRandomizedBatchesAreDeterministic) {
   std::vector<core::FmmConfig> configs;
   std::vector<ParticleSet> particles;
   for (std::uint64_t seed = 0; seed < 4; ++seed) {
-    for (const ModeCase& c : {kModeCases[0], kModeCases[1], kModeCases[3]}) {
+    for (const ExecutorCase& c :
+         {kExecutorCases[0], kExecutorCases[1], kExecutorCases[2]}) {
       configs.push_back(case_config(c));
       particles.push_back(case_particles(c, 500 + seed));
     }
@@ -451,14 +443,24 @@ TEST(ServiceTest, NonFiniteRequestRejectsBatchBeforeAnySolve) {
   const ParticleSet good = make_uniform(500, Box3{}, 4);
   ParticleSet bad = good;
   bad.x()[7] = std::numeric_limits<double>::quiet_NaN();
-  const service::SolveRequest batch[] = {{cfg, &good}, {cfg, &bad}};
-  try {
-    svc.solve_batch(batch);
-    ADD_FAILURE() << "accepted a NaN coordinate";
-  } catch (const std::invalid_argument& e) {
-    EXPECT_NE(std::string(e.what()).find("request 1: particle 7"),
-              std::string::npos)
-        << e.what();
+  // A vdW request with a type id outside its two-type table.
+  const core::FmmConfig vdw = case_config({false, true, "vdw"});
+  ParticleSet bad_type = good;
+  bad_type.set_type(9, 2);
+  const struct {
+    service::SolveRequest request;
+    const char* message;
+  } cases[] = {{{cfg, &bad}, "request 1: particle 7"},
+               {{vdw, &bad_type}, "request 1: particle 9 has type id 2"}};
+  for (const auto& c : cases) {
+    const service::SolveRequest batch[] = {{cfg, &good}, c.request};
+    try {
+      svc.solve_batch(batch);
+      ADD_FAILURE() << "accepted " << c.message;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(c.message), std::string::npos)
+          << e.what();
+    }
   }
   EXPECT_EQ(svc.stats().solves, 0u);  // the good request did not run either
 }
@@ -569,7 +571,6 @@ TEST(CApiTest, VdwSolveWithTypesAndGradient) {
   hfmm_config_init(&cfg);
   cfg.kernel = HFMM_KERNEL_VDW;
   cfg.with_gradient = 1;
-  cfg.hierarchy = HFMM_HIERARCHY_ADAPTIVE;  // degrades: vdW has no adaptive
   const double rmin[2] = {0.11, 0.14};
   const double eps[2] = {1.0, 0.55};
   cfg.vdw_ntypes = 2;
@@ -590,7 +591,6 @@ TEST(CApiTest, VdwSolveWithTypesAndGradient) {
   hfmm_solve_info info{};
   info.struct_size = sizeof(info);
   ASSERT_EQ(hfmm_solve(ctx, &req, &info), HFMM_OK);
-  EXPECT_EQ(info.hierarchy_effective, HFMM_HIERARCHY_AUTO);
   EXPECT_TRUE(bitwise_equal(ref.phi, fix.phi));
   for (std::size_t i = 0; i < n; ++i) {
     EXPECT_EQ(ref.grad[i].x, gx[i]);
@@ -630,7 +630,7 @@ TEST(CApiTest, BatchSolveFillsEveryRequest) {
 
 TEST(CApiTest, ErrorMappingAndVersioning) {
   EXPECT_EQ(hfmm_abi_version(), HFMM_ABI_VERSION);
-  EXPECT_STREQ(hfmm_version(), "1.0.0");
+  EXPECT_STREQ(hfmm_version(), "2.0.0");
   EXPECT_STREQ(hfmm_status_string(HFMM_OK), "ok");
   EXPECT_STREQ(hfmm_status_string(HFMM_ERROR_UNSUPPORTED), "unsupported");
 
@@ -704,6 +704,26 @@ TEST(CApiTest, NonFiniteInputsAreInvalidArguments) {
     const hfmm_request req = f->request(plan);
     EXPECT_EQ(hfmm_solve(ctx, &req, nullptr), HFMM_ERROR_INVALID_ARGUMENT);
   }
+  // A type id outside a vdW plan's two-type table.
+  hfmm_config vdw;
+  hfmm_config_init(&vdw);
+  vdw.kernel = HFMM_KERNEL_VDW;
+  const double rmin[2] = {0.11, 0.14};
+  const double eps[2] = {1.0, 0.55};
+  vdw.vdw_ntypes = 2;
+  vdw.vdw_rmin = rmin;
+  vdw.vdw_epsilon = eps;
+  vdw.vdw_cuton = 0.16;
+  vdw.vdw_cutoff = 0.22;
+  hfmm_plan* vdw_plan = nullptr;
+  ASSERT_EQ(hfmm_plan_create(ctx, &vdw, 600, &vdw_plan), HFMM_OK);
+  CApiFixture typed(p);
+  std::vector<std::int32_t> types(p.size(), 0);
+  types[42] = 2;
+  hfmm_request req = typed.request(vdw_plan);
+  req.type = types.data();
+  EXPECT_EQ(hfmm_solve(ctx, &req, nullptr), HFMM_ERROR_INVALID_ARGUMENT);
+  hfmm_plan_destroy(vdw_plan);
   hfmm_context_stats stats{};
   stats.struct_size = sizeof(hfmm_context_stats);
   ASSERT_EQ(hfmm_context_stats_query(ctx, &stats), HFMM_OK);

@@ -6,8 +6,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstdint>
-#include <map>
 #include <set>
 #include <utility>
 #include <vector>
@@ -15,7 +13,6 @@
 #include "hfmm/tree/active_set.hpp"
 #include "hfmm/tree/hierarchy.hpp"
 #include "hfmm/tree/interaction_lists.hpp"
-#include "hfmm/tree/refinement.hpp"
 
 namespace hfmm::tree {
 namespace {
@@ -95,6 +92,21 @@ TEST(HierarchyTest, CubeContainingIsCube) {
   EXPECT_NEAR(e.x, e.y, 1e-12);
   EXPECT_NEAR(e.y, e.z, 1e-12);
   EXPECT_GE(e.x, 2.0);
+  // A zero-extent box (all particles coincident) still yields a cube of
+  // positive side that contains it, so leaf_of stays finite.
+  for (const double v : {0.0, 0.5, 1e6, 1e20}) {
+    const Box3 point{{v, v, v}, {v, v, v}};
+    const Box3 cp = cube_containing(point);
+    const Vec3 ep = cp.extent();
+    EXPECT_GT(ep.x, 0.0) << v;
+    EXPECT_EQ(ep.x, ep.y) << v;
+    EXPECT_EQ(ep.y, ep.z) << v;
+    EXPECT_LT(cp.lo.x, v) << v;
+    EXPECT_GT(cp.hi.x, v) << v;
+    const Hierarchy h(cp, 3);
+    const BoxCoord leaf = h.leaf_of({v, v, v});
+    EXPECT_TRUE(h.in_bounds(3, leaf)) << v;
+  }
 }
 
 TEST(HierarchyTest, OptimalDepthScalesWithN) {
@@ -246,278 +258,6 @@ TEST(InteractionListTest, InvalidArgumentsThrow) {
   EXPECT_THROW(interactive_offsets(-1, 2), std::invalid_argument);
   EXPECT_THROW(interactive_offsets(8, 2), std::invalid_argument);
   EXPECT_THROW(supernode_interactive(0, 0), std::invalid_argument);
-}
-
-// ------------------------------------------------- adaptive refinement (§15)
-
-// An occupancy map (deepest-level flat index -> body count) turned into the
-// full active sets plus subtree counts the refinement builders consume.
-struct RefineFixture {
-  Hierarchy hier;
-  ActiveLevels act;
-  std::vector<std::uint32_t> leaf_counts;
-  std::vector<std::vector<std::uint32_t>> counts;
-};
-
-RefineFixture make_refine_fixture(
-    int depth, const std::map<std::uint32_t, std::uint32_t>& occupancy) {
-  RefineFixture f{unit_hierarchy(depth), {}, {}, {}};
-  std::vector<std::uint32_t> occ;
-  occ.reserve(occupancy.size());
-  for (const auto& [flat, n] : occupancy) occ.push_back(flat);
-  build_active_levels(f.hier, occ, f.act);
-  const std::vector<std::uint32_t>& lv =
-      f.act.levels[static_cast<std::size_t>(depth)].boxes;
-  f.leaf_counts.resize(lv.size());
-  for (std::size_t i = 0; i < lv.size(); ++i)
-    f.leaf_counts[i] = occupancy.at(lv[i]);
-  build_subtree_counts(f.hier, f.act, f.leaf_counts, f.counts);
-  return f;
-}
-
-RefineFixture make_uniform_fixture(int depth, std::uint32_t per_leaf) {
-  std::map<std::uint32_t, std::uint32_t> occ;
-  const std::size_t boxes = std::size_t{1} << (3 * depth);
-  for (std::uint32_t flat = 0; flat < boxes; ++flat) occ[flat] = per_leaf;
-  return make_refine_fixture(depth, occ);
-}
-
-// One dense cluster (every deepest-level leaf under one level-2 box) plus a
-// sparse background of single bodies along the opposite face diagonal.
-RefineFixture make_clustered_fixture(int depth, std::uint32_t core_per_leaf) {
-  std::map<std::uint32_t, std::uint32_t> occ;
-  const Hierarchy hier = unit_hierarchy(depth);
-  const int side = 1 << depth;
-  const int core = side / 4;  // one level-2 octant subtree
-  for (int z = 0; z < core; ++z)
-    for (int y = 0; y < core; ++y)
-      for (int x = 0; x < core; ++x)
-        occ[hier.flat_index(depth, {x, y, z})] = core_per_leaf;
-  for (int i = side / 2; i < side; i += 2)
-    occ[hier.flat_index(depth, {i, i, i})] = 1;
-  return make_refine_fixture(depth, occ);
-}
-
-LeafFront mark_front(const RefineFixture& f, int ncrit) {
-  LeafFront front;
-  const std::vector<Offset> near = near_field_offsets(2);
-  build_leaf_front(f.hier, f.act, f.counts, ncrit, 2, near, front);
-  return front;
-}
-
-TEST(RefinementTest, UniformFrontCollapsesToSingleLevel) {
-  // ncrit one full level above the per-leaf count: every level-2 box holds
-  // exactly ncrit bodies, so the front is the uniform level-2 cut.
-  const RefineFixture f = make_uniform_fixture(3, 4);
-  const LeafFront front = mark_front(f, 4 * 8);
-  EXPECT_EQ(front.leaves(), 64u);
-  EXPECT_EQ(front.max_leaf_level, 2);
-  for (std::size_t li = 0; li < front.leaves(); ++li)
-    EXPECT_EQ(front.leaf_level[li], 2);
-  // Deepest level fully pruned.
-  for (const std::uint8_t s : front.state[3]) EXPECT_EQ(s, LeafFront::kBelow);
-  // A threshold below the leaf count keeps every deepest box a leaf.
-  const LeafFront fine = mark_front(f, 3);
-  EXPECT_EQ(fine.leaves(), 512u);
-  EXPECT_EQ(fine.max_leaf_level, 3);
-}
-
-TEST(RefinementTest, FrontLeavesPartitionTheBodies) {
-  for (const bool clustered : {false, true}) {
-    const RefineFixture f = clustered ? make_clustered_fixture(4, 12)
-                                      : make_uniform_fixture(3, 5);
-    for (const int ncrit : {8, 32, 128}) {
-      const LeafFront front = mark_front(f, ncrit);
-      std::uint64_t total = 0, expect = 0;
-      for (std::size_t li = 0; li < front.leaves(); ++li) {
-        const int l = front.leaf_level[li];
-        const std::int32_t ai =
-            f.act.levels[static_cast<std::size_t>(l)]
-                .dense_to_active[front.leaf_flat[li]];
-        ASSERT_GE(ai, 0);
-        total += f.counts[static_cast<std::size_t>(l)]
-                         [static_cast<std::size_t>(ai)];
-      }
-      for (const std::uint32_t c : f.leaf_counts) expect += c;
-      EXPECT_EQ(total, expect) << "ncrit " << ncrit;
-    }
-  }
-}
-
-TEST(RefinementTest, ClusteredFrontRefinesCoreOnly) {
-  const RefineFixture f = make_clustered_fixture(4, 12);
-  const LeafFront front = mark_front(f, 16);
-  // The core (12 bodies x 4^3 deepest leaves under one octant) must refine
-  // to the cap while the singleton background stays shallow.
-  EXPECT_EQ(front.max_leaf_level, 4);
-  int shallowest = front.depth;
-  for (std::size_t li = 0; li < front.leaves(); ++li)
-    shallowest = std::min(shallowest, front.leaf_level[li]);
-  EXPECT_LT(shallowest, 4);
-  EXPECT_GE(shallowest, front.min_level);
-}
-
-// Brute-force U-list of a front: every unordered pair of distinct leaves
-// whose boxes are colleagues (chebyshev <= separation at the coarser side,
-// the deeper leaf mapped through its ancestor). Level gaps >= 2 are a
-// balance violation and reported as such.
-std::set<std::pair<std::uint64_t, std::uint64_t>> brute_force_pairs(
-    const RefineFixture& f, const LeafFront& front, bool* balanced) {
-  std::set<std::pair<std::uint64_t, std::uint64_t>> pairs;
-  *balanced = true;
-  const auto key = [](int l, std::uint32_t flat) {
-    return (static_cast<std::uint64_t>(l) << 40) | flat;
-  };
-  for (std::size_t a = 0; a < front.leaves(); ++a) {
-    for (std::size_t b = a + 1; b < front.leaves(); ++b) {
-      int la = front.leaf_level[a], lb = front.leaf_level[b];
-      std::uint32_t fa = front.leaf_flat[a], fb = front.leaf_flat[b];
-      if (la > lb) {
-        std::swap(la, lb);
-        std::swap(fa, fb);
-      }
-      BoxCoord cb = f.hier.coord_of(lb, fb);
-      for (int l = lb; l > la; --l) cb = Hierarchy::parent_of(cb);
-      const BoxCoord ca = f.hier.coord_of(la, fa);
-      const int cheb = std::max({std::abs(ca.ix - cb.ix),
-                                 std::abs(ca.iy - cb.iy),
-                                 std::abs(ca.iz - cb.iz)});
-      if (cheb > 2) continue;
-      if (lb - la >= 2) *balanced = false;
-      pairs.insert({std::min(key(la, fa), key(lb, fb)),
-                    std::max(key(la, fa), key(lb, fb))});
-    }
-  }
-  return pairs;
-}
-
-TEST(RefinementTest, NearPairsCoverEveryAdjacencyExactlyOnce) {
-  const RefineFixture f = make_clustered_fixture(4, 12);
-  const std::vector<Offset> near = near_field_offsets(2);
-  const std::vector<Offset> near_half = near_field_half_offsets(2);
-  for (const int ncrit : {8, 16, 64}) {
-    const LeafFront front = mark_front(f, ncrit);
-    bool balanced = false;
-    const auto expect = brute_force_pairs(f, front, &balanced);
-    // The balance ripple's contract: no adjacency spans 2+ levels.
-    EXPECT_TRUE(balanced) << "ncrit " << ncrit;
-    const auto key = [](int l, std::uint32_t flat) {
-      return (static_cast<std::uint64_t>(l) << 40) | flat;
-    };
-    std::set<std::pair<std::uint64_t, std::uint64_t>> got;
-    std::size_t emitted = 0;
-    for_each_near_pair(
-        f.hier, f.act, front, near, near_half,
-        [&](std::size_t li, int sl, std::uint32_t sa) {
-          const std::uint64_t own =
-              key(front.leaf_level[li], front.leaf_flat[li]);
-          const std::uint64_t src = key(
-              sl, f.act.levels[static_cast<std::size_t>(sl)].boxes[sa]);
-          got.insert({std::min(own, src), std::max(own, src)});
-          ++emitted;
-        });
-    EXPECT_EQ(got.size(), emitted) << "duplicate adjacency, ncrit " << ncrit;
-    EXPECT_EQ(got, expect) << "ncrit " << ncrit;
-  }
-}
-
-TEST(RefinementTest, CostSelectorAgreesWithOptimalDepthOnUniform) {
-  // On uniform inputs the exact-pair cost model reduces to an occupancy
-  // rule: it picks the level where mean occupancy crosses its break-even
-  // (~4 bodies per leaf for k = 12 with supernodes, where pair flops and
-  // translation flops balance) — exactly optimal_depth with that constant.
-  RefinementCostParams params;
-  const std::vector<Offset> near_half = near_field_half_offsets(2);
-  for (const std::uint32_t per_leaf : {4u, 8u}) {
-    const RefineFixture f = make_uniform_fixture(4, per_leaf);
-    const std::size_t n = per_leaf * 4096;
-    const int by_cost =
-        select_uniform_depth(f.hier, f.act, f.counts, near_half, params);
-    EXPECT_EQ(by_cost, optimal_depth(n, 4.0)) << per_leaf;
-  }
-}
-
-TEST(RefinementTest, CostSelectorDivergesFromOccupancyOnClustered) {
-  // Same body count as a uniform input whose mean occupancy picks level 3 —
-  // but concentrated in one octant subtree, where exact pair counts demand
-  // the full depth. Mean occupancy cannot see the difference.
-  const RefineFixture f = make_clustered_fixture(5, 60);
-  std::size_t n = 0;
-  for (const std::uint32_t c : f.leaf_counts) n += c;
-  RefinementCostParams params;
-  const std::vector<Offset> near_half = near_field_half_offsets(2);
-  const int by_cost =
-      select_uniform_depth(f.hier, f.act, f.counts, near_half, params);
-  EXPECT_GT(by_cost, optimal_depth(n, 8.0));
-}
-
-TEST(RefinementTest, AdaptiveFrontBeatsUniformOnClustered) {
-  const RefineFixture f = make_clustered_fixture(4, 24);
-  RefinementCostParams params;
-  const std::vector<Offset> near = near_field_offsets(2);
-  const std::vector<Offset> near_half = near_field_half_offsets(2);
-  LeafFront scratch;
-  const std::vector<int> ladder{8, 16, 32, 64, 128};
-  const int ncrit = select_ncrit(f.hier, f.act, f.counts, near, near_half,
-                                 params, ladder, 2, scratch);
-  EXPECT_NE(std::find(ladder.begin(), ladder.end(), ncrit), ladder.end());
-  LeafFront front;
-  build_leaf_front(f.hier, f.act, f.counts, ncrit, 2, near, front);
-  const RefinementCost adaptive =
-      front_cost(f.hier, f.act, f.counts, front, near, near_half, params);
-  const int h = select_uniform_depth(f.hier, f.act, f.counts, near_half,
-                                     params);
-  const RefinementCost uniform =
-      uniform_cost(f.hier, f.act, f.counts, h, near_half, params);
-  // The whole point of the ncrit front: strictly fewer modeled flops than
-  // the best uniform cut — here by carrying far fewer expansion boxes —
-  // with the near-pair count essentially unchanged (coarse background
-  // leaves may pick up a handful of extra adjacencies).
-  EXPECT_LT(adaptive.flops, uniform.flops);
-  EXPECT_LT(adaptive.tree_boxes, uniform.tree_boxes);
-  EXPECT_LE(adaptive.near_pairs, uniform.near_pairs + uniform.near_pairs / 50);
-}
-
-TEST(RefinementTest, WarmRemarkNoHeapGrowth) {
-  const RefineFixture f = make_clustered_fixture(4, 12);
-  const std::vector<Offset> near = near_field_offsets(2);
-  LeafFront front;
-  build_leaf_front(f.hier, f.act, f.counts, 16, 2, near, front);
-  ActiveLevels pruned;
-  std::vector<std::vector<std::uint8_t>> leaf_flags;
-  build_front_levels(f.hier, f.act, front, pruned, leaf_flags);
-  const std::size_t before = front.capacity_bytes() + pruned.capacity_bytes();
-  build_leaf_front(f.hier, f.act, f.counts, 16, 2, near, front);
-  build_front_levels(f.hier, f.act, front, pruned, leaf_flags);
-  EXPECT_EQ(front.capacity_bytes() + pruned.capacity_bytes(), before);
-}
-
-TEST(RefinementTest, PrunedLevelsMatchFrontStates) {
-  const RefineFixture f = make_clustered_fixture(4, 12);
-  const LeafFront front = mark_front(f, 16);
-  ActiveLevels pruned;
-  std::vector<std::vector<std::uint8_t>> leaf_flags;
-  build_front_levels(f.hier, f.act, front, pruned, leaf_flags);
-  EXPECT_EQ(pruned.depth, front.max_leaf_level);
-  std::size_t leaves_seen = 0;
-  for (int l = 0; l <= pruned.depth; ++l) {
-    const LevelActiveSet& pl = pruned.levels[static_cast<std::size_t>(l)];
-    const LevelActiveSet& al = f.act.levels[static_cast<std::size_t>(l)];
-    ASSERT_EQ(leaf_flags[static_cast<std::size_t>(l)].size(), pl.count());
-    for (std::size_t i = 0; i < pl.count(); ++i) {
-      const std::uint32_t flat = pl.boxes[i];
-      const std::int32_t ai = al.dense_to_active[flat];
-      ASSERT_GE(ai, 0);
-      const std::uint8_t st =
-          front.state[static_cast<std::size_t>(l)][static_cast<std::size_t>(
-              ai)];
-      EXPECT_NE(st, LeafFront::kBelow);
-      const bool is_leaf = st == LeafFront::kLeaf;
-      EXPECT_EQ(leaf_flags[static_cast<std::size_t>(l)][i] != 0, is_leaf);
-      leaves_seen += is_leaf ? 1u : 0u;
-    }
-  }
-  EXPECT_EQ(leaves_seen, front.leaves());
 }
 
 }  // namespace

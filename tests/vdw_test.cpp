@@ -19,6 +19,7 @@
 #include <cstdint>
 #include <cstring>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "hfmm/core/near_field.hpp"
@@ -344,9 +345,12 @@ core::FmmConfig vdw_config(bool periodic) {
   return cfg;
 }
 
+// `sparse` is the executor the leaf occupancy must select for `ps`, so the
+// fixture cannot silently switch executor.
 void expect_solve_matches_brute_force(const core::FmmConfig& cfg,
                                       const ParticleSet& ps,
-                                      const std::vector<std::int32_t>& type) {
+                                      const std::vector<std::int32_t>& type,
+                                      bool sparse) {
   const std::size_t n = ps.size();
   const VdwTable t(cfg.kernel.vdw_rmin, cfg.kernel.vdw_epsilon,
                    cfg.kernel.vdw_cuton, cfg.kernel.vdw_cutoff,
@@ -360,6 +364,7 @@ void expect_solve_matches_brute_force(const core::FmmConfig& cfg,
   core::FmmSolver solver(cfg);
   const core::FmmResult r = solver.solve(ps);
   ASSERT_EQ(r.kernel, core::KernelType::kVanDerWaals);
+  EXPECT_EQ(r.sparse, sparse);
   ASSERT_EQ(r.phi.size(), n);
   for (std::size_t i = 0; i < n; ++i) {
     const double s = 1e-11 * (scale[i] + 1.0);
@@ -373,7 +378,8 @@ void expect_solve_matches_brute_force(const core::FmmConfig& cfg,
 TEST(VdwSolveTest, MatchesBruteForceUniform) {
   std::vector<std::int32_t> type;
   const ParticleSet ps = typed_uniform(400, 42, type, 2);
-  expect_solve_matches_brute_force(vdw_config(false), ps, type);
+  expect_solve_matches_brute_force(vdw_config(false), ps, type,
+                                   /*sparse=*/false);
 }
 
 TEST(VdwSolveTest, MatchesBruteForceClustered) {
@@ -384,7 +390,8 @@ TEST(VdwSolveTest, MatchesBruteForceClustered) {
     type[i] = static_cast<std::int32_t>(i % 2);
     ps.set_type(i, type[i]);
   }
-  expect_solve_matches_brute_force(vdw_config(false), ps, type);
+  expect_solve_matches_brute_force(vdw_config(false), ps, type,
+                                   /*sparse=*/true);
 }
 
 TEST(VdwSolveTest, MatchesBruteForcePeriodicMinimumImage) {
@@ -409,7 +416,8 @@ TEST(VdwSolveTest, MatchesBruteForcePeriodicMinimumImage) {
       ps.set(i, pos, ps.q()[i]);
     }
   }
-  expect_solve_matches_brute_force(vdw_config(true), ps, type);
+  expect_solve_matches_brute_force(vdw_config(true), ps, type,
+                                   /*sparse=*/true);
 }
 
 TEST(VdwSolveTest, FarFieldPhasesReportZeroWork) {
@@ -460,50 +468,32 @@ TEST(VdwSolveTest, SequentialAndThreadedBitwiseIdentical) {
                            a.grad.size() * sizeof(Vec3)));
 }
 
-TEST(VdwSolveTest, DenseAndSparseHierarchiesIdentical) {
+// The pair tables are indexed by type id unchecked, so a solve must reject
+// an id outside the table before any work, in every execution mode.
+TEST(VdwSolveTest, TypeIdsOutsideTheTableAreRejected) {
   std::vector<std::int32_t> type;
-  const ParticleSet ps = typed_uniform(400, 31, type, 2);
-  core::FmmConfig dense = vdw_config(false);
-  dense.hierarchy = core::HierarchyMode::kDense;
-  core::FmmConfig sparse = vdw_config(false);
-  sparse.hierarchy = core::HierarchyMode::kSparse;
-  const core::FmmResult a = core::FmmSolver(dense).solve(ps);
-  const core::FmmResult b = core::FmmSolver(sparse).solve(ps);
-  EXPECT_FALSE(a.sparse);
-  EXPECT_TRUE(b.sparse);
-  ASSERT_EQ(a.phi.size(), b.phi.size());
-  EXPECT_EQ(0, std::memcmp(a.phi.data(), b.phi.data(),
-                           a.phi.size() * sizeof(double)));
-}
-
-TEST(VdwSolveTest, AdaptiveHierarchyDegradesToAuto) {
-  core::FmmConfig cfg = vdw_config(false);
-  cfg.hierarchy = core::HierarchyMode::kAdaptive;
-  core::FmmSolver solver(cfg);
-  EXPECT_EQ(solver.config().hierarchy, core::HierarchyMode::kAuto);
-  EXPECT_EQ(solver.hierarchy_requested(), core::HierarchyMode::kAdaptive);
-  std::vector<std::int32_t> type;
-  const ParticleSet ps = typed_uniform(200, 3, type, 2);
-  const core::FmmResult r = solver.solve(ps);
-  EXPECT_FALSE(r.adaptive);
-  // The degradation is surfaced, not silent: the result records both the
-  // request and the mode actually in effect.
-  EXPECT_EQ(r.hierarchy_requested, core::HierarchyMode::kAdaptive);
-  EXPECT_EQ(r.hierarchy_effective, core::HierarchyMode::kAuto);
-}
-
-// A far-field-capable kernel keeps the requested mode: requested ==
-// effective on the Laplace path.
-TEST(VdwSolveTest, LaplaceAdaptiveRequestStaysAdaptive) {
-  core::FmmConfig cfg;
-  cfg.hierarchy = core::HierarchyMode::kAdaptive;
-  core::FmmSolver solver(cfg);
-  EXPECT_EQ(solver.hierarchy_requested(), core::HierarchyMode::kAdaptive);
-  const ParticleSet ps = make_uniform(200, Box3{}, 5);
-  const core::FmmResult r = solver.solve(ps);
-  EXPECT_EQ(r.hierarchy_requested, core::HierarchyMode::kAdaptive);
-  EXPECT_EQ(r.hierarchy_effective, core::HierarchyMode::kAdaptive);
-  EXPECT_TRUE(r.adaptive);
+  const ParticleSet good = typed_uniform(2000, 17, type, 2);
+  for (const core::ExecutionMode mode :
+       {core::ExecutionMode::kSequential, core::ExecutionMode::kThreads,
+        core::ExecutionMode::kDataParallel}) {
+    core::FmmConfig cfg = vdw_config(false);
+    cfg.mode = mode;
+    core::FmmSolver solver(cfg);
+    for (const std::int32_t bad : {2, -1, 1000000}) {
+      ParticleSet ps = good;
+      ps.set_type(1234, bad);
+      try {
+        solver.solve(ps);
+        ADD_FAILURE() << "accepted type id " << bad << " in mode "
+                      << core::to_string(mode);
+      } catch (const std::invalid_argument& e) {
+        EXPECT_NE(std::string(e.what()).find("particle 1234"),
+                  std::string::npos)
+            << e.what();
+      }
+    }
+    EXPECT_EQ(solver.solve(good).phi.size(), good.size());
+  }
 }
 
 TEST(KernelSpecTest, ValidateRejectsBadSpecs) {

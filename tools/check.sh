@@ -28,12 +28,6 @@ run_suite() {
   cmake -B "$build_dir" -S . "$@" >/dev/null
   cmake --build "$build_dir" -j "$jobs"
   ctest --test-dir "$build_dir" --output-on-failure -j "$jobs"
-  # Adaptive-refinement suite on its own row, so a sanitizer finding there
-  # is attributed separately: the leaf front, U-list plan and multi-level
-  # leaf phases are the newest hot path.
-  echo "== adaptive-refinement suite =="
-  ctest --test-dir "$build_dir" --output-on-failure \
-    -R 'RefinementTest|AdaptiveSolveTest'
   # Short-range kernel suite (DESIGN.md §16): the vdW P2P backends, the
   # far-chain suppression and the periodic minimum-image wrap.
   echo "== van der Waals kernel suite =="
@@ -49,18 +43,21 @@ run_suite() {
   echo "== distributed executor suite =="
   run_dist_tests "$build_dir"
   # Clustered bench smoke (plain tree only — sanitizer trees build no
-  # bench): the adaptive artifacts must carry pair counts and non-empty
-  # occupancy for every config.
+  # bench): Plummer input must run on the sparse executor, and the
+  # artifacts must carry pair counts and non-empty occupancy for every
+  # config.
   if [[ -x "$build_dir/bench/bench_scaling" ]]; then
     echo "== clustered bench smoke =="
     "$build_dir/bench/bench_scaling" --nmax=32000 --ndp=8000 \
-      --dist=plummer --hierarchy=adaptive --json="$build_dir/smoke_scaling.json" \
-      >/dev/null
-    grep -q '"adaptive": true' "$build_dir/smoke_scaling.json"
+      --dist=plummer --json="$build_dir/smoke_scaling.json" >/dev/null
+    grep -q '"sparse": true' "$build_dir/smoke_scaling.json"
     grep -q '"near_pairs"' "$build_dir/smoke_scaling.json"
     "$build_dir/bench/bench_breakdown" --n=20000 --dist=plummer \
       --json="$build_dir/smoke_breakdown.json" >/dev/null
-    grep -q '"label": "plummer_adaptive"' "$build_dir/smoke_breakdown.json"
+    for label in plummer_d4_sparse plummer_d5_sparse plummer_sparse_auto; do
+      grep -A1 "\"label\": \"$label\"" "$build_dir/smoke_breakdown.json" |
+        grep -q '"sparse": true'
+    done
     grep -q '"pairs"' "$build_dir/smoke_breakdown.json"
     ! grep -q '"occupancy": \[\]' "$build_dir/smoke_breakdown.json"
     # vdW bench smoke: --kernel retargets the sweep at the short-range
@@ -115,7 +112,7 @@ service_bench_smoke() {
       --json="$build_dir/smoke_service.json" >/dev/null
     grep -q '"bench": "bench_service"' "$build_dir/smoke_service.json"
     grep -q '"warm_zero_alloc": true' "$build_dir/smoke_service.json"
-    grep -q '"hierarchy_effective"' "$build_dir/smoke_service.json"
+    grep -q '"executor"' "$build_dir/smoke_service.json"
   fi
 }
 
@@ -184,8 +181,8 @@ if [[ "$lane" == all || "$lane" == asan ]]; then
   # Far-field scratch race: without supernodes the upward and interactive
   # stages of a threaded dense solve share per-chunk scratch, and a missing
   # graph edge let them overlap in about one run in five. Repeat the two
-  # solves that exposed it until one fails, before the full suite so a
-  # known failure there cannot skip this step.
+  # solves that exposed it until one fails, before the full suite, so the
+  # race is attributed on its own row.
   echo "== far-field scratch race repeats =="
   ctest --test-dir build-sanitize --output-on-failure --repeat until-fail:50 \
     -R 'FmmSolverTest.ThreadedDenseNoSupernodesMatchesSequentialBitwise|FmmSolverTest.PaperAccuracyHeadlines'
