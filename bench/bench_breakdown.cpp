@@ -7,7 +7,7 @@
 // shape as BENCH_kernels.json):
 //   { "bench": "bench_breakdown",
 //     "configs": [ { "label": "d5_k12", "n":.., "k":.., "depth":..,
-//       "mode": "threads", "dist": "uniform", "sparse": false,
+//       "mode": "threads", "dist": "uniform",
 //       "active_boxes":.., "workspace_bytes":..,
 //       "occupancy": [..],
 //       "total_seconds":.., "warm_seconds":.., "warm_allocs":..,
@@ -24,9 +24,9 @@
 //
 // --dist {uniform,plummer,two-clusters} selects the particle distribution
 // for the headline configs; pinned Plummer N=100k rows at depth 4, depth 5
-// and the automatic depth always run (on the sparse executor, which the
-// leaf occupancy selects), so the sparse executor's cold/warm cost,
-// workspace footprint and near-field pair count stay diffable.
+// and the automatic depth always run, so the clustered cold/warm cost,
+// active-box count, workspace footprint and near-field pair count stay
+// diffable.
 
 #include <cstring>
 #include <iostream>
@@ -116,10 +116,9 @@ void run(const char* label, const char* slug, const anderson::Params& params,
     warm_allocs = w.workspace_allocs;
   }
 
-  std::printf("\n%s  (N = %zu, K = %zu, depth %d, %s, dist %s, kernel %s%s)\n",
+  std::printf("\n%s  (N = %zu, K = %zu, depth %d, %s, dist %s, kernel %s)\n",
               label, n, r.k, r.depth, dp_mode ? "data-parallel" : "threads",
-              opts.dist.c_str(), core::to_string(r.kernel),
-              r.sparse ? ", sparse active" : "");
+              opts.dist.c_str(), core::to_string(r.kernel));
   Table table({"phase", "time (s)", "share", "Gflop", "efficiency"});
   for (const auto& [name, s] : r.breakdown.phases()) {
     if (name == "comm") continue;
@@ -180,14 +179,13 @@ void run(const char* label, const char* slug, const anderson::Params& params,
     std::fprintf(json,
                  "%s\n    { \"label\": \"%s\", \"n\": %zu, \"k\": %zu, "
                  "\"depth\": %d, \"mode\": \"%s\", \"kernel\": \"%s\",\n"
-                 "      \"dist\": \"%s\", \"sparse\": %s, "
+                 "      \"dist\": \"%s\", "
                  "\"active_boxes\": %zu, "
                  "\"workspace_bytes\": %zu,\n      \"occupancy\": [",
                  first ? "" : ",", slug, n, r.k, r.depth,
                  dp_mode ? "data_parallel" : "threads",
                  core::to_string(r.kernel), opts.dist.c_str(),
-                 r.sparse ? "true" : "false", r.active_boxes,
-                 r.workspace_bytes);
+                 r.active_boxes, r.workspace_bytes);
     for (std::size_t l = 0; l < r.level_occupancy.size(); ++l)
       std::fprintf(json, "%s%.6f", l == 0 ? "" : ", ", r.level_occupancy[l]);
     std::fprintf(json,
@@ -267,8 +265,7 @@ int main(int argc, char** argv) {
   run("D=5 / K=12, simulated 8-VU machine", "d5_k12_dp",
       anderson::params_d5_k12(), n / 2, true, json, false, opts);
 
-  // Pinned Plummer rows, where the leaf occupancy selects the sparse
-  // executor: depth 4 (near-field dominated at N=100k), depth 5
+  // Pinned Plummer rows: depth 4 (near-field dominated at N=100k), depth 5
   // (translation dominated) and the automatic depth.
   std::printf("\n==== clustered input (Plummer) ====\n");
   for (const int depth : {4, 5, -1}) {

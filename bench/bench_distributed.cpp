@@ -3,8 +3,7 @@
 // For R in {1, 2, 4, 8} (capped by --ranks) the same particle set is solved
 // by the R-rank ExecutionMode::kDistributed executor and compared against
 // the single-rank reference, the same executor at R = 1 (dist_test ties
-// R = 1 to the sequential sparse executor on clustered input). Reported per
-// rank count:
+// R = 1 to the sequential shared-memory solve). Reported per rank count:
 // solve time, partition cost imbalance, LET sizes (ghost bodies + far/local
 // vectors received) and the exchange volume, both modeled by the LET plan
 // and measured on the fabric; plus a per-rank breakdown at the widest R.

@@ -8,11 +8,10 @@
 //   (2) VU sweep at fixed N: per-VU work should fall linearly while the
 //       communication fraction stays bounded (the paper: 10-25%).
 //
-// --dist {uniform,plummer,two-clusters} selects the particle distribution
-// (clustered inputs select the sparse active-box executor). The N sweep is
-// written to BENCH_scaling.json (--json=FILE) with the distribution, the
-// executor that ran, the per-level active-box occupancy and the near-field
-// pair count of every row.
+// --dist {uniform,plummer,two-clusters} selects the particle distribution.
+// The N sweep is written to BENCH_scaling.json (--json=FILE) with the
+// distribution, the active-box count, the per-level active-box occupancy
+// and the near-field pair count of every row.
 
 #include <cstring>
 #include <iostream>
@@ -101,7 +100,7 @@ int main(int argc, char** argv) {
               "dist %s, kernel %s)\n\n",
               dist.c_str(), core::to_string(kernel));
   Table t1({"N", "depth", "cold (s)", "warm (s)", "warm us/particle",
-            "cycles/particle", "Gflop", "efficiency", "near pairs", "tree"});
+            "cycles/particle", "Gflop", "efficiency", "near pairs"});
   bool first_row = true;
   for (std::size_t n = nmax / 16; n <= nmax; n *= 4) {
     core::FmmConfig cfg;
@@ -130,19 +129,17 @@ int main(int argc, char** argv) {
                        3),
             Table::percent(bench::efficiency(r.breakdown.total_flops(),
                                              r.breakdown.total_seconds())),
-            Table::num(near_pairs),
-            r.sparse ? "sparse" : "dense"});
+            Table::num(near_pairs)});
     if (json != nullptr) {
       std::fprintf(json,
                    "%s\n    { \"n\": %zu, \"depth\": %d, "
                    "\"kernel\": \"%s\", "
                    "\"cold_seconds\": %.6f, \"warm_seconds\": %.6f, "
-                   "\"sparse\": %s, \"near_pairs\": %llu, "
+                   "\"near_pairs\": %llu, "
                    "\"active_boxes\": %zu, "
                    "\"workspace_bytes\": %zu, \"occupancy\": [",
                    first_row ? "" : ",", n, r.depth,
                    core::to_string(r.kernel), secs, warm,
-                   r.sparse ? "true" : "false",
                    static_cast<unsigned long long>(near_pairs),
                    r.active_boxes, r.workspace_bytes);
       for (std::size_t l = 0; l < r.level_occupancy.size(); ++l)
@@ -193,12 +190,11 @@ int main(int argc, char** argv) {
                    "%s\n    { \"vus\": %zu, \"depth\": %d, "
                    "\"kernel\": \"%s\", "
                    "\"comm_seconds\": %.6f, \"off_vu_bytes\": %llu, "
-                   "\"messages\": %llu, \"sparse\": %s }",
+                   "\"messages\": %llu }",
                    first_row ? "" : ",", vus, r.depth,
                    core::to_string(r.kernel), comm,
                    static_cast<unsigned long long>(r.comm.off_vu_bytes),
-                   static_cast<unsigned long long>(r.comm.messages),
-                   r.sparse ? "true" : "false");
+                   static_cast<unsigned long long>(r.comm.messages));
       first_row = false;
     }
   }

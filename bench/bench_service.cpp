@@ -1,7 +1,7 @@
 // Solver-as-a-service throughput/latency measurement (DESIGN.md Section 17).
 //
 // A mixed multi-tenant load — Laplace K=12, Laplace K=72, a clustered
-// tenant (sparse executor), and a short-range vdW tenant — is admitted as
+// tenant, and a short-range vdW tenant — is admitted as
 // interleaved batches through one SolverService. Reported per scenario:
 // warm-solve latency (p50/p95/mean) and the warm-path guarantees
 // (plan_reused, zero workspace growth); for the batch: aggregate solves/sec;
@@ -160,8 +160,8 @@ int main(int argc, char** argv) {
 
   const service::ServiceStats stats = svc.stats();
 
-  Table table({"scenario", "kernel", "K", "dist", "executor", "p50 ms",
-               "p95 ms", "mean ms"});
+  Table table({"scenario", "kernel", "K", "dist", "p50 ms", "p95 ms",
+               "mean ms"});
   std::FILE* json = std::fopen(json_path, "w");
   if (json == nullptr)
     std::fprintf(stderr, "bench_service: cannot write %s\n", json_path);
@@ -178,25 +178,22 @@ int main(int argc, char** argv) {
     double mean = 0.0;
     for (const double t : lat) mean += t;
     mean = lat.empty() ? 0.0 : mean * 1e3 / static_cast<double>(lat.size());
-    // Every copy of a scenario runs the same workload; report the executor
-    // that ran from its cold outcome.
+    // Every copy of a scenario runs the same workload; report its shape
+    // from the cold outcome.
     std::size_t first = 0;
     while (scenario_of[first] != s) ++first;
     const core::FmmResult& probe = cold[first].result;
-    const char* executor = probe.sparse ? "sparse" : "dense";
     table.row({kScenarios[s].name, core::to_string(probe.kernel),
-               std::to_string(probe.k), kScenarios[s].dist, executor,
+               std::to_string(probe.k), kScenarios[s].dist,
                Table::num(p50, 3), Table::num(p95, 3), Table::num(mean, 3)});
     if (json != nullptr)
       std::fprintf(json,
                    "%s\n    { \"name\": \"%s\", \"kernel\": \"%s\", "
-                   "\"k\": %zu, \"dist\": \"%s\", "
-                   "\"executor\": \"%s\", \"depth\": %d, "
+                   "\"k\": %zu, \"dist\": \"%s\", \"depth\": %d, "
                    "\"p50_ms\": %.6f, \"p95_ms\": %.6f, \"mean_ms\": %.6f }",
                    s == 0 ? "" : ",", kScenarios[s].name,
                    core::to_string(probe.kernel), probe.k, kScenarios[s].dist,
-                   executor, probe.depth,
-                   p50, p95, mean);
+                   probe.depth, p50, p95, mean);
   }
   table.print(std::cout);
   std::printf("\ncold batch: %.3f s for %zu requests\n", cold_seconds, nreq);

@@ -6,8 +6,10 @@
 //   copying and 44%/74% with copying + masking. It also reports the
 //   aggregation win for T1/T3 (58 -> 87 Mflops/s/PN at K = 12). We measure
 //   the same ratios: per-phase flop rates as a fraction of the calibrated
-//   peak, for gemv (unaggregated), gemm (aggregated with explicit copies),
-//   and batched gemm (multiple-instance, no copies).
+//   peak. The solver gathers the boxes of a chunk that share a translation
+//   matrix into one slab in every mode; the mode picks the BLAS call
+//   applied to it: gemv (one BLAS-2 vecmat per box), gemm (one BLAS-3
+//   product), or batched gemm (multiple-instance, 8-box instances).
 
 #include <iostream>
 

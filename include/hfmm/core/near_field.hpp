@@ -110,8 +110,8 @@ NearFieldResult near_field_chunk(const tree::Hierarchy& hier,
                                  const NearKernel& kern = NearKernel{});
 
 /// Active-box variant: evaluates the leaf boxes whose flat indices are
-/// listed in `boxes` (a slice of a sparse active set, ascending). Pair
-/// coverage matches the dense range form exactly — boxes absent from an
+/// listed in `boxes` (a slice of an active set, ascending). Pair
+/// coverage matches the box-range form exactly — boxes absent from an
 /// active set are empty, and box pairs with an empty side are skipped by
 /// both forms — so the two produce identical interactions.
 NearFieldResult near_field_chunk(const tree::Hierarchy& hier,

@@ -61,12 +61,9 @@ struct FmmResult {
   std::size_t leaf_boxes = 0;
   bool plan_reused = false;  ///< warm solve: no plan construction happened
   std::uint64_t workspace_allocs = 0;  ///< heap-growth events this solve
-  /// True when the solve ran on the sparse active-box executor, which the
-  /// solver selects when fewer than 90% of the leaf boxes hold a particle
-  /// (DESIGN.md Section 13); in data-parallel mode, when the multigrid moves
-  /// were masked by the same rule. Distributed solves always run sparse.
-  bool sparse = false;
-  /// Total active boxes over all levels (== total dense boxes when dense).
+  /// Total active boxes over all levels: a box is active when its subtree
+  /// holds a particle (DESIGN.md Section 13). Equals the total box count of
+  /// levels 0..depth when every leaf is occupied.
   std::size_t active_boxes = 0;
   /// Per-level active-box fraction, level_occupancy[l] in (0, 1].
   std::vector<double> level_occupancy;
@@ -125,7 +122,8 @@ class FmmSolver {
 
   /// Computes the potential (and optionally gradient) induced at every
   /// particle by all the others. Throws std::invalid_argument, before any
-  /// work, when a position or charge is not finite.
+  /// work, when a position or charge is not finite or a coordinate lies
+  /// outside [-2^500, 2^500] (about +-3.27e150).
   FmmResult solve(const ParticleSet& particles);
 
   /// Streamed variant: leaves the outputs in sorted order behind `view`
@@ -156,9 +154,6 @@ class FmmSolver {
   FmmResult solve_impl_(const ParticleSet& particles, SolveView* view);
   FmmResult solve_dp_(const ParticleSet& particles,
                       const tree::Hierarchy& hier, FmmResult result);
-  FmmResult solve_sparse_(const ParticleSet& particles,
-                          const tree::Hierarchy& hier, FmmResult result,
-                          SolveView* view);
   FmmResult solve_dist_(const ParticleSet& particles,
                         const tree::Hierarchy& hier, FmmResult result,
                         SolveView* view);

@@ -10,7 +10,7 @@
 // slice [body_begin[r], body_begin[r+1]) of the globally sorted arrays.
 //
 // The split itself reuses exec::weighted_split over a per-leaf weight:
-//   * kCost   — the sparse executor's cost model (near-field pair count
+//   * kCost   — the active-set cost model (near-field pair count
 //               plus per-leaf particle count standing in for the P2M/L2P
 //               work), the default;
 //   * kBodies — particle counts only (an ORB-flavoured equal-bodies split

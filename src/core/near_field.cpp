@@ -60,8 +60,8 @@ void group_rows(std::span<const tree::Offset> offsets,
 
 // Plans a chunk's pkern calls into ch.runs and sets [ch.lo, ch.hi) to the
 // particle span they write; returns the per-box-pair counts. The `count`
-// target boxes come from `flat_of(i)` — a contiguous range on the dense
-// path, an active-box list slice on the sparse path. Per nonempty target
+// target boxes come from `flat_of(i)` — a contiguous range in the box-range
+// form, an active-box list slice in the list form. Per nonempty target
 // box: the box against itself, then per x-row one run for each stretch of
 // boxes whose sorted particle ranges abut. The z|y|x coordinate-sort key
 // puts x-neighbours side by side, so a full row is usually one run; a run

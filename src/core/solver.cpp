@@ -4,7 +4,6 @@
 #include <array>
 #include <atomic>
 #include <cmath>
-#include <cstring>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -19,14 +18,23 @@
 #include "hfmm/service/plan_cache.hpp"
 #include "hfmm/tree/interaction_lists.hpp"
 #include "solver_internal.hpp"
+#include "sparse_chunks.hpp"
 
 namespace hfmm::core {
 
+using internal::ActiveContext;
 using internal::FmmPlan;
 using internal::MatrixSet;
 using internal::SolveWorkspace;
 using internal::TranslationData;
 using internal::UnionOffset;
+using internal::downward_chunk;
+using internal::interactive_chunk;
+using internal::l2p_chunk;
+using internal::p2m_chunk;
+using internal::particles_in;
+using internal::supernode_chunk;
+using internal::upward_chunk;
 
 namespace internal {
 
@@ -59,10 +67,16 @@ void validate_particles(const ParticleSet& particles, const KernelSpec& kernel,
                                             particles.z(), particles.q()};
   constexpr const char* names[] = {"x coordinate", "y coordinate",
                                    "z coordinate", "charge"};
+  // Squared distances and box extents of coordinates within +-2^500 stay
+  // far from overflow; a coordinate near 1e155 turns every potential NaN.
+  constexpr double kMaxCoordinate = 0x1p500;
   for (std::size_t i = 0; i < particles.size(); ++i)
-    for (int f = 0; f < 4; ++f)
+    for (int f = 0; f < 4; ++f) {
       if (!std::isfinite(fields[f][i]))
         reject(i, std::string("a non-finite ") + names[f]);
+      if (f < 3 && std::abs(fields[f][i]) > kMaxCoordinate)
+        reject(i, std::string("its ") + names[f] + " outside [-2^500, 2^500]");
+    }
   // Only short-range kernels read the type ids, as indices into their pair
   // tables; particles without a type channel are all type 0.
   if (kernel.far_field_capable() || !particles.has_types()) return;
@@ -282,7 +296,7 @@ namespace internal {
 
 void apply_rows(const double* tt, std::size_t k, const double* src,
                 double* dst, std::size_t nb, AggregationMode mode,
-                std::size_t batch_slab, std::uint64_t& flops) {
+                std::uint64_t& flops) {
   switch (mode) {
     case AggregationMode::kGemv:
       for (std::size_t b = 0; b < nb; ++b)
@@ -292,7 +306,7 @@ void apply_rows(const double* tt, std::size_t k, const double* src,
       blas::gemm(src, k, tt, k, dst, k, nb, k, k, true);
       break;
     case AggregationMode::kGemmBatch: {
-      const std::size_t slab = std::max<std::size_t>(1, batch_slab);
+      constexpr std::size_t slab = 8;  // rows per instance
       const std::size_t full = nb / slab;
       if (full > 0)
         blas::gemm_batch(src, k, slab * k, tt, k, 0, dst, k, slab * k, slab,
@@ -358,433 +372,54 @@ SupernodeLevelPlan build_supernode_plan(const TranslationData& trans,
 
 }  // namespace internal
 
-// ---------------------------------------------------------------------------
-// Shared-memory (seq / threads) execution: chunked stage bodies driven by
-// the hfmm::exec phase graph. Each body covers [lo, hi) of its stage's
-// range, uses the stage chunk index as its scratch-slot key, and reports
-// flops/bytes into the per-worker PhaseStats the scheduler hands it.
-// ---------------------------------------------------------------------------
+// Derives the active level sets and the per-leaf cost model (the "active"
+// phase), shared by the shared-memory and distributed executors: particle
+// counts weight the leaf stages, near-field pair counts weight the
+// near-field chunks (and the distributed partitioner). Both reuse workspace
+// buffers — a warm solve grows nothing here.
+void internal::update_active_costs(const FmmConfig& config,
+                                   const internal::FmmPlan& plan,
+                                   const tree::Hierarchy& hier, bool periodic,
+                                   internal::SolveWorkspace& ws,
+                                   PhaseBreakdown& breakdown) {
+  const int h = hier.depth();
+  const std::span<const tree::Offset> offsets =
+      plan.near_list(config.near_symmetry);
+  ScopedPhaseTimer timer(breakdown["active"]);
+  const std::size_t cap_before = ws.active.capacity_bytes();
+  tree::build_active_levels(hier, ws.occupied, ws.active);
+  if (ws.active.capacity_bytes() != cap_before)
+    ws.allocs.fetch_add(1, std::memory_order_relaxed);
 
-namespace {
-
-struct SharedContext {
-  const FmmConfig& config;
-  const FmmPlan& plan;
-  const tree::Hierarchy& hier;
-  SolveWorkspace& ws;
-
-  const TranslationData& trans() const { return *plan.trans; }
-};
-
-void p2m_chunk(SharedContext& ctx, std::size_t lo, std::size_t hi,
-               PhaseStats& stats) {
-  const int h = ctx.hier.depth();
-  const std::size_t k = ctx.config.params.k();
-  const double a = ctx.config.params.outer_ratio * ctx.hier.side_at(h);
-  const dp::BoxedParticles& boxed = ctx.ws.boxed;
-  const ParticleSet& p = boxed.sorted;
-  std::uint64_t local_flops = 0;
-  for (std::size_t f = lo; f < hi; ++f) {
-    const std::uint32_t rank = boxed.flat_to_rank[f];
-    const std::uint32_t b = boxed.box_begin[rank];
-    const std::uint32_t e = boxed.box_begin[rank + 1];
-    if (b == e) continue;
-    const tree::BoxCoord c = ctx.hier.coord_of(h, f);
-    anderson::p2m(ctx.config.params, a, ctx.hier.center(h, c),
-                  p.x().subspan(b, e - b), p.y().subspan(b, e - b),
-                  p.z().subspan(b, e - b), p.q().subspan(b, e - b),
-                  {ctx.ws.far[h].data() + f * k, k});
-    local_flops += anderson::p2m_flops(k, e - b);
-  }
-  stats.flops += local_flops;
-}
-
-// One level of the upward T1 pass over parent (z, y) rows [lo, hi); each
-// row gathers its 8 strided child rows into chunk scratch.
-void upward_chunk(SharedContext& ctx, int l, std::size_t chunk,
-                  std::size_t lo, std::size_t hi, PhaseStats& stats) {
-  const std::size_t k = ctx.config.params.k();
-  const std::int32_t np = ctx.hier.boxes_per_side(l);
-  const std::int32_t nc = 2 * np;
-  const double* child = ctx.ws.far[l + 1].data();
-  double* parent = ctx.ws.far[l].data();
-  internal::ChunkSlot& slot = ctx.ws.arena.slot(chunk);
-  internal::grow(slot.a, static_cast<std::size_t>(np) * k, ctx.ws.allocs);
-  double* scratch = slot.a.data();
-  std::uint64_t local_flops = 0;
-  for (std::size_t zy = lo; zy < hi; ++zy) {
-    const std::int32_t pz = static_cast<std::int32_t>(zy / np);
-    const std::int32_t py = static_cast<std::int32_t>(zy % np);
-    double* prow = parent + (static_cast<std::size_t>(pz) * np + py) * np * k;
-    for (int o = 0; o < 8; ++o) {
-      const std::int32_t cz = 2 * pz + ((o >> 2) & 1);
-      const std::int32_t cy = 2 * py + ((o >> 1) & 1);
-      const std::int32_t cx0 = o & 1;
-      // Gather the strided child row (stride 2 boxes) into scratch.
-      const double* crow =
-          child + (static_cast<std::size_t>(cz) * nc + cy) * nc * k;
-      for (std::int32_t px = 0; px < np; ++px)
-        std::memcpy(scratch + px * k,
-                    crow + (static_cast<std::size_t>(2 * px + cx0)) * k,
-                    k * sizeof(double));
-      internal::apply_rows(ctx.trans().t1[o], k, scratch, prow, np,
-                           ctx.config.aggregation, 8, local_flops);
-    }
-  }
-  stats.flops += local_flops;
-}
-
-// Fills padded z slabs [lo, hi) of the level-l source grid: zero the slab,
-// then copy the interior far-field rows (padding radius 2d+1 masks the
-// domain boundary automatically). Disjoint writes per slab.
-void pad_chunk(SharedContext& ctx, int l, std::size_t lo, std::size_t hi,
-               PhaseStats& stats) {
-  const std::size_t k = ctx.config.params.k();
-  const std::int32_t r = 2 * ctx.config.separation + 1;
-  const std::int32_t n = ctx.hier.boxes_per_side(l);
-  const std::int32_t np = n + 2 * r;
-  std::vector<double>& pad = ctx.ws.pad;
-  const double* far = ctx.ws.far[l].data();
-  std::uint64_t local_copy = 0;
-  for (std::size_t z = lo; z < hi; ++z) {
-    double* slab = pad.data() + z * static_cast<std::size_t>(np) * np * k;
-    std::fill(slab, slab + static_cast<std::size_t>(np) * np * k, 0.0);
-    const std::int32_t iz = static_cast<std::int32_t>(z) - r;
-    if (iz < 0 || iz >= n) continue;
-    for (std::int32_t y = 0; y < n; ++y)
-      std::memcpy(slab + (static_cast<std::size_t>(y + r) * np + r) * k,
-                  far + (static_cast<std::size_t>(iz) * n + y) * n * k,
-                  static_cast<std::size_t>(n) * k * sizeof(double));
-    local_copy += static_cast<std::size_t>(n) * n * k * sizeof(double);
-  }
-  stats.bytes_moved += local_copy;
-}
-
-// T2 over target z slabs [lo, hi) of level l, reading the zero-padded
-// source grid filled by pad_chunk.
-void interactive_chunk(SharedContext& ctx, int l, std::size_t chunk,
-                       std::size_t lo, std::size_t hi, PhaseStats& stats) {
-  const std::size_t k = ctx.config.params.k();
-  const int d = ctx.config.separation;
-  const std::int32_t r = 2 * d + 1;
-  const std::int32_t n = ctx.hier.boxes_per_side(l);
-  const std::int32_t np = n + 2 * r;
-  const std::vector<double>& pad = ctx.ws.pad;
-  double* local = ctx.ws.local[l].data();
-
-  internal::ChunkSlot& slot = ctx.ws.arena.slot(chunk);
-  internal::grow(slot.a, static_cast<std::size_t>(n) * n * k, ctx.ws.allocs);
-  internal::grow(slot.b, static_cast<std::size_t>(n) * k, ctx.ws.allocs);
-  internal::grow(slot.c, static_cast<std::size_t>(n) * k, ctx.ws.allocs);
-  double* src_slab = slot.a.data();
-  double* dst_strip = slot.b.data();
-  double* out_strip = slot.c.data();
-  std::uint64_t local_flops = 0, local_copy = 0;
-  {
-    for (std::size_t z = lo; z < hi; ++z) {
-      for (const UnionOffset& u : ctx.trans().union_offsets) {
-        const double* m = ctx.trans().t2[tree::offset_cube_index(u.o, d)];
-        const std::size_t sz = z + r + u.o.dz;
-        if (u.all_parities) {
-          switch (ctx.config.aggregation) {
-            case AggregationMode::kGemm: {
-              // Copy the n x n source slab into contiguous scratch (the
-              // paper's copy cost, ~2/K of the multiply), then one GEMM of
-              // shape (n^2) x K x K.
-              for (std::int32_t y = 0; y < n; ++y)
-                std::memcpy(
-                    src_slab + static_cast<std::size_t>(y) * n * k,
-                    pad.data() + ((sz * np + (y + r + u.o.dy)) * np + r +
-                                  u.o.dx) *
-                                     k,
-                    static_cast<std::size_t>(n) * k * sizeof(double));
-              local_copy += static_cast<std::size_t>(n) * n * k * 8;
-              internal::apply_rows(
-                  m, k, src_slab,
-                  local + static_cast<std::size_t>(z) * n * n * k,
-                  static_cast<std::size_t>(n) * n, AggregationMode::kGemm, 0,
-                  local_flops);
-              break;
-            }
-            case AggregationMode::kGemmBatch: {
-              // Each y row is one instance: strided A directly in the padded
-              // grid, no copies (the CMSSL multiple-instance trick).
-              blas::gemm_batch(
-                  pad.data() + ((sz * np + (r + u.o.dy)) * np + r + u.o.dx) * k,
-                  k, static_cast<std::size_t>(np) * k, m, k, 0,
-                  local + static_cast<std::size_t>(z) * n * n * k, k,
-                  static_cast<std::size_t>(n) * k, n, k, k, n, true);
-              local_flops += blas::gemm_flops(static_cast<std::size_t>(n) * n,
-                                              k, k);
-              break;
-            }
-            case AggregationMode::kGemv: {
-              for (std::int32_t y = 0; y < n; ++y)
-                for (std::int32_t x = 0; x < n; ++x)
-                  blas::vecmat(pad.data() + ((sz * np + (y + r + u.o.dy)) *
-                                                 np +
-                                             (x + r + u.o.dx)) *
-                                                k,
-                               m, k,
-                               local + ((static_cast<std::size_t>(z) * n + y) *
-                                            n +
-                                        x) *
-                                           k,
-                               k, k, true);
-              local_flops += blas::gemm_flops(static_cast<std::size_t>(n) * n,
-                                              k, k);
-              break;
-            }
-          }
-        } else {
-          // Parity-restricted shell (a +-(2d+1) component): only boxes of
-          // the admissible parity are targets; apply per strided strip.
-          const std::int32_t pz_ok = u.valid_parity[2];
-          if (!(pz_ok & (1 << (z & 1)))) continue;
-          for (std::int32_t y = 0; y < n; ++y) {
-            if (!(u.valid_parity[1] & (1 << (y & 1)))) continue;
-            const std::int32_t x0 =
-                (u.valid_parity[0] == 3) ? 0 : ((u.valid_parity[0] == 1) ? 0 : 1);
-            const std::int32_t xstep = (u.valid_parity[0] == 3) ? 1 : 2;
-            std::size_t cnt = 0;
-            for (std::int32_t x = x0; x < n; x += xstep) {
-              std::memcpy(dst_strip + cnt * k,
-                          pad.data() + ((sz * np + (y + r + u.o.dy)) * np +
-                                        (x + r + u.o.dx)) *
-                                           k,
-                          k * sizeof(double));
-              ++cnt;
-            }
-            local_copy += cnt * k * 8;
-            // Multiply into a scratch strip, then scatter-accumulate.
-            std::fill(out_strip, out_strip + cnt * k, 0.0);
-            blas::gemm(dst_strip, k, m, k, out_strip, k, cnt, k, k, false);
-            local_flops += blas::gemm_flops(cnt, k, k);
-            std::size_t w = 0;
-            for (std::int32_t x = x0; x < n; x += xstep) {
-              double* dst = local + ((static_cast<std::size_t>(z) * n + y) *
-                                         n +
-                                     x) *
-                                        k;
-              for (std::size_t i = 0; i < k; ++i) dst[i] += out_strip[w * k + i];
-              ++w;
-            }
-          }
-        }
+  const tree::LevelActiveSet& leaves = ws.active.levels[h];
+  const std::size_t nl = leaves.count();
+  const std::int32_t nside = hier.boxes_per_side(h);
+  internal::grow(ws.leaf_cost, nl, ws.allocs);
+  internal::grow(ws.near_cost, nl, ws.allocs);
+  // Per active leaf: leaf = its particle count, near = its near-field pair
+  // count.
+  for (std::size_t ai = 0; ai < nl; ++ai) {
+    const std::size_t f = leaves.boxes[ai];
+    const tree::BoxCoord c = hier.coord_of(h, f);
+    const std::uint64_t t = particles_in(ws.boxed, f);
+    ws.leaf_cost[ai] = t;
+    std::uint64_t pairs = t * (t > 0 ? t - 1 : 0);
+    for (const tree::Offset& o : offsets) {
+      if (o == tree::Offset{0, 0, 0}) continue;
+      tree::BoxCoord nb{c.ix + o.dx, c.iy + o.dy, c.iz + o.dz};
+      if (periodic) {
+        nb.ix = (nb.ix + nside) % nside;
+        nb.iy = (nb.iy + nside) % nside;
+        nb.iz = (nb.iz + nside) % nside;
+      } else if (nb.ix < 0 || nb.ix >= nside || nb.iy < 0 ||
+                 nb.iy >= nside || nb.iz < 0 || nb.iz >= nside) {
+        continue;
       }
+      pairs += t * particles_in(ws.boxed, hier.flat_index(h, nb));
     }
+    ws.near_cost[ai] = pairs;
   }
-  stats.flops += local_flops;
-  stats.bytes_moved += local_copy;
 }
-
-// Supernode variant of the interactive field (paper Section 2.3): complete
-// sibling octets are replaced by one parent-level translation. Instead of
-// branching per box, the precomputed gather plan (one rectangle of parent
-// coordinates per octant x entry, see solver_internal.hpp) drives the
-// application, so the phase aggregates into the same BLAS-3 forms as the
-// non-supernode path: kGemm gathers each rectangle slice into a contiguous
-// slab and applies the supernode matrix as one GEMM; kGemmBatch expresses
-// the stride-2 child geometry directly as a multiple-instance GEMM (leading
-// dimension 2K, one instance per parent row) with zero copies; kGemv is the
-// per-box BLAS-2 reference.
-void supernode_chunk(SharedContext& ctx, int l, std::size_t chunk,
-                     std::size_t ulo, std::size_t uhi, PhaseStats& stats) {
-  const std::size_t k = ctx.config.params.k();
-  const std::int32_t n = ctx.hier.boxes_per_side(l);
-  const std::int32_t np = ctx.hier.boxes_per_side(l - 1);
-  const internal::SupernodeLevelPlan& plan = ctx.plan.supernode_plans[l];
-  const double* far = ctx.ws.far[l].data();
-  const double* far_parent = ctx.ws.far[l - 1].data();
-  double* local = ctx.ws.local[l].data();
-  const AggregationMode mode = ctx.config.aggregation;
-
-  // Work units are (octant, parent z slice): targets of distinct units are
-  // disjoint (octants differ in child parity, slices in child z), so chunks
-  // write race-free.
-  internal::ChunkSlot& slot = ctx.ws.arena.slot(chunk);
-  std::uint64_t local_flops = 0, local_moved = 0;
-  {
-    {
-        for (std::size_t u = ulo; u < uhi; ++u) {
-          const int octant = static_cast<int>(u / np);
-          const std::int32_t pz = static_cast<std::int32_t>(u % np);
-          const std::int32_t ox = octant & 1, oy = (octant >> 1) & 1,
-                             oz = (octant >> 2) & 1;
-          const std::int32_t cz = 2 * pz + oz;
-          for (const internal::SupernodePlanEntry& pe :
-               plan.per_octant[octant]) {
-            if (pz < pe.lo[2] || pz >= pe.hi[2]) continue;
-            const std::int32_t xlo = pe.lo[0], xlen = pe.hi[0] - pe.lo[0];
-            const std::int32_t ylo = pe.lo[1], ylen = pe.hi[1] - pe.lo[1];
-            const double* m = pe.matrix;
-            // Source base pointer for parent row py and its x stride.
-            const auto src_row = [&](std::int32_t py) -> const double* {
-              if (pe.parent_source) {
-                return far_parent +
-                       ((static_cast<std::size_t>(pz + pe.offset.dz) * np +
-                         (py + pe.offset.dy)) *
-                            np +
-                        (xlo + pe.offset.dx)) *
-                           k;
-              }
-              return far + ((static_cast<std::size_t>(2 * pz + oz +
-                                                      pe.offset.dz) *
-                                 n +
-                             (2 * py + oy + pe.offset.dy)) *
-                                n +
-                            (2 * xlo + ox + pe.offset.dx)) *
-                               k;
-            };
-            const std::size_t src_xstride = pe.parent_source ? k : 2 * k;
-            const auto dst_row = [&](std::int32_t py) -> double* {
-              return local + ((static_cast<std::size_t>(cz) * n +
-                               (2 * py + oy)) *
-                                  n +
-                              (2 * xlo + ox)) *
-                                 k;
-            };
-            switch (mode) {
-              case AggregationMode::kGemv: {
-                for (std::int32_t py = ylo; py < ylo + ylen; ++py) {
-                  const double* src = src_row(py);
-                  double* dst = dst_row(py);
-                  for (std::int32_t i = 0; i < xlen; ++i)
-                    blas::vecmat(src + i * src_xstride, m, k, dst + i * 2 * k,
-                                 k, k, true);
-                }
-                break;
-              }
-              case AggregationMode::kGemm: {
-                // Gather the whole rectangle slice into a contiguous slab,
-                // one GEMM, scatter-accumulate back (Section 3.4 copy cost).
-                const std::size_t rows =
-                    static_cast<std::size_t>(xlen) * ylen;
-                internal::grow(slot.a, rows * k, ctx.ws.allocs);
-                internal::grow(slot.b, rows * k, ctx.ws.allocs);
-                double* slab = slot.a.data();
-                double* out = slot.b.data();
-                double* w = slab;
-                for (std::int32_t py = ylo; py < ylo + ylen; ++py) {
-                  const double* src = src_row(py);
-                  if (src_xstride == k) {
-                    std::memcpy(w, src, static_cast<std::size_t>(xlen) * k *
-                                            sizeof(double));
-                    w += static_cast<std::size_t>(xlen) * k;
-                  } else {
-                    for (std::int32_t i = 0; i < xlen; ++i, w += k)
-                      std::memcpy(w, src + i * src_xstride,
-                                  k * sizeof(double));
-                  }
-                }
-                std::fill(out, out + rows * k, 0.0);
-                blas::gemm(slab, k, m, k, out, k, rows, k, k, false);
-                const double* r = out;
-                for (std::int32_t py = ylo; py < ylo + ylen; ++py) {
-                  double* dst = dst_row(py);
-                  for (std::int32_t i = 0; i < xlen; ++i, r += k) {
-                    double* d = dst + i * 2 * k;
-                    for (std::size_t j = 0; j < k; ++j) d[j] += r[j];
-                  }
-                }
-                local_moved += 2 * rows * k * sizeof(double);
-                break;
-              }
-              case AggregationMode::kGemmBatch: {
-                // Strided multiple-instance GEMM straight off the level
-                // grids: instance = parent row, lda expresses the stride-2
-                // child spacing — no copies at all (the CMSSL trick).
-                const std::size_t stride_a =
-                    pe.parent_source ? static_cast<std::size_t>(np) * k
-                                     : 2 * static_cast<std::size_t>(n) * k;
-                blas::gemm_batch(src_row(ylo), src_xstride, stride_a,
-                                 m, k, 0, dst_row(ylo), 2 * k,
-                                 2 * static_cast<std::size_t>(n) * k, xlen,
-                                 k, k, ylen, true);
-                break;
-              }
-            }
-            local_flops += blas::gemm_flops(
-                static_cast<std::size_t>(xlen) * ylen, k, k);
-          }
-        }
-    }
-  }
-  stats.flops += local_flops;
-  stats.bytes_moved += local_moved;
-}
-
-// One level of the downward T3 pass over parent (z, y) rows [lo, hi):
-// parent local field shifted into the children, accumulated before the
-// level's T2 stage (graph edges enforce the order).
-void downward_chunk(SharedContext& ctx, int l, std::size_t chunk,
-                    std::size_t lo, std::size_t hi, PhaseStats& stats) {
-  const std::size_t k = ctx.config.params.k();
-  const std::int32_t np = ctx.hier.boxes_per_side(l - 1);
-  const std::int32_t nc = 2 * np;
-  const double* parent = ctx.ws.local[l - 1].data();
-  double* child = ctx.ws.local[l].data();
-  internal::ChunkSlot& slot = ctx.ws.arena.slot(chunk);
-  internal::grow(slot.a, static_cast<std::size_t>(np) * k, ctx.ws.allocs);
-  double* scratch = slot.a.data();
-  std::uint64_t local_flops = 0;
-  for (std::size_t zy = lo; zy < hi; ++zy) {
-    const std::int32_t pz = static_cast<std::int32_t>(zy / np);
-    const std::int32_t py = static_cast<std::int32_t>(zy % np);
-    const double* prow =
-        parent + (static_cast<std::size_t>(pz) * np + py) * np * k;
-    for (int o = 0; o < 8; ++o) {
-      const std::int32_t cz = 2 * pz + ((o >> 2) & 1);
-      const std::int32_t cy = 2 * py + ((o >> 1) & 1);
-      const std::int32_t cx0 = o & 1;
-      std::fill(scratch, scratch + static_cast<std::size_t>(np) * k, 0.0);
-      internal::apply_rows(ctx.trans().t3[o], k, prow, scratch, np,
-                           ctx.config.aggregation, 8, local_flops);
-      double* crow =
-          child + (static_cast<std::size_t>(cz) * nc + cy) * nc * k;
-      for (std::int32_t px = 0; px < np; ++px) {
-        double* dst = crow + static_cast<std::size_t>(2 * px + cx0) * k;
-        const double* s = scratch + px * k;
-        for (std::size_t i = 0; i < k; ++i) dst[i] += s[i];
-      }
-    }
-  }
-  stats.flops += local_flops;
-}
-
-void l2p_chunk(SharedContext& ctx, std::size_t lo, std::size_t hi,
-               PhaseStats& stats) {
-  const int h = ctx.hier.depth();
-  const std::size_t k = ctx.config.params.k();
-  const double a = ctx.config.params.inner_ratio * ctx.hier.side_at(h);
-  const dp::BoxedParticles& boxed = ctx.ws.boxed;
-  const ParticleSet& p = boxed.sorted;
-  const std::span<double> phi{ctx.ws.phi_sorted};
-  const std::span<Vec3> grad{ctx.ws.grad_sorted};
-  std::uint64_t local_flops = 0;
-  for (std::size_t f = lo; f < hi; ++f) {
-    const std::uint32_t rank = boxed.flat_to_rank[f];
-    const std::uint32_t b = boxed.box_begin[rank];
-    const std::uint32_t e = boxed.box_begin[rank + 1];
-    if (b == e) continue;
-    const tree::BoxCoord c = ctx.hier.coord_of(h, f);
-    const std::span<const double> g{ctx.ws.local[h].data() + f * k, k};
-    if (grad.empty()) {
-      anderson::l2p(ctx.config.params, a, ctx.hier.center(h, c), g,
-                    p.x().subspan(b, e - b), p.y().subspan(b, e - b),
-                    p.z().subspan(b, e - b), phi.subspan(b, e - b));
-    } else {
-      anderson::l2p_gradient(ctx.config.params, a, ctx.hier.center(h, c), g,
-                             p.x().subspan(b, e - b), p.y().subspan(b, e - b),
-                             p.z().subspan(b, e - b), phi.subspan(b, e - b),
-                             grad.subspan(b, e - b));
-    }
-    local_flops += anderson::l2p_flops(k, e - b, ctx.config.params.truncation);
-  }
-  stats.flops += local_flops;
-}
-
-}  // namespace
 
 FmmResult FmmSolver::solve(const ParticleSet& particles) {
   return solve_impl_(particles, nullptr);
@@ -854,10 +489,9 @@ FmmResult FmmSolver::solve_impl_(const ParticleSet& particles,
   const dp::MachineConfig one_vu{1, 1, 1};
   const dp::BlockLayout layout(hier.boxes_per_side(h), one_vu);
 
-  // Executor dispatch (DESIGN.md Section 13): the dense/sparse decision
-  // needs leaf occupancy, which needs the coordinate sort's output, so the
-  // sort runs here (charged to "sort") and the graph's sort stage is a
-  // no-op.
+  // The active sets and the cost-weighted chunk splits need the coordinate
+  // sort's output before the graph is built, so the sort runs here (charged
+  // to "sort") and the graph's sort stage is a no-op.
   {
     ScopedPhaseTimer timer(result.breakdown["sort"]);
     dp::coordinate_sort(particles, hier, layout, ws.boxed, &ws.sort_scratch);
@@ -883,37 +517,43 @@ FmmResult FmmSolver::solve_impl_(const ParticleSet& particles,
   }
   if (config_.mode == ExecutionMode::kDistributed)
     return solve_dist_(particles, hier, std::move(result), view);
-  const double occ = static_cast<double>(ws.occupied.size()) /
-                     static_cast<double>(hier.boxes_at(h));
-  if (occ < internal::kSparseBelowOccupancy)
-    return solve_sparse_(particles, hier, std::move(result), view);
+
+  // The active level sets and the per-leaf cost model ("active" phase),
+  // shared with the distributed executor. Periodic short-range solves wrap
+  // box neighbours instead of clipping them, so the cost model counts the
+  // wrapped pairs the near field will evaluate.
+  const bool periodic = impl_->near.vdw.period > 0.0;
+  internal::update_active_costs(config_, plan, hier, periodic, ws,
+                                result.breakdown);
+  const tree::ActiveLevels& act = ws.active;
+  result.active_boxes = act.total_active();
+  result.level_occupancy.resize(h + 1);
+  for (int l = 0; l <= h; ++l) result.level_occupancy[l] = act.occupancy(l);
+  {
+    PhaseStats& st = result.breakdown["active"];
+    st.boxes_active += act.total_active();
+    st.boxes_total += act.total_dense();
+  }
 
   const std::size_t k = config_.params.k();
-  const std::size_t W = pool.size();
-  const std::size_t leaf_boxes = hier.boxes_at(h);
-  // Near-field chunk policy: a fixed count independent of W (see
-  // kNearChunks), so sequential and threaded solves agree bitwise.
-  const std::size_t nf_chunks = internal::near_chunk_count(leaf_boxes);
+  // Near-field chunk policy: a fixed count independent of the worker count
+  // (see kNearChunks), split by pair-count cost, so sequential and threaded
+  // solves agree bitwise and no worker inherits a whole cluster core.
+  const std::size_t nf_chunks =
+      internal::near_chunk_count(act.levels[h].count());
 
-  SharedContext ctx{config_, plan, hier, ws};
+  ActiveContext ctx{config_, plan, hier, ws, act};
   using exec::NodeId;
   exec::PhaseGraph g;
 
-  // The sort already ran (dispatch needed its output); the stage stays in
-  // the graph as a no-op so the timeline keeps the full pipeline shape.
+  // The sort already ran (the active sets need its output); the stage stays
+  // in the graph as a no-op so the timeline keeps the full pipeline shape.
   const NodeId sort = g.add_serial("sort", "sort", [](PhaseStats&) {});
   const NodeId prep_levels =
       g.add_serial("prepare:levels", "workspace", [&](PhaseStats&) {
         if (!far_capable) return;  // no level stores for short-range solves
-        ws.prepare_levels(h, k);
-        ws.arena.ensure(W, ws.allocs);
-        if (!config_.supernodes) {
-          // Pre-grow the padded source grid to its largest (leaf) level so
-          // the per-level pad stages only write, never resize.
-          const std::size_t np = hier.boxes_per_side(h) +
-                                 2 * (2 * config_.separation + 1);
-          internal::grow(ws.pad, np * np * np * k, ws.allocs);
-        }
+        ws.prepare_levels(act, k);
+        ws.arena.ensure(pool.size(), ws.allocs);
       });
   const NodeId prep_out =
       g.add_serial("prepare:outputs", "workspace", [&](PhaseStats&) {
@@ -943,91 +583,72 @@ FmmResult FmmSolver::solve_impl_(const ParticleSet& particles,
     g.depend(prev, prep_out);
     far_tail = prev;
   } else {
-  const NodeId p2m = g.add(
-      "p2m", "p2m", leaf_boxes, 0,
-      [&](std::size_t, std::size_t lo, std::size_t hi, PhaseStats& st) {
-        p2m_chunk(ctx, lo, hi, st);
-      });
-  g.depend(p2m, sort);
-  g.depend(p2m, prep_levels);
-
-  // Upward chain: up[l] completes far[l] (far[h] comes from P2M).
-  std::vector<NodeId> up(h, p2m);
-  NodeId chain = p2m;
-  for (int l = h - 1; l >= 1; --l) {
-    const std::size_t np = hier.boxes_per_side(l);
-    const NodeId id = g.add(
-        "upward:L" + std::to_string(l), "upward", np * np, 0,
-        [&, l](std::size_t c, std::size_t lo, std::size_t hi, PhaseStats& st) {
-          upward_chunk(ctx, l, c, lo, hi, st);
+    const NodeId p2m = g.add_weighted(
+        "p2m", "p2m", ws.leaf_cost, 0,
+        [&](std::size_t, std::size_t lo, std::size_t hi, PhaseStats& st) {
+          p2m_chunk(ctx, lo, hi, st);
         });
-    g.depend(id, chain);
-    up[l] = id;
-    chain = id;
-  }
-  const auto far_ready = [&](int l) { return l == h ? p2m : up[l]; };
-  const NodeId upward_done = chain;
+    g.depend(p2m, sort);
+    g.depend(p2m, prep_levels);
 
-  // Downward/interactive: per level, T3 (l > 2) then T2, both writing
-  // local[l] — the T3 -> T2 edge fixes the floating-point accumulation
-  // order. The non-supernode T2 splits into pad (fill the shared padded
-  // grid) and apply; pad(l) must wait for apply(l-1) to release the grid.
-  // Every translation stage takes scratch from ws.arena, so the first T2
-  // stage also waits for the whole upward chain: without supernodes its
-  // sources are ready at up[2], and it would otherwise overlap up[1].
-  NodeId prev_apply = 0;
-  bool have_prev_apply = false;
-  for (int l = 2; l <= h; ++l) {
-    const std::string ls = std::to_string(l);
-    NodeId t3 = 0;
-    const bool has_t3 = l > 2;
-    if (has_t3) {
-      const std::size_t np = hier.boxes_per_side(l - 1);
-      t3 = g.add(
-          "downward:L" + ls, "downward", np * np, 0,
-          [&, l](std::size_t c, std::size_t lo, std::size_t hi,
-                 PhaseStats& st) { downward_chunk(ctx, l, c, lo, hi, st); });
-      g.depend(t3, chain);  // local[l-1] complete
-    }
-    if (config_.supernodes) {
-      const std::size_t np = hier.boxes_per_side(l - 1);
+    // Upward chain over active parents; up[l] completes far[l] (far[h]
+    // comes from P2M).
+    std::vector<NodeId> up(h, p2m);
+    NodeId chain = p2m;
+    for (int l = h - 1; l >= 1; --l) {
       const NodeId id = g.add(
-          "interactive:L" + ls, "interactive", 8 * np, 0,
+          "upward:L" + std::to_string(l), "upward", act.levels[l].count(), 0,
           [&, l](std::size_t c, std::size_t lo, std::size_t hi,
-                 PhaseStats& st) { supernode_chunk(ctx, l, c, lo, hi, st); });
-      g.depend(id, far_ready(l - 1));  // sources: far[l] and far[l-1]
+                 PhaseStats& st) { upward_chunk(ctx, l, c, lo, hi, st); });
+      g.depend(id, chain);
+      up[l] = id;
+      chain = id;
+    }
+    const auto far_ready = [&](int l) { return l == h ? p2m : up[l]; };
+    const NodeId upward_done = chain;
+
+    // Downward/interactive: per level, T3 (l > 2) then T2, both writing
+    // local[l] — the T3 -> T2 edge fixes the accumulation order. Every
+    // translation stage takes scratch from ws.arena, so the first T2 stage
+    // also waits for the whole upward chain: without supernodes its sources
+    // are ready at up[2], and it would otherwise overlap upward:L1.
+    for (int l = 2; l <= h; ++l) {
+      const std::string ls = std::to_string(l);
+      const std::size_t nl_act = act.levels[l].count();
+      NodeId t3 = 0;
+      const bool has_t3 = l > 2;
+      if (has_t3) {
+        t3 = g.add("downward:L" + ls, "downward", nl_act, 0,
+                   [&, l](std::size_t c, std::size_t lo, std::size_t hi,
+                          PhaseStats& st) {
+                     downward_chunk(ctx, l, c, lo, hi, st);
+                   });
+        g.depend(t3, chain);  // local[l-1] complete
+      }
+      const NodeId id = g.add(
+          "interactive:L" + ls, "interactive", nl_act, 0,
+          [&, l](std::size_t c, std::size_t lo, std::size_t hi,
+                 PhaseStats& st) {
+            if (config_.supernodes)
+              supernode_chunk(ctx, l, c, lo, hi, st);
+            else
+              interactive_chunk(ctx, l, c, lo, hi, st);
+          });
+      // Sources: far[l], plus far[l-1] for supernode parent-level entries.
+      g.depend(id, config_.supernodes ? far_ready(l - 1) : far_ready(l));
+      if (l == 2 && !config_.supernodes) g.depend(id, upward_done);
       if (has_t3) g.depend(id, t3);
       chain = id;
-    } else {
-      const std::size_t nl = hier.boxes_per_side(l);
-      const std::size_t npad = nl + 2 * (2 * config_.separation + 1);
-      const NodeId pad = g.add(
-          "pad:L" + ls, "interactive", npad, 0,
-          [&, l](std::size_t, std::size_t lo, std::size_t hi,
-                 PhaseStats& st) { pad_chunk(ctx, l, lo, hi, st); });
-      g.depend(pad, far_ready(l));
-      if (have_prev_apply) g.depend(pad, prev_apply);
-      const NodeId apply = g.add(
-          "interactive:L" + ls, "interactive", nl, 0,
-          [&, l](std::size_t c, std::size_t lo, std::size_t hi,
-                 PhaseStats& st) { interactive_chunk(ctx, l, c, lo, hi, st); });
-      g.depend(apply, pad);
-      if (l == 2) g.depend(apply, upward_done);
-      if (has_t3) g.depend(apply, t3);
-      prev_apply = apply;
-      have_prev_apply = true;
-      chain = apply;
     }
-  }
 
-  const NodeId l2p = g.add(
-      "l2p", "l2p", leaf_boxes, 0,
-      [&](std::size_t, std::size_t lo, std::size_t hi, PhaseStats& st) {
-        l2p_chunk(ctx, lo, hi, st);
-      });
-  g.depend(l2p, chain);
-  g.depend(l2p, prep_out);
-  far_tail = l2p;
+    const NodeId l2p = g.add_weighted(
+        "l2p", "l2p", ws.leaf_cost, 0,
+        [&](std::size_t, std::size_t lo, std::size_t hi, PhaseStats& st) {
+          l2p_chunk(ctx, lo, hi, st);
+        });
+    g.depend(l2p, chain);
+    g.depend(l2p, prep_out);
+    far_tail = l2p;
   }
 
   // The near field is independent of the whole far-field chain: it runs at
@@ -1035,14 +656,15 @@ FmmResult FmmSolver::solve_impl_(const ParticleSet& particles,
   // at the accumulate stage.
   const std::span<const tree::Offset> offsets =
       plan.near_list(config_.near_symmetry);
-  const NodeId near = g.add(
-      "near", "near", leaf_boxes, nf_chunks,
-      [&, offsets](std::size_t c, std::size_t lo, std::size_t hi,
-                   PhaseStats& st) {
+  const std::span<const std::uint32_t> leaf_list{act.levels[h].boxes};
+  const NodeId near = g.add_weighted(
+      "near", "near", ws.near_cost, nf_chunks,
+      [&, offsets, leaf_list](std::size_t c, std::size_t lo, std::size_t hi,
+                              PhaseStats& st) {
         const NearFieldResult nf = near_field_chunk(
             hier, ws.boxed, offsets, config_.near_symmetry,
-            config_.with_gradient, ws.near_scratch.chunks[c], lo, hi,
-            impl_->near);
+            config_.with_gradient, ws.near_scratch.chunks[c],
+            leaf_list.subspan(lo, hi - lo), impl_->near);
         st.flops += nf.flops;
         st.pairs += nf.pair_interactions;
       },
@@ -1050,10 +672,10 @@ FmmResult FmmSolver::solve_impl_(const ParticleSet& particles,
   g.depend(near, sort);
   g.depend(near, prep_out);
 
-  // Accumulate: add the near-field chunks (in chunk-index == box-range
-  // order, for reproducibility) onto the far-field result and — unless a
-  // SolveView streams the sorted buffers out directly — un-sort to the
-  // original particle order.
+  // Accumulate: add the near-field chunks (in chunk-index order, for
+  // reproducibility) onto the far-field result and — unless a SolveView
+  // streams the sorted buffers out directly — un-sort to the original
+  // particle order.
   const NodeId acc = g.add(
       "accumulate", "accumulate", n, 0,
       [&](std::size_t, std::size_t lo, std::size_t hi, PhaseStats&) {
@@ -1075,47 +697,28 @@ FmmResult FmmSolver::solve_impl_(const ParticleSet& particles,
                                                 : exec::RunMode::kInline,
         result.breakdown, &result.timeline);
 
-  // Per-phase box counts: the dense executor visits every box of a phase's
-  // levels, so active == total here (the sparse executor reports smaller
-  // active counts against the same totals).
-  {
-    const auto record = [&](const char* phase, int lo_l, int hi_l) {
-      PhaseStats& st = result.breakdown[phase];
-      for (int l = lo_l; l <= hi_l; ++l) {
-        st.boxes_active += hier.boxes_at(l);
-        st.boxes_total += hier.boxes_at(l);
-      }
-    };
-    record("near", h, h);
-    if (far_capable) {
-      record("p2m", h, h);
-      record("l2p", h, h);
-      record("upward", 1, h - 1);
-      record("interactive", 2, h);
-      if (h > 2) record("downward", 3, h);
+  // Per-phase occupancy: boxes visited vs. the 8^l boxes of the phase's
+  // levels (the leaf phases iterate leaves; upward iterates parents
+  // 1..h-1; interactive 2..h; downward 3..h).
+  const auto record = [&](const char* phase, int lo_l, int hi_l) {
+    PhaseStats& st = result.breakdown[phase];
+    for (int l = lo_l; l <= hi_l; ++l) {
+      st.boxes_active += act.levels[l].count();
+      st.boxes_total += hier.boxes_at(l);
     }
+  };
+  record("near", h, h);
+  if (far_capable) {
+    record("p2m", h, h);
+    record("l2p", h, h);
+    record("upward", 1, h - 1);
+    record("interactive", 2, h);
+    if (h > 2) record("downward", 3, h);
   }
-  // Measured leaf occupancy for the result record ("active" phase): the
-  // dense executor does not need the active sets to run, but deriving them
-  // afterwards gives benches the same per-level occupancy the sparse path
-  // reports.
-  {
-    ScopedPhaseTimer timer(result.breakdown["active"]);
-    const std::size_t cap_before = ws.active.capacity_bytes();
-    tree::build_active_levels(hier, ws.occupied, ws.active);
-    if (ws.active.capacity_bytes() != cap_before)
-      ws.allocs.fetch_add(1, std::memory_order_relaxed);
-    result.level_occupancy.resize(h + 1);
-    for (int l = 0; l <= h; ++l)
-      result.level_occupancy[l] = ws.active.occupancy(l);
-    result.breakdown["active"].boxes_active += ws.active.total_active();
-    result.breakdown["active"].boxes_total += ws.active.total_dense();
-  }
+
   result.breakdown["workspace"].allocs +=
       ws.allocs.load(std::memory_order_relaxed);
   result.workspace_allocs = result.breakdown["workspace"].allocs;
-  result.active_boxes = 0;
-  for (int l = 0; l <= h; ++l) result.active_boxes += hier.boxes_at(l);
   result.workspace_bytes = ws.workspace_bytes();
   internal::publish_view(ws, config_, n, view);
   return result;

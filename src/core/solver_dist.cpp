@@ -13,18 +13,19 @@
 // only cross-rank synchronization is the fabric's mailboxes, so the whole
 // solve is clean under TSan by construction.
 //
-// Bitwise identity to the single-rank sparse executor (the acceptance bar):
+// Bitwise identity to the shared-memory executor (the acceptance bar):
 //   * the constructor forces near_symmetry = false, so every target's
 //     near-field contributions accumulate while processing its OWN leaf, in
 //     the fixed offset order — independent of which other leaves share the
 //     chunk;
 //   * rank-local particle copies and received halo rows are bit-exact
-//     copies of the same doubles, and every per-box stage (P2M, T1, T2, T3,
-//     L2P) applies the identical fixed-order arithmetic of sparse_chunks.hpp
-//     through the rank's own active maps — so by induction over the phase
-//     chain each owned row equals the single-rank row bit for bit;
-//   * each rank runs single-chunk stages inline, matching the sequential
-//     reference's accumulation order within every box.
+//     copies of the same doubles, and every stage (P2M, T1, T2, T3, L2P)
+//     runs the chunk bodies of sparse_chunks.hpp through the rank's own
+//     active maps: each destination row receives its translations in the
+//     same matrix order, and a gemm row's bits do not depend on which other
+//     rows share the call — so by induction over the phase chain each owned
+//     row equals the single-rank row bit for bit;
+//   * each rank runs single-chunk stages inline.
 //
 // The message schedule is deadlock-free by construction: every send is
 // posted before the sender's next blocking receive (graph edges order
@@ -323,12 +324,11 @@ FmmResult FmmSolver::solve_dist_(const ParticleSet& particles,
   const bool periodic = impl_->near.vdw.period > 0.0;
   const bool with_gradient = config_.with_gradient;
 
-  // "active" phase: global active sets + cost model, shared with the sparse
-  // executor (and feeding the partitioner below).
+  // "active" phase: global active sets + cost model, shared with the
+  // shared-memory executor (and feeding the partitioner below).
   internal::update_active_costs(config_, plan, hier, periodic, gws,
                                 result.breakdown);
   const tree::ActiveLevels& act = gws.active;
-  result.sparse = true;
   result.active_boxes = act.total_active();
   result.level_occupancy.resize(h + 1);
   for (int l = 0; l <= h; ++l) result.level_occupancy[l] = act.occupancy(l);
@@ -470,7 +470,10 @@ FmmResult FmmSolver::solve_dist_(const ParticleSet& particles,
     const NodeId prep =
         g.add_serial("prepare", "workspace", [&, r](PhaseStats&) {
           SolveWorkspace& wr = *runs[r].ws;
-          if (far_capable) wr.prepare_levels_sparse(runs[r].rt->act, k);
+          if (far_capable) {
+            wr.prepare_levels(runs[r].rt->act, k);
+            wr.arena.ensure(1, wr.allocs);
+          }
           wr.prepare_outputs(runs[r].n_own, with_gradient);
           if (wr.near_scratch.chunks.empty()) wr.near_scratch.chunks.resize(1);
         });
@@ -530,8 +533,10 @@ FmmResult FmmSolver::solve_dist_(const ParticleSet& particles,
           const NodeId up = g.add(
               "upward:L" + std::to_string(l - 1), "upward", rtr.owned[l - 1],
               1,
-              [&, r, l](std::size_t, std::size_t lo, std::size_t hi,
-                        PhaseStats& st) { upward_chunk(ctxs[r], l - 1, lo, hi, st); });
+              [&, r, l](std::size_t c, std::size_t lo, std::size_t hi,
+                        PhaseStats& st) {
+                upward_chunk(ctxs[r], l - 1, c, lo, hi, st);
+              });
           g.depend(up, far_ready[l]);
           g.depend(up, rf);
           far_ready[l - 1] = up;
@@ -564,23 +569,22 @@ FmmResult FmmSolver::solve_dist_(const ParticleSet& particles,
           g.depend(rl, prep);
           t3 = g.add(
               "downward:L" + ls, "downward", rtr.owned[l], 1,
-              [&, r, l](std::size_t, std::size_t lo, std::size_t hi,
-                        PhaseStats& st) { downward_chunk(ctxs[r], l, lo, hi, st); });
+              [&, r, l](std::size_t c, std::size_t lo, std::size_t hi,
+                        PhaseStats& st) {
+                downward_chunk(ctxs[r], l, c, lo, hi, st);
+              });
           g.depend(t3, chain);
           g.depend(t3, rl);
         }
-        const NodeId inter =
-            config_.supernodes
-                ? g.add("interactive:L" + ls, "interactive", rtr.owned[l], 1,
-                        [&, r, l](std::size_t, std::size_t lo, std::size_t hi,
-                                  PhaseStats& st) {
-                          supernode_chunk(ctxs[r], l, lo, hi, st);
-                        })
-                : g.add("interactive:L" + ls, "interactive", rtr.owned[l], 1,
-                        [&, r, l](std::size_t, std::size_t lo, std::size_t hi,
-                                  PhaseStats& st) {
-                          interactive_chunk(ctxs[r], l, lo, hi, st);
-                        });
+        const NodeId inter = g.add(
+            "interactive:L" + ls, "interactive", rtr.owned[l], 1,
+            [&, r, l](std::size_t c, std::size_t lo, std::size_t hi,
+                      PhaseStats& st) {
+              if (config_.supernodes)
+                supernode_chunk(ctxs[r], l, c, lo, hi, st);
+              else
+                interactive_chunk(ctxs[r], l, c, lo, hi, st);
+            });
         if (config_.supernodes) {
           g.depend(inter, far_ready[l - 1]);
           g.depend(inter, recv_far[l]);

@@ -31,6 +31,11 @@ namespace hfmm::core {
 
 namespace {
 
+// The masking rule (DESIGN.md Section 13): when fewer than this fraction of
+// the leaf boxes hold a particle, the multigrid moves skip the inactive
+// sections.
+constexpr double kSparseBelowOccupancy = 0.9;
+
 // Machine VU rank holding a box of a (possibly folded) level layout.
 std::size_t machine_rank(const dp::Machine& m, const dp::BlockLayout& layout,
                          const tree::BoxCoord& c) {
@@ -142,7 +147,7 @@ FmmResult FmmSolver::solve_dp_(const ParticleSet& particles,
                 ws.active.capacity_bytes() !=
             cap_before)
           ws.allocs.fetch_add(1, std::memory_order_relaxed);
-        use_mask = ws.active.occupancy(h) < internal::kSparseBelowOccupancy;
+        use_mask = ws.active.occupancy(h) < kSparseBelowOccupancy;
         stats.boxes_active += ws.active.total_active();
         stats.boxes_total += ws.active.total_dense();
       });
@@ -536,7 +541,6 @@ FmmResult FmmSolver::solve_dp_(const ParticleSet& particles,
   result.breakdown["workspace"].allocs +=
       ws.allocs.load(std::memory_order_relaxed);
   result.workspace_allocs = result.breakdown["workspace"].allocs;
-  result.sparse = use_mask;
   result.active_boxes = ws.active.total_active();
   result.level_occupancy.resize(h + 1);
   for (int l = 0; l <= h; ++l)

@@ -1,6 +1,7 @@
 #pragma once
-// Internal machinery shared by the shared-memory executor (solver.cpp) and
-// the data-parallel executor (solver_dp.cpp). Not installed.
+// Internal machinery shared by the shared-memory executor (solver.cpp), the
+// data-parallel executor (solver_dp.cpp) and the distributed executor
+// (solver_dist.cpp). Not installed.
 //
 // The solve path is layered into (DESIGN.md Section 11):
 //   * TranslationData — translation matrices in application-ready form,
@@ -33,20 +34,14 @@
 namespace hfmm::core::internal {
 
 // Throws std::invalid_argument naming the first particle whose position or
-// charge is not finite (NaN or +-inf), or, for short-range kernels, whose
-// type id lies outside the kernel's type table, prefixed by `context`. A
-// non-finite input would otherwise turn every potential of a solve into NaN,
-// and a bad type id would index the pair tables out of bounds.
-// FmmSolver::solve checks its input with it; the service checks every
-// request of a batch before any solve runs.
+// charge is not finite (NaN or +-inf), whose coordinate lies outside
+// [-2^500, 2^500] (about +-3.27e150), or, for short-range kernels, whose type
+// id lies outside the kernel's type table, prefixed by `context`. Such an
+// input would otherwise turn every potential of a solve into NaN, or index
+// the pair tables out of bounds. FmmSolver::solve checks its input with it;
+// the service checks every request of a batch before any solve runs.
 void validate_particles(const ParticleSet& particles, const KernelSpec& kernel,
                         std::string_view context);
-
-// The executor selection rule (DESIGN.md Section 13): a solve runs on the
-// sparse active-box executor when fewer than this fraction of its leaf boxes
-// hold a particle, and on the dense executor otherwise. The data-parallel
-// executor masks its multigrid moves by the same rule.
-constexpr double kSparseBelowOccupancy = 0.9;
 
 // One union interactive-field offset plus its per-axis parity admissibility
 // (paper Section 3.3.2: sibling ranges [-2d-p, 2d+1-p] per axis).
@@ -58,12 +53,14 @@ struct UnionOffset {
 
 std::vector<UnionOffset> build_union_offsets(int separation);
 
-// Applies dst[nb x K] (+)= src[nb x K] * tt under the chosen aggregation
-// mode, where tt is a K x K matrix T^T. src/dst rows are contiguous
-// box-major potential vectors.
+// Applies dst[nb x K] += src[nb x K] * tt, where tt is a K x K matrix T^T
+// and src/dst rows are contiguous box-major potential vectors. The
+// aggregation mode only picks the BLAS call: one vecmat per row (the BLAS-2
+// reference), one gemm, or gemm_batch over 8-row instances. The only code
+// that branches on AggregationMode.
 void apply_rows(const double* tt, std::size_t k, const double* src,
                 double* dst, std::size_t nb, AggregationMode mode,
-                std::size_t batch_slab, std::uint64_t& flops);
+                std::uint64_t& flops);
 
 // ---------------------------------------------------------------------------
 // TranslationData: the position-independent translation machinery — built
@@ -91,9 +88,8 @@ inline MatrixSet matrix_set_for(const FmmConfig& config) {
 struct TranslationData {
   MatrixSet set = MatrixSet::kUnion;
   // Every matrix of the set, once, in the gemm orientation T^T (row i
-  // weights source point i): K * K doubles each, back to back. Aggregated
-  // application reads it as gemm's B; per-box application through
-  // blas::vecmat.
+  // weights source point i): K * K doubles each, back to back; apply_rows
+  // reads it as gemm's B.
   std::vector<double> store;
   std::array<const double*, 8> t1{}, t3{};
   // T2 by offset-cube index; null for offsets outside the set.
@@ -239,15 +235,17 @@ void grow(std::vector<T>& v, std::size_t n,
   v.resize(n);
 }
 
-// Per-chunk scratch slots for chunked stage bodies: slots are keyed by the
-// stage's chunk index (stable across runs, handed to the body by the exec
-// scheduler), and the vectors persist across stages and solve() calls —
-// this hoists the per-task `std::vector<double> scratch` heap allocations
-// out of the upward/downward/interactive bodies. Stages that share the
-// arena must not run concurrently (the far-field chain is serialized by
-// graph edges); distinct chunks of one stage touch distinct slots.
+// Per-chunk scratch of the translation stages (sparse_chunks.hpp): slots
+// are keyed by the stage's chunk index (stable across runs, handed to the
+// body by the exec scheduler), and the vectors persist across stages and
+// solve() calls, so a warm solve grows none of them. Stages that share the
+// arena must not run concurrently (graph edges serialize the far-field
+// chain); distinct chunks of one stage touch distinct slots.
 struct ChunkSlot {
-  std::vector<double> a, b, c;
+  std::vector<double> slab, out;       // gathered source rows, their products
+  std::vector<std::uint32_t> dst;      // destination row of each slab row
+  std::vector<tree::BoxCoord> coord;   // coordinates of the chunk's boxes
+  std::vector<std::uint32_t> order;    // chunk positions grouped by octant
 };
 
 class ChunkArena {
@@ -260,13 +258,22 @@ class ChunkArena {
     }
   }
   ChunkSlot& slot(std::size_t chunk) { return slots_[chunk]; }
+  std::size_t capacity_bytes() const {
+    std::size_t b = 0;
+    for (const ChunkSlot& s : slots_)
+      b += (s.slab.capacity() + s.out.capacity()) * sizeof(double) +
+           (s.dst.capacity() + s.order.capacity()) * sizeof(std::uint32_t) +
+           s.coord.capacity() * sizeof(tree::BoxCoord);
+    return b;
+  }
 
  private:
   std::vector<ChunkSlot> slots_;
 };
 
-// Near-stage chunk count of the dense and sparse executors, bounded by the leaf count. It is a constant, not a function of the worker
-// count, so a sequential solve and a threaded one group the near-field sums
+// Near-stage chunk count of the shared-memory executor, bounded by the leaf
+// count. It is a constant, not a function of the worker count, so a
+// sequential solve and a threaded one group the near-field sums
 // the same way and agree bitwise on any host. 16 is 4 chunks a worker on a
 // 4-core host, fine enough for idle workers to drain the near field while
 // the far-field chain runs; span-sized chunk buffers keep 16 chunks cheap in
@@ -291,11 +298,9 @@ struct SolveWorkspace {
   NearFieldScratch near_scratch;
   // Per-chunk scratch for the translation phases.
   ChunkArena arena;
-  // Zero-padded far-field copy for the non-supernode interactive phase.
-  std::vector<double> pad;
-  // Sparse executor state: occupied leaf flats (sort output) and the derived
-  // active-box level sets. Rebuilt per solve (particles move), buffers
-  // reused — a warm sparse solve grows nothing here.
+  // Occupied leaf flats (sort output) and the derived active-box level
+  // sets. Rebuilt per solve (particles move), buffers reused — a warm solve
+  // grows nothing here.
   std::vector<std::uint32_t> occupied;
   tree::ActiveLevels active;
   // Cost-model weights for cost-balanced chunk splits (leaf = particle
@@ -306,26 +311,10 @@ struct SolveWorkspace {
 
   void begin_solve() { allocs.store(0, std::memory_order_relaxed); }
 
-  // Grows the level stores to (depth, k) and zeroes levels 0..depth.
-  void prepare_levels(int depth, std::size_t k) {
-    if (far.size() < static_cast<std::size_t>(depth) + 1) {
-      allocs.fetch_add(1, std::memory_order_relaxed);
-      far.resize(depth + 1);
-      local.resize(depth + 1);
-    }
-    for (int l = 0; l <= depth; ++l) {
-      const std::size_t boxes = std::size_t{1} << (3 * l);
-      grow(far[l], boxes * k, allocs);
-      grow(local[l], boxes * k, allocs);
-      std::fill(far[l].begin(), far[l].end(), 0.0);
-      std::fill(local[l].begin(), local[l].end(), 0.0);
-    }
-  }
-
-  // Sparse analogue of prepare_levels(): level stores hold only the active
-  // boxes, [level][active_index * K + i]. This is where the sparse path's
-  // memory win comes from — |active_l| * K instead of 8^l * K per level.
-  void prepare_levels_sparse(const tree::ActiveLevels& act, std::size_t k) {
+  // Level stores hold only the active boxes, [level][active_index * K + i]:
+  // |active_l| * K values per level instead of 8^l * K. Grown to the active
+  // counts and zeroed.
+  void prepare_levels(const tree::ActiveLevels& act, std::size_t k) {
     const std::size_t depth = static_cast<std::size_t>(act.depth);
     if (far.size() < depth + 1) {
       allocs.fetch_add(1, std::memory_order_relaxed);
@@ -342,7 +331,7 @@ struct SolveWorkspace {
   }
 
   // Heap footprint (capacities) of the buffers a solve touches; reported as
-  // FmmResult::workspace_bytes so benchmarks can compare dense vs sparse.
+  // FmmResult::workspace_bytes.
   std::size_t workspace_bytes() const {
     auto cap = [](const auto& v) {
       return v.capacity() * sizeof(typename std::decay_t<decltype(v)>::value_type);
@@ -350,9 +339,9 @@ struct SolveWorkspace {
     std::size_t total = 0;
     for (const auto& v : far) total += cap(v);
     for (const auto& v : local) total += cap(v);
-    total += cap(phi_sorted) + cap(grad_sorted) + cap(pad);
+    total += cap(phi_sorted) + cap(grad_sorted);
     total += cap(occupied) + cap(leaf_cost) + cap(near_cost);
-    total += active.capacity_bytes();
+    total += active.capacity_bytes() + arena.capacity_bytes();
     for (const auto& ch : near_scratch.chunks) {
       total += cap(ch.phi) + cap(ch.grad) + cap(ch.pair_phi) + cap(ch.pair_gx) +
                cap(ch.pair_gy) + cap(ch.pair_gz) + cap(ch.runs) + cap(ch.rows);
@@ -375,11 +364,11 @@ struct SolveWorkspace {
   }
 };
 
-// Derives the sparse active level sets (ws.active) and the per-active-leaf
-// cost model (ws.leaf_cost / ws.near_cost) from the sort output in
-// ws.boxed/ws.occupied — the "active" phase, shared by the sparse and
+// Derives the active level sets (ws.active) and the per-active-leaf cost
+// model (ws.leaf_cost / ws.near_cost) from the sort output in
+// ws.boxed/ws.occupied — the "active" phase, shared by the shared-memory and
 // distributed executors. `periodic` selects wrapped neighbour counting
-// (periodic vdW). Defined in solver_sparse.cpp.
+// (periodic vdW).
 void update_active_costs(const FmmConfig& config, const FmmPlan& plan,
                          const tree::Hierarchy& hier, bool periodic,
                          SolveWorkspace& ws, PhaseBreakdown& breakdown);
@@ -390,8 +379,8 @@ void update_active_costs(const FmmConfig& config, const FmmPlan& plan,
 struct DistState;
 
 // Fills a SolveView from the workspace's sorted buffers; no-op when the
-// caller did not request streaming. Shared by the dense and sparse
-// executors (the DP executor does not stream).
+// caller did not request streaming. Shared by the shared-memory and
+// distributed executors (the DP executor does not stream).
 inline void publish_view(const SolveWorkspace& ws, const FmmConfig& config,
                          std::size_t n, SolveView* view) {
   if (view == nullptr || n == 0) return;

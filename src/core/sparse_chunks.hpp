@@ -1,11 +1,25 @@
 #pragma once
-// Active-set translation chunk bodies shared by the sparse executor
-// (solver_sparse.cpp) and the distributed executor (solver_dist.cpp, over
-// each rank's pruned level sets). Every stage iterates ACTIVE indices of the
-// supplied level sets and applies the same fixed offset order as the dense
-// path, so results stay bitwise-reproducible regardless of scheduling.
+// Active-set chunk bodies shared by the shared-memory executor (solver.cpp)
+// and the distributed executor (solver_dist.cpp, over each rank's pruned
+// level sets). Every stage iterates ACTIVE indices of the supplied level
+// sets; a chunk is a range [lo, hi) of them (parents for T1, children for
+// T3, targets for T2).
+//
+// A translation body walks its matrices in a fixed order (T1: octants
+// 0..7; T3: each child's octant matrix; union T2: offsets in list order;
+// supernode T2: per octant, entries in list order). For each matrix it
+// gathers the source rows of the chunk's boxes that take it into one slab,
+// applies the matrix with one internal::apply_rows call (Section 3.3.3
+// aggregation), and adds product row r into its destination row. Each
+// destination therefore receives its contributions in matrix order, and a
+// gemm row's bits do not depend on how many rows share the call
+// (blas::gemm), so results do not depend on the chunk split, the worker
+// count or the rank count. Inactive sources hold exactly-zero far fields;
+// skipping them changes nothing.
 
+#include <array>
 #include <cstdint>
+#include <cstring>
 
 #include "hfmm/anderson/leaf_ops.hpp"
 #include "hfmm/blas/blas.hpp"
@@ -32,12 +46,16 @@ inline std::uint64_t particles_in(const dp::BoxedParticles& boxed,
   return boxed.box_begin[r + 1] - boxed.box_begin[r];
 }
 
+// Flat index of c at a level with n boxes per side (Hierarchy::flat_index).
+inline std::int64_t flat_of(const tree::BoxCoord& c, std::int64_t n) {
+  return (static_cast<std::int64_t>(c.iz) * n + c.iy) * n + c.ix;
+}
+
 // P2M over active leaves [lo, hi): every active leaf is non-empty by
-// construction, writing its outer approximation at its ACTIVE row. Shared
-// by the sparse and distributed executors — the distributed ranks pass a
-// context whose workspace holds a rank-local particle view and pruned
-// level sets, and the arithmetic is identical because every lookup goes
-// through the context's own boxed/active maps.
+// construction, writing its outer approximation at its ACTIVE row. The
+// distributed ranks pass a context whose workspace holds a rank-local
+// particle view and pruned level sets; the arithmetic is identical because
+// every lookup goes through the context's own boxed/active maps.
 inline void p2m_chunk(ActiveContext& ctx, std::size_t lo, std::size_t hi,
                       PhaseStats& stats) {
   const int h = ctx.hier.depth();
@@ -95,139 +113,199 @@ inline void l2p_chunk(ActiveContext& ctx, std::size_t lo, std::size_t hi,
   stats.flops += local_flops;
 }
 
-// Upward T1 over active PARENTS [lo, hi) of level l: each parent gathers
-// its active children (octant order 0..7 — the dense accumulation order)
-// through the dense->active map of level l + 1. Children absent from the
-// set are inactive and hold an exactly-zero far field, so skipping them
-// changes nothing.
-inline void upward_chunk(ActiveContext& ctx, int l, std::size_t lo,
-                         std::size_t hi, PhaseStats& stats) {
-  const std::size_t k = ctx.config.params.k();
-  const tree::LevelActiveSet& parents = ctx.act.levels[l];
-  const tree::LevelActiveSet& children = ctx.act.levels[l + 1];
-  const double* child = ctx.ws.far[l + 1].data();
-  double* parent = ctx.ws.far[l].data();
-  std::uint64_t local_flops = 0;
-  for (std::size_t pi = lo; pi < hi; ++pi) {
-    const tree::BoxCoord pc = ctx.hier.coord_of(l, parents.boxes[pi]);
-    double* dst = parent + pi * k;
-    for (int o = 0; o < 8; ++o) {
-      const tree::BoxCoord cc = tree::Hierarchy::child_of(pc, o);
-      const std::int32_t ca =
-          children.dense_to_active[ctx.hier.flat_index(l + 1, cc)];
-      if (ca < 0) continue;
-      blas::vecmat(child + static_cast<std::size_t>(ca) * k,
-                   ctx.trans().t1[o], k, dst, k, k, true);
-      local_flops += blas::gemm_flops(1, k, k);
+// One chunk's gathered translations, over its ChunkSlot. The constructor
+// computes the chunk's box coordinates once and groups the boxes by octant;
+// add() appends a source row and the destination row it feeds; apply()
+// runs one matrix over the gathered rows and scatter-adds the products.
+class ChunkGather {
+ public:
+  // Loads boxes [lo, hi) of level `level`'s active set.
+  ChunkGather(ActiveContext& ctx, std::size_t chunk, int level,
+              std::size_t lo, std::size_t hi)
+      : slot_(ctx.ws.arena.slot(chunk)),
+        k_(ctx.config.params.k()),
+        mode_(ctx.config.aggregation) {
+    const tree::LevelActiveSet& set = ctx.act.levels[level];
+    const std::size_t m = hi - lo;
+    grow(slot_.slab, m * k_, ctx.ws.allocs);
+    grow(slot_.out, m * k_, ctx.ws.allocs);
+    grow(slot_.dst, m, ctx.ws.allocs);
+    grow(slot_.coord, m, ctx.ws.allocs);
+    grow(slot_.order, m, ctx.ws.allocs);
+    std::array<std::size_t, 9> fill{};
+    for (std::size_t i = 0; i < m; ++i) {
+      slot_.coord[i] = ctx.hier.coord_of(level, set.boxes[lo + i]);
+      ++fill[tree::Hierarchy::octant_of(slot_.coord[i]) + 1];
     }
+    for (int o = 0; o < 8; ++o) fill[o + 1] += fill[o];
+    octant_begin_ = fill;
+    for (std::size_t i = 0; i < m; ++i)
+      slot_.order[fill[tree::Hierarchy::octant_of(slot_.coord[i])]++] =
+          static_cast<std::uint32_t>(i);
   }
-  stats.flops += local_flops;
-}
 
-// Downward T3 over active CHILDREN [lo, hi) of level l (l > 2): the parent
-// of an active box is always active (parent closure), so the lookup cannot
-// miss.
-inline void downward_chunk(ActiveContext& ctx, int l, std::size_t lo,
-                           std::size_t hi, PhaseStats& stats) {
+  // Coordinates of chunk box i (chunk order).
+  const tree::BoxCoord& coord(std::size_t i) const { return slot_.coord[i]; }
+  // Chunk boxes of octant o: positions order(j) for j in
+  // [octant_begin(o), octant_begin(o + 1)).
+  std::size_t octant_begin(int o) const { return octant_begin_[o]; }
+  std::uint32_t order(std::size_t j) const { return slot_.order[j]; }
+
+  void add(const double* src, std::size_t dst_row) {
+    std::memcpy(slot_.slab.data() + rows_ * k_, src, k_ * sizeof(double));
+    slot_.dst[rows_++] = static_cast<std::uint32_t>(dst_row);
+  }
+
+  // Applies `matrix` (T^T) to the gathered rows, adds product row r into
+  // row dst[r] of `dst_store`, and empties the gather.
+  void apply(const double* matrix, double* dst_store) {
+    if (rows_ == 0) return;
+    double* out = slot_.out.data();
+    std::fill(out, out + rows_ * k_, 0.0);
+    apply_rows(matrix, k_, slot_.slab.data(), out, rows_, mode_, flops_);
+    for (std::size_t r = 0; r < rows_; ++r) {
+      double* d = dst_store + static_cast<std::size_t>(slot_.dst[r]) * k_;
+      const double* o = out + r * k_;
+      for (std::size_t j = 0; j < k_; ++j) d[j] += o[j];
+    }
+    moved_ += 2 * rows_ * k_ * sizeof(double);
+    rows_ = 0;
+  }
+
+  void report(PhaseStats& stats) const {
+    stats.flops += flops_;
+    stats.bytes_moved += moved_;
+  }
+
+ private:
+  ChunkSlot& slot_;
+  std::size_t k_;
+  AggregationMode mode_;
+  std::array<std::size_t, 9> octant_begin_{};
+  std::size_t rows_ = 0;
+  std::uint64_t flops_ = 0, moved_ = 0;
+};
+
+// Upward T1 over active PARENTS [lo, hi) of level l: per octant o, the
+// active children at o of the chunk's parents (children absent from the
+// level set are inactive).
+inline void upward_chunk(ActiveContext& ctx, int l, std::size_t chunk,
+                         std::size_t lo, std::size_t hi, PhaseStats& stats) {
   const std::size_t k = ctx.config.params.k();
-  const tree::LevelActiveSet& children = ctx.act.levels[l];
-  const tree::LevelActiveSet& parents = ctx.act.levels[l - 1];
-  const double* parent = ctx.ws.local[l - 1].data();
-  double* child = ctx.ws.local[l].data();
-  std::uint64_t local_flops = 0;
-  for (std::size_t ci = lo; ci < hi; ++ci) {
-    const tree::BoxCoord c = ctx.hier.coord_of(l, children.boxes[ci]);
-    const int o = tree::Hierarchy::octant_of(c);
-    const std::int32_t pa = parents.dense_to_active[ctx.hier.flat_index(
-        l - 1, tree::Hierarchy::parent_of(c))];
-    blas::vecmat(parent + static_cast<std::size_t>(pa) * k, ctx.trans().t3[o],
-                 k, child + ci * k, k, k, true);
-    local_flops += blas::gemm_flops(1, k, k);
+  const tree::LevelActiveSet& children = ctx.act.levels[l + 1];
+  const std::int64_t nc = ctx.hier.boxes_per_side(l + 1);
+  const double* child = ctx.ws.far[l + 1].data();
+  ChunkGather g(ctx, chunk, l, lo, hi);
+  for (int o = 0; o < 8; ++o) {
+    for (std::size_t i = 0; i < hi - lo; ++i) {
+      const std::int32_t ca = children.dense_to_active[flat_of(
+          tree::Hierarchy::child_of(g.coord(i), o), nc)];
+      if (ca >= 0) g.add(child + static_cast<std::size_t>(ca) * k, lo + i);
+    }
+    g.apply(ctx.trans().t1[o], ctx.ws.far[l].data());
   }
-  stats.flops += local_flops;
+  g.report(stats);
 }
 
-// Non-supernode T2 over active TARGETS [lo, hi) of level l: the union
-// offset list with per-axis target-parity admissibility, explicit bounds
-// checks replacing the dense path's zero-padded grid, and active lookups
-// replacing its implicit zero sources.
-inline void interactive_chunk(ActiveContext& ctx, int l, std::size_t lo,
-                              std::size_t hi, PhaseStats& stats) {
+// Downward T3 over active CHILDREN [lo, hi) of level l (l > 2): the
+// children of octant o take t3[o] from their parent, which is always active
+// (parent closure).
+inline void downward_chunk(ActiveContext& ctx, int l, std::size_t chunk,
+                           std::size_t lo, std::size_t hi, PhaseStats& stats) {
+  const std::size_t k = ctx.config.params.k();
+  const tree::LevelActiveSet& parents = ctx.act.levels[l - 1];
+  const std::int64_t np = ctx.hier.boxes_per_side(l - 1);
+  const double* parent = ctx.ws.local[l - 1].data();
+  ChunkGather g(ctx, chunk, l, lo, hi);
+  for (int o = 0; o < 8; ++o) {
+    for (std::size_t j = g.octant_begin(o); j < g.octant_begin(o + 1); ++j) {
+      const std::size_t i = g.order(j);
+      const std::int32_t pa = parents.dense_to_active[flat_of(
+          tree::Hierarchy::parent_of(g.coord(i)), np)];
+      g.add(parent + static_cast<std::size_t>(pa) * k, lo + i);
+    }
+    g.apply(ctx.trans().t3[o], ctx.ws.local[l].data());
+  }
+  g.report(stats);
+}
+
+// Non-supernode T2 over active TARGETS [lo, hi) of level l: per union
+// offset, the targets of an admissible parity (paper Section 3.3.2) whose
+// source lies in the domain and is active.
+inline void interactive_chunk(ActiveContext& ctx, int l, std::size_t chunk,
+                              std::size_t lo, std::size_t hi,
+                              PhaseStats& stats) {
   const std::size_t k = ctx.config.params.k();
   const int d = ctx.config.separation;
   const std::int32_t n = ctx.hier.boxes_per_side(l);
   const tree::LevelActiveSet& act = ctx.act.levels[l];
   const double* far = ctx.ws.far[l].data();
-  double* local = ctx.ws.local[l].data();
-  std::uint64_t local_flops = 0;
-  for (std::size_t ti = lo; ti < hi; ++ti) {
-    const tree::BoxCoord c = ctx.hier.coord_of(l, act.boxes[ti]);
-    double* dst = local + ti * k;
-    for (const UnionOffset& u : ctx.trans().union_offsets) {
+  ChunkGather g(ctx, chunk, l, lo, hi);
+  for (const UnionOffset& u : ctx.trans().union_offsets) {
+    const std::int64_t delta = flat_of({u.o.dx, u.o.dy, u.o.dz}, n);
+    for (std::size_t i = 0; i < hi - lo; ++i) {
+      const tree::BoxCoord& c = g.coord(i);
       if (!u.all_parities) {
         if (!(u.valid_parity[0] & (1 << (c.ix & 1)))) continue;
         if (!(u.valid_parity[1] & (1 << (c.iy & 1)))) continue;
         if (!(u.valid_parity[2] & (1 << (c.iz & 1)))) continue;
       }
-      const tree::BoxCoord s{c.ix + u.o.dx, c.iy + u.o.dy, c.iz + u.o.dz};
-      if (s.ix < 0 || s.ix >= n || s.iy < 0 || s.iy >= n || s.iz < 0 ||
-          s.iz >= n)
+      const std::int32_t sx = c.ix + u.o.dx, sy = c.iy + u.o.dy,
+                         sz = c.iz + u.o.dz;
+      if (sx < 0 || sx >= n || sy < 0 || sy >= n || sz < 0 || sz >= n)
         continue;
-      const std::int32_t sa = act.dense_to_active[ctx.hier.flat_index(l, s)];
-      if (sa < 0) continue;
-      blas::vecmat(far + static_cast<std::size_t>(sa) * k,
-                   ctx.trans().t2[tree::offset_cube_index(u.o, d)], k, dst, k,
-                   k, true);
-      local_flops += blas::gemm_flops(1, k, k);
+      const std::int32_t sa = act.dense_to_active[act.boxes[lo + i] + delta];
+      if (sa >= 0) g.add(far + static_cast<std::size_t>(sa) * k, lo + i);
     }
+    g.apply(ctx.trans().t2[tree::offset_cube_index(u.o, d)],
+            ctx.ws.local[l].data());
   }
-  stats.flops += local_flops;
+  g.report(stats);
 }
 
-// Supernode T2 over active TARGETS [lo, hi) of level l: the precomputed
-// gather plan's rectangles already encode source-in-bounds per (octant,
-// entry) — a target only needs its parent coordinate inside the rectangle
-// plus an active lookup on the source.
-inline void supernode_chunk(ActiveContext& ctx, int l, std::size_t lo,
-                            std::size_t hi, PhaseStats& stats) {
+// Supernode T2 over active TARGETS [lo, hi) of level l: per octant, each
+// entry of the precomputed gather plan takes the octant's targets whose
+// parent lies in the entry's rectangle (source in bounds) and whose source
+// is active.
+inline void supernode_chunk(ActiveContext& ctx, int l, std::size_t chunk,
+                            std::size_t lo, std::size_t hi,
+                            PhaseStats& stats) {
   const std::size_t k = ctx.config.params.k();
+  const std::int64_t n = ctx.hier.boxes_per_side(l);
+  const std::int64_t np = ctx.hier.boxes_per_side(l - 1);
   const tree::LevelActiveSet& act = ctx.act.levels[l];
   const tree::LevelActiveSet& act_parent = ctx.act.levels[l - 1];
   const SupernodeLevelPlan& plan = ctx.plan.supernode_plans[l];
   const double* far = ctx.ws.far[l].data();
   const double* far_parent = ctx.ws.far[l - 1].data();
-  double* local = ctx.ws.local[l].data();
-  std::uint64_t local_flops = 0;
-  for (std::size_t ti = lo; ti < hi; ++ti) {
-    const tree::BoxCoord c = ctx.hier.coord_of(l, act.boxes[ti]);
-    const int octant = tree::Hierarchy::octant_of(c);
-    const tree::BoxCoord p = tree::Hierarchy::parent_of(c);
-    double* dst = local + ti * k;
-    for (const SupernodePlanEntry& pe : plan.per_octant[octant]) {
-      if (p.ix < pe.lo[0] || p.ix >= pe.hi[0] || p.iy < pe.lo[1] ||
-          p.iy >= pe.hi[1] || p.iz < pe.lo[2] || p.iz >= pe.hi[2])
-        continue;
-      const double* src;
-      if (pe.parent_source) {
-        const tree::BoxCoord s{p.ix + pe.offset.dx, p.iy + pe.offset.dy,
-                               p.iz + pe.offset.dz};
-        const std::int32_t sa =
-            act_parent.dense_to_active[ctx.hier.flat_index(l - 1, s)];
-        if (sa < 0) continue;
-        src = far_parent + static_cast<std::size_t>(sa) * k;
-      } else {
-        const tree::BoxCoord s{c.ix + pe.offset.dx, c.iy + pe.offset.dy,
-                               c.iz + pe.offset.dz};
-        const std::int32_t sa =
-            act.dense_to_active[ctx.hier.flat_index(l, s)];
-        if (sa < 0) continue;
-        src = far + static_cast<std::size_t>(sa) * k;
+  ChunkGather g(ctx, chunk, l, lo, hi);
+  for (int o = 0; o < 8; ++o) {
+    for (const SupernodePlanEntry& pe : plan.per_octant[o]) {
+      const tree::BoxCoord off{pe.offset.dx, pe.offset.dy, pe.offset.dz};
+      const std::int64_t delta = flat_of(off, pe.parent_source ? np : n);
+      for (std::size_t j = g.octant_begin(o); j < g.octant_begin(o + 1);
+           ++j) {
+        const std::size_t i = g.order(j);
+        const tree::BoxCoord& c = g.coord(i);
+        const tree::BoxCoord p = tree::Hierarchy::parent_of(c);
+        if (p.ix < pe.lo[0] || p.ix >= pe.hi[0] || p.iy < pe.lo[1] ||
+            p.iy >= pe.hi[1] || p.iz < pe.lo[2] || p.iz >= pe.hi[2])
+          continue;
+        if (pe.parent_source) {
+          const std::int32_t sa =
+              act_parent.dense_to_active[flat_of(p, np) + delta];
+          if (sa >= 0)
+            g.add(far_parent + static_cast<std::size_t>(sa) * k, lo + i);
+        } else {
+          const std::int32_t sa =
+              act.dense_to_active[act.boxes[lo + i] + delta];
+          if (sa >= 0) g.add(far + static_cast<std::size_t>(sa) * k, lo + i);
+        }
       }
-      blas::vecmat(src, pe.matrix, k, dst, k, k, true);
-      local_flops += blas::gemm_flops(1, k, k);
+      g.apply(pe.matrix, ctx.ws.local[l].data());
     }
   }
-  stats.flops += local_flops;
+  g.report(stats);
 }
 
 }  // namespace hfmm::core::internal

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <tuple>
 #include <vector>
 
@@ -179,6 +180,41 @@ TEST(GemmTest, RespectsLeadingDimensions) {
       EXPECT_NEAR(cbuf[i * ldc + j], ref[i * ldc + j], 1e-12);
   // Untouched tail columns beyond n stay as initialized.
   EXPECT_EQ(cbuf[n], 0.5);
+}
+
+// The solver gathers a varying number of boxes into each translation gemm
+// (one chunk per worker, one per rank), so its bitwise reproducibility
+// across worker and rank counts rests on this: every row of an m-row call
+// equals, bit for bit, the same row computed alone — whether it lands in a
+// full 4-row micro-kernel tile or in the < 4-row tail.
+TEST(GemmTest, RowBitsIndependentOfRowCount) {
+  const KernelKind before = active_kernel_kind();
+  for (const KernelKind kind : {KernelKind::kPortable, KernelKind::kAvx2}) {
+    if (!select_kernel(kind)) continue;
+    for (const std::size_t k : {12, 72}) {
+      const auto b = random_matrix(k, k, 61 + k);
+      for (std::size_t m = 1; m <= 9; ++m) {
+        const auto a = random_matrix(m, k, 70 + 10 * k + m);
+        const auto c0 = random_matrix(m, k, 80 + 10 * k + m);
+        for (const bool accumulate : {false, true}) {
+          std::vector<double> c = c0;
+          gemm(a.data(), k, b.data(), k, c.data(), k, m, k, k, accumulate);
+          for (std::size_t r = 0; r < m; ++r) {
+            std::vector<double> row(c0.begin() + r * k,
+                                    c0.begin() + (r + 1) * k);
+            gemm(a.data() + r * k, k, b.data(), k, row.data(), k, 1, k, k,
+                 accumulate);
+            for (std::size_t j = 0; j < k; ++j)
+              ASSERT_EQ(std::memcmp(&c[r * k + j], &row[j], sizeof(double)),
+                        0)
+                  << to_string(kind) << " k=" << k << " m=" << m
+                  << " row=" << r << " col=" << j << " acc=" << accumulate;
+          }
+        }
+      }
+    }
+  }
+  select_kernel(before);
 }
 
 TEST(GemmBatchTest, StridedInstancesWithDistinctB) {

@@ -80,20 +80,25 @@ TEST(FmmSolverTest, AllModesAgreeWithEachOther) {
   }
 }
 
+// The aggregation mode only picks the BLAS call applied to each gathered
+// slab. On Plummer input many gathers skip inactive sources, so the slabs
+// are short and uneven; they must still match the per-row gemv reference.
 TEST(FmmSolverTest, AggregationModesAgreeExactlyInStructure) {
-  const ParticleSet p = make_uniform(700, Box3{}, 63);
-  std::vector<std::vector<double>> results;
-  for (const AggregationMode agg :
-       {AggregationMode::kGemv, AggregationMode::kGemm,
-        AggregationMode::kGemmBatch}) {
-    FmmConfig cfg = base_config();
-    cfg.aggregation = agg;
-    FmmSolver solver(cfg);
-    results.push_back(solver.solve(p).phi);
-  }
-  for (std::size_t m = 1; m < results.size(); ++m) {
-    const ErrorNorms e = compare_fields(results[m], results[0]);
-    EXPECT_LT(e.max_rel, 1e-10);
+  for (const ParticleSet& p :
+       {make_uniform(700, Box3{}, 63), make_plummer(1500, Box3{}, 63)}) {
+    std::vector<std::vector<double>> results;
+    for (const AggregationMode agg :
+         {AggregationMode::kGemv, AggregationMode::kGemm,
+          AggregationMode::kGemmBatch}) {
+      FmmConfig cfg = base_config();
+      cfg.aggregation = agg;
+      FmmSolver solver(cfg);
+      results.push_back(solver.solve(p).phi);
+    }
+    for (std::size_t m = 1; m < results.size(); ++m) {
+      const ErrorNorms e = compare_fields(results[m], results[0]);
+      EXPECT_LT(e.max_rel, 1e-10);
+    }
   }
 }
 
@@ -132,24 +137,27 @@ class SupernodeAggregation : public ::testing::TestWithParam<AggregationMode> {
 };
 
 TEST_P(SupernodeAggregation, AgreesWithPlainSolverAndAcrossModes) {
-  const ParticleSet p = make_uniform(1100, Box3{}, 78);
-  FmmConfig super = base_config();
-  super.supernodes = true;
-  super.aggregation = GetParam();
-  FmmConfig plain = base_config();
-  plain.aggregation = GetParam();
-  FmmSolver ssol(super), psol(plain);
-  const FmmResult rs = ssol.solve(p);
-  const FmmResult rp = psol.solve(p);
-  // Supernodes change the approximation slightly (Section 2.3), not the
-  // physics: the two solvers agree to solver tolerance...
-  EXPECT_LT(compare_fields(rs.phi, rp.phi).rms_rel, 3e-3);
-  // ...and the mode only changes the BLAS shape, not the arithmetic result.
-  FmmConfig ref_cfg = super;
-  ref_cfg.aggregation = AggregationMode::kGemv;
-  FmmSolver ref_solver(ref_cfg);
-  const FmmResult ref = ref_solver.solve(p);
-  EXPECT_LT(compare_fields(rs.phi, ref.phi).max_rel, 1e-10);
+  for (const ParticleSet& p :
+       {make_uniform(1100, Box3{}, 78), make_plummer(1500, Box3{}, 78)}) {
+    FmmConfig super = base_config();
+    super.supernodes = true;
+    super.aggregation = GetParam();
+    FmmConfig plain = base_config();
+    plain.aggregation = GetParam();
+    FmmSolver ssol(super), psol(plain);
+    const FmmResult rs = ssol.solve(p);
+    const FmmResult rp = psol.solve(p);
+    // Supernodes change the approximation slightly (Section 2.3), not the
+    // physics: the two solvers agree to solver tolerance...
+    EXPECT_LT(compare_fields(rs.phi, rp.phi).rms_rel, 3e-3);
+    // ...and the mode only changes the BLAS call, not the arithmetic
+    // result, including gathers that skip inactive sources.
+    FmmConfig ref_cfg = super;
+    ref_cfg.aggregation = AggregationMode::kGemv;
+    FmmSolver ref_solver(ref_cfg);
+    const FmmResult ref = ref_solver.solve(p);
+    EXPECT_LT(compare_fields(rs.phi, ref.phi).max_rel, 1e-10);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Modes, SupernodeAggregation,
@@ -216,16 +224,15 @@ TEST(FmmSolverTest, PaperAccuracyHeadlines) {
 
 // Without supernodes the first T2 stage's sources are ready before the
 // upward chain ends, yet both take scratch from the same per-chunk arena, so
-// the graph must still order them. Threaded dense solves, each on a fresh
-// solver (cold scratch, so stages grow their buffers) and then warm, must
-// match the sequential solve bit for bit.
-TEST(FmmSolverTest, ThreadedDenseNoSupernodesMatchesSequentialBitwise) {
+// the graph must still order them. Threaded solves, each on a fresh solver
+// (cold scratch, so stages grow their buffers) and then warm, must match
+// the sequential solve bit for bit.
+TEST(FmmSolverTest, ThreadedNoSupernodesMatchesSequentialBitwise) {
   const ParticleSet p = make_uniform(2000, Box3{}, 68);
   FmmConfig cfg = base_config();
   cfg.supernodes = false;
   cfg.mode = ExecutionMode::kSequential;
   const FmmResult ref = FmmSolver(cfg).solve(p);
-  ASSERT_FALSE(ref.sparse);  // uniform input fills the leaves: dense
   cfg.mode = ExecutionMode::kThreads;
   for (int rep = 0; rep < 20; ++rep) {
     FmmSolver solver(cfg);
@@ -276,9 +283,11 @@ TEST(FmmSolverTest, RejectsNonFiniteInputs) {
     double value;
     const char* message;
   };
-  const Bad cases[] = {{5, 0, nan, "particle 5 has a non-finite x"},
-                       {17, 3, inf, "particle 17 has a non-finite charge"},
-                       {3999, 2, -inf, "particle 3999 has a non-finite z"}};
+  const Bad cases[] = {
+      {5, 0, nan, "particle 5 has a non-finite x"},
+      {17, 3, inf, "particle 17 has a non-finite charge"},
+      {3999, 2, -inf, "particle 3999 has a non-finite z"},
+      {7, 0, 1e160, "particle 7 has its x coordinate outside [-2^500, 2^500]"}};
   for (const ExecutionMode mode :
        {ExecutionMode::kSequential, ExecutionMode::kThreads,
         ExecutionMode::kDataParallel}) {
@@ -296,6 +305,34 @@ TEST(FmmSolverTest, RejectsNonFiniteInputs) {
         EXPECT_NE(std::string(e.what()).find(bad.message), std::string::npos)
             << e.what();
       }
+    }
+  }
+}
+
+// The accepted coordinate range ends at 2^500 (about 3.27e150); an outlier
+// just inside it still gives finite outputs that match direct summation.
+TEST(FmmSolverTest, OutlierAtTheCoordinateLimitMatchesDirectSummation) {
+  for (const ExecutionMode mode :
+       {ExecutionMode::kSequential, ExecutionMode::kThreads,
+        ExecutionMode::kDataParallel}) {
+    for (const double outlier : {3.2e150, -3.2e150}) {
+      ParticleSet p = make_uniform(3000, Box3{}, 69);
+      p.x()[1234] = outlier;
+      FmmConfig cfg = base_config();
+      cfg.mode = mode;
+      cfg.with_gradient = true;
+      const FmmResult r = FmmSolver(cfg).solve(p);
+      for (std::size_t i = 0; i < p.size(); ++i) {
+        ASSERT_TRUE(std::isfinite(r.phi[i])) << i;
+        ASSERT_TRUE(std::isfinite(r.grad[i].x) && std::isfinite(r.grad[i].y) &&
+                    std::isfinite(r.grad[i].z))
+            << i;
+      }
+      const baseline::DirectResult d = baseline::direct_all(p, true);
+      EXPECT_LT(compare_fields(r.phi, d.phi).rms_rel, 1e-3)
+          << to_string(mode) << ", outlier " << outlier;
+      EXPECT_LT(compare_fields(r.grad, d.grad).rms_rel, 2e-2)
+          << to_string(mode) << ", outlier " << outlier;
     }
   }
 }

@@ -4,9 +4,8 @@
 // BITWISE identical to the single-rank solve, for Laplace and van der
 // Waals, uniform and clustered inputs, cold and warm solves along a
 // drifting trajectory; and the single-rank solve is bitwise identical to
-// the sequential sparse executor (with the non-symmetric near field the
-// distributed mode forces) on clustered input, where the leaf occupancy
-// selects that executor. The measured fabric traffic must equal the LET
+// the sequential shared-memory solve (with the non-symmetric near field the
+// distributed mode forces). The measured fabric traffic must equal the LET
 // plan's modeled bytes exactly — the pack loops realize the model.
 
 #include <gtest/gtest.h>
@@ -174,7 +173,7 @@ TEST(LetTest, MarksCompileToMessagesWithExactByteModel) {
 
 // The single-rank reference: the distributed executor at R = 1, which
 // SingleRankMatchesSequentialSparseOnClustered ties to the shared-memory
-// sparse executor.
+// executor.
 core::FmmConfig reference_of(core::FmmConfig cfg) {
   cfg.mode = core::ExecutionMode::kDistributed;
   cfg.dist_ranks = 1;
@@ -252,20 +251,19 @@ TEST(DistSolveTest, LaplacePlummerWithGradientAndSupernodes) {
   for (const int r : {2, 4, 8}) expect_dist_matches_reference(cfg, ps, r);
 }
 
-// On clustered input the leaf occupancy selects the shared-memory sparse
-// executor, and with the non-symmetric near field the distributed
-// constructor forces, a sequential solve runs the same arithmetic as one
-// rank: R = 1 must reproduce it bit for bit.
+// The distributed executor runs the shared-memory executor's chunk bodies,
+// and with the non-symmetric near field its constructor forces, a
+// sequential solve runs the same arithmetic as one rank: R = 1 must
+// reproduce it bit for bit, on clustered and on uniform input.
 TEST(DistSolveTest, SingleRankMatchesSequentialSparseOnClustered) {
   for (const ParticleSet& ps : {make_plummer(1800, Box3{}, 104),
-                                make_two_clusters(2400, Box3{}, 102)}) {
+                                make_two_clusters(2400, Box3{}, 102),
+                                make_uniform(2000, Box3{}, 101)}) {
     core::FmmConfig cfg;
     cfg.mode = core::ExecutionMode::kSequential;
     cfg.near_symmetry = false;
     const core::FmmResult seq = core::FmmSolver(cfg).solve(ps);
-    EXPECT_TRUE(seq.sparse);
     const core::FmmResult one = core::FmmSolver(reference_of(cfg)).solve(ps);
-    EXPECT_TRUE(one.sparse);
     EXPECT_EQ(one.dist_ranks, 1);
     expect_bitwise_equal(seq, one);
   }

@@ -650,7 +650,7 @@ TEST_P(NearFieldEdgeTest, RunsMatchPerBoxOnDenseRange) {
 TEST_P(NearFieldEdgeTest, RunsMatchPerBoxOnActiveListWithEmptyBoxes) {
   // A cluster in one corner plus a sprinkle of outliers: most boxes, and
   // whole stretches of rows, are empty; the chunk walks only the occupied
-  // list, as the sparse executor does.
+  // list, as the shared-memory executor does.
   ParticleSet p = make_uniform(900, Box3{{0.0, 0.0, 0.0}, {0.4, 0.3, 0.5}},
                                41, -1.0, 1.0);
   const ParticleSet outliers = make_uniform(60, Box3{}, 42);

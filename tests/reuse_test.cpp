@@ -159,10 +159,9 @@ INSTANTIATE_TEST_SUITE_P(AllModes, ReuseModes,
                            return s;
                          });
 
-// Clustered inputs select the sparse active-box executor; the reuse
-// guarantees must hold there too: warm solves are bitwise identical
-// and grow no workspace heap. (Run standalone as the reuse_test_clustered
-// CI fixture.)
+// Clustered inputs leave most boxes inactive; the reuse guarantees must
+// hold there too: warm solves are bitwise identical and grow no workspace
+// heap. (Run standalone as the reuse_test_clustered CI fixture.)
 TEST(ClusteredReuse, WarmSparseSolveBitwiseIdenticalClustered) {
   FmmConfig cfg = base_config(ExecutionMode::kThreads);
   cfg.depth = 4;
@@ -170,7 +169,6 @@ TEST(ClusteredReuse, WarmSparseSolveBitwiseIdenticalClustered) {
   FmmSolver solver(cfg);
   const ParticleSet p = make_plummer(2500, Box3{}, 19);
   const FmmResult cold = solver.solve(p);
-  EXPECT_TRUE(cold.sparse);  // Plummer occupancy selects the sparse path
   const FmmResult warm = solver.solve(p);
   EXPECT_TRUE(bitwise_equal(cold.phi, warm.phi));
   EXPECT_TRUE(bitwise_equal(cold.grad, warm.grad));
@@ -182,9 +180,9 @@ TEST(ClusteredReuse, WarmSparseSolveBitwiseIdenticalClustered) {
 }
 
 TEST(ClusteredReuse, AlternatingDistributionsKeepWarmPathClustered) {
-  // Alternating uniform (dense path) and Plummer (sparse path) solves on
-  // one solver: each must reproduce its own bits, and after the first
-  // round-trip neither grows the workspace further.
+  // Alternating uniform (every box active) and Plummer (a small active
+  // set) solves on one solver: each must reproduce its own bits, and after
+  // the first round-trip neither grows the workspace further.
   FmmConfig cfg = base_config(ExecutionMode::kThreads);
   cfg.depth = 3;
   FmmSolver solver(cfg);
@@ -192,8 +190,6 @@ TEST(ClusteredReuse, AlternatingDistributionsKeepWarmPathClustered) {
   const ParticleSet c = make_plummer(2000, Box3{}, 31);
   const FmmResult u1 = solver.solve(u);
   const FmmResult c1 = solver.solve(c);
-  EXPECT_FALSE(u1.sparse);
-  EXPECT_TRUE(c1.sparse);
   const FmmResult u2 = solver.solve(u);
   const FmmResult c2 = solver.solve(c);
   EXPECT_TRUE(bitwise_equal(u1.phi, u2.phi));
@@ -206,21 +202,19 @@ TEST(ClusteredReuse, AlternatingDistributionsKeepWarmPathClustered) {
 // a fresh solver per force evaluation bit for bit: every solve rebuilds the
 // sort and structures from the moved particles, and the warm path reuses
 // only plan and workspace buffers, performing the identical arithmetic.
-// One case per executor: dense on uniform input (the plain test below);
-// sparse and distributed (4 ranks) on clustered input, where the leaf
-// occupancy selects the sparse executor.
+// Uniform input on the threaded executor (the plain test below); Plummer
+// input on the threaded and the distributed (4 ranks) executors.
 struct StepCase {
   const char* name;
   ExecutionMode mode;
   bool plummer;
-  int depth;
 };
 
 void PrintTo(const StepCase& c, std::ostream* os) { *os << c.name; }
 
 void expect_warm_stepping_matches_fresh(const StepCase& c) {
   FmmConfig cfg = base_config(c.mode);
-  cfg.depth = c.depth;
+  cfg.depth = 3;
   cfg.dist_ranks = 4;
   const double dt = 1e-3;
   const std::size_t n = 800;
@@ -268,16 +262,11 @@ void expect_warm_stepping_matches_fresh(const StepCase& c) {
   const ForceStats& stats = warm.force_stats();
   EXPECT_EQ(stats.evaluations, 1u + steps);
   EXPECT_EQ(stats.warm_evaluations, static_cast<std::uint64_t>(steps));
-  // The case starts on the executor it names: uniform 800 fills every
-  // depth-2 leaf, Plummer 800 about half the depth-3 leaves, and the
-  // distributed executor is always sparse.
-  EXPECT_EQ(FmmSolver(cfg).solve(initial()).sparse,
-            c.plummer || c.mode == ExecutionMode::kDistributed);
 }
 
 TEST(IntegratorReuse, MultiStepMatchesFreshSolverPerStep) {
   expect_warm_stepping_matches_fresh(
-      {"dense_uniform", ExecutionMode::kThreads, false, 2});
+      {"uniform", ExecutionMode::kThreads, false});
 }
 
 class IntegratorReuseExecutors : public ::testing::TestWithParam<StepCase> {};
@@ -289,8 +278,8 @@ TEST_P(IntegratorReuseExecutors, MultiStepMatchesFreshSolverPerStep) {
 INSTANTIATE_TEST_SUITE_P(
     Executors, IntegratorReuseExecutors,
     ::testing::Values(
-        StepCase{"sparse_plummer", ExecutionMode::kThreads, true, 3},
-        StepCase{"dist4_plummer", ExecutionMode::kDistributed, true, 3}),
+        StepCase{"sparse_plummer", ExecutionMode::kThreads, true},
+        StepCase{"dist4_plummer", ExecutionMode::kDistributed, true}),
     [](const ::testing::TestParamInfo<StepCase>& info) {
       return std::string(info.param.name);
     });

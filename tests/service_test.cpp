@@ -254,8 +254,8 @@ TEST(PlanCacheTest, TtlExpiresIdlePlans) {
 
 // --- SolverService: bitwise identity to solo solves ----------------------
 
-// One case per executor and kernel: uniform inputs select the dense
-// executor, clustered ones the sparse executor.
+// One case per input shape and kernel: uniform inputs make every box
+// active, clustered ones leave most boxes inactive.
 struct ExecutorCase {
   bool clustered;
   bool vdw;
@@ -288,10 +288,10 @@ ParticleSet case_particles(const ExecutorCase& c, std::uint64_t seed) {
 }
 
 const ExecutorCase kExecutorCases[] = {
-    {false, false, "dense_laplace"},
-    {true, false, "sparse_laplace"},
-    {false, true, "dense_vdw"},
-    {true, true, "sparse_vdw"},
+    {false, false, "uniform_laplace"},
+    {true, false, "clustered_laplace"},
+    {false, true, "uniform_vdw"},
+    {true, true, "clustered_vdw"},
 };
 
 TEST(ServiceTest, BitwiseIdenticalToSoloAcrossModesAndKernels) {
@@ -303,8 +303,6 @@ TEST(ServiceTest, BitwiseIdenticalToSoloAcrossModesAndKernels) {
     core::FmmSolver solo(cfg);
     const core::FmmResult ref = solo.solve(p);
     const service::SolveOutcome out = svc.solve(cfg, p);
-    EXPECT_EQ(ref.sparse, c.clustered);
-    EXPECT_EQ(out.result.sparse, ref.sparse);
     EXPECT_TRUE(bitwise_equal(ref.phi, out.result.phi));
     EXPECT_TRUE(bitwise_equal(ref.grad, out.result.grad));
     EXPECT_EQ(ref.depth, out.result.depth);
@@ -443,6 +441,9 @@ TEST(ServiceTest, NonFiniteRequestRejectsBatchBeforeAnySolve) {
   const ParticleSet good = make_uniform(500, Box3{}, 4);
   ParticleSet bad = good;
   bad.x()[7] = std::numeric_limits<double>::quiet_NaN();
+  // A coordinate beyond the accepted range of +-2^500.
+  ParticleSet far = good;
+  far.y()[11] = -1e160;
   // A vdW request with a type id outside its two-type table.
   const core::FmmConfig vdw = case_config({false, true, "vdw"});
   ParticleSet bad_type = good;
@@ -450,8 +451,10 @@ TEST(ServiceTest, NonFiniteRequestRejectsBatchBeforeAnySolve) {
   const struct {
     service::SolveRequest request;
     const char* message;
-  } cases[] = {{{cfg, &bad}, "request 1: particle 7"},
-               {{vdw, &bad_type}, "request 1: particle 9 has type id 2"}};
+  } cases[] = {
+      {{cfg, &bad}, "request 1: particle 7"},
+      {{cfg, &far}, "request 1: particle 11 has its y coordinate outside"},
+      {{vdw, &bad_type}, "request 1: particle 9 has type id 2"}};
   for (const auto& c : cases) {
     const service::SolveRequest batch[] = {{cfg, &good}, c.request};
     try {
@@ -696,11 +699,12 @@ TEST(CApiTest, NonFiniteInputsAreInvalidArguments) {
   ASSERT_EQ(hfmm_plan_create(ctx, &cfg, 600, &plan), HFMM_OK);
   const ParticleSet p = make_uniform(600, Box3{}, 31);
   const double inf = std::numeric_limits<double>::infinity();
-  CApiFixture nan_x(p), inf_q(p), neg_inf_z(p);
+  CApiFixture nan_x(p), inf_q(p), neg_inf_z(p), far_x(p);
   nan_x.x[5] = std::numeric_limits<double>::quiet_NaN();
   inf_q.q[17] = inf;
   neg_inf_z.z[599] = -inf;
-  for (CApiFixture* f : {&nan_x, &inf_q, &neg_inf_z}) {
+  far_x.x[3] = 1e160;  // beyond the accepted range of +-2^500
+  for (CApiFixture* f : {&nan_x, &inf_q, &neg_inf_z, &far_x}) {
     const hfmm_request req = f->request(plan);
     EXPECT_EQ(hfmm_solve(ctx, &req, nullptr), HFMM_ERROR_INVALID_ARGUMENT);
   }

@@ -1,10 +1,11 @@
-// Sparse active-box hierarchy (DESIGN.md Section 13): active-set
-// derivation, cost-model chunk splitting, the occupancy rule that selects
-// the sparse or dense executor, and the sparse executors' agreement with
-// the dense paths. The oracle for a clustered input is the same input with
-// a q = 0 particle at the centre of every empty leaf: the padding fills the
-// leaf level, so the dense executor runs it, and the real particles' fields
-// must agree within tolerance (only the accumulation grouping differs).
+// Active-box hierarchy (DESIGN.md Section 13): active-set derivation,
+// cost-model chunk splitting, the data-parallel masking rule, and the
+// active-set executor on clustered input. The oracle for a clustered input
+// is the same input with a q = 0 particle at the centre of every empty
+// leaf: the padding makes every box active, so every gather runs full
+// length with exact-zero fields where the input has none, and the real
+// particles' fields must agree within tolerance (only the grouping of the
+// gathered products differs).
 
 #include <gtest/gtest.h>
 
@@ -287,10 +288,11 @@ INSTANTIATE_TEST_SUITE_P(Methods, MaskedEmbedTest,
 
 // ------------------------------------------------------- solver agreement
 
-bool bitwise_equal(const std::vector<double>& a, const std::vector<double>& b) {
+template <typename T>
+bool bitwise_equal(const std::vector<T>& a, const std::vector<T>& b) {
   return a.size() == b.size() &&
          (a.empty() ||
-          std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0);
+          std::memcmp(a.data(), b.data(), a.size() * sizeof(T)) == 0);
 }
 
 core::FmmConfig sparse_config(int depth) {
@@ -336,8 +338,10 @@ ParticleSet anchored(const ParticleSet& p) {
 
 // `p` (anchored) plus one q = 0 particle at the centre of every leaf it
 // leaves empty at `depth`. The padding changes no potential of p's
-// particles, shares p's root cube, and fills every leaf, so the solver runs
-// it on the dense executor: the oracle for the sparse executor's solve of p.
+// particles, shares p's root cube, and fills every leaf, so every box of
+// every level is active and every gather runs full length with exact-zero
+// fields where p has none: the oracle for the solve of p, which skips its
+// inactive boxes and gathers only active sources.
 ParticleSet padded(const ParticleSet& p, int depth) {
   const tree::Hierarchy hier(tree::cube_containing(p.bounds()), depth);
   std::vector<bool> occupied(hier.boxes_at(depth), false);
@@ -355,42 +359,37 @@ ParticleSet padded(const ParticleSet& p, int depth) {
   return out;
 }
 
-// Solves anchored input `p` (sparse by selection) and its padding (dense by
-// selection) under `cfg` and compares the real particles at 1e-11.
-void expect_sparse_matches_padded_dense(const core::FmmConfig& cfg,
-                                        const ParticleSet& p) {
+// Solves anchored input `p` and its padding under `cfg` and compares the
+// real particles at 1e-11.
+void expect_matches_padded(const core::FmmConfig& cfg, const ParticleSet& p) {
   const ParticleSet full = padded(p, cfg.depth);
-  core::FmmSolver sparse(cfg);
-  core::FmmSolver dense(cfg);
-  const core::FmmResult rs = sparse.solve(p);
-  const core::FmmResult rd = dense.solve(full);
-  EXPECT_TRUE(rs.sparse);
-  EXPECT_FALSE(rd.sparse);
+  core::FmmSolver active(cfg);
+  core::FmmSolver all_active(cfg);
+  const core::FmmResult rs = active.solve(p);
+  const core::FmmResult rd = all_active.solve(full);
   EXPECT_LT(rs.active_boxes, rd.active_boxes);
   expect_close(rs, rd, 1e-11);
 }
 
 TEST(SparseSolveTest, AutoStaysDenseAndBitwiseOnUniform) {
-  // A fully occupied uniform input selects the dense executor, whose bits
-  // do not depend on what the solver ran before: a solver that just ran the
-  // sparse executor reproduces a fresh solver's result exactly.
+  // A solve's bits do not depend on what the solver ran before: a solver
+  // that just solved Plummer input (short gathers, a small active set)
+  // reproduces a fresh solver's result on uniform input exactly.
   const ParticleSet p = make_uniform(4000, Box3{}, 11);
   core::FmmSolver fresh(sparse_config(3));
   const core::FmmResult rf = fresh.solve(p);
-  EXPECT_FALSE(rf.sparse);
   EXPECT_EQ(rf.active_boxes, 585u);  // every box of levels 0..3
   core::FmmSolver reused(sparse_config(3));
-  EXPECT_TRUE(reused.solve(make_plummer(4000, Box3{}, 12)).sparse);
+  EXPECT_LT(reused.solve(make_plummer(4000, Box3{}, 12)).active_boxes, 585u);
   const core::FmmResult rr = reused.solve(p);
-  EXPECT_FALSE(rr.sparse);
   EXPECT_TRUE(bitwise_equal(rf.phi, rr.phi));
+  EXPECT_TRUE(bitwise_equal(rf.grad, rr.grad));
 }
 
 TEST(SparseSolveTest, AutoSelectsSparseOnPlummer) {
   const ParticleSet p = make_plummer(3000, Box3{}, 12);
   core::FmmSolver solver(sparse_config(4));
   const core::FmmResult r = solver.solve(p);
-  EXPECT_TRUE(r.sparse);
   ASSERT_EQ(r.level_occupancy.size(), 5u);
   EXPECT_LT(r.level_occupancy[4], 0.9);
   EXPECT_LT(r.active_boxes, 4096u + 512 + 64 + 8 + 1);
@@ -401,13 +400,11 @@ TEST(SparseSolveTest, SparseMatchesDenseOnClustered) {
        {core::ExecutionMode::kSequential, core::ExecutionMode::kThreads}) {
     core::FmmConfig cfg = sparse_config(4);
     cfg.mode = mode;
-    expect_sparse_matches_padded_dense(
-        cfg, anchored(make_plummer(3000, Box3{}, 21)));
-    expect_sparse_matches_padded_dense(
-        cfg, anchored(make_two_clusters(3000, Box3{}, 22)));
+    expect_matches_padded(cfg, anchored(make_plummer(3000, Box3{}, 21)));
+    expect_matches_padded(cfg,
+                          anchored(make_two_clusters(3000, Box3{}, 22)));
     cfg.depth = 3;
-    expect_sparse_matches_padded_dense(
-        cfg, anchored(make_plummer(1500, Box3{}, 17)));
+    expect_matches_padded(cfg, anchored(make_plummer(1500, Box3{}, 17)));
   }
 }
 
@@ -419,11 +416,10 @@ TEST(SparseSolveTest, AlmostAllParticlesInOneLeaf) {
       make_uniform(300, Box3{{0.50, 0.50, 0.50}, {0.56, 0.56, 0.56}}, 14));
   core::FmmSolver sparse(sparse_config(3));
   const core::FmmResult rs = sparse.solve(p);
-  EXPECT_TRUE(rs.sparse);
   // At most 3 active boxes per level (cluster leaf may straddle at most a
   // couple of leaves; the anchors add one each), far below the dense 585.
   EXPECT_LE(rs.active_boxes, 4u * 3u);
-  expect_sparse_matches_padded_dense(sparse_config(3), p);
+  expect_matches_padded(sparse_config(3), p);
 }
 
 TEST(SparseSolveTest, WarmSparseSolveBitwiseAndZeroGrowth) {
@@ -431,7 +427,6 @@ TEST(SparseSolveTest, WarmSparseSolveBitwiseAndZeroGrowth) {
   core::FmmSolver solver(sparse_config(4));
   const core::FmmResult cold = solver.solve(p);
   const core::FmmResult warm = solver.solve(p);
-  EXPECT_TRUE(cold.sparse);
   EXPECT_TRUE(bitwise_equal(cold.phi, warm.phi));
   EXPECT_EQ(warm.workspace_allocs, 0u);
   // A fresh solver reproduces the same bits — chunk splits depend only on
@@ -440,20 +435,30 @@ TEST(SparseSolveTest, WarmSparseSolveBitwiseAndZeroGrowth) {
   EXPECT_TRUE(bitwise_equal(cold.phi, fresh.solve(p).phi));
 }
 
+// A sequential solve gathers each matrix's rows into one gemm per stage; a
+// threaded one splits them over one chunk per worker. Every row must still
+// come out bit for bit the same.
 TEST(SparseSolveTest, SequentialAndThreadedSparseAgreeBitwise) {
-  const ParticleSet p = make_plummer(2000, Box3{}, 16);
-  core::FmmConfig cfg = sparse_config(4);
-  cfg.mode = core::ExecutionMode::kSequential;
-  core::FmmSolver seq(cfg);
-  cfg.mode = core::ExecutionMode::kThreads;
-  core::FmmSolver thr(cfg);
-  const core::FmmResult rs = seq.solve(p);
-  EXPECT_TRUE(rs.sparse);
-  EXPECT_TRUE(bitwise_equal(rs.phi, thr.solve(p).phi));
+  for (const ParticleSet& p :
+       {make_uniform(3000, Box3{}, 16), make_plummer(2000, Box3{}, 16)}) {
+    for (const bool supernodes : {true, false}) {
+      core::FmmConfig cfg = sparse_config(4);
+      cfg.supernodes = supernodes;
+      cfg.mode = core::ExecutionMode::kSequential;
+      core::FmmSolver seq(cfg);
+      cfg.mode = core::ExecutionMode::kThreads;
+      core::FmmSolver thr(cfg);
+      const core::FmmResult rs = seq.solve(p);
+      const core::FmmResult rt = thr.solve(p);
+      EXPECT_TRUE(bitwise_equal(rs.phi, rt.phi)) << "supernodes " << supernodes;
+      EXPECT_TRUE(bitwise_equal(rs.grad, rt.grad))
+          << "supernodes " << supernodes;
+    }
+  }
 }
 
 TEST(SparseSolveTest, DataParallelMaskedMatchesPaddedDense) {
-  // The DP executor keeps its dense compute loops; on clustered input the
+  // The DP executor keeps its dense compute loops; on clustered input its
   // occupancy rule masks the multigrid moves of all-zero inactive sections.
   // The padded input fills every leaf, so its moves are unmasked: values
   // agree while the masked solve counts less communication.
@@ -465,8 +470,6 @@ TEST(SparseSolveTest, DataParallelMaskedMatchesPaddedDense) {
   core::FmmSolver dense(cfg);
   const core::FmmResult rm = masked.solve(p);
   const core::FmmResult rd = dense.solve(padded(p, 3));
-  EXPECT_TRUE(rm.sparse);
-  EXPECT_FALSE(rd.sparse);
   expect_close(rm, rd, 1e-11);
   // With the default kLocalCopy embedding every VU-aligned level moves
   // locally, so the mask's savings land in local bytes.
@@ -477,7 +480,6 @@ TEST(SparseSolveTest, NearFieldCostImbalanceReported) {
   const ParticleSet p = make_plummer(3000, Box3{}, 18);
   core::FmmSolver solver(sparse_config(4));
   const core::FmmResult r = solver.solve(p);
-  EXPECT_TRUE(r.sparse);
   const auto& near = r.breakdown.phases().at("near");
   EXPECT_GE(near.cost_imbalance, 1.0);
   EXPECT_GT(near.boxes_total, near.boxes_active);

@@ -345,12 +345,9 @@ core::FmmConfig vdw_config(bool periodic) {
   return cfg;
 }
 
-// `sparse` is the executor the leaf occupancy must select for `ps`, so the
-// fixture cannot silently switch executor.
 void expect_solve_matches_brute_force(const core::FmmConfig& cfg,
                                       const ParticleSet& ps,
-                                      const std::vector<std::int32_t>& type,
-                                      bool sparse) {
+                                      const std::vector<std::int32_t>& type) {
   const std::size_t n = ps.size();
   const VdwTable t(cfg.kernel.vdw_rmin, cfg.kernel.vdw_epsilon,
                    cfg.kernel.vdw_cuton, cfg.kernel.vdw_cutoff,
@@ -364,7 +361,6 @@ void expect_solve_matches_brute_force(const core::FmmConfig& cfg,
   core::FmmSolver solver(cfg);
   const core::FmmResult r = solver.solve(ps);
   ASSERT_EQ(r.kernel, core::KernelType::kVanDerWaals);
-  EXPECT_EQ(r.sparse, sparse);
   ASSERT_EQ(r.phi.size(), n);
   for (std::size_t i = 0; i < n; ++i) {
     const double s = 1e-11 * (scale[i] + 1.0);
@@ -378,8 +374,7 @@ void expect_solve_matches_brute_force(const core::FmmConfig& cfg,
 TEST(VdwSolveTest, MatchesBruteForceUniform) {
   std::vector<std::int32_t> type;
   const ParticleSet ps = typed_uniform(400, 42, type, 2);
-  expect_solve_matches_brute_force(vdw_config(false), ps, type,
-                                   /*sparse=*/false);
+  expect_solve_matches_brute_force(vdw_config(false), ps, type);
 }
 
 TEST(VdwSolveTest, MatchesBruteForceClustered) {
@@ -390,8 +385,7 @@ TEST(VdwSolveTest, MatchesBruteForceClustered) {
     type[i] = static_cast<std::int32_t>(i % 2);
     ps.set_type(i, type[i]);
   }
-  expect_solve_matches_brute_force(vdw_config(false), ps, type,
-                                   /*sparse=*/true);
+  expect_solve_matches_brute_force(vdw_config(false), ps, type);
 }
 
 TEST(VdwSolveTest, MatchesBruteForcePeriodicMinimumImage) {
@@ -416,8 +410,7 @@ TEST(VdwSolveTest, MatchesBruteForcePeriodicMinimumImage) {
       ps.set(i, pos, ps.q()[i]);
     }
   }
-  expect_solve_matches_brute_force(vdw_config(true), ps, type,
-                                   /*sparse=*/true);
+  expect_solve_matches_brute_force(vdw_config(true), ps, type);
 }
 
 TEST(VdwSolveTest, FarFieldPhasesReportZeroWork) {

@@ -43,21 +43,31 @@ run_suite() {
   echo "== distributed executor suite =="
   run_dist_tests "$build_dir"
   # Clustered bench smoke (plain tree only — sanitizer trees build no
-  # bench): Plummer input must run on the sparse executor, and the
-  # artifacts must carry pair counts and non-empty occupancy for every
-  # config.
+  # bench): every Plummer row must leave boxes inactive (active-box count
+  # below the box count of levels 0..depth), and the artifacts must carry
+  # pair counts and non-empty occupancy for every config.
   if [[ -x "$build_dir/bench/bench_scaling" ]]; then
     echo "== clustered bench smoke =="
     "$build_dir/bench/bench_scaling" --nmax=32000 --ndp=8000 \
       --dist=plummer --json="$build_dir/smoke_scaling.json" >/dev/null
-    grep -q '"sparse": true' "$build_dir/smoke_scaling.json"
     grep -q '"near_pairs"' "$build_dir/smoke_scaling.json"
     "$build_dir/bench/bench_breakdown" --n=20000 --dist=plummer \
       --json="$build_dir/smoke_breakdown.json" >/dev/null
-    for label in plummer_d4_sparse plummer_d5_sparse plummer_sparse_auto; do
-      grep -A1 "\"label\": \"$label\"" "$build_dir/smoke_breakdown.json" |
-        grep -q '"sparse": true'
-    done
+    python3 - "$build_dir" << 'EOF'
+import json, sys
+def all_boxes(depth):
+    return sum(8 ** l for l in range(depth + 1))
+build = sys.argv[1]
+for row in json.load(open(f"{build}/smoke_scaling.json"))["n_sweep"]:
+    assert row["active_boxes"] < all_boxes(row["depth"]), row["n"]
+configs = json.load(open(f"{build}/smoke_breakdown.json"))["configs"]
+labels = {c["label"] for c in configs}
+for label in ("plummer_d4_sparse", "plummer_d5_sparse", "plummer_sparse_auto"):
+    assert label in labels, label
+for c in configs:
+    if c["dist"] == "plummer":
+        assert c["active_boxes"] < all_boxes(c["depth"]), c["label"]
+EOF
     grep -q '"pairs"' "$build_dir/smoke_breakdown.json"
     ! grep -q '"occupancy": \[\]' "$build_dir/smoke_breakdown.json"
     # vdW bench smoke: --kernel retargets the sweep at the short-range
@@ -112,7 +122,6 @@ service_bench_smoke() {
       --json="$build_dir/smoke_service.json" >/dev/null
     grep -q '"bench": "bench_service"' "$build_dir/smoke_service.json"
     grep -q '"warm_zero_alloc": true' "$build_dir/smoke_service.json"
-    grep -q '"executor"' "$build_dir/smoke_service.json"
   fi
 }
 
@@ -179,13 +188,13 @@ if [[ "$lane" == all || "$lane" == asan ]]; then
   cmake -B build-sanitize -S . "${asan_flags[@]}" >/dev/null
   cmake --build build-sanitize -j "$jobs"
   # Far-field scratch race: without supernodes the upward and interactive
-  # stages of a threaded dense solve share per-chunk scratch, and a missing
-  # graph edge let them overlap in about one run in five. Repeat the two
-  # solves that exposed it until one fails, before the full suite, so the
-  # race is attributed on its own row.
+  # stages of a threaded solve share per-chunk scratch, and only the graph
+  # edge from the end of the upward chain to the first T2 stage keeps them
+  # apart. Repeat the two solves that exposed a missing edge until one
+  # fails, before the full suite, so the race is attributed on its own row.
   echo "== far-field scratch race repeats =="
   ctest --test-dir build-sanitize --output-on-failure --repeat until-fail:50 \
-    -R 'FmmSolverTest.ThreadedDenseNoSupernodesMatchesSequentialBitwise|FmmSolverTest.PaperAccuracyHeadlines'
+    -R 'FmmSolverTest.ThreadedNoSupernodesMatchesSequentialBitwise|FmmSolverTest.PaperAccuracyHeadlines'
   run_suite build-sanitize "${asan_flags[@]}"
 fi
 
