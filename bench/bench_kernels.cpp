@@ -10,14 +10,14 @@
 // P2M / L2P at the paper's K = 12 and K = 72), then writes the results to
 // BENCH_kernels.json (override the path with --json=FILE) so the
 // performance trajectory is machine-diffable across PRs. JSON shape:
-//   { "bench": "bench_kernels", "default_kernel": "avx2",
-//     "default_pkern_kernel": "avx2",
+//   { "bench": "bench_kernels", "nproc": 4,
+//     "default_kernel": "avx2", "default_pkern_kernel": "avx512",
 //     "kernels": [ { "kernel": "avx2", "supported": true,
 //                    "gemm": [ {"m":..,"n":..,"k":..,"gflops":..}, ... ],
 //                    "gemm_batch": [ {"m":..,"k":..,"instances":..,
 //                                     "gflops":..}, ... ] }, ... ],
 //     "pkern_kernels": [ { "kernel": "scalar", ... },
-//       { "kernel": "avx2", "supported": true,
+//       { "kernel": "portable" | "avx2" | "avx512", "supported": true,
 //         "p2p": [ {"n":..,"block":..,"gradient":..,"gflops":..,
 //                   "speedup_vs_scalar":..}, ... ],
 //         "p2p_symmetric": [ ... ], "p2m": [ {"k":..,"block":..,
@@ -25,7 +25,9 @@
 //         "gflops":..} ] }, ... ] }
 // The "scalar" row times the reference paths (baseline::direct_ranges and
 // anderson::evaluate_inner) that the backends are verified against; each
-// backend's p2p speedup_vs_scalar is measured against it.
+// backend's p2p speedup_vs_scalar is measured against it. A backend this
+// CPU cannot run keeps its row, with "supported": false and no timings;
+// default_pkern_kernel is the backend auto-dispatch picked.
 
 #include <benchmark/benchmark.h>
 
@@ -33,6 +35,7 @@
 #include <cstdio>
 #include <cstring>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "hfmm/anderson/kernels.hpp"
@@ -200,6 +203,7 @@ void write_kernel_json(const char* path) {
     return;
   }
   std::fprintf(f, "{\n  \"bench\": \"bench_kernels\",\n");
+  std::fprintf(f, "  \"nproc\": %u,\n", std::thread::hardware_concurrency());
   std::fprintf(f, "  \"default_kernel\": \"%s\",\n",
                blas::to_string(initial));
   std::fprintf(f, "  \"kernels\": [\n");
@@ -493,8 +497,9 @@ void write_pkern_json(std::FILE* f) {
   write_pkern_sections(f, p, nullptr, "scalar", ref, p12, p72);
   std::fprintf(f, " },\n");
   const pkern::KernelKind kinds[] = {pkern::KernelKind::kPortable,
-                                     pkern::KernelKind::kAvx2};
-  for (std::size_t ki = 0; ki < 2; ++ki) {
+                                     pkern::KernelKind::kAvx2,
+                                     pkern::KernelKind::kAvx512};
+  for (std::size_t ki = 0; ki < std::size(kinds); ++ki) {
     const pkern::KernelKind kind = kinds[ki];
     const bool ok = pkern::kernel_supported(kind);
     std::fprintf(f, "    { \"kernel\": \"%s\", \"supported\": %s",
@@ -502,12 +507,13 @@ void write_pkern_json(std::FILE* f) {
     if (ok)
       write_pkern_sections(f, p, &pkern::kernel_backend(kind),
                            pkern::to_string(kind), ref, p12, p72);
-    std::fprintf(f, " }%s\n", ki + 1 < 2 ? "," : "");
+    std::fprintf(f, " }%s\n", ki + 1 < std::size(kinds) ? "," : "");
   }
   std::fprintf(f, "  ]\n");
 }
 
-// range(0) selects the pkern backend, range(1) toggles the gradient.
+// range(0) selects the pkern backend (0 = portable, 1 = avx2, 2 = avx512),
+// range(1) toggles the gradient.
 void BM_PkernP2P(benchmark::State& state) {
   const auto kind = static_cast<pkern::KernelKind>(state.range(0));
   if (!pkern::kernel_supported(kind)) {
@@ -529,7 +535,7 @@ void BM_PkernP2P(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * kLeafBlock * kLeafBlock);
 }
-BENCHMARK(BM_PkernP2P)->ArgsProduct({{0, 1}, {0, 1}});
+BENCHMARK(BM_PkernP2P)->ArgsProduct({{0, 1, 2}, {0, 1}});
 
 }  // namespace
 

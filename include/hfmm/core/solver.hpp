@@ -122,8 +122,9 @@ class FmmSolver {
 
   /// Computes the potential (and optionally gradient) induced at every
   /// particle by all the others. Throws std::invalid_argument, before any
-  /// work, when a position or charge is not finite or a coordinate lies
-  /// outside [-2^500, 2^500] (about +-3.27e150).
+  /// work, when there are more than 2^32 - 1 particles, a position or
+  /// charge is not finite, or a coordinate lies outside [-2^500, 2^500]
+  /// (about +-3.27e150).
   FmmResult solve(const ParticleSet& particles);
 
   /// Streamed variant: leaves the outputs in sorted order behind `view`

@@ -90,9 +90,11 @@ typedef struct hfmm_config {
 /* One solve: n particles in borrowed arrays (never retained past the
  * call), outputs written to the caller's buffers in the ORIGINAL particle
  * order. type may be NULL (all particles type 0); gx/gy/gz must be
- * non-NULL exactly when the plan's config set with_gradient. Every x, y, z
- * must be finite and within [-2^500, 2^500] (about +-3.27e150) and every
- * q finite; otherwise the solve returns HFMM_ERROR_INVALID_ARGUMENT. */
+ * non-NULL exactly when the plan's config set with_gradient. n must not
+ * exceed 2^32 - 1 (UINT32_MAX), every x, y, z must be finite and within
+ * [-2^500, 2^500] (about +-3.27e150) and every q finite; otherwise the
+ * solve returns HFMM_ERROR_INVALID_ARGUMENT (a too-large n before any
+ * array is read). */
 typedef struct hfmm_request {
   const hfmm_plan* plan;
   size_t n;

@@ -10,16 +10,21 @@
 //   - "portable": plain C++ structured as fixed 4-wide lane arrays so the
 //     compiler's SLP vectorizer emits whatever the target ISA offers;
 //   - "avx2": explicit AVX2/FMA intrinsics (x86-64 only, function-level
-//     target("avx2,fma") attributes, usable on any x86-64 baseline build).
-// The active backend is chosen once at startup from cpuid, overridable with
-// HFMM_PKERN_KERNEL=auto|portable|avx2 (mirrors HFMM_BLAS_KERNEL).
+//     target("avx2,fma") attributes, usable on any x86-64 baseline build);
+//   - "avx512": the avx2 table with the Laplace p2p / p2p_symmetric pair
+//     replaced by AVX-512F kernels eight sources wide, seeded in fp64 by
+//     vrsqrt14pd (x86-64 only, target("avx512f,avx2,fma")).
+// The active backend is chosen once at startup from cpuid (avx512, then
+// avx2, then portable), overridable with HFMM_PKERN_KERNEL=auto|portable|avx2
+// (mirrors HFMM_BLAS_KERNEL; auto is the only way to the avx512 table).
 //
 // The AVX2 P2P computes 1/sqrt(r2) as a vector rsqrt seed (the 12-bit
 // _mm_rsqrt_ps estimate widened to double) followed by two Newton-Raphson
 // refinements. Each refinement leaves a relative error of -(3/2)e^2, so
 // |e| <= 1.5*2^-12 becomes ~2e-7 and then ~6e-14 — below the 1e-12
 // acceptance bound, and one-sided, so summed box contributions stay within
-// the per-pair bound instead of random-walking past it (see DESIGN.md).
+// the per-pair bound instead of random-walking past it (see DESIGN.md). The
+// AVX-512 seed (|e| <= 2^-14) lands at ~5e-17 after the same two steps.
 //
 // All kernels are batched over structure-of-arrays particle blocks: the
 // coordinate sort (Section 3.2 of the paper) already delivers every leaf
@@ -35,7 +40,7 @@
 
 namespace hfmm::pkern {
 
-enum class KernelKind { kPortable, kAvx2 };
+enum class KernelKind { kPortable, kAvx2, kAvx512 };
 
 const char* to_string(KernelKind kind);
 
@@ -139,10 +144,11 @@ struct KernelBackend {
   /// `grad != nullptr`) at targets [tb, te) due to sources [sb, se),
   /// accumulated like `p2p`. `type` indexes the per-pair Rmin^2/eps tables
   /// in `vp`. Pairs at or beyond the cutoff contribute exactly zero. The
-  /// two backends carry a BITWISE contract: every operation is a correctly
+  /// backends carry a BITWISE contract: every operation is a correctly
   /// rounded sub/mul/div/round or an explicit FMA in the same sequence, so
   /// portable and avx2 results are identical to the last bit (the
-  /// integrator-facing guarantee the kick/drift entries already make).
+  /// integrator-facing guarantee the kick/drift entries already make); the
+  /// avx512 table uses the avx2 entries.
   void (*p2p_vdw)(const double* x, const double* y, const double* z,
                   const std::int32_t* type, std::size_t tb, std::size_t te,
                   std::size_t sb, std::size_t se, double* phi, Vec3* grad,

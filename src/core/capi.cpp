@@ -85,6 +85,8 @@ hfmm_status translate_config(const hfmm_config& in, FmmConfig& out) {
 hfmm_status validate_request(const hfmm_request& req) {
   if (req.plan == nullptr) return HFMM_ERROR_INVALID_ARGUMENT;
   if (req.n == 0) return HFMM_OK;
+  // Particle indices are uint32 inside the solver (see hfmm_request).
+  if (req.n > UINT32_MAX) return HFMM_ERROR_INVALID_ARGUMENT;
   if (req.x == nullptr || req.y == nullptr || req.z == nullptr ||
       req.q == nullptr || req.phi == nullptr)
     return HFMM_ERROR_INVALID_ARGUMENT;

@@ -4,6 +4,8 @@
 #include <array>
 #include <atomic>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -59,6 +61,12 @@ std::vector<UnionOffset> build_union_offsets(int d) {
 
 void validate_particles(const ParticleSet& particles, const KernelSpec& kernel,
                         std::string_view context) {
+  // The sort's perm / box_begin and the near field's run bounds index
+  // particles as uint32; a larger N would wrap them silently.
+  if (particles.size() > std::numeric_limits<std::uint32_t>::max())
+    throw std::invalid_argument(
+        std::string(context) + ": " + std::to_string(particles.size()) +
+        " particles exceed the limit of 2^32 - 1");
   const auto reject = [&](std::size_t i, const std::string& what) {
     throw std::invalid_argument(std::string(context) + ": particle " +
                                 std::to_string(i) + " has " + what);

@@ -33,12 +33,14 @@
 
 namespace hfmm::core::internal {
 
-// Throws std::invalid_argument naming the first particle whose position or
-// charge is not finite (NaN or +-inf), whose coordinate lies outside
-// [-2^500, 2^500] (about +-3.27e150), or, for short-range kernels, whose type
-// id lies outside the kernel's type table, prefixed by `context`. Such an
-// input would otherwise turn every potential of a solve into NaN, or index
-// the pair tables out of bounds. FmmSolver::solve checks its input with it;
+// Throws std::invalid_argument, prefixed by `context`, when the set holds
+// more than 2^32 - 1 particles (the sort and near field index particles as
+// uint32), or naming the first particle whose position or charge is not
+// finite (NaN or +-inf), whose coordinate lies outside [-2^500, 2^500]
+// (about +-3.27e150), or, for short-range kernels, whose type id lies
+// outside the kernel's type table. Such an input would otherwise wrap the
+// particle indices, turn every potential of a solve into NaN, or index the
+// pair tables out of bounds. FmmSolver::solve checks its input with it;
 // the service checks every request of a batch before any solve runs.
 void validate_particles(const ParticleSet& particles, const KernelSpec& kernel,
                         std::string_view context);

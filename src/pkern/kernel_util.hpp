@@ -1,7 +1,7 @@
 #pragma once
 // Internal machinery shared by the particle-kernel backends: exact scalar
 // paths used for vector tails and near-centre L2P fallbacks, and the
-// log-potential 2-D kernels that both backends share (the transcendental
+// log-potential 2-D kernels that every backend shares (the transcendental
 // log dominates them, so there is no AVX2 variant to dispatch to). Not
 // installed.
 
@@ -207,7 +207,7 @@ inline void vdw_pair(double r2, double rm2, double e, const VdwParams& vp,
 }
 
 // ---------------------------------------------------------------------------
-// 2-D log-potential kernels, shared by both backend tables: std::log
+// 2-D log-potential kernels, shared by every backend table: std::log
 // dominates the pair cost and has no AVX2 counterpart, so only the r^2 /
 // gradient arithmetic is left to the autovectorizer.
 // ---------------------------------------------------------------------------
@@ -257,9 +257,12 @@ namespace hfmm::pkern {
 
 struct KernelBackend;
 
-// Backend tables defined in kernel_portable.cpp / kernel_avx2.cpp.
+// Backend tables defined in kernel_portable.cpp / kernel_avx2.cpp /
+// kernel_avx512.cpp.
 const KernelBackend& portable_backend();
 const KernelBackend& avx2_backend();
 bool avx2_cpu_supported();
+const KernelBackend& avx512_backend();
+bool avx512_cpu_supported();
 
 }  // namespace hfmm::pkern

@@ -15,6 +15,7 @@ const char* to_string(KernelKind kind) {
   switch (kind) {
     case KernelKind::kPortable: return "portable";
     case KernelKind::kAvx2: return "avx2";
+    case KernelKind::kAvx512: return "avx512";
   }
   return "?";
 }
@@ -23,12 +24,18 @@ bool kernel_supported(KernelKind kind) {
   switch (kind) {
     case KernelKind::kPortable: return true;
     case KernelKind::kAvx2: return avx2_cpu_supported();
+    case KernelKind::kAvx512: return avx512_cpu_supported();
   }
   return false;
 }
 
 const KernelBackend& kernel_backend(KernelKind kind) {
-  return kind == KernelKind::kAvx2 ? avx2_backend() : portable_backend();
+  switch (kind) {
+    case KernelKind::kAvx2: return avx2_backend();
+    case KernelKind::kAvx512: return avx512_backend();
+    case KernelKind::kPortable: break;
+  }
+  return portable_backend();
 }
 
 namespace {
@@ -45,8 +52,9 @@ KernelKind initial_kind() {
       return KernelKind::kPortable;
     default: break;
   }
-  return kernel_supported(KernelKind::kAvx2) ? KernelKind::kAvx2
-                                             : KernelKind::kPortable;
+  for (const KernelKind kind : {KernelKind::kAvx512, KernelKind::kAvx2})
+    if (kernel_supported(kind)) return kind;
+  return KernelKind::kPortable;
 }
 
 KernelKind& active_kind_ref() {

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <utility>
 #include <vector>
 
 #include "hfmm/anderson/kernels.hpp"
@@ -46,18 +47,47 @@ class PkernBackendTest : public ::testing::TestWithParam<pkern::KernelKind> {
   pkern::KernelKind previous_ = pkern::KernelKind::kPortable;
 };
 
-// Sizes straddle the 4-wide register: tails of 1..3, sub-register boxes.
+// Vector tails must neither read nor write past the ranges they are given.
+// The agreement tests append kPad particles after the last source (a lane
+// that reads one too far picks up a real charge) and kPad output slots
+// holding kSentinel after the last particle (a lane that stores or
+// accumulates one too far changes them). make_uniform draws particle by
+// particle, so the padding leaves the first particles as they were. The
+// sentinel is finite because NaN would absorb a stray `+=`.
+constexpr std::size_t kPad = 8;  // one 512-bit register of fp64
+constexpr double kSentinel = 1048576.0;
+
+void expect_pad_untouched(const std::vector<double>& v, std::size_t n) {
+  for (std::size_t i = n; i < v.size(); ++i)
+    EXPECT_EQ(v[i], kSentinel) << "slot " << i << " past " << n;
+}
+
+void expect_pad_untouched(const std::vector<Vec3>& v, std::size_t n) {
+  for (std::size_t i = n; i < v.size(); ++i) {
+    EXPECT_EQ(v[i].x, kSentinel) << "slot " << i << " past " << n;
+    EXPECT_EQ(v[i].y, kSentinel) << "slot " << i << " past " << n;
+    EXPECT_EQ(v[i].z, kSentinel) << "slot " << i << " past " << n;
+  }
+}
+
+// Sizes straddle the 4- and 8-wide registers: every source tail of 1..7,
+// sub-register boxes.
 void expect_p2p_matches_scalar(const pkern::KernelBackend& kern,
                                std::size_t nt, std::size_t ns,
                                bool with_grad, double softening) {
-  const ParticleSet p = make_uniform(nt + ns, Box3{}, 1234 + nt * 31 + ns);
+  const ParticleSet p =
+      make_uniform(nt + ns + kPad, Box3{}, 1234 + nt * 31 + ns);
   std::vector<double> phi(nt, 0.0), ref_phi(nt, 0.0);
   std::vector<Vec3> grad(nt), ref_grad(nt);
+  phi.resize(nt + kPad, kSentinel);
+  grad.resize(nt + kPad, Vec3{kSentinel, kSentinel, kSentinel});
   baseline::direct_ranges(p, 0, nt, nt, nt + ns, ref_phi.data(),
                           with_grad ? ref_grad.data() : nullptr, softening);
   kern.p2p(p.x().data(), p.y().data(), p.z().data(), p.q().data(), 0, nt, nt,
            nt + ns, phi.data(), with_grad ? grad.data() : nullptr,
            softening * softening);
+  expect_pad_untouched(phi, nt);
+  expect_pad_untouched(grad, nt);
   for (std::size_t i = 0; i < nt; ++i) {
     EXPECT_NEAR(phi[i], ref_phi[i], kTol * std::abs(ref_phi[i]))
         << "nt=" << nt << " ns=" << ns << " i=" << i;
@@ -72,7 +102,7 @@ void expect_p2p_matches_scalar(const pkern::KernelBackend& kern,
 
 TEST_P(PkernBackendTest, P2pMatchesScalarAcrossShapes) {
   for (const std::size_t nt : {1u, 3u, 4u, 7u, 64u})
-    for (const std::size_t ns : {1u, 2u, 5u, 8u, 63u})
+    for (const std::size_t ns : {1u, 2u, 3u, 5u, 8u, 12u, 14u, 63u})
       for (const bool grad : {false, true})
         expect_p2p_matches_scalar(kern(), nt, ns, grad, 0.0);
 }
@@ -82,7 +112,7 @@ TEST_P(PkernBackendTest, P2pHonorsSoftening) {
 }
 
 TEST_P(PkernBackendTest, P2pIdenticalRangeSkipsSelfPair) {
-  for (const std::size_t n : {1u, 2u, 5u, 17u, 64u}) {
+  for (const std::size_t n : {1u, 2u, 3u, 4u, 5u, 6u, 15u, 17u, 64u}) {
     const ParticleSet p = make_uniform(n, Box3{}, 77 + n);
     std::vector<double> phi(n, 0.0), ref_phi(n, 0.0);
     std::vector<Vec3> grad(n), ref_grad(n);
@@ -98,9 +128,13 @@ TEST_P(PkernBackendTest, P2pIdenticalRangeSkipsSelfPair) {
 }
 
 TEST_P(PkernBackendTest, P2pSymmetricMatchesPlainWithGradients) {
-  for (const std::size_t nt : {1u, 5u, 32u, 65u}) {
-    const std::size_t ns = 2 * nt + 1;  // exercise unequal, tailed ranges
-    const ParticleSet p = make_uniform(nt + ns, Box3{}, 555 + nt);
+  // Unequal ranges whose source counts hit every residue mod 8, and one run
+  // of the near field's 256-source cap.
+  const std::pair<std::size_t, std::size_t> shapes[] = {
+      {1, 3},  {5, 11}, {32, 65}, {65, 131}, {3, 8},   {2, 10},
+      {7, 12}, {4, 13}, {6, 14},  {9, 23},   {24, 256}};
+  for (const auto& [nt, ns] : shapes) {
+    const ParticleSet p = make_uniform(nt + ns + kPad, Box3{}, 555 + nt);
     // Reference: two one-directional evaluations.
     std::vector<double> ref_phi(nt + ns, 0.0);
     std::vector<Vec3> ref_grad(nt + ns);
@@ -110,9 +144,13 @@ TEST_P(PkernBackendTest, P2pSymmetricMatchesPlainWithGradients) {
                             ref_grad.data() + nt);
     std::vector<double> phi(nt + ns, 0.0), gx(nt + ns, 0.0), gy(nt + ns, 0.0),
         gz(nt + ns, 0.0);
+    for (std::vector<double>* out : {&phi, &gx, &gy, &gz})
+      out->resize(nt + ns + kPad, kSentinel);
     kern().p2p_symmetric(p.x().data(), p.y().data(), p.z().data(),
                          p.q().data(), 0, nt, nt, nt + ns, phi.data(),
                          gx.data(), gy.data(), gz.data(), 0.0);
+    for (const std::vector<double>* out : {&phi, &gx, &gy, &gz})
+      expect_pad_untouched(*out, nt + ns);
     for (std::size_t i = 0; i < nt + ns; ++i) {
       EXPECT_NEAR(phi[i], ref_phi[i], kTol * std::abs(ref_phi[i]));
       const double scale = ref_grad[i].norm() + 1.0;
@@ -124,16 +162,22 @@ TEST_P(PkernBackendTest, P2pSymmetricMatchesPlainWithGradients) {
 }
 
 TEST_P(PkernBackendTest, P2pSymmetricPotentialOnly) {
-  const std::size_t nt = 19, ns = 42;
-  const ParticleSet p = make_uniform(nt + ns, Box3{}, 808);
-  std::vector<double> ref_phi(nt + ns, 0.0), phi(nt + ns, 0.0);
-  baseline::direct_ranges_symmetric(p, 0, nt, nt, nt + ns, ref_phi.data(),
-                                    nullptr);
-  kern().p2p_symmetric(p.x().data(), p.y().data(), p.z().data(), p.q().data(),
-                       0, nt, nt, nt + ns, phi.data(), nullptr, nullptr,
-                       nullptr, 0.0);
-  for (std::size_t i = 0; i < nt + ns; ++i)
-    EXPECT_NEAR(phi[i], ref_phi[i], kTol * std::abs(ref_phi[i]));
+  const std::size_t nt = 19;
+  for (const std::size_t ns : {41u, 42u, 43u, 44u, 45u, 46u, 47u, 48u}) {
+    // Seed 808 at ns = 42 keeps the original single case.
+    const ParticleSet p = make_uniform(nt + ns + kPad, Box3{}, 808 + ns - 42);
+    std::vector<double> ref_phi(nt + ns, 0.0), phi(nt + ns, 0.0);
+    phi.resize(nt + ns + kPad, kSentinel);
+    baseline::direct_ranges_symmetric(p, 0, nt, nt, nt + ns, ref_phi.data(),
+                                      nullptr);
+    kern().p2p_symmetric(p.x().data(), p.y().data(), p.z().data(),
+                         p.q().data(), 0, nt, nt, nt + ns, phi.data(), nullptr,
+                         nullptr, nullptr, 0.0);
+    expect_pad_untouched(phi, nt + ns);
+    for (std::size_t i = 0; i < nt + ns; ++i)
+      EXPECT_NEAR(phi[i], ref_phi[i], kTol * std::abs(ref_phi[i]))
+          << "ns=" << ns << " i=" << i;
+  }
 }
 
 TEST_P(PkernBackendTest, P2mMatchesScalar) {
@@ -325,7 +369,8 @@ TEST_P(PkernBackendTest, DriftMatchesScalarBitwise) {
 
 INSTANTIATE_TEST_SUITE_P(Backends, PkernBackendTest,
                          ::testing::Values(pkern::KernelKind::kPortable,
-                                           pkern::KernelKind::kAvx2),
+                                           pkern::KernelKind::kAvx2,
+                                           pkern::KernelKind::kAvx512),
                          [](const auto& info) {
                            return std::string(pkern::to_string(info.param));
                          });
@@ -334,6 +379,21 @@ TEST(PkernDispatchTest, PortableAlwaysSupported) {
   EXPECT_TRUE(pkern::kernel_supported(pkern::KernelKind::kPortable));
   EXPECT_STREQ(pkern::to_string(pkern::KernelKind::kPortable), "portable");
   EXPECT_STREQ(pkern::to_string(pkern::KernelKind::kAvx2), "avx2");
+  EXPECT_STREQ(pkern::to_string(pkern::KernelKind::kAvx512), "avx512");
+  EXPECT_STREQ(pkern::kernel_backend(pkern::KernelKind::kAvx512).name,
+               "avx512");
+}
+
+// The avx512 table owns only the Laplace P2P pair; every other entry is the
+// AVX2 function, so the vdW/kick/drift bitwise contracts AVX2 keeps with
+// portable hold for avx512 without a test of their own.
+TEST(PkernDispatchTest, Avx512SharesAvx2NonP2pEntries) {
+  const auto& a = pkern::kernel_backend(pkern::KernelKind::kAvx2);
+  const auto& b = pkern::kernel_backend(pkern::KernelKind::kAvx512);
+  EXPECT_TRUE(b.p2m == a.p2m && b.l2p == a.l2p && b.p2p2 == a.p2p2 &&
+              b.p2m2 == a.p2m2 && b.kick == a.kick && b.drift == a.drift &&
+              b.p2p_vdw == a.p2p_vdw &&
+              b.p2p_vdw_symmetric == a.p2p_vdw_symmetric);
 }
 
 TEST(PkernDispatchTest, SelectKernelRoundTrips) {
@@ -345,11 +405,18 @@ TEST(PkernDispatchTest, SelectKernelRoundTrips) {
     ASSERT_TRUE(pkern::select_kernel(pkern::KernelKind::kAvx2));
     EXPECT_STREQ(pkern::active_kernel().name, "avx2");
   }
+  if (pkern::kernel_supported(pkern::KernelKind::kAvx512)) {
+    ASSERT_TRUE(pkern::select_kernel(pkern::KernelKind::kAvx512));
+    EXPECT_EQ(pkern::active_kernel_kind(), pkern::KernelKind::kAvx512);
+    EXPECT_STREQ(pkern::active_kernel().name, "avx512");
+  } else {
+    EXPECT_FALSE(pkern::select_kernel(pkern::KernelKind::kAvx512));
+  }
   pkern::select_kernel(initial);
 }
 
 // ---------------------------------------------------------------------------
-// Near-field driver edge cases, run under both backends.
+// core::near_field edge cases, run under every backend.
 // ---------------------------------------------------------------------------
 
 class NearFieldEdgeTest : public PkernBackendTest {};
@@ -722,7 +789,8 @@ TEST_P(NearFieldEdgeTest, RunsMatchPerBoxOnMultiVuSort) {
 
 INSTANTIATE_TEST_SUITE_P(Backends, NearFieldEdgeTest,
                          ::testing::Values(pkern::KernelKind::kPortable,
-                                           pkern::KernelKind::kAvx2),
+                                           pkern::KernelKind::kAvx2,
+                                           pkern::KernelKind::kAvx512),
                          [](const auto& info) {
                            return std::string(pkern::to_string(info.param));
                          });

@@ -17,6 +17,7 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <cstdint>
 #include <cstring>
 #include <limits>
 #include <memory>
@@ -707,6 +708,17 @@ TEST(CApiTest, NonFiniteInputsAreInvalidArguments) {
   for (CApiFixture* f : {&nan_x, &inf_q, &neg_inf_z, &far_x}) {
     const hfmm_request req = f->request(plan);
     EXPECT_EQ(hfmm_solve(ctx, &req, nullptr), HFMM_ERROR_INVALID_ARGUMENT);
+  }
+  // n = 2^32 over one-element buffers: rejected before any array is read
+  // (the sanitizer lanes would flag a read past them).
+  if constexpr (sizeof(size_t) > sizeof(std::uint32_t)) {
+    double one[1] = {0.5}, out[1] = {0.0};
+    hfmm_request huge{};
+    huge.plan = plan;
+    huge.n = static_cast<size_t>(std::uint64_t{1} << 32);
+    huge.x = huge.y = huge.z = huge.q = one;
+    huge.phi = out;
+    EXPECT_EQ(hfmm_solve(ctx, &huge, nullptr), HFMM_ERROR_INVALID_ARGUMENT);
   }
   // A type id outside a vdW plan's two-type table.
   hfmm_config vdw;

@@ -262,7 +262,8 @@ TEST_P(VdwBackendTest, P2pVdwSymmetricMatchesPlain) {
 
 INSTANTIATE_TEST_SUITE_P(Backends, VdwBackendTest,
                          ::testing::Values(pkern::KernelKind::kPortable,
-                                           pkern::KernelKind::kAvx2));
+                                           pkern::KernelKind::kAvx2,
+                                           pkern::KernelKind::kAvx512));
 
 // --- Bitwise portable == AVX2 (the dispatch-reproducibility contract) ----
 
