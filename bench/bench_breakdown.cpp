@@ -54,11 +54,9 @@ ParticleSet make_dist(const std::string& dist, std::size_t n,
   return make_uniform(n, Box3{}, seed);
 }
 
-// Empty string keeps the environment default (HFMM_KERNEL), so
-// `HFMM_KERNEL=vdw ./bench_breakdown` and `--kernel vdw` agree.
+// No --kernel (empty string) means Laplace.
 core::KernelType parse_kernel(const std::string& name) {
-  if (name.empty()) return core::default_kernel_type();
-  if (name == "laplace") return core::KernelType::kLaplace3d;
+  if (name.empty() || name == "laplace") return core::KernelType::kLaplace3d;
   if (name == "vdw") return core::KernelType::kVanDerWaals;
   std::fprintf(stderr, "unknown --kernel %s (laplace|vdw)\n", name.c_str());
   std::exit(1);
@@ -85,7 +83,7 @@ void run(const char* label, const char* slug, const anderson::Params& params,
   ParticleSet p = make_dist(opts.dist, n, 4242);
   if (opts.kernel == core::KernelType::kVanDerWaals) {
     // Two-type Rmin/eps table at unit-box scale; the cuton/cutoff window
-    // keeps the environment defaults (HFMM_VDW_CUTON / HFMM_VDW_CUTOFF).
+    // keeps KernelSpec's defaults.
     cfg.kernel.type = core::KernelType::kVanDerWaals;
     cfg.kernel.vdw_rmin = {0.02, 0.016};
     cfg.kernel.vdw_epsilon = {1.0, 0.5};

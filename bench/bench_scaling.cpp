@@ -38,18 +38,16 @@ ParticleSet make_dist(const std::string& dist, std::size_t n,
   return make_uniform(n, Box3{}, seed);
 }
 
-// Empty string keeps the environment default (HFMM_KERNEL), so
-// `HFMM_KERNEL=vdw ./bench_scaling` and `--kernel vdw` agree.
+// No --kernel (empty string) means Laplace.
 core::KernelType parse_kernel(const std::string& name) {
-  if (name.empty()) return core::default_kernel_type();
-  if (name == "laplace") return core::KernelType::kLaplace3d;
+  if (name.empty() || name == "laplace") return core::KernelType::kLaplace3d;
   if (name == "vdw") return core::KernelType::kVanDerWaals;
   std::fprintf(stderr, "unknown --kernel %s (laplace|vdw)\n", name.c_str());
   std::exit(1);
 }
 
 // Retargets a config at the short-range vdW kernel: two-type Rmin/eps
-// table at unit-box scale, switching window from the environment defaults.
+// table at unit-box scale, KernelSpec's default switching window.
 void apply_vdw(core::FmmConfig& cfg) {
   cfg.kernel.type = core::KernelType::kVanDerWaals;
   cfg.kernel.vdw_rmin = {0.02, 0.016};

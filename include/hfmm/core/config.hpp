@@ -1,5 +1,7 @@
 #pragma once
-// Configuration of the full O(N) solver.
+// Configuration of the full O(N) solver. FmmConfig, with its KernelSpec, is
+// all the configuration a solve has: every default below is a constant, and
+// nothing is read from the environment.
 
 #include "hfmm/anderson/params.hpp"
 #include "hfmm/core/kernel_model.hpp"
@@ -17,12 +19,6 @@ enum class ExecutionMode {
   kDistributed,   ///< owner-computes in-process ranks with LET exchange (§18)
 };
 
-/// Leaf-run weighting of the distributed partitioner (DESIGN.md §18).
-enum class DistPartitioner {
-  kCost,    ///< cost-model split: near-field pairs + bodies per leaf
-  kBodies,  ///< equal-bodies split (ORB-flavoured, along the same curve)
-};
-
 /// How translations are applied (paper Section 3.3.3):
 enum class AggregationMode {
   kGemv,       ///< one matrix-vector product per box (BLAS-2)
@@ -32,13 +28,6 @@ enum class AggregationMode {
 
 const char* to_string(ExecutionMode m);
 const char* to_string(AggregationMode m);
-const char* to_string(DistPartitioner m);
-
-/// Environment-backed defaults for the distributed executor (DESIGN.md §18):
-/// HFMM_DIST_RANKS (default 4, in [1, 64]) and
-/// HFMM_DIST_PARTITIONER=cost|bodies (default cost). Read once on first use.
-int default_dist_ranks();
-DistPartitioner default_dist_partitioner();
 
 struct FmmConfig {
   anderson::Params params = anderson::params_d5_k12();
@@ -55,7 +44,7 @@ struct FmmConfig {
   /// The physics this solve evaluates (DESIGN.md §16): Laplace 3-D runs the
   /// full Anderson far-field chain, short-range kernels (van der Waals)
   /// reuse the tree/near-field machinery with the far phases as empty DAG
-  /// nodes. Env default HFMM_KERNEL=laplace|vdw.
+  /// nodes.
   KernelSpec kernel{};
   ExecutionMode mode = ExecutionMode::kThreads;
   AggregationMode aggregation = AggregationMode::kGemm;
@@ -69,8 +58,7 @@ struct FmmConfig {
   // §18; ignored in the other modes). `dist_ranks` is the REQUESTED rank
   // count — the effective count is clamped so every rank owns at least one
   // active leaf, and FmmResult::dist_ranks reports what actually ran.
-  int dist_ranks = default_dist_ranks();
-  DistPartitioner dist_partitioner = default_dist_partitioner();
+  int dist_ranks = 4;
 
   void validate() const;
 };

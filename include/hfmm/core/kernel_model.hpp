@@ -16,7 +16,8 @@
 // Van der Waals (switched Lennard-Jones, CHARMM convention) is the first
 // short-range kernel: per-atom-type Rmin/epsilon tables with combining
 // rules, a cuton/cutoff switching window, and an optional minimum-image
-// wrap for a periodic cubic box.
+// wrap for a periodic cubic box. A KernelSpec is plain data: its defaults
+// are constants, and the caller picks the kernel by setting `type`.
 
 #include <cstddef>
 #include <vector>
@@ -32,24 +33,15 @@ enum class KernelType {
 
 const char* to_string(KernelType t);
 
-/// Environment-backed defaults for KernelSpec: HFMM_KERNEL=laplace|vdw
-/// (default laplace) selects the workload; HFMM_VDW_CUTON / HFMM_VDW_CUTOFF
-/// (defaults 0.04 / 0.06, unit-box scale) set the switching window and
-/// HFMM_VDW_PERIODIC=0|1 (default 0) the minimum-image wrap. Read once on
-/// first use.
-KernelType default_kernel_type();
-double default_vdw_cuton();
-double default_vdw_cutoff();
-bool default_vdw_periodic();
-
-/// The physics of one solve. Defaults come from the environment so
-/// `HFMM_KERNEL=vdw ./bench_...` retargets a binary without code changes
-/// (the single-type Rmin = 0.02, eps = 1 table below applies when the
-/// caller does not provide one; particles without a type array are type 0).
+/// The physics of one solve. The defaults are a gravity (Laplace) solve; the
+/// vdW fields take effect only when `type` is kVanDerWaals (the single-type
+/// Rmin = 0.02, eps = 1 table below applies when the caller does not provide
+/// one; particles without a type array are type 0).
 struct KernelSpec {
-  KernelType type = default_kernel_type();
+  KernelType type = KernelType::kLaplace3d;
 
-  /// Plummer softening of the Laplace near field. Laplace only.
+  /// Plummer softening of the Laplace near field. Laplace only; must be
+  /// finite.
   double softening = 0.0;
 
   /// Van der Waals dials (CHARMM convention): per-atom-type minimum-energy
@@ -58,12 +50,12 @@ struct KernelSpec {
   /// energy switches smoothly to zero over vdw_cuton < r < vdw_cutoff.
   std::vector<double> vdw_rmin{0.02};
   std::vector<double> vdw_epsilon{1.0};
-  double vdw_cuton = default_vdw_cuton();
-  double vdw_cutoff = default_vdw_cutoff();
+  double vdw_cuton = 0.04;
+  double vdw_cutoff = 0.06;
 
   /// Minimum-image wrap across a periodic cubic box. The period is
   /// vdw_box.max_side(); validate() requires the box to be a cube.
-  bool vdw_periodic = default_vdw_periodic();
+  bool vdw_periodic = false;
 
   /// Simulation box of a vdW solve. Unlike Laplace (whose root cube is
   /// derived from the particle bounds each solve), vdW pins the hierarchy
@@ -79,7 +71,8 @@ struct KernelSpec {
   /// Number of atom types in the vdW tables.
   std::size_t vdw_types() const { return vdw_rmin.size(); }
 
-  /// Throws std::invalid_argument on inconsistent parameters. For vdW the
+  /// Throws std::invalid_argument on inconsistent parameters: a non-finite
+  /// Laplace softening (it would turn every potential NaN). For vdW the
   /// cutoff must not exceed side/4 of the box: the U-list spans d = 2 leaf
   /// boxes per axis, so every pair within the cutoff is covered as long as
   /// the leaf side stays >= cutoff/2, which side/4 guarantees down to depth

@@ -114,7 +114,8 @@ class FmmSolver {
   /// Service-client form: plans and translation data resolve through the
   /// shared `cache` instead of being built per solver, so N clients of the
   /// same workload pay for one plan build (DESIGN.md Section 17). A null
-  /// cache behaves exactly like the single-argument constructor.
+  /// cache behaves exactly like the single-argument constructor, which
+  /// gives the solver a private one-plan cache.
   FmmSolver(FmmConfig config, std::shared_ptr<service::PlanCache> cache);
   ~FmmSolver();
   FmmSolver(const FmmSolver&) = delete;

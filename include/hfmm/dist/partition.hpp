@@ -9,24 +9,15 @@
 // array. No data movement is needed to realize it: rank r's bodies are the
 // slice [body_begin[r], body_begin[r+1]) of the globally sorted arrays.
 //
-// The split itself reuses exec::weighted_split over a per-leaf weight:
-//   * kCost   — the active-set cost model (near-field pair count
-//               plus per-leaf particle count standing in for the P2M/L2P
-//               work), the default;
-//   * kBodies — particle counts only (an ORB-flavoured equal-bodies split
-//               along the same curve), for measuring how much the cost
-//               model buys.
+// The split itself reuses exec::weighted_split over the active-set cost
+// model: each leaf weighs its near-field pair count plus its particle count
+// (standing in for the P2M/L2P work).
 
 #include <cstdint>
 #include <span>
 #include <vector>
 
 namespace hfmm::dist {
-
-enum class Partitioner {
-  kCost,    ///< weight = near-field pairs + bodies per leaf (default)
-  kBodies,  ///< weight = bodies per leaf
-};
 
 /// A split of the active leaves (and thereby the sorted bodies) into
 /// contiguous per-rank runs. `ranks` is the EFFECTIVE rank count — at most
@@ -46,11 +37,10 @@ struct Partition {
 
 /// Splits `leaf_count.size()` active leaves into at most `ranks` runs.
 /// `leaf_cost` / `near_cost` are the sparse cost model's per-active-leaf
-/// entries (particle count, near-field pair count); `leaf_count` is the
-/// particle count per active leaf in the same order, prefix-summed into
-/// body_begin.
-Partition partition_leaves(Partitioner partitioner, int ranks,
-                           std::span<const std::uint64_t> leaf_cost,
+/// entries (particle count, near-field pair count); a leaf weighs
+/// leaf_cost + near_cost + 1. `leaf_count` is the particle count per active
+/// leaf in the same order, prefix-summed into body_begin.
+Partition partition_leaves(int ranks, std::span<const std::uint64_t> leaf_cost,
                            std::span<const std::uint64_t> near_cost,
                            std::span<const std::uint32_t> leaf_count);
 

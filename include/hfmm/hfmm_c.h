@@ -69,10 +69,10 @@ typedef struct hfmm_config {
   size_t struct_size; /* = sizeof(hfmm_config), set by hfmm_config_init */
   int order;          /* quadrature order: 5 (K = 12) or 14 (K = 72)    */
   int kernel;         /* hfmm_kernel                                     */
-  int depth;          /* explicit hierarchy depth, or -1 = automatic     */
+  int depth;          /* explicit depth in [2, 10], or -1 = automatic    */
   int with_gradient;  /* nonzero: also compute the field gradient        */
   int supernodes;     /* nonzero: Section 2.3 supernode aggregation      */
-  double softening;   /* Laplace Plummer softening (0 = none)            */
+  double softening;   /* Laplace Plummer softening (finite, 0 = none)    */
   /* van der Waals: per-type Lennard-Jones parameters (arrays of length
    * vdw_ntypes, borrowed for the duration of hfmm_plan_create), the
    * switching window, and the periodic domain box. A degenerate box

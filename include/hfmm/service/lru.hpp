@@ -1,23 +1,11 @@
 #pragma once
 // service::LruCache — a small thread-safe LRU map shared by the solver
 // service's plan cache (DESIGN.md Section 17) and the 2-D solver's shared
-// translation plans. Values are shared_ptrs, so eviction never invalidates
-// an entry a client still holds: the refcount keeps an evicted-but-in-
-// flight value alive until its last user drops it.
-//
-// Beyond the entry-count capacity, a cache can carry
-//   * a BYTE BUDGET: each entry is inserted with a weight (the value's heap
-//     footprint); when the resident total exceeds the budget, least-
-//     recently-used entries are evicted until it fits — but the most
-//     recently used entry always stays, so a single over-budget value still
-//     caches (evicting it would just rebuild it every call);
-//   * a TTL: entries idle longer than the ttl are expired lazily — any
-//     get_or_build first drops every entry whose deadline passed (counted
-//     separately from capacity/budget evictions). A hit refreshes the
-//     deadline.
-// Both default off (0), preserving the original count-only behaviour.
+// translation plans. It holds at most `capacity` entries and evicts the
+// least recently used one past that. Values are shared_ptrs, so eviction
+// never invalidates an entry a client still holds: the refcount keeps an
+// evicted-but-in-flight value alive until its last user drops it.
 
-#include <chrono>
 #include <cstdint>
 #include <functional>
 #include <list>
@@ -31,64 +19,40 @@ namespace hfmm::service {
 struct LruStats {
   std::uint64_t hits = 0;
   std::uint64_t misses = 0;
-  std::uint64_t evictions = 0;    ///< capacity- or budget-driven removals
-  std::uint64_t expirations = 0;  ///< TTL-driven removals
+  std::uint64_t evictions = 0;  ///< capacity-driven removals
 };
 
 template <typename Key, typename V, typename Hash = std::hash<Key>>
 class LruCache {
  public:
   using Value = std::shared_ptr<V>;
-  using Clock = std::chrono::steady_clock;
 
-  /// `budget_bytes` caps the summed entry weights (0 = unbounded);
-  /// `ttl` expires entries idle longer than this (zero = never).
-  explicit LruCache(
-      std::size_t capacity, std::size_t budget_bytes = 0,
-      std::chrono::milliseconds ttl = std::chrono::milliseconds{0})
-      : capacity_(capacity == 0 ? 1 : capacity),
-        budget_(budget_bytes),
-        ttl_(ttl) {}
+  explicit LruCache(std::size_t capacity)
+      : capacity_(capacity == 0 ? 1 : capacity) {}
 
   /// Returns the cached value for `key`, building it with `factory()` on a
   /// miss. The factory runs under the lock: builds are rare and expensive
   /// (translation matrices), so serializing them is cheaper than letting
   /// two clients race the same build. Second element is true on a hit.
-  /// `weigher(value)` prices the entry against the byte budget.
-  template <typename Factory, typename Weigher>
-  std::pair<Value, bool> get_or_build(const Key& key, Factory&& factory,
-                                      Weigher&& weigher) {
+  template <typename Factory>
+  std::pair<Value, bool> get_or_build(const Key& key, Factory&& factory) {
     std::lock_guard<std::mutex> lock(mu_);
-    const Clock::time_point now = Clock::now();
-    purge_expired(now);
     auto it = map_.find(key);
     if (it != map_.end()) {
       order_.splice(order_.begin(), order_, it->second);
-      it->second->deadline = deadline_after(now);
       ++stats_.hits;
-      return {it->second->value, true};
+      return {it->second->second, true};
     }
     ++stats_.misses;
     Value v = factory();
-    const std::size_t weight = weigher(*v);
-    order_.push_front(Entry{key, v, weight, deadline_after(now)});
+    order_.emplace_front(key, v);
     map_[key] = order_.begin();
-    resident_bytes_ += weight;
-    while (map_.size() > capacity_ ||
-           (budget_ != 0 && resident_bytes_ > budget_ && map_.size() > 1)) {
-      auto last = std::prev(order_.end());
-      resident_bytes_ -= last->weight;
-      map_.erase(last->key);
-      order_.erase(last);
+    if (map_.size() > capacity_) {
+      map_.erase(order_.back().first);
+      order_.pop_back();
       ++stats_.evictions;
     }
     return {std::move(v), false};
-  }
-
-  template <typename Factory>
-  std::pair<Value, bool> get_or_build(const Key& key, Factory&& factory) {
-    return get_or_build(key, std::forward<Factory>(factory),
-                        [](const V&) { return std::size_t{0}; });
   }
 
   std::size_t size() const {
@@ -96,61 +60,18 @@ class LruCache {
     return map_.size();
   }
   std::size_t capacity() const { return capacity_; }
-  std::size_t budget_bytes() const { return budget_; }
-  std::chrono::milliseconds ttl() const { return ttl_; }
-  /// Summed weights of the resident entries.
-  std::size_t resident_bytes() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return resident_bytes_;
-  }
   LruStats stats() const {
     std::lock_guard<std::mutex> lock(mu_);
     return stats_;
   }
-  /// Drops entries whose TTL deadline has passed (also done lazily by every
-  /// get_or_build); exposed so idle caches can be trimmed explicitly.
-  void purge() {
-    std::lock_guard<std::mutex> lock(mu_);
-    purge_expired(Clock::now());
-  }
-  void clear() {
-    std::lock_guard<std::mutex> lock(mu_);
-    map_.clear();
-    order_.clear();
-    resident_bytes_ = 0;
-  }
 
  private:
-  struct Entry {
-    Key key;
-    Value value;
-    std::size_t weight = 0;
-    Clock::time_point deadline;  ///< meaningful only when ttl_ > 0
-  };
-
-  Clock::time_point deadline_after(Clock::time_point now) const {
-    return ttl_.count() > 0 ? now + ttl_ : Clock::time_point::max();
-  }
-
-  void purge_expired(Clock::time_point now) {
-    if (ttl_.count() <= 0) return;
-    // Scan from the LRU end: entries are deadline-ordered because every
-    // touch both refreshes the deadline and moves the entry to the front.
-    while (!order_.empty() && order_.back().deadline <= now) {
-      resident_bytes_ -= order_.back().weight;
-      map_.erase(order_.back().key);
-      order_.pop_back();
-      ++stats_.expirations;
-    }
-  }
+  using Entry = std::pair<Key, Value>;
 
   std::size_t capacity_;
-  std::size_t budget_;
-  std::chrono::milliseconds ttl_;
   mutable std::mutex mu_;
   std::list<Entry> order_;  // front = most recently used
   std::unordered_map<Key, typename std::list<Entry>::iterator, Hash> map_;
-  std::size_t resident_bytes_ = 0;
   LruStats stats_;
 };
 

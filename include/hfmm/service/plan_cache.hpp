@@ -12,10 +12,13 @@
 //     safe: clients hold shared_ptr leases, so the plan outlives its cache
 //     entry.
 //
-// A solitary FmmSolver keeps its private plan slot (no cache); solvers
-// constructed with a shared PlanCache — every client the SolverService
-// pools — resolve plans here instead of rebuilding per instance, so N
-// clients of the same workload pay for one plan build.
+// Every FmmSolver resolves its plans through a PlanCache. Solvers
+// constructed with a shared one — every client the SolverService pools —
+// share plans instead of rebuilding per instance, so N clients of the same
+// workload pay for one plan build; a solitary solver owns a private
+// one-plan cache. The capacity is the only bound: a plan's translation
+// data, which it shares with every other plan of the same rule, is not
+// counted against it.
 
 #include <cstddef>
 #include <cstdint>
@@ -33,18 +36,10 @@ namespace hfmm::service {
 struct PlanCacheStats {
   std::uint64_t plan_hits = 0;
   std::uint64_t plan_misses = 0;
-  std::uint64_t plan_evictions = 0;    ///< capacity- or budget-driven
-  std::uint64_t plan_expirations = 0;  ///< TTL-driven
+  std::uint64_t plan_evictions = 0;  ///< capacity-driven
   std::uint64_t trans_hits = 0;
   std::uint64_t trans_misses = 0;
 };
-
-/// Environment-backed defaults for the plan LRU's resource bounds:
-/// HFMM_PLAN_CACHE_BUDGET (bytes of resident plan memory, 0 = unbounded —
-/// the default) and HFMM_PLAN_CACHE_TTL_MS (idle-entry time to live in
-/// milliseconds, 0 = never expires — the default). Read once on first use.
-std::size_t default_plan_cache_budget();
-std::size_t default_plan_cache_ttl_ms();
 
 class PlanCache {
  public:
@@ -52,13 +47,7 @@ class PlanCache {
 
   /// `capacity` bounds the number of resident plans (LRU); translation
   /// data is kept unbounded (one entry per quadrature configuration).
-  /// `budget_bytes` additionally bounds the summed FmmPlan::memory_bytes()
-  /// of resident plans (0 = unbounded; the most recently used plan always
-  /// stays even when it alone exceeds the budget), and `ttl_ms` expires
-  /// plans idle longer than this (0 = never).
-  explicit PlanCache(std::size_t capacity = kDefaultCapacity,
-                     std::size_t budget_bytes = default_plan_cache_budget(),
-                     std::size_t ttl_ms = default_plan_cache_ttl_ms());
+  explicit PlanCache(std::size_t capacity = kDefaultCapacity);
   ~PlanCache();
   PlanCache(const PlanCache&) = delete;
   PlanCache& operator=(const PlanCache&) = delete;
@@ -76,10 +65,8 @@ class PlanCache {
       const core::FmmConfig& config, int depth, bool* hit = nullptr);
 
   PlanCacheStats stats() const;
-  std::size_t size() const;            ///< resident plan count
-  std::size_t capacity() const;        ///< plan LRU capacity
-  std::size_t budget_bytes() const;    ///< plan memory budget (0 = unbounded)
-  std::size_t resident_bytes() const;  ///< summed resident plan weights
+  std::size_t size() const;      ///< resident plan count
+  std::size_t capacity() const;  ///< plan LRU capacity
 
  private:
   struct Impl;

@@ -88,10 +88,15 @@ class Hierarchy {
 /// still yields a cube of positive side.
 Box3 cube_containing(const Box3& b, double pad = 1e-6);
 
+/// Deepest hierarchy the solver builds: the 8^h leaf flat indices must fit
+/// the uint32 arrays that hold active sets and sort ranks.
+inline constexpr int kMaxDepth = 10;
+
 /// The paper's optimal-depth rule (Section 2.3): pick h so the number of
 /// leaf boxes 8^h is proportional to N, balancing hierarchy traversal
 /// against near-field direct evaluation. `particles_per_leaf` is the target
-/// average occupancy (the constant c in M = cN).
+/// average occupancy (the constant c in M = cN); the result is at most
+/// kMaxDepth.
 int optimal_depth(std::size_t n_particles, double particles_per_leaf);
 
 }  // namespace hfmm::tree

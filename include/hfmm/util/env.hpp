@@ -1,37 +1,22 @@
 #pragma once
-// Typed HFMM_* environment parsing, in one place.
+// HFMM_* environment parsing, in one place.
 //
-// Every dial the library reads from the environment (kernel backend
-// overrides, hierarchy defaults, vdW window) goes through these helpers
-// instead of hand-rolled getenv + strtod blocks scattered across
-// subsystems. The contract is uniform:
+// The library reads the environment only to pick an instruction-set backend:
+// HFMM_BLAS_KERNEL (src/blas) and HFMM_PKERN_KERNEL (src/pkern). What a
+// solve computes comes from its config structs alone. The contract:
 //   * unset or empty variable -> the caller's fallback, silently;
-//   * a well-formed value inside the documented domain -> that value;
+//   * one of the documented choices -> that choice;
 //   * anything else -> one stderr line naming the variable, the rejected
-//     text and the expected domain, then the fallback. A malformed value is
-//     NEVER silently reinterpreted (a boolean set to "garbage" is rejected,
-//     not read as "on").
-// Call sites keep their own `static const` caching; these functions parse
-// on every call and are safe to call concurrently (they only read the
-// environment and write stderr).
+//     text and the expected choices, then the fallback. A malformed value is
+//     NEVER silently reinterpreted.
+// Call sites keep their own `static const` caching; parse_choice parses on
+// every call and is safe to call concurrently (it only reads the
+// environment and writes stderr).
 
 #include <cstddef>
 #include <span>
 
 namespace hfmm::env {
-
-/// Boolean dial. Accepts 0/1/true/false/on/off/yes/no (case-sensitive,
-/// matching the documented spellings). Anything else warns and falls back.
-bool parse_bool(const char* name, bool fallback);
-
-/// Integer dial in [lo, hi]. `what` finishes the warning, e.g.
-/// "a depth in [2, 10]".
-long parse_int(const char* name, long fallback, long lo, long hi,
-               const char* what);
-
-/// Floating-point dial in [lo, hi] (finite). `what` as above.
-double parse_double(const char* name, double fallback, double lo, double hi,
-                    const char* what);
 
 /// Enumerated dial: returns the index of the matching choice, or
 /// `fallback_index` (with a warning listing the choices) when the value

@@ -184,7 +184,7 @@ hfmm_status hfmm_plan_create(hfmm_context* context, const hfmm_config* config,
     auto plan = std::make_unique<hfmm_plan>();
     const hfmm_status st = translate_config(*config, plan->config);
     if (st != HFMM_OK) return st;
-    plan->config.validate();  // throws invalid_argument on bad vdW spec
+    plan->config.validate();  // throws invalid_argument on a bad config
     // Pin the solve plan at the depth the hint selects, so the pinned
     // entry is the one solves will hit.
     if (n_hint > 0)

@@ -1,8 +1,9 @@
 #include "hfmm/core/config.hpp"
 
+#include <cmath>
 #include <stdexcept>
 
-#include "hfmm/util/env.hpp"
+#include "hfmm/tree/hierarchy.hpp"
 
 namespace hfmm::core {
 
@@ -16,14 +17,6 @@ const char* to_string(ExecutionMode m) {
   return "?";
 }
 
-const char* to_string(DistPartitioner m) {
-  switch (m) {
-    case DistPartitioner::kCost: return "cost";
-    case DistPartitioner::kBodies: return "bodies";
-  }
-  return "?";
-}
-
 const char* to_string(AggregationMode m) {
   switch (m) {
     case AggregationMode::kGemv: return "gemv";
@@ -33,33 +26,18 @@ const char* to_string(AggregationMode m) {
   return "?";
 }
 
-int default_dist_ranks() {
-  static const int value = static_cast<int>(
-      env::parse_int("HFMM_DIST_RANKS", 4, 1, 64, "a rank count in [1, 64]"));
-  return value;
-}
-
-DistPartitioner default_dist_partitioner() {
-  static const DistPartitioner value = [] {
-    static constexpr const char* kChoices[] = {"cost", "bodies"};
-    switch (env::parse_choice("HFMM_DIST_PARTITIONER", kChoices, 0)) {
-      case 1: return DistPartitioner::kBodies;
-      default: return DistPartitioner::kCost;
-    }
-  }();
-  return value;
-}
-
 void FmmConfig::validate() const {
   params.validate();
   kernel.validate();
   if (separation < 1)
     throw std::invalid_argument("FmmConfig: separation must be >= 1");
-  if (depth != -1 && depth < 2)
-    throw std::invalid_argument("FmmConfig: explicit depth must be >= 2");
-  if (particles_per_leaf < 0.0)
+  if (depth != -1 && (depth < 2 || depth > tree::kMaxDepth))
     throw std::invalid_argument(
-        "FmmConfig: particles_per_leaf must be positive (or 0 = automatic)");
+        "FmmConfig: explicit depth must be in [2, 10]");
+  if (!(particles_per_leaf >= 0.0) || !std::isfinite(particles_per_leaf))
+    throw std::invalid_argument(
+        "FmmConfig: particles_per_leaf must be finite and positive (or 0 = "
+        "automatic)");
   if (mode == ExecutionMode::kDataParallel && !machine.valid())
     throw std::invalid_argument("FmmConfig: invalid VU grid");
   if (dist_ranks < 1 || dist_ranks > 64)

@@ -2,10 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 #include <stdexcept>
-
-#include "hfmm/util/env.hpp"
 
 namespace hfmm::core {
 
@@ -17,39 +14,12 @@ const char* to_string(KernelType t) {
   return "?";
 }
 
-KernelType default_kernel_type() {
-  static const KernelType value = [] {
-    static constexpr const char* kChoices[] = {"laplace", "vdw"};
-    return env::parse_choice("HFMM_KERNEL", kChoices, 0) == 1
-               ? KernelType::kVanDerWaals
-               : KernelType::kLaplace3d;
-  }();
-  return value;
-}
-
-double default_vdw_cuton() {
-  static const double value =
-      env::parse_double("HFMM_VDW_CUTON", 0.04, 0.0,
-                        std::numeric_limits<double>::max(),
-                        "a non-negative distance");
-  return value;
-}
-
-double default_vdw_cutoff() {
-  static const double value =
-      env::parse_double("HFMM_VDW_CUTOFF", 0.06, 0.0,
-                        std::numeric_limits<double>::max(),
-                        "a non-negative distance");
-  return value;
-}
-
-bool default_vdw_periodic() {
-  static const bool value = env::parse_bool("HFMM_VDW_PERIODIC", false);
-  return value;
-}
-
 void KernelSpec::validate() const {
-  if (type == KernelType::kLaplace3d) return;
+  if (type == KernelType::kLaplace3d) {
+    if (!std::isfinite(softening))
+      throw std::invalid_argument("KernelSpec: softening must be finite");
+    return;
+  }
   if (vdw_rmin.empty() || vdw_rmin.size() != vdw_epsilon.size())
     throw std::invalid_argument(
         "KernelSpec: vdw_rmin and vdw_epsilon must be non-empty and the "

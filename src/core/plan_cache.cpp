@@ -1,11 +1,9 @@
 #include "hfmm/service/plan_cache.hpp"
 
 #include <bit>
-#include <chrono>
 #include <cstdint>
 
 #include "hfmm/service/lru.hpp"
-#include "hfmm/util/env.hpp"
 #include "solver_internal.hpp"
 
 namespace hfmm::service {
@@ -82,20 +80,6 @@ struct PlanKeyHash {
 
 }  // namespace
 
-std::size_t default_plan_cache_budget() {
-  static const std::size_t value = static_cast<std::size_t>(env::parse_int(
-      "HFMM_PLAN_CACHE_BUDGET", 0, 0, long{1} << 40,
-      "a plan-memory budget in bytes (0 = unbounded)"));
-  return value;
-}
-
-std::size_t default_plan_cache_ttl_ms() {
-  static const std::size_t value = static_cast<std::size_t>(env::parse_int(
-      "HFMM_PLAN_CACHE_TTL_MS", 0, 0, long{1} << 40,
-      "an idle-entry TTL in milliseconds (0 = never expires)"));
-  return value;
-}
-
 struct PlanCache::Impl {
   // Translation data is never evicted: there is one entry per quadrature
   // configuration and the plans alias it by shared_ptr anyway. A huge
@@ -103,15 +87,12 @@ struct PlanCache::Impl {
   LruCache<TransKey, const TranslationData, TransKeyHash> trans;
   LruCache<PlanKey, const FmmPlan, PlanKeyHash> plans;
 
-  Impl(std::size_t capacity, std::size_t budget_bytes, std::size_t ttl_ms)
-      : trans(~std::size_t{0}),
-        plans(capacity, budget_bytes,
-              std::chrono::milliseconds{static_cast<long long>(ttl_ms)}) {}
+  explicit Impl(std::size_t capacity)
+      : trans(~std::size_t{0}), plans(capacity) {}
 };
 
-PlanCache::PlanCache(std::size_t capacity, std::size_t budget_bytes,
-                     std::size_t ttl_ms)
-    : impl_(std::make_unique<Impl>(capacity, budget_bytes, ttl_ms)) {}
+PlanCache::PlanCache(std::size_t capacity)
+    : impl_(std::make_unique<Impl>(capacity)) {}
 
 PlanCache::~PlanCache() = default;
 
@@ -125,18 +106,14 @@ std::shared_ptr<const TranslationData> PlanCache::translations(
 
 std::shared_ptr<const FmmPlan> PlanCache::plan(const core::FmmConfig& config,
                                                int depth, bool* hit) {
-  auto [value, was_hit] = impl_->plans.get_or_build(
-      plan_key(config, depth),
-      [&] {
+  auto [value, was_hit] =
+      impl_->plans.get_or_build(plan_key(config, depth), [&] {
         // Short-range kernels have no translation machinery; their plans
         // carry only the near-field interaction lists.
         std::shared_ptr<const TranslationData> trans;
         if (config.kernel.far_field_capable()) trans = translations(config);
         return FmmPlan::build(std::move(trans), config, depth);
-      },
-      // The byte budget charges the plan-owned structures; the shared
-      // TranslationData is refcounted across plans and kept unbounded.
-      [](const FmmPlan& p) { return p.memory_bytes(); });
+      });
   if (hit != nullptr) *hit = was_hit;
   return value;
 }
@@ -148,7 +125,6 @@ PlanCacheStats PlanCache::stats() const {
   s.plan_hits = p.hits;
   s.plan_misses = p.misses;
   s.plan_evictions = p.evictions;
-  s.plan_expirations = p.expirations;
   s.trans_hits = t.hits;
   s.trans_misses = t.misses;
   return s;
@@ -157,13 +133,5 @@ PlanCacheStats PlanCache::stats() const {
 std::size_t PlanCache::size() const { return impl_->plans.size(); }
 
 std::size_t PlanCache::capacity() const { return impl_->plans.capacity(); }
-
-std::size_t PlanCache::budget_bytes() const {
-  return impl_->plans.budget_bytes();
-}
-
-std::size_t PlanCache::resident_bytes() const {
-  return impl_->plans.resident_bytes();
-}
 
 }  // namespace hfmm::service

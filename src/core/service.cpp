@@ -161,10 +161,11 @@ std::vector<SolveOutcome> SolverService::solve_batch(
   for (std::size_t i = 0; i < nreq; ++i) {
     if (requests[i].particles == nullptr)
       throw std::invalid_argument("SolverService: request without particles");
-    core::internal::validate_particles(
-        *requests[i].particles, requests[i].config.kernel,
-        "SolverService: request " + std::to_string(i));
     admitted[i] = admitted_config(requests[i].config);
+    admitted[i].validate();
+    core::internal::validate_particles(
+        *requests[i].particles, admitted[i].kernel,
+        "SolverService: request " + std::to_string(i));
     sigs[i] = client_signature(admitted[i]);
     outcomes[i].modeled_cost =
         modeled_cost(admitted[i], requests[i].particles->size());

@@ -189,14 +189,9 @@ const TranslationData& FmmSolver::Impl::translation_data(
     const FmmConfig& config, bool* built) {
   if (built != nullptr) *built = false;
   if (!trans) {
-    if (cache) {
-      bool hit = false;
-      trans = cache->translations(config, &hit);
-      if (built != nullptr) *built = !hit;
-    } else {
-      trans = TranslationData::build(config);
-      if (built != nullptr) *built = true;
-    }
+    bool hit = false;
+    trans = cache->translations(config, &hit);
+    if (built != nullptr) *built = !hit;
   }
   return *trans;
 }
@@ -206,20 +201,16 @@ const FmmPlan& FmmSolver::Impl::plan_for(const FmmConfig& config, int depth,
   if (plan && plan->depth == depth && plan->kernel == config.kernel.type)
     return *plan;
   ScopedPhaseTimer timer(breakdown["plan"]);
-  if (cache) {
-    bool hit = false;
-    plan = cache->plan(config, depth, &hit);
-    // A cache hit is a reuse, not a build: warm-path accounting
-    // (plan_reused, zero plan allocs) holds from this client's very first
-    // solve when another client already built the plan.
-    if (hit)
-      breakdown["plan"].plan_reuse += 1;
-    else
-      breakdown["plan"].allocs += 1;
-  } else {
-    plan = FmmPlan::build(trans, config, depth);
+  bool hit = false;
+  plan = cache->plan(config, depth, &hit);
+  // A cache hit is a reuse, not a build: warm-path accounting
+  // (plan_reused, zero plan allocs) holds from this client's very first
+  // solve when another client already built the plan. A private one-plan
+  // cache never hits here: its only entry is the memoized plan above.
+  if (hit)
+    breakdown["plan"].plan_reuse += 1;
+  else
     breakdown["plan"].allocs += 1;
-  }
   return *plan;
 }
 
@@ -229,8 +220,9 @@ FmmSolver::FmmSolver(FmmConfig config)
 FmmSolver::FmmSolver(FmmConfig config,
                      std::shared_ptr<service::PlanCache> cache)
     : config_(std::move(config)), impl_(std::make_unique<Impl>()) {
-  impl_->cache = std::move(cache);
   config_.validate();
+  impl_->cache =
+      cache ? std::move(cache) : std::make_shared<service::PlanCache>(1);
   if (config_.mode == ExecutionMode::kDistributed) {
     // Owner-computes execution (DESIGN.md Section 18) requires the
     // non-symmetric near field so every target's contributions accumulate

@@ -354,11 +354,8 @@ FmmResult FmmSolver::solve_dist_(const ParticleSet& particles,
     internal::grow(ds.leaf_count, nl, gws.allocs);
     for (std::size_t ai = 0; ai < nl; ++ai)
       ds.leaf_count[ai] = static_cast<std::uint32_t>(gws.leaf_cost[ai]);
-    part = dist::partition_leaves(
-        config_.dist_partitioner == DistPartitioner::kBodies
-            ? dist::Partitioner::kBodies
-            : dist::Partitioner::kCost,
-        config_.dist_ranks, gws.leaf_cost, gws.near_cost, ds.leaf_count);
+    part = dist::partition_leaves(config_.dist_ranks, gws.leaf_cost,
+                                  gws.near_cost, ds.leaf_count);
     tree::build_ownership(hier, act, part.leaf_begin, ds.own);
     dist::LetBuilder builder(act, ds.own);
     walk_requirements(config_, plan, hier, act, ds.own, periodic, far_capable,

@@ -169,19 +169,6 @@ struct FmmPlan {
                      : std::span<const tree::Offset>(near_offsets);
   }
 
-  /// Heap footprint of the plan-owned structures (supernode gather plans +
-  /// interaction lists; the shared TranslationData is counted by its own
-  /// cache slot, not per plan). The plan cache's memory budget charges this.
-  std::size_t memory_bytes() const {
-    std::size_t b = sizeof(FmmPlan);
-    for (const SupernodeLevelPlan& lp : supernode_plans)
-      for (const auto& oct : lp.per_octant)
-        b += oct.capacity() * sizeof(SupernodePlanEntry);
-    b += near_offsets.capacity() * sizeof(tree::Offset);
-    b += near_half_offsets.capacity() * sizeof(tree::Offset);
-    return b;
-  }
-
   static std::shared_ptr<const FmmPlan> build(
       std::shared_ptr<const TranslationData> trans, const FmmConfig& config,
       int depth);
@@ -398,8 +385,9 @@ inline void publish_view(const SolveWorkspace& ws, const FmmConfig& config,
 namespace hfmm::core {
 
 struct FmmSolver::Impl {
-  // Shared plan cache when this solver is a service client (null for a
-  // solitary solver, which keeps the private slots below as its "cache").
+  // Where plans come from: the shared cache when this solver is a service
+  // client, else a private one-plan cache. `trans` and `plan` memoize the
+  // last answers, so warm solves never take the cache's lock.
   std::shared_ptr<service::PlanCache> cache;
   std::shared_ptr<const internal::TranslationData> trans;
   std::shared_ptr<const internal::FmmPlan> plan;
@@ -422,12 +410,12 @@ struct FmmSolver::Impl {
 
   // Builds (or reuses) the translation data; charged to "precompute".
   // `built` (optional) reports whether a fresh build happened — false on
-  // reuse of the private slot AND on a shared-cache hit.
+  // reuse of the memo AND on a cache hit.
   const internal::TranslationData& translation_data(const FmmConfig& config,
                                                     bool* built = nullptr);
   // Builds (or reuses) the plan for `depth`; build time lands in
-  // `result.breakdown["plan"]` of the solve that triggered it. With a
-  // shared cache, a cache hit charges plan_reuse instead of allocs.
+  // `result.breakdown["plan"]` of the solve that triggered it. A cache hit
+  // charges plan_reuse instead of allocs.
   const internal::FmmPlan& plan_for(const FmmConfig& config, int depth,
                                     PhaseBreakdown& breakdown);
 };

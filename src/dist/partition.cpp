@@ -8,8 +8,7 @@
 
 namespace hfmm::dist {
 
-Partition partition_leaves(Partitioner partitioner, int ranks,
-                           std::span<const std::uint64_t> leaf_cost,
+Partition partition_leaves(int ranks, std::span<const std::uint64_t> leaf_cost,
                            std::span<const std::uint64_t> near_cost,
                            std::span<const std::uint32_t> leaf_count) {
   const std::size_t leaves = leaf_count.size();
@@ -17,13 +16,10 @@ Partition partition_leaves(Partitioner partitioner, int ranks,
   assert(leaves > 0 && ranks >= 1);
 
   std::vector<std::uint64_t> weight(leaves);
-  for (std::size_t i = 0; i < leaves; ++i) {
-    // Every leaf gets weight >= 1 so the greedy split never starves a rank
-    // on degenerate inputs (all particles in one box).
-    weight[i] = partitioner == Partitioner::kBodies
-                    ? leaf_cost[i] + 1
-                    : leaf_cost[i] + near_cost[i] + 1;
-  }
+  // Every leaf gets weight >= 1 so the greedy split never starves a rank
+  // on degenerate inputs (all particles in one box).
+  for (std::size_t i = 0; i < leaves; ++i)
+    weight[i] = leaf_cost[i] + near_cost[i] + 1;
 
   const std::vector<std::size_t> bounds =
       exec::weighted_split(weight, static_cast<std::size_t>(ranks));

@@ -66,13 +66,14 @@ Box3 cube_containing(const Box3& b, double pad) {
 }
 
 int optimal_depth(std::size_t n_particles, double particles_per_leaf) {
-  if (particles_per_leaf <= 0.0)
+  if (!(particles_per_leaf > 0.0))
     throw std::invalid_argument("optimal_depth: occupancy must be positive");
   int h = 0;
   // Deepest level whose average occupancy is still >= the target.
-  while ((static_cast<double>(n_particles) /
-          static_cast<double>(std::size_t{1} << (3 * (h + 1)))) >=
-         particles_per_leaf)
+  while (h < kMaxDepth &&
+         static_cast<double>(n_particles) /
+                 static_cast<double>(std::size_t{1} << (3 * (h + 1))) >=
+             particles_per_leaf)
     ++h;
   return h;
 }

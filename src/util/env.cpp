@@ -1,6 +1,5 @@
 #include "hfmm/util/env.hpp"
 
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -23,44 +22,6 @@ void warn(const char* name, const char* value, const std::string& want) {
 }
 
 }  // namespace
-
-bool parse_bool(const char* name, bool fallback) {
-  const char* v = raw(name);
-  if (v == nullptr) return fallback;
-  for (const char* t : {"1", "true", "on", "yes"})
-    if (std::strcmp(v, t) == 0) return true;
-  for (const char* f : {"0", "false", "off", "no"})
-    if (std::strcmp(v, f) == 0) return false;
-  warn(name, v, "0|1|true|false|on|off|yes|no");
-  return fallback;
-}
-
-long parse_int(const char* name, long fallback, long lo, long hi,
-               const char* what) {
-  const char* v = raw(name);
-  if (v == nullptr) return fallback;
-  char* end = nullptr;
-  const long parsed = std::strtol(v, &end, 10);
-  if (end == v || *end != '\0' || parsed < lo || parsed > hi) {
-    warn(name, v, what);
-    return fallback;
-  }
-  return parsed;
-}
-
-double parse_double(const char* name, double fallback, double lo, double hi,
-                    const char* what) {
-  const char* v = raw(name);
-  if (v == nullptr) return fallback;
-  char* end = nullptr;
-  const double parsed = std::strtod(v, &end);
-  if (end == v || *end != '\0' || !std::isfinite(parsed) || parsed < lo ||
-      parsed > hi) {
-    warn(name, v, what);
-    return fallback;
-  }
-  return parsed;
-}
 
 std::size_t parse_choice(const char* name,
                          std::span<const char* const> choices,

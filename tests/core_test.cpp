@@ -369,25 +369,41 @@ TEST(FmmSolverTest, CoincidentInputsMatchDirectSummation) {
 
 class DistributionTest : public ::testing::TestWithParam<int> {};
 
+// Every executor on every input, including the degenerate collinear and
+// coplanar ones.
 TEST_P(DistributionTest, AccurateOnNonuniformInputs) {
   ParticleSet p;
   switch (GetParam()) {
     case 0: p = make_plummer(1000, Box3{}, 69); break;
     case 1: p = make_two_clusters(1000, Box3{}, 70); break;
     case 2: p = make_plasma(1000, Box3{}, 71); break;
+    case 3:  // collinear: the line y = z = 0.5
+      p = make_uniform(1000, Box3{}, 77);
+      for (double& y : p.y()) y = 0.5;
+      for (double& z : p.z()) z = 0.5;
+      break;
+    case 4:  // coplanar: the plane z = 0.5
+      p = make_uniform(1000, Box3{}, 78);
+      for (double& z : p.z()) z = 0.5;
+      break;
   }
-  FmmConfig cfg = base_config();
-  FmmSolver solver(cfg);
-  const FmmResult r = solver.solve(p);
   const baseline::DirectResult d = baseline::direct_all(p, false);
-  // Plasma fields pass through zero; use the error relative to the mean
-  // magnitude (the paper's Table 1 metric) instead of pointwise relative.
-  const ErrorNorms e = compare_fields(r.phi, d.phi);
-  EXPECT_LT(e.rel_to_mean, 5e-2);
+  for (const ExecutionMode mode :
+       {ExecutionMode::kSequential, ExecutionMode::kThreads,
+        ExecutionMode::kDataParallel, ExecutionMode::kDistributed}) {
+    FmmConfig cfg = base_config();
+    cfg.mode = mode;
+    FmmSolver solver(cfg);
+    const FmmResult r = solver.solve(p);
+    // Plasma fields pass through zero; use the error relative to the mean
+    // magnitude (the paper's Table 1 metric) instead of pointwise relative.
+    const ErrorNorms e = compare_fields(r.phi, d.phi);
+    EXPECT_LT(e.rel_to_mean, 5e-2) << to_string(mode);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Distributions, DistributionTest,
-                         ::testing::Values(0, 1, 2));
+                         ::testing::Values(0, 1, 2, 3, 4));
 
 TEST(FmmSolverTest, AutomaticDepthMatchesOccupancyRule) {
   FmmConfig cfg;
@@ -486,6 +502,29 @@ TEST(FmmSolverTest, ConfigValidation) {
   cfg.supernodes = true;
   cfg.separation = 1;
   EXPECT_THROW(FmmSolver{cfg}, std::invalid_argument);
+  // Values that would otherwise turn every potential NaN, or index past
+  // the uint32 box arrays (depth > 10). Checked without solving: a solve
+  // at such a depth would need tens of GB.
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (const double soft : {nan, inf}) {
+    cfg = FmmConfig{};
+    cfg.kernel.softening = soft;
+    EXPECT_THROW(FmmSolver{cfg}, std::invalid_argument) << soft;
+  }
+  for (const int depth : {11, 40}) {
+    cfg = FmmConfig{};
+    cfg.depth = depth;
+    EXPECT_THROW(FmmSolver{cfg}, std::invalid_argument) << depth;
+  }
+  cfg = FmmConfig{};
+  cfg.depth = 10;
+  EXPECT_NO_THROW(cfg.validate());
+  for (const double occupancy : {nan, inf}) {
+    cfg = FmmConfig{};
+    cfg.particles_per_leaf = occupancy;
+    EXPECT_THROW(FmmSolver{cfg}, std::invalid_argument) << occupancy;
+  }
 }
 
 TEST(FmmSolverTest, ResultsInOriginalParticleOrder) {

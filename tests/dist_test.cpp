@@ -54,36 +54,38 @@ TEST(ChannelTest, TagMismatchThrows) {
 
 // --------------------------------------------------------------- partition
 
-TEST(PartitionTest, BodiesSplitBalancesParticleCounts) {
-  const std::vector<std::uint64_t> leaf_cost{10, 10, 10, 10};
-  const std::vector<std::uint64_t> near_cost{0, 1000, 0, 0};
-  const std::vector<std::uint32_t> leaf_count{10, 10, 10, 10};
-  const dist::Partition p = dist::partition_leaves(
-      dist::Partitioner::kBodies, 2, leaf_cost, near_cost, leaf_count);
-  ASSERT_EQ(p.ranks, 2);
-  EXPECT_EQ(p.leaf_begin, (std::vector<std::uint32_t>{0, 2, 4}));
-  EXPECT_EQ(p.body_begin, (std::vector<std::uint32_t>{0, 20, 40}));
-  EXPECT_DOUBLE_EQ(p.cost_imbalance, 1.0);
-}
-
 TEST(PartitionTest, CostSplitFollowsNearCost) {
-  // One hot leaf: the cost split isolates it; the body split would not.
+  // One hot leaf: the cost split isolates it, although every leaf holds
+  // the same number of bodies. Each leaf weighs leaf_cost + near_cost + 1.
   const std::vector<std::uint64_t> leaf_cost{1, 1, 1, 1};
   const std::vector<std::uint64_t> near_cost{900, 0, 0, 0};
   const std::vector<std::uint32_t> leaf_count{5, 5, 5, 5};
-  const dist::Partition p = dist::partition_leaves(
-      dist::Partitioner::kCost, 2, leaf_cost, near_cost, leaf_count);
+  const dist::Partition p =
+      dist::partition_leaves(2, leaf_cost, near_cost, leaf_count);
   ASSERT_EQ(p.ranks, 2);
-  EXPECT_EQ(p.leaf_begin[1], 1u);  // the hot leaf alone on rank 0
-  EXPECT_EQ(p.body_begin[1], 5u);
+  // The hot leaf alone on rank 0.
+  EXPECT_EQ(p.leaf_begin, (std::vector<std::uint32_t>{0, 1, 4}));
+  EXPECT_EQ(p.body_begin, (std::vector<std::uint32_t>{0, 5, 20}));
+  EXPECT_EQ(p.rank_cost, (std::vector<std::uint64_t>{902, 6}));
+  EXPECT_DOUBLE_EQ(p.cost_imbalance, 902.0 / 454.0);
+
+  // Equal weights split evenly, with imbalance 1.
+  const std::vector<std::uint64_t> flat_cost{10, 10, 10, 10};
+  const std::vector<std::uint64_t> no_near{0, 0, 0, 0};
+  const std::vector<std::uint32_t> flat_count{10, 10, 10, 10};
+  const dist::Partition even =
+      dist::partition_leaves(2, flat_cost, no_near, flat_count);
+  EXPECT_EQ(even.leaf_begin, (std::vector<std::uint32_t>{0, 2, 4}));
+  EXPECT_EQ(even.body_begin, (std::vector<std::uint32_t>{0, 20, 40}));
+  EXPECT_DOUBLE_EQ(even.cost_imbalance, 1.0);
 }
 
 TEST(PartitionTest, RankCountClampsToLeafCount) {
   const std::vector<std::uint64_t> leaf_cost{3, 3};
   const std::vector<std::uint64_t> near_cost{0, 0};
   const std::vector<std::uint32_t> leaf_count{3, 3};
-  const dist::Partition p = dist::partition_leaves(
-      dist::Partitioner::kCost, 8, leaf_cost, near_cost, leaf_count);
+  const dist::Partition p =
+      dist::partition_leaves(8, leaf_cost, near_cost, leaf_count);
   EXPECT_EQ(p.ranks, 2);
   EXPECT_EQ(p.leaf_begin.size(), 3u);
 }
@@ -267,13 +269,6 @@ TEST(DistSolveTest, SingleRankMatchesSequentialSparseOnClustered) {
     EXPECT_EQ(one.dist_ranks, 1);
     expect_bitwise_equal(seq, one);
   }
-}
-
-TEST(DistSolveTest, BodiesPartitionerAlsoBitwise) {
-  const ParticleSet ps = make_two_clusters(2000, Box3{}, 105);
-  core::FmmConfig cfg;
-  cfg.dist_partitioner = core::DistPartitioner::kBodies;
-  expect_dist_matches_reference(cfg, ps, 4);
 }
 
 core::FmmConfig vdw_base(bool periodic) {

@@ -10,20 +10,19 @@
 //     solo and inside randomized mixed batches,
 //   * warm-path guarantees — cached-plan solves report plan_reused with
 //     zero workspace heap growth, pooled clients are reused,
-//   * admission rules — data-parallel requests rejected atomically,
+//   * admission rules — data-parallel requests and bad configs rejected
+//     atomically, before any pooled client is taken,
 //   * the C API — round trip against the C++ solver, versioned-struct
 //     validation, and error-code mapping.
 
 #include <gtest/gtest.h>
 
-#include <chrono>
 #include <cstdint>
 #include <cstring>
 #include <limits>
 #include <memory>
 #include <stdexcept>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "hfmm/anderson/params.hpp"
@@ -101,57 +100,11 @@ TEST(LruCacheTest, EvictionKeepsInFlightValueAlive) {
   EXPECT_TRUE(watch.expired());
 }
 
-TEST(LruCacheTest, ByteBudgetEvictsFromLruEndButKeepsMru) {
-  // Capacity is ample; the 100-byte budget is the binding constraint. Each
-  // entry weighs 60 bytes, so at most one fits — yet the MRU entry must
-  // always stay resident, even the first time it alone busts the budget.
-  service::LruCache<int, int> cache(8, /*budget_bytes=*/100);
-  auto weigh = [](const int&) { return std::size_t{60}; };
-  cache.get_or_build(1, [] { return std::make_shared<int>(1); }, weigh);
-  EXPECT_EQ(cache.resident_bytes(), 60u);
-  cache.get_or_build(2, [] { return std::make_shared<int>(2); }, weigh);
-  EXPECT_EQ(cache.size(), 1u);  // 120 > 100: key 1 evicted, key 2 kept
-  EXPECT_EQ(cache.resident_bytes(), 60u);
-  EXPECT_EQ(cache.stats().evictions, 1u);
-  auto [v2, hit2] =
-      cache.get_or_build(2, [] { return std::make_shared<int>(9); }, weigh);
-  EXPECT_TRUE(hit2);
-  // A single entry heavier than the whole budget still caches.
-  cache.get_or_build(
-      3, [] { return std::make_shared<int>(3); },
-      [](const int&) { return std::size_t{500}; });
-  EXPECT_EQ(cache.size(), 1u);
-  EXPECT_EQ(cache.resident_bytes(), 500u);
-  auto [v3, hit3] = cache.get_or_build(
-      3, [] { return std::make_shared<int>(0); },
-      [](const int&) { return std::size_t{500}; });
-  EXPECT_TRUE(hit3);
-}
-
-TEST(LruCacheTest, TtlExpiresIdleEntriesAndHitsRefresh) {
-  using namespace std::chrono_literals;
-  service::LruCache<int, int> cache(8, 0, /*ttl=*/1ms);
-  cache.get_or_build(1, [] { return std::make_shared<int>(1); });
-  std::this_thread::sleep_for(5ms);
-  // Lazy purge: the expired entry is dropped before this lookup, which
-  // therefore misses and rebuilds.
-  auto [v, hit] = cache.get_or_build(1, [] { return std::make_shared<int>(2); });
-  EXPECT_FALSE(hit);
-  EXPECT_EQ(*v, 2);
-  const service::LruStats s = cache.stats();
-  EXPECT_EQ(s.expirations, 1u);
-  EXPECT_EQ(s.evictions, 0u);  // TTL removals are counted separately
-  // purge() trims without a lookup.
-  std::this_thread::sleep_for(5ms);
-  cache.purge();
-  EXPECT_EQ(cache.size(), 0u);
-  EXPECT_EQ(cache.stats().expirations, 2u);
-}
-
 // --- PlanCache -----------------------------------------------------------
 
 TEST(PlanCacheTest, SamePlanKeyHitsDifferentDepthMisses) {
-  service::PlanCache cache(8);
+  service::PlanCache cache;
+  EXPECT_EQ(cache.capacity(), service::PlanCache::kDefaultCapacity);
   core::FmmConfig cfg;
   bool hit = false;
   auto p3a = cache.plan(cfg, 3, &hit);
@@ -168,6 +121,12 @@ TEST(PlanCacheTest, SamePlanKeyHitsDifferentDepthMisses) {
   // Both depths share one translation set: built once, hit once.
   EXPECT_EQ(s.trans_misses, 1u);
   EXPECT_GE(s.trans_hits, 1u);
+  // A default cache keeps both plans, and the MRU plan still hits.
+  EXPECT_EQ(cache.size(), 2u);
+  EXPECT_EQ(s.plan_evictions, 0u);
+  auto p4b = cache.plan(cfg, 4, &hit);
+  EXPECT_TRUE(hit);
+  EXPECT_EQ(p4.get(), p4b.get());
 }
 
 // The data-parallel executor walks the union T2 offsets even with
@@ -204,53 +163,6 @@ TEST(PlanCacheTest, CapacityOneEvictsButInFlightPlanSurvives) {
   auto rebuilt = cache.plan(cfg, 3, &hit);
   EXPECT_FALSE(hit);
   EXPECT_NE(pinned.get(), rebuilt.get());
-}
-
-TEST(PlanCacheTest, MemoryBudgetEvictsColdPlans) {
-  // First learn what one plan actually weighs, then set a budget that fits
-  // exactly one: inserting a second distinct plan must evict the first.
-  service::PlanCache probe(8);
-  core::FmmConfig cfg;
-  probe.plan(cfg, 3);
-  const std::size_t one_plan = probe.resident_bytes();
-  ASSERT_GT(one_plan, 0u);
-
-  service::PlanCache cache(8, /*budget_bytes=*/one_plan + one_plan / 2);
-  EXPECT_EQ(cache.budget_bytes(), one_plan + one_plan / 2);
-  bool hit = false;
-  cache.plan(cfg, 3, &hit);
-  auto p4 = cache.plan(cfg, 4, &hit);  // deeper plan weighs at least as much
-  EXPECT_GE(cache.stats().plan_evictions, 1u);
-  EXPECT_LE(cache.size(), cache.capacity());
-  // Whatever was evicted, the budget holds (single-entry overshoot aside).
-  if (cache.size() > 1) {
-    EXPECT_LE(cache.resident_bytes(), cache.budget_bytes());
-  }
-  // The surviving MRU plan still hits.
-  auto p4b = cache.plan(cfg, 4, &hit);
-  EXPECT_TRUE(hit);
-  EXPECT_EQ(p4.get(), p4b.get());
-  // Default construction stays unbounded: both plans resident.
-  service::PlanCache unbounded(8);
-  unbounded.plan(cfg, 3);
-  unbounded.plan(cfg, 4);
-  EXPECT_EQ(unbounded.size(), 2u);
-  EXPECT_EQ(unbounded.stats().plan_evictions, 0u);
-}
-
-TEST(PlanCacheTest, TtlExpiresIdlePlans) {
-  using namespace std::chrono_literals;
-  service::PlanCache cache(8, 0, /*ttl_ms=*/1);
-  core::FmmConfig cfg;
-  bool hit = false;
-  cache.plan(cfg, 3, &hit);
-  EXPECT_EQ(cache.size(), 1u);
-  std::this_thread::sleep_for(5ms);
-  cache.plan(cfg, 3, &hit);  // expired: rebuilt, not served
-  EXPECT_FALSE(hit);
-  const service::PlanCacheStats s = cache.stats();
-  EXPECT_GE(s.plan_expirations, 1u);
-  EXPECT_EQ(s.plan_evictions, 0u);
 }
 
 // --- SolverService: bitwise identity to solo solves ----------------------
@@ -469,6 +381,24 @@ TEST(ServiceTest, NonFiniteRequestRejectsBatchBeforeAnySolve) {
   EXPECT_EQ(svc.stats().solves, 0u);  // the good request did not run either
 }
 
+// A bad config is rejected before any client leaves the pool, so the warm
+// clients of the batch's good requests survive the rejection.
+TEST(ServiceTest, InvalidConfigRejectsBatchBeforeAcquiringClients) {
+  service::SolverService svc;
+  core::FmmConfig good;
+  good.depth = 3;
+  const ParticleSet p = make_uniform(600, Box3{}, 41);
+  svc.solve(good, p);  // warm one client
+  const std::uint64_t created = svc.stats().clients_created;
+  core::FmmConfig bad = good;
+  bad.separation = 0;
+  const service::SolveRequest batch[] = {{good, &p}, {bad, &p}};
+  EXPECT_THROW(svc.solve_batch(batch), std::invalid_argument);
+  const service::SolveOutcome next = svc.solve(good, p);
+  EXPECT_TRUE(next.client_reused);
+  EXPECT_EQ(svc.stats().clients_created, created);
+}
+
 TEST(ServiceTest, ModeledCostGrowsWithNAndK) {
   core::FmmConfig cfg;
   EXPECT_GT(service::modeled_cost(cfg, 10000),
@@ -672,6 +602,18 @@ TEST(CApiTest, ErrorMappingAndVersioning) {
   cfg.vdw_cutoff = 0.2;  // cuton >= cutoff
   EXPECT_EQ(hfmm_plan_create(ctx, &cfg, 100, &plan),
             HFMM_ERROR_INVALID_ARGUMENT);
+
+  // Laplace fields caught by the same validation: a NaN softening, and a
+  // depth past the deepest hierarchy (no hint, so no plan is built).
+  hfmm_config_init(&cfg);
+  cfg.softening = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_EQ(hfmm_plan_create(ctx, &cfg, 100, &plan),
+            HFMM_ERROR_INVALID_ARGUMENT);
+  hfmm_config_init(&cfg);
+  cfg.depth = 11;
+  EXPECT_EQ(hfmm_plan_create(ctx, &cfg, 0, &plan),
+            HFMM_ERROR_INVALID_ARGUMENT);
+  EXPECT_EQ(plan, nullptr);
 
   // Request validation: missing output buffer.
   hfmm_config_init(&cfg);

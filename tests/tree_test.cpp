@@ -117,6 +117,8 @@ TEST(HierarchyTest, OptimalDepthScalesWithN) {
   const int d1 = optimal_depth(100000, 24.0);
   EXPECT_EQ(optimal_depth(800000, 24.0), d1 + 1);
   EXPECT_THROW(optimal_depth(100, 0.0), std::invalid_argument);
+  // A tiny occupancy stops at the deepest hierarchy the solver builds.
+  EXPECT_EQ(optimal_depth(1'000'000, 1e-6), 10);
 }
 
 TEST(NearFieldTest, CountsMatchPaper) {

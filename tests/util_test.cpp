@@ -410,8 +410,7 @@ TEST(TimerTest, NestedPhaseTimersCountWallTimeOnce) {
 }
 
 // ---------------------------------------------------------------------------
-// Typed environment parsing (util/env.hpp): the consolidated HFMM_* dial
-// reader. setenv/unsetenv are process-global, so each test uses its own
+// Environment parsing (util/env.hpp): the backend selectors' HFMM_* reader. setenv/unsetenv are process-global, so each test uses its own
 // variable name and restores the unset state.
 // ---------------------------------------------------------------------------
 
@@ -426,71 +425,6 @@ class EnvGuard {
   const char* name_;
 };
 
-TEST(EnvTest, BoolAcceptsDocumentedSpellingsOnly) {
-  EXPECT_TRUE(env::parse_bool("HFMM_TEST_UNSET_BOOL", true));
-  EXPECT_FALSE(env::parse_bool("HFMM_TEST_UNSET_BOOL", false));
-  {
-    EnvGuard g("HFMM_TEST_BOOL", "1");
-    EXPECT_TRUE(env::parse_bool("HFMM_TEST_BOOL", false));
-  }
-  {
-    EnvGuard g("HFMM_TEST_BOOL", "off");
-    EXPECT_FALSE(env::parse_bool("HFMM_TEST_BOOL", true));
-  }
-  {
-    // The pre-consolidation parser treated any non-"0" text as true;
-    // malformed text must now fall back (with a warning), not enable.
-    EnvGuard g("HFMM_TEST_BOOL", "garbage");
-    EXPECT_FALSE(env::parse_bool("HFMM_TEST_BOOL", false));
-    EXPECT_TRUE(env::parse_bool("HFMM_TEST_BOOL", true));
-  }
-  {
-    EnvGuard g("HFMM_TEST_BOOL", "");
-    EXPECT_TRUE(env::parse_bool("HFMM_TEST_BOOL", true));
-  }
-}
-
-TEST(EnvTest, IntRangeAndTrailingGarbageRejected) {
-  EXPECT_EQ(env::parse_int("HFMM_TEST_UNSET_INT", 7, 2, 10, "x"), 7);
-  {
-    EnvGuard g("HFMM_TEST_INT", "4");
-    EXPECT_EQ(env::parse_int("HFMM_TEST_INT", 7, 2, 10, "x"), 4);
-  }
-  {
-    EnvGuard g("HFMM_TEST_INT", "11");  // above hi
-    EXPECT_EQ(env::parse_int("HFMM_TEST_INT", 7, 2, 10, "x"), 7);
-  }
-  {
-    EnvGuard g("HFMM_TEST_INT", "4abc");  // trailing garbage
-    EXPECT_EQ(env::parse_int("HFMM_TEST_INT", 7, 2, 10, "x"), 7);
-  }
-}
-
-TEST(EnvTest, DoubleRangeFinitenessAndGarbageRejected) {
-  EXPECT_DOUBLE_EQ(
-      env::parse_double("HFMM_TEST_UNSET_DBL", 0.1, 0.0, 1.0, "x"), 0.1);
-  {
-    EnvGuard g("HFMM_TEST_DBL", "0.25");
-    EXPECT_DOUBLE_EQ(env::parse_double("HFMM_TEST_DBL", 0.1, 0.0, 1.0, "x"),
-                     0.25);
-  }
-  {
-    EnvGuard g("HFMM_TEST_DBL", "0.5x");
-    EXPECT_DOUBLE_EQ(env::parse_double("HFMM_TEST_DBL", 0.1, 0.0, 1.0, "x"),
-                     0.1);
-  }
-  {
-    EnvGuard g("HFMM_TEST_DBL", "inf");
-    EXPECT_DOUBLE_EQ(env::parse_double("HFMM_TEST_DBL", 0.1, 0.0, 1e308, "x"),
-                     0.1);
-  }
-  {
-    EnvGuard g("HFMM_TEST_DBL", "-0.5");
-    EXPECT_DOUBLE_EQ(env::parse_double("HFMM_TEST_DBL", 0.1, 0.0, 1.0, "x"),
-                     0.1);
-  }
-}
-
 TEST(EnvTest, ChoiceMatchesExactlyOrFallsBack) {
   static constexpr const char* kChoices[] = {"auto", "portable", "avx2"};
   EXPECT_EQ(env::parse_choice("HFMM_TEST_UNSET_CHOICE", kChoices, 0), 0u);
@@ -504,6 +438,10 @@ TEST(EnvTest, ChoiceMatchesExactlyOrFallsBack) {
   }
   {
     EnvGuard g("HFMM_TEST_CHOICE", "avx512");
+    EXPECT_EQ(env::parse_choice("HFMM_TEST_CHOICE", kChoices, 2), 2u);
+  }
+  {
+    EnvGuard g("HFMM_TEST_CHOICE", "");  // empty reads as unset
     EXPECT_EQ(env::parse_choice("HFMM_TEST_CHOICE", kChoices, 2), 2u);
   }
 }

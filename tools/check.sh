@@ -173,7 +173,24 @@ if [[ "$lane" == dist ]]; then
   exit 0
 fi
 
+# What a solve computes comes from its config structs alone: only the two
+# instruction-set selectors (HFMM_BLAS_KERNEL, HFMM_PKERN_KERNEL) and the
+# parser they share may read the environment.
+env_readers_check() {
+  local allowed=" src/util/env.cpp src/blas/kernels.cpp src/pkern/kernels.cpp "
+  local file bad=0
+  while IFS= read -r file; do
+    if [[ "$allowed" != *" $file "* ]]; then
+      echo "reads the environment outside the backend selectors: $file" >&2
+      bad=1
+    fi
+  done < <(git grep -lE 'getenv\(|env::parse_' -- src include)
+  return "$bad"
+}
+
 if [[ "$lane" == all || "$lane" == plain ]]; then
+  echo "== environment readers =="
+  env_readers_check
   echo "== tier-1: plain build =="
   run_suite build
 fi
