@@ -90,7 +90,11 @@ struct SupernodeEntry2 {
 std::vector<SupernodeEntry2> supernode_interactive2(int quadrant,
                                                     int separation);
 
-/// The 2-D occupancy-based depth rule.
+/// Deepest 2-D hierarchy: the 4^h leaf flat indices must fit the uint32
+/// leaf CSR (`box_begin`) and sort keys, as 8^kMaxDepth does in 3-D.
+inline constexpr int kMaxDepth2 = 15;
+
+/// The 2-D occupancy-based depth rule; the result is at most kMaxDepth2.
 int optimal_depth2(std::size_t n_particles, double particles_per_leaf);
 
 }  // namespace hfmm::d2

@@ -7,12 +7,13 @@
 // interactive U/V offsets, supernode gather rectangles, downward parent
 // reads, near-field neighbour boxes) yields, per rank, the precise set of
 // REMOTE boxes the traversal touches — the rank's local essential tree.
-// The walk itself lives in the core executor (solver_dist.cpp), since the
-// admissibility masks and gather rectangles are plan-internal structures;
-// this layer is the accounting half: it records the marks, prunes each
-// rank's level sets to owned + halo boxes, and compiles the explicit
-// message schedule (who sends which rows/bodies to whom, with exact byte
-// counts) that the channel fabric executes.
+// The walk lives in the core executor (solver_dist.cpp): it runs the
+// executors' own translation bodies over the global active sets with a
+// marking sink, so the lookups exist once. This layer is the accounting
+// half: it records the marks, prunes each rank's level sets to owned + halo
+// boxes, and compiles the explicit message schedule (who sends which
+// rows/bodies to whom, with exact byte counts) that the channel fabric
+// executes.
 //
 // Every rank's pruned level sets list OWNED boxes first (ascending flat
 // order — the same order the global active sets use, so per-box arithmetic
@@ -96,13 +97,10 @@ class LetBuilder {
  public:
   LetBuilder(const tree::ActiveLevels& act, const tree::OwnershipLevels& own);
 
-  /// Rank needs the far-expansion vector of box `gai` (global active index
-  /// at `level`) — an upward child gather, interactive source, or supernode
-  /// source.
-  void need_far(int rank, int level, std::int32_t gai);
-  /// Rank needs the local-expansion vector of box `gai` — a downward parent
-  /// read.
-  void need_local(int rank, int level, std::int32_t gai);
+  /// Rank needs the far-expansion (kFar: an upward child gather,
+  /// interactive or supernode source) or local-expansion (kLocal: a downward
+  /// parent read) vector of box `gai`, a global active index at `level`.
+  void need_cell(MsgKind kind, int rank, int level, std::int32_t gai);
   /// Rank needs the bodies of leaf box `gai` — a near-field neighbour.
   void need_bodies(int rank, std::int32_t gai);
 

@@ -18,6 +18,7 @@
 
 #include <array>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "hfmm/tree/hierarchy.hpp"
@@ -37,6 +38,26 @@ struct Offset {
 /// All offsets with max(|dx|,|dy|,|dz|) <= d — the near field, (2d+1)^3
 /// entries including (0,0,0).
 std::vector<Offset> near_field_offsets(int separation);
+
+/// Calls f(nb) for each neighbour nb = c + o of box c, o in `offsets` except
+/// (0, 0, 0), at a level with n boxes per side: wrapped modulo n when
+/// `periodic` (offsets must not exceed n in magnitude), otherwise skipped
+/// when outside [0, n)^3.
+template <class F>
+void for_each_neighbour(const BoxCoord& c, std::int32_t n,
+                        std::span<const Offset> offsets, bool periodic, F&& f) {
+  for (const Offset& o : offsets) {
+    if (o == Offset{0, 0, 0}) continue;
+    BoxCoord nb{c.ix + o.dx, c.iy + o.dy, c.iz + o.dz};
+    if (periodic) {
+      nb = {(nb.ix + n) % n, (nb.iy + n) % n, (nb.iz + n) % n};
+    } else if (nb.ix < 0 || nb.ix >= n || nb.iy < 0 || nb.iy >= n ||
+               nb.iz < 0 || nb.iz >= n) {
+      continue;
+    }
+    f(nb);
+  }
+}
 
 /// Near-field offsets excluding self, split into a half-list H such that
 /// H and -H partition the 124 (d=2) neighbors: used by the Newton-3rd-law

@@ -35,7 +35,6 @@ using internal::interactive_chunk;
 using internal::l2p_chunk;
 using internal::p2m_chunk;
 using internal::particles_in;
-using internal::supernode_chunk;
 using internal::upward_chunk;
 
 namespace internal {
@@ -381,44 +380,61 @@ void internal::update_active_costs(const FmmConfig& config,
                                    const internal::FmmPlan& plan,
                                    const tree::Hierarchy& hier, bool periodic,
                                    internal::SolveWorkspace& ws,
-                                   PhaseBreakdown& breakdown) {
+                                   FmmResult& result) {
   const int h = hier.depth();
   const std::span<const tree::Offset> offsets =
       plan.near_list(config.near_symmetry);
-  ScopedPhaseTimer timer(breakdown["active"]);
+  PhaseStats& st = result.breakdown["active"];
+  ScopedPhaseTimer timer(st);
   const std::size_t cap_before = ws.active.capacity_bytes();
   tree::build_active_levels(hier, ws.occupied, ws.active);
   if (ws.active.capacity_bytes() != cap_before)
     ws.allocs.fetch_add(1, std::memory_order_relaxed);
+  const tree::ActiveLevels& act = ws.active;
+  result.active_boxes = act.total_active();
+  result.level_occupancy.resize(h + 1);
+  for (int l = 0; l <= h; ++l) result.level_occupancy[l] = act.occupancy(l);
+  st.boxes_active += act.total_active();
+  st.boxes_total += act.total_dense();
 
-  const tree::LevelActiveSet& leaves = ws.active.levels[h];
+  const tree::LevelActiveSet& leaves = act.levels[h];
   const std::size_t nl = leaves.count();
-  const std::int32_t nside = hier.boxes_per_side(h);
   internal::grow(ws.leaf_cost, nl, ws.allocs);
   internal::grow(ws.near_cost, nl, ws.allocs);
   // Per active leaf: leaf = its particle count, near = its near-field pair
   // count.
   for (std::size_t ai = 0; ai < nl; ++ai) {
     const std::size_t f = leaves.boxes[ai];
-    const tree::BoxCoord c = hier.coord_of(h, f);
     const std::uint64_t t = particles_in(ws.boxed, f);
     ws.leaf_cost[ai] = t;
     std::uint64_t pairs = t * (t > 0 ? t - 1 : 0);
-    for (const tree::Offset& o : offsets) {
-      if (o == tree::Offset{0, 0, 0}) continue;
-      tree::BoxCoord nb{c.ix + o.dx, c.iy + o.dy, c.iz + o.dz};
-      if (periodic) {
-        nb.ix = (nb.ix + nside) % nside;
-        nb.iy = (nb.iy + nside) % nside;
-        nb.iz = (nb.iz + nside) % nside;
-      } else if (nb.ix < 0 || nb.ix >= nside || nb.iy < 0 ||
-                 nb.iy >= nside || nb.iz < 0 || nb.iz >= nside) {
-        continue;
-      }
-      pairs += t * particles_in(ws.boxed, hier.flat_index(h, nb));
-    }
+    tree::for_each_neighbour(
+        hier.coord_of(h, f), hier.boxes_per_side(h), offsets, periodic,
+        [&](const tree::BoxCoord& nb) {
+          pairs += t * particles_in(ws.boxed, hier.flat_index(h, nb));
+        });
     ws.near_cost[ai] = pairs;
   }
+}
+
+void internal::record_phase_boxes(const tree::Hierarchy& hier,
+                                  const tree::ActiveLevels* act,
+                                  bool far_capable, PhaseBreakdown& breakdown) {
+  const int h = hier.depth();
+  const auto record = [&](const char* phase, int lo_l, int hi_l) {
+    PhaseStats& st = breakdown[phase];
+    for (int l = lo_l; l <= hi_l; ++l) {
+      st.boxes_active += act ? act->levels[l].count() : hier.boxes_at(l);
+      st.boxes_total += hier.boxes_at(l);
+    }
+  };
+  record("near", h, h);
+  if (!far_capable) return;
+  record("p2m", h, h);
+  record("l2p", h, h);
+  record("upward", 1, h - 1);
+  record("interactive", 2, h);
+  if (h > 2) record("downward", 3, h);
 }
 
 FmmResult FmmSolver::solve(const ParticleSet& particles) {
@@ -523,17 +539,8 @@ FmmResult FmmSolver::solve_impl_(const ParticleSet& particles,
   // box neighbours instead of clipping them, so the cost model counts the
   // wrapped pairs the near field will evaluate.
   const bool periodic = impl_->near.vdw.period > 0.0;
-  internal::update_active_costs(config_, plan, hier, periodic, ws,
-                                result.breakdown);
+  internal::update_active_costs(config_, plan, hier, periodic, ws, result);
   const tree::ActiveLevels& act = ws.active;
-  result.active_boxes = act.total_active();
-  result.level_occupancy.resize(h + 1);
-  for (int l = 0; l <= h; ++l) result.level_occupancy[l] = act.occupancy(l);
-  {
-    PhaseStats& st = result.breakdown["active"];
-    st.boxes_active += act.total_active();
-    st.boxes_total += act.total_dense();
-  }
 
   const std::size_t k = config_.params.k();
   // Near-field chunk policy: a fixed count independent of the worker count
@@ -628,12 +635,7 @@ FmmResult FmmSolver::solve_impl_(const ParticleSet& particles,
       const NodeId id = g.add(
           "interactive:L" + ls, "interactive", nl_act, 0,
           [&, l](std::size_t c, std::size_t lo, std::size_t hi,
-                 PhaseStats& st) {
-            if (config_.supernodes)
-              supernode_chunk(ctx, l, c, lo, hi, st);
-            else
-              interactive_chunk(ctx, l, c, lo, hi, st);
-          });
+                 PhaseStats& st) { interactive_chunk(ctx, l, c, lo, hi, st); });
       // Sources: far[l], plus far[l-1] for supernode parent-level entries.
       g.depend(id, config_.supernodes ? far_ready(l - 1) : far_ready(l));
       if (l == 2 && !config_.supernodes) g.depend(id, upward_done);
@@ -697,25 +699,7 @@ FmmResult FmmSolver::solve_impl_(const ParticleSet& particles,
                                                 : exec::RunMode::kInline,
         result.breakdown, &result.timeline);
 
-  // Per-phase occupancy: boxes visited vs. the 8^l boxes of the phase's
-  // levels (the leaf phases iterate leaves; upward iterates parents
-  // 1..h-1; interactive 2..h; downward 3..h).
-  const auto record = [&](const char* phase, int lo_l, int hi_l) {
-    PhaseStats& st = result.breakdown[phase];
-    for (int l = lo_l; l <= hi_l; ++l) {
-      st.boxes_active += act.levels[l].count();
-      st.boxes_total += hier.boxes_at(l);
-    }
-  };
-  record("near", h, h);
-  if (far_capable) {
-    record("p2m", h, h);
-    record("l2p", h, h);
-    record("upward", 1, h - 1);
-    record("interactive", 2, h);
-    if (h > 2) record("downward", 3, h);
-  }
-
+  internal::record_phase_boxes(hier, &act, far_capable, result.breakdown);
   result.breakdown["workspace"].allocs +=
       ws.allocs.load(std::memory_order_relaxed);
   result.workspace_allocs = result.breakdown["workspace"].allocs;

@@ -3,15 +3,18 @@
 // R in-process ranks each run their OWN phase-graph DAG over a pruned local
 // essential tree (LET): the geometric partitioner splits the active leaves
 // (== the sorted particle order) into contiguous runs, subtree ownership
-// follows the leaves upward, and a requirement walk over the actual plan
-// structures (upward child gathers, interactive union offsets / supernode
-// gather rectangles, downward parent reads, near-field neighbour boxes)
-// determines exactly which remote rows and ghost bodies each rank's
-// traversal touches. Those flow between the rank DAGs as explicit typed
-// messages through the dist::Fabric — ranks share NO mutable solver state;
-// every graph runs on its own dedicated thread (exec::run_graphs) and the
-// only cross-rank synchronization is the fabric's mailboxes, so the whole
-// solve is clean under TSan by construction.
+// follows the leaves upward, and a requirement walk determines exactly
+// which remote rows and ghost bodies each rank's traversal touches. The
+// walk runs the very translation bodies the rank graphs run
+// (sparse_chunks.hpp: T1, union or supernode T2, T3) over the global active
+// sets with a sink that marks instead of gathering, plus the shared
+// near-neighbour walk (tree::for_each_neighbour) for the ghost bodies, so a
+// source lookup is written once. Rows and bodies flow between the rank DAGs
+// as explicit typed messages through the dist::Fabric — ranks share NO
+// mutable solver state; every graph runs on its own dedicated thread
+// (exec::run_graphs) and the only cross-rank synchronization is the
+// fabric's mailboxes, so the whole solve is clean under TSan by
+// construction.
 //
 // Bitwise identity to the shared-memory executor (the acceptance bar):
 //   * the constructor forces near_symmetry = false, so every target's
@@ -75,128 +78,59 @@ using internal::downward_chunk;
 using internal::interactive_chunk;
 using internal::l2p_chunk;
 using internal::p2m_chunk;
-using internal::particles_in;
-using internal::supernode_chunk;
 using internal::upward_chunk;
 
 // ---------------------------------------------------------------------------
 // Requirement walk: marks, per owning rank, every REMOTE source the rank's
-// owned-target stages will read. It replicates the chunk bodies' exact
-// lookup logic (parity masks, bounds checks, gather rectangles, periodic
-// wrap) against the same plan structures, so demand matches the lookups by
-// construction — a box the walk misses would be a box the chunk could not
-// read either.
+// owned-target stages will read. The far marks come from the translation
+// bodies the rank graphs run (sparse_chunks.hpp), each run over a level's
+// whole GLOBAL active set with a sink that marks instead of gathering, so
+// demand matches the lookups by construction. The near marks walk the same
+// d-neighbourhood (wrapped for periodic vdW) the near field evaluates.
 // ---------------------------------------------------------------------------
-void walk_requirements(const FmmConfig& config, const FmmPlan& plan,
-                       const tree::Hierarchy& hier,
-                       const tree::ActiveLevels& act,
-                       const tree::OwnershipLevels& own, bool periodic,
-                       bool far_capable, dist::LetBuilder& let) {
+
+// A translation-body sink over targets at `level`: the owner of target t
+// (a global active index) needs the source row as a `kind` cell.
+struct MarkSink {
+  dist::LetBuilder& let;
+  const tree::OwnershipLevels& own;
+  int level;
+  dist::MsgKind kind;
+
+  void add(int src_level, std::int32_t row, std::size_t t) {
+    let.need_cell(kind, own.at(level, static_cast<std::int32_t>(t)), src_level,
+                  row);
+  }
+  void apply(const double*) {}
+};
+
+void walk_requirements(ActiveContext& ctx, const tree::OwnershipLevels& own,
+                       bool periodic, bool far_capable,
+                       dist::LetBuilder& let) {
+  const tree::Hierarchy& hier = ctx.hier;
   const int h = hier.depth();
   if (far_capable) {
-    // Upward T1: owned parents at l gather active children at l + 1.
-    for (int l = 1; l <= h - 1; ++l) {
-      const tree::LevelActiveSet& parents = act.levels[l];
-      const tree::LevelActiveSet& children = act.levels[l + 1];
-      for (std::size_t pi = 0; pi < parents.count(); ++pi) {
-        const int r = own.at(l, static_cast<std::int32_t>(pi));
-        const tree::BoxCoord pc = hier.coord_of(l, parents.boxes[pi]);
-        for (int o = 0; o < 8; ++o) {
-          const std::int32_t ca = children.dense_to_active[hier.flat_index(
-              l + 1, tree::Hierarchy::child_of(pc, o))];
-          if (ca >= 0) let.need_far(r, l + 1, ca);
-        }
-      }
-    }
-    // Interactive T2: owned targets at l read far sources — the union
-    // offset list (parity + bounds, as interactive_chunk) or the supernode
-    // gather rectangles (same- and parent-level, as supernode_chunk).
-    for (int l = 2; l <= h; ++l) {
-      const tree::LevelActiveSet& targets = act.levels[l];
-      const std::int32_t n = hier.boxes_per_side(l);
-      for (std::size_t ti = 0; ti < targets.count(); ++ti) {
-        const int r = own.at(l, static_cast<std::int32_t>(ti));
-        const tree::BoxCoord c = hier.coord_of(l, targets.boxes[ti]);
-        if (config.supernodes) {
-          const tree::LevelActiveSet& act_parent = act.levels[l - 1];
-          const int octant = tree::Hierarchy::octant_of(c);
-          const tree::BoxCoord p = tree::Hierarchy::parent_of(c);
-          for (const internal::SupernodePlanEntry& pe :
-               plan.supernode_plans[l].per_octant[octant]) {
-            if (p.ix < pe.lo[0] || p.ix >= pe.hi[0] || p.iy < pe.lo[1] ||
-                p.iy >= pe.hi[1] || p.iz < pe.lo[2] || p.iz >= pe.hi[2])
-              continue;
-            if (pe.parent_source) {
-              const tree::BoxCoord s{p.ix + pe.offset.dx, p.iy + pe.offset.dy,
-                                     p.iz + pe.offset.dz};
-              const std::int32_t sa =
-                  act_parent.dense_to_active[hier.flat_index(l - 1, s)];
-              if (sa >= 0) let.need_far(r, l - 1, sa);
-            } else {
-              const tree::BoxCoord s{c.ix + pe.offset.dx, c.iy + pe.offset.dy,
-                                     c.iz + pe.offset.dz};
-              const std::int32_t sa =
-                  targets.dense_to_active[hier.flat_index(l, s)];
-              if (sa >= 0) let.need_far(r, l, sa);
-            }
-          }
-        } else {
-          for (const internal::UnionOffset& u : plan.trans->union_offsets) {
-            if (!u.all_parities) {
-              if (!(u.valid_parity[0] & (1 << (c.ix & 1)))) continue;
-              if (!(u.valid_parity[1] & (1 << (c.iy & 1)))) continue;
-              if (!(u.valid_parity[2] & (1 << (c.iz & 1)))) continue;
-            }
-            const tree::BoxCoord s{c.ix + u.o.dx, c.iy + u.o.dy,
-                                   c.iz + u.o.dz};
-            if (s.ix < 0 || s.ix >= n || s.iy < 0 || s.iy >= n || s.iz < 0 ||
-                s.iz >= n)
-              continue;
-            const std::int32_t sa =
-                targets.dense_to_active[hier.flat_index(l, s)];
-            if (sa >= 0) let.need_far(r, l, sa);
-          }
-        }
-      }
-    }
-    // Downward T3: owned children at l read their parent's local at l - 1.
-    for (int l = 3; l <= h; ++l) {
-      const tree::LevelActiveSet& children = act.levels[l];
-      const tree::LevelActiveSet& parents = act.levels[l - 1];
-      for (std::size_t ci = 0; ci < children.count(); ++ci) {
-        const int r = own.at(l, static_cast<std::int32_t>(ci));
-        const tree::BoxCoord c = hier.coord_of(l, children.boxes[ci]);
-        const std::int32_t pa = parents.dense_to_active[hier.flat_index(
-            l - 1, tree::Hierarchy::parent_of(c))];
-        let.need_local(r, l - 1, pa);
-      }
+    // Each body runs as one chunk over the whole level, in slot 0.
+    ctx.ws.arena.ensure(1, ctx.ws.allocs);
+    for (int l = 1; l <= h; ++l) {
+      const std::size_t count = ctx.act.levels[l].count();
+      MarkSink far{let, own, l, dist::MsgKind::kFar};
+      if (l < h) internal::upward_body(ctx, l, 0, 0, count, far);
+      if (l >= 2) internal::interactive_body(ctx, l, 0, 0, count, far);
+      MarkSink local{let, own, l, dist::MsgKind::kLocal};
+      if (l >= 3) internal::downward_body(ctx, l, 0, 0, count, local);
     }
   }
-  // Near field: owned leaves read the bodies of their d-neighbourhood
-  // (wrapped for periodic vdW — the same wrap evaluate_boxes applies).
-  {
-    const tree::LevelActiveSet& leaves = act.levels[h];
-    const std::int32_t n = hier.boxes_per_side(h);
-    const std::span<const tree::Offset> offsets = plan.near_list(false);
-    for (std::size_t ai = 0; ai < leaves.count(); ++ai) {
-      const int r = own.at(h, static_cast<std::int32_t>(ai));
-      const tree::BoxCoord c = hier.coord_of(h, leaves.boxes[ai]);
-      for (const tree::Offset& o : offsets) {
-        if (o.dx == 0 && o.dy == 0 && o.dz == 0) continue;
-        tree::BoxCoord nb{c.ix + o.dx, c.iy + o.dy, c.iz + o.dz};
-        if (periodic) {
-          nb.ix = (nb.ix + n) % n;
-          nb.iy = (nb.iy + n) % n;
-          nb.iz = (nb.iz + n) % n;
-        } else if (nb.ix < 0 || nb.ix >= n || nb.iy < 0 || nb.iy >= n ||
-                   nb.iz < 0 || nb.iz >= n) {
-          continue;
-        }
-        const std::int32_t na =
-            leaves.dense_to_active[hier.flat_index(h, nb)];
-        if (na >= 0) let.need_bodies(r, na);
-      }
-    }
+  const tree::LevelActiveSet& leaves = ctx.act.levels[h];
+  for (std::size_t ai = 0; ai < leaves.count(); ++ai) {
+    const int r = own.at(h, static_cast<std::int32_t>(ai));
+    tree::for_each_neighbour(
+        hier.coord_of(h, leaves.boxes[ai]), hier.boxes_per_side(h),
+        ctx.plan.near_list(false), periodic, [&](const tree::BoxCoord& nb) {
+          const std::int32_t na =
+              leaves.dense_to_active[hier.flat_index(h, nb)];
+          if (na >= 0) let.need_bodies(r, na);
+        });
   }
 }
 
@@ -326,17 +260,8 @@ FmmResult FmmSolver::solve_dist_(const ParticleSet& particles,
 
   // "active" phase: global active sets + cost model, shared with the
   // shared-memory executor (and feeding the partitioner below).
-  internal::update_active_costs(config_, plan, hier, periodic, gws,
-                                result.breakdown);
+  internal::update_active_costs(config_, plan, hier, periodic, gws, result);
   const tree::ActiveLevels& act = gws.active;
-  result.active_boxes = act.total_active();
-  result.level_occupancy.resize(h + 1);
-  for (int l = 0; l <= h; ++l) result.level_occupancy[l] = act.occupancy(l);
-  {
-    PhaseStats& st = result.breakdown["active"];
-    st.boxes_active += act.total_active();
-    st.boxes_total += act.total_dense();
-  }
 
   if (impl_->dist == nullptr)
     impl_->dist = std::make_shared<internal::DistState>();
@@ -358,8 +283,8 @@ FmmResult FmmSolver::solve_dist_(const ParticleSet& particles,
                                   gws.near_cost, ds.leaf_count);
     tree::build_ownership(hier, act, part.leaf_begin, ds.own);
     dist::LetBuilder builder(act, ds.own);
-    walk_requirements(config_, plan, hier, act, ds.own, periodic, far_capable,
-                      builder);
+    ActiveContext global{config_, plan, hier, gws, act};
+    walk_requirements(global, ds.own, periodic, far_capable, builder);
     const dist::LetGeometry geo{k, far_capable, !far_capable};
     let = builder.finalize(geo, ds.leaf_count);
   }
@@ -577,10 +502,7 @@ FmmResult FmmSolver::solve_dist_(const ParticleSet& particles,
             "interactive:L" + ls, "interactive", rtr.owned[l], 1,
             [&, r, l](std::size_t c, std::size_t lo, std::size_t hi,
                       PhaseStats& st) {
-              if (config_.supernodes)
-                supernode_chunk(ctxs[r], l, c, lo, hi, st);
-              else
-                interactive_chunk(ctxs[r], l, c, lo, hi, st);
+              interactive_chunk(ctxs[r], l, c, lo, hi, st);
             });
         if (config_.supernodes) {
           g.depend(inter, far_ready[l - 1]);
@@ -676,21 +598,7 @@ FmmResult FmmSolver::solve_dist_(const ParticleSet& particles,
 
   // Per-phase occupancy over the global active sets (the rank partitions
   // tile them exactly).
-  const auto record = [&](const char* phase, int lo_l, int hi_l) {
-    PhaseStats& st = result.breakdown[phase];
-    for (int l = lo_l; l <= hi_l; ++l) {
-      st.boxes_active += act.levels[l].count();
-      st.boxes_total += hier.boxes_at(l);
-    }
-  };
-  record("near", h, h);
-  if (far_capable) {
-    record("p2m", h, h);
-    record("l2p", h, h);
-    record("upward", 1, h - 1);
-    record("interactive", 2, h);
-    if (h > 2) record("downward", 3, h);
-  }
+  internal::record_phase_boxes(hier, &act, far_capable, result.breakdown);
 
   std::uint64_t allocs = gws.allocs.load(std::memory_order_relaxed);
   std::size_t ws_bytes = gws.workspace_bytes();

@@ -467,31 +467,22 @@ FmmResult FmmSolver::solve_dp_(const ParticleSet& particles,
             &ws.near_scratch, impl_->near);
         stats.flops += nf.flops;
         stats.pairs += nf.pair_interactions;
-        const auto offsets = plan.near_list(config_.near_symmetry);
         const bool periodic = impl_->near.vdw.period > 0.0;
         std::uint64_t off_bytes = 0, msgs = 0;
         for (std::size_t f = 0; f < hier.boxes_at(h); ++f) {
           const tree::BoxCoord c = hier.coord_of(h, f);
-          const dp::BoxHome home = leaf_layout.home_of(c);
-          for (const auto& o : offsets) {
-            if (o == tree::Offset{0, 0, 0}) continue;
-            tree::BoxCoord s{c.ix + o.dx, c.iy + o.dy, c.iz + o.dz};
-            if (periodic) {
-              s.ix = (s.ix + nside) % nside;
-              s.iy = (s.iy + nside) % nside;
-              s.iz = (s.iz + nside) % nside;
-            } else if (!hier.in_bounds(h, s)) {
-              continue;
-            }
-            if (leaf_layout.home_of(s).vu != home.vu) {
-              const std::uint32_t rank =
-                  boxed.flat_to_rank[hier.flat_index(h, s)];
-              const std::uint32_t cnt =
-                  boxed.box_begin[rank + 1] - boxed.box_begin[rank];
-              off_bytes += cnt * 4 * sizeof(double);
-              msgs += 1;
-            }
-          }
+          const std::size_t vu = leaf_layout.home_of(c).vu;
+          tree::for_each_neighbour(
+              c, nside, plan.near_list(config_.near_symmetry), periodic,
+              [&](const tree::BoxCoord& s) {
+                if (leaf_layout.home_of(s).vu == vu) return;
+                const std::uint32_t rank =
+                    boxed.flat_to_rank[hier.flat_index(h, s)];
+                const std::uint32_t cnt =
+                    boxed.box_begin[rank + 1] - boxed.box_begin[rank];
+                off_bytes += cnt * 4 * sizeof(double);
+                msgs += 1;
+              });
         }
         machine.stats().off_vu_bytes += off_bytes;
         machine.stats().messages += msgs;
@@ -517,23 +508,7 @@ FmmResult FmmSolver::solve_dp_(const ParticleSet& particles,
 
   // The DP compute loops are dense (the mask only skips multigrid moves of
   // inactive sections), so every phase visits every box of its levels.
-  {
-    const auto record = [&](const char* phase, int lo, int hi) {
-      PhaseStats& st = result.breakdown[phase];
-      for (int l = lo; l <= hi; ++l) {
-        st.boxes_active += hier.boxes_at(l);
-        st.boxes_total += hier.boxes_at(l);
-      }
-    };
-    record("near", h, h);
-    if (far_capable) {
-      record("p2m", h, h);
-      record("l2p", h, h);
-      record("upward", 1, h - 1);
-      record("interactive", 2, h);
-      if (h > 2) record("downward", 3, h);
-    }
-  }
+  internal::record_phase_boxes(hier, nullptr, far_capable, result.breakdown);
 
   result.comm = machine.stats();
   result.breakdown["comm"].comm_bytes = machine.stats().off_vu_bytes;

@@ -356,11 +356,20 @@ struct SolveWorkspace {
 // Derives the active level sets (ws.active) and the per-active-leaf cost
 // model (ws.leaf_cost / ws.near_cost) from the sort output in
 // ws.boxed/ws.occupied — the "active" phase, shared by the shared-memory and
-// distributed executors. `periodic` selects wrapped neighbour counting
-// (periodic vdW).
+// distributed executors — and reports the sets in result.active_boxes,
+// result.level_occupancy and the "active" phase's box counts. `periodic`
+// selects wrapped neighbour counting (periodic vdW).
 void update_active_costs(const FmmConfig& config, const FmmPlan& plan,
                          const tree::Hierarchy& hier, bool periodic,
-                         SolveWorkspace& ws, PhaseBreakdown& breakdown);
+                         SolveWorkspace& ws, FmmResult& result);
+
+// Per-phase occupancy: the boxes each phase visited against the 8^l boxes
+// of its levels (the leaf phases iterate leaves; upward iterates parents
+// 1..h-1; interactive 2..h; downward 3..h). A null `act` counts every box
+// visited, as the data-parallel executor's dense loops do.
+void record_phase_boxes(const tree::Hierarchy& hier,
+                        const tree::ActiveLevels* act, bool far_capable,
+                        PhaseBreakdown& breakdown);
 
 // Distributed-executor state (partition, LET plan, per-rank workspaces);
 // defined in solver_dist.cpp and owned via shared_ptr so Impl's destructor

@@ -7,15 +7,20 @@
 //
 // A translation body walks its matrices in a fixed order (T1: octants
 // 0..7; T3: each child's octant matrix; union T2: offsets in list order;
-// supernode T2: per octant, entries in list order). For each matrix it
-// gathers the source rows of the chunk's boxes that take it into one slab,
+// supernode T2: per octant, entries in list order) and hands each (source
+// row, target) pair it finds to a sink: sink.add(level, row, t) says target
+// t of the chunk's level reads row `row` of level `level`'s store, and
+// sink.apply(matrix) says the pairs added since the last apply take
+// `matrix`. The executors' GatherSink gathers those rows into one slab,
 // applies the matrix with one internal::apply_rows call (Section 3.3.3
 // aggregation), and adds product row r into its destination row. Each
 // destination therefore receives its contributions in matrix order, and a
 // gemm row's bits do not depend on how many rows share the call
 // (blas::gemm), so results do not depend on the chunk split, the worker
 // count or the rank count. Inactive sources hold exactly-zero far fields;
-// skipping them changes nothing.
+// skipping them changes nothing. The distributed executor also runs the
+// bodies over the GLOBAL level sets with a sink that marks which rows each
+// target's owner needs: its exchange plan comes from these same lookups.
 
 #include <array>
 #include <cstdint>
@@ -113,23 +118,15 @@ inline void l2p_chunk(ActiveContext& ctx, std::size_t lo, std::size_t hi,
   stats.flops += local_flops;
 }
 
-// One chunk's gathered translations, over its ChunkSlot. The constructor
-// computes the chunk's box coordinates once and groups the boxes by octant;
-// add() appends a source row and the destination row it feeds; apply()
-// runs one matrix over the gathered rows and scatter-adds the products.
-class ChunkGather {
+// The boxes [lo, hi) of one level's active set, over the chunk's ChunkSlot:
+// their coordinates computed once and grouped by octant.
+class ChunkBoxes {
  public:
-  // Loads boxes [lo, hi) of level `level`'s active set.
-  ChunkGather(ActiveContext& ctx, std::size_t chunk, int level,
-              std::size_t lo, std::size_t hi)
-      : slot_(ctx.ws.arena.slot(chunk)),
-        k_(ctx.config.params.k()),
-        mode_(ctx.config.aggregation) {
+  ChunkBoxes(ActiveContext& ctx, std::size_t chunk, int level, std::size_t lo,
+             std::size_t hi)
+      : slot_(ctx.ws.arena.slot(chunk)) {
     const tree::LevelActiveSet& set = ctx.act.levels[level];
     const std::size_t m = hi - lo;
-    grow(slot_.slab, m * k_, ctx.ws.allocs);
-    grow(slot_.out, m * k_, ctx.ws.allocs);
-    grow(slot_.dst, m, ctx.ws.allocs);
     grow(slot_.coord, m, ctx.ws.allocs);
     grow(slot_.order, m, ctx.ws.allocs);
     std::array<std::size_t, 9> fill{};
@@ -151,20 +148,160 @@ class ChunkGather {
   std::size_t octant_begin(int o) const { return octant_begin_[o]; }
   std::uint32_t order(std::size_t j) const { return slot_.order[j]; }
 
-  void add(const double* src, std::size_t dst_row) {
-    std::memcpy(slot_.slab.data() + rows_ * k_, src, k_ * sizeof(double));
-    slot_.dst[rows_++] = static_cast<std::uint32_t>(dst_row);
+ private:
+  ChunkSlot& slot_;
+  std::array<std::size_t, 9> octant_begin_{};
+};
+
+// Upward T1 over active PARENTS [lo, hi) of level l: per octant o, the
+// active children at o of the chunk's parents (children absent from the
+// level set are inactive). Sources: far[l + 1].
+template <class Sink>
+void upward_body(ActiveContext& ctx, int l, std::size_t chunk, std::size_t lo,
+                 std::size_t hi, Sink& sink) {
+  const tree::LevelActiveSet& children = ctx.act.levels[l + 1];
+  const std::int64_t nc = ctx.hier.boxes_per_side(l + 1);
+  const ChunkBoxes b(ctx, chunk, l, lo, hi);
+  for (int o = 0; o < 8; ++o) {
+    for (std::size_t i = 0; i < hi - lo; ++i) {
+      const std::int32_t ca = children.dense_to_active[flat_of(
+          tree::Hierarchy::child_of(b.coord(i), o), nc)];
+      if (ca >= 0) sink.add(l + 1, ca, lo + i);
+    }
+    sink.apply(ctx.trans().t1[o]);
+  }
+}
+
+// Downward T3 over active CHILDREN [lo, hi) of level l (l > 2): the
+// children of octant o take t3[o] from their parent, which is always active
+// (parent closure). Sources: local[l - 1].
+template <class Sink>
+void downward_body(ActiveContext& ctx, int l, std::size_t chunk,
+                   std::size_t lo, std::size_t hi, Sink& sink) {
+  const tree::LevelActiveSet& parents = ctx.act.levels[l - 1];
+  const std::int64_t np = ctx.hier.boxes_per_side(l - 1);
+  const ChunkBoxes b(ctx, chunk, l, lo, hi);
+  for (int o = 0; o < 8; ++o) {
+    for (std::size_t j = b.octant_begin(o); j < b.octant_begin(o + 1); ++j) {
+      const std::size_t i = b.order(j);
+      sink.add(l - 1,
+               parents.dense_to_active[flat_of(
+                   tree::Hierarchy::parent_of(b.coord(i)), np)],
+               lo + i);
+    }
+    sink.apply(ctx.trans().t3[o]);
+  }
+}
+
+// Non-supernode T2 over active TARGETS [lo, hi) of level l: per union
+// offset, the targets of an admissible parity (paper Section 3.3.2) whose
+// source lies in the domain and is active. Sources: far[l].
+template <class Sink>
+void union_body(ActiveContext& ctx, int l, std::size_t chunk, std::size_t lo,
+                std::size_t hi, Sink& sink) {
+  const int d = ctx.config.separation;
+  const std::int32_t n = ctx.hier.boxes_per_side(l);
+  const tree::LevelActiveSet& act = ctx.act.levels[l];
+  const ChunkBoxes b(ctx, chunk, l, lo, hi);
+  for (const UnionOffset& u : ctx.trans().union_offsets) {
+    const std::int64_t delta = flat_of({u.o.dx, u.o.dy, u.o.dz}, n);
+    for (std::size_t i = 0; i < hi - lo; ++i) {
+      const tree::BoxCoord& c = b.coord(i);
+      if (!u.all_parities) {
+        if (!(u.valid_parity[0] & (1 << (c.ix & 1)))) continue;
+        if (!(u.valid_parity[1] & (1 << (c.iy & 1)))) continue;
+        if (!(u.valid_parity[2] & (1 << (c.iz & 1)))) continue;
+      }
+      const std::int32_t sx = c.ix + u.o.dx, sy = c.iy + u.o.dy,
+                         sz = c.iz + u.o.dz;
+      if (sx < 0 || sx >= n || sy < 0 || sy >= n || sz < 0 || sz >= n)
+        continue;
+      const std::int32_t sa = act.dense_to_active[act.boxes[lo + i] + delta];
+      if (sa >= 0) sink.add(l, sa, lo + i);
+    }
+    sink.apply(ctx.trans().t2[tree::offset_cube_index(u.o, d)]);
+  }
+}
+
+// Supernode T2 over active TARGETS [lo, hi) of level l: per octant, each
+// entry of the precomputed gather plan takes the octant's targets whose
+// parent lies in the entry's rectangle (source in bounds) and whose source
+// is active. Sources: far[l], and far[l - 1] for parent-level entries.
+template <class Sink>
+void supernode_body(ActiveContext& ctx, int l, std::size_t chunk,
+                    std::size_t lo, std::size_t hi, Sink& sink) {
+  const std::int64_t n = ctx.hier.boxes_per_side(l);
+  const std::int64_t np = ctx.hier.boxes_per_side(l - 1);
+  const tree::LevelActiveSet& act = ctx.act.levels[l];
+  const tree::LevelActiveSet& act_parent = ctx.act.levels[l - 1];
+  const SupernodeLevelPlan& plan = ctx.plan.supernode_plans[l];
+  const ChunkBoxes b(ctx, chunk, l, lo, hi);
+  for (int o = 0; o < 8; ++o) {
+    for (const SupernodePlanEntry& pe : plan.per_octant[o]) {
+      const tree::BoxCoord off{pe.offset.dx, pe.offset.dy, pe.offset.dz};
+      const std::int64_t delta = flat_of(off, pe.parent_source ? np : n);
+      for (std::size_t j = b.octant_begin(o); j < b.octant_begin(o + 1);
+           ++j) {
+        const std::size_t i = b.order(j);
+        const tree::BoxCoord p = tree::Hierarchy::parent_of(b.coord(i));
+        if (p.ix < pe.lo[0] || p.ix >= pe.hi[0] || p.iy < pe.lo[1] ||
+            p.iy >= pe.hi[1] || p.iz < pe.lo[2] || p.iz >= pe.hi[2])
+          continue;
+        const std::int32_t sa =
+            pe.parent_source
+                ? act_parent.dense_to_active[flat_of(p, np) + delta]
+                : act.dense_to_active[act.boxes[lo + i] + delta];
+        if (sa >= 0) sink.add(pe.parent_source ? l - 1 : l, sa, lo + i);
+      }
+      sink.apply(pe.matrix);
+    }
+  }
+}
+
+// The T2 body the config selects.
+template <class Sink>
+void interactive_body(ActiveContext& ctx, int l, std::size_t chunk,
+                      std::size_t lo, std::size_t hi, Sink& sink) {
+  if (ctx.config.supernodes)
+    supernode_body(ctx, l, chunk, lo, hi, sink);
+  else
+    union_body(ctx, l, chunk, lo, hi, sink);
+}
+
+// The executors' sink, over the chunk's ChunkSlot: add() copies the source
+// row into the slab; apply() runs the matrix over the gathered rows with one
+// internal::apply_rows call and scatter-adds product row r into `to` at its
+// target's row.
+class GatherSink {
+ public:
+  // Sources are rows of `from` (the far or local level stores).
+  GatherSink(ActiveContext& ctx, std::size_t chunk, std::size_t lo,
+             std::size_t hi, const std::vector<std::vector<double>>& from,
+             std::vector<double>& to)
+      : slot_(ctx.ws.arena.slot(chunk)),
+        from_(from),
+        to_(to.data()),
+        k_(ctx.config.params.k()),
+        mode_(ctx.config.aggregation) {
+    grow(slot_.slab, (hi - lo) * k_, ctx.ws.allocs);
+    grow(slot_.out, (hi - lo) * k_, ctx.ws.allocs);
+    grow(slot_.dst, hi - lo, ctx.ws.allocs);
   }
 
-  // Applies `matrix` (T^T) to the gathered rows, adds product row r into
-  // row dst[r] of `dst_store`, and empties the gather.
-  void apply(const double* matrix, double* dst_store) {
+  void add(int level, std::int32_t row, std::size_t target) {
+    std::memcpy(slot_.slab.data() + rows_ * k_,
+                from_[level].data() + static_cast<std::size_t>(row) * k_,
+                k_ * sizeof(double));
+    slot_.dst[rows_++] = static_cast<std::uint32_t>(target);
+  }
+
+  void apply(const double* matrix) {
     if (rows_ == 0) return;
     double* out = slot_.out.data();
     std::fill(out, out + rows_ * k_, 0.0);
     apply_rows(matrix, k_, slot_.slab.data(), out, rows_, mode_, flops_);
     for (std::size_t r = 0; r < rows_; ++r) {
-      double* d = dst_store + static_cast<std::size_t>(slot_.dst[r]) * k_;
+      double* d = to_ + static_cast<std::size_t>(slot_.dst[r]) * k_;
       const double* o = out + r * k_;
       for (std::size_t j = 0; j < k_; ++j) d[j] += o[j];
     }
@@ -179,133 +316,36 @@ class ChunkGather {
 
  private:
   ChunkSlot& slot_;
+  const std::vector<std::vector<double>>& from_;
+  double* to_;
   std::size_t k_;
   AggregationMode mode_;
-  std::array<std::size_t, 9> octant_begin_{};
   std::size_t rows_ = 0;
   std::uint64_t flops_ = 0, moved_ = 0;
 };
 
-// Upward T1 over active PARENTS [lo, hi) of level l: per octant o, the
-// active children at o of the chunk's parents (children absent from the
-// level set are inactive).
+// The executors' translation stages: T1 into far[l], T3 and T2 into
+// local[l].
 inline void upward_chunk(ActiveContext& ctx, int l, std::size_t chunk,
                          std::size_t lo, std::size_t hi, PhaseStats& stats) {
-  const std::size_t k = ctx.config.params.k();
-  const tree::LevelActiveSet& children = ctx.act.levels[l + 1];
-  const std::int64_t nc = ctx.hier.boxes_per_side(l + 1);
-  const double* child = ctx.ws.far[l + 1].data();
-  ChunkGather g(ctx, chunk, l, lo, hi);
-  for (int o = 0; o < 8; ++o) {
-    for (std::size_t i = 0; i < hi - lo; ++i) {
-      const std::int32_t ca = children.dense_to_active[flat_of(
-          tree::Hierarchy::child_of(g.coord(i), o), nc)];
-      if (ca >= 0) g.add(child + static_cast<std::size_t>(ca) * k, lo + i);
-    }
-    g.apply(ctx.trans().t1[o], ctx.ws.far[l].data());
-  }
-  g.report(stats);
+  GatherSink sink(ctx, chunk, lo, hi, ctx.ws.far, ctx.ws.far[l]);
+  upward_body(ctx, l, chunk, lo, hi, sink);
+  sink.report(stats);
 }
 
-// Downward T3 over active CHILDREN [lo, hi) of level l (l > 2): the
-// children of octant o take t3[o] from their parent, which is always active
-// (parent closure).
 inline void downward_chunk(ActiveContext& ctx, int l, std::size_t chunk,
                            std::size_t lo, std::size_t hi, PhaseStats& stats) {
-  const std::size_t k = ctx.config.params.k();
-  const tree::LevelActiveSet& parents = ctx.act.levels[l - 1];
-  const std::int64_t np = ctx.hier.boxes_per_side(l - 1);
-  const double* parent = ctx.ws.local[l - 1].data();
-  ChunkGather g(ctx, chunk, l, lo, hi);
-  for (int o = 0; o < 8; ++o) {
-    for (std::size_t j = g.octant_begin(o); j < g.octant_begin(o + 1); ++j) {
-      const std::size_t i = g.order(j);
-      const std::int32_t pa = parents.dense_to_active[flat_of(
-          tree::Hierarchy::parent_of(g.coord(i)), np)];
-      g.add(parent + static_cast<std::size_t>(pa) * k, lo + i);
-    }
-    g.apply(ctx.trans().t3[o], ctx.ws.local[l].data());
-  }
-  g.report(stats);
+  GatherSink sink(ctx, chunk, lo, hi, ctx.ws.local, ctx.ws.local[l]);
+  downward_body(ctx, l, chunk, lo, hi, sink);
+  sink.report(stats);
 }
 
-// Non-supernode T2 over active TARGETS [lo, hi) of level l: per union
-// offset, the targets of an admissible parity (paper Section 3.3.2) whose
-// source lies in the domain and is active.
 inline void interactive_chunk(ActiveContext& ctx, int l, std::size_t chunk,
                               std::size_t lo, std::size_t hi,
                               PhaseStats& stats) {
-  const std::size_t k = ctx.config.params.k();
-  const int d = ctx.config.separation;
-  const std::int32_t n = ctx.hier.boxes_per_side(l);
-  const tree::LevelActiveSet& act = ctx.act.levels[l];
-  const double* far = ctx.ws.far[l].data();
-  ChunkGather g(ctx, chunk, l, lo, hi);
-  for (const UnionOffset& u : ctx.trans().union_offsets) {
-    const std::int64_t delta = flat_of({u.o.dx, u.o.dy, u.o.dz}, n);
-    for (std::size_t i = 0; i < hi - lo; ++i) {
-      const tree::BoxCoord& c = g.coord(i);
-      if (!u.all_parities) {
-        if (!(u.valid_parity[0] & (1 << (c.ix & 1)))) continue;
-        if (!(u.valid_parity[1] & (1 << (c.iy & 1)))) continue;
-        if (!(u.valid_parity[2] & (1 << (c.iz & 1)))) continue;
-      }
-      const std::int32_t sx = c.ix + u.o.dx, sy = c.iy + u.o.dy,
-                         sz = c.iz + u.o.dz;
-      if (sx < 0 || sx >= n || sy < 0 || sy >= n || sz < 0 || sz >= n)
-        continue;
-      const std::int32_t sa = act.dense_to_active[act.boxes[lo + i] + delta];
-      if (sa >= 0) g.add(far + static_cast<std::size_t>(sa) * k, lo + i);
-    }
-    g.apply(ctx.trans().t2[tree::offset_cube_index(u.o, d)],
-            ctx.ws.local[l].data());
-  }
-  g.report(stats);
-}
-
-// Supernode T2 over active TARGETS [lo, hi) of level l: per octant, each
-// entry of the precomputed gather plan takes the octant's targets whose
-// parent lies in the entry's rectangle (source in bounds) and whose source
-// is active.
-inline void supernode_chunk(ActiveContext& ctx, int l, std::size_t chunk,
-                            std::size_t lo, std::size_t hi,
-                            PhaseStats& stats) {
-  const std::size_t k = ctx.config.params.k();
-  const std::int64_t n = ctx.hier.boxes_per_side(l);
-  const std::int64_t np = ctx.hier.boxes_per_side(l - 1);
-  const tree::LevelActiveSet& act = ctx.act.levels[l];
-  const tree::LevelActiveSet& act_parent = ctx.act.levels[l - 1];
-  const SupernodeLevelPlan& plan = ctx.plan.supernode_plans[l];
-  const double* far = ctx.ws.far[l].data();
-  const double* far_parent = ctx.ws.far[l - 1].data();
-  ChunkGather g(ctx, chunk, l, lo, hi);
-  for (int o = 0; o < 8; ++o) {
-    for (const SupernodePlanEntry& pe : plan.per_octant[o]) {
-      const tree::BoxCoord off{pe.offset.dx, pe.offset.dy, pe.offset.dz};
-      const std::int64_t delta = flat_of(off, pe.parent_source ? np : n);
-      for (std::size_t j = g.octant_begin(o); j < g.octant_begin(o + 1);
-           ++j) {
-        const std::size_t i = g.order(j);
-        const tree::BoxCoord& c = g.coord(i);
-        const tree::BoxCoord p = tree::Hierarchy::parent_of(c);
-        if (p.ix < pe.lo[0] || p.ix >= pe.hi[0] || p.iy < pe.lo[1] ||
-            p.iy >= pe.hi[1] || p.iz < pe.lo[2] || p.iz >= pe.hi[2])
-          continue;
-        if (pe.parent_source) {
-          const std::int32_t sa =
-              act_parent.dense_to_active[flat_of(p, np) + delta];
-          if (sa >= 0)
-            g.add(far_parent + static_cast<std::size_t>(sa) * k, lo + i);
-        } else {
-          const std::int32_t sa =
-              act.dense_to_active[act.boxes[lo + i] + delta];
-          if (sa >= 0) g.add(far + static_cast<std::size_t>(sa) * k, lo + i);
-        }
-      }
-      g.apply(pe.matrix, ctx.ws.local[l].data());
-    }
-  }
-  g.report(stats);
+  GatherSink sink(ctx, chunk, lo, hi, ctx.ws.far, ctx.ws.local[l]);
+  interactive_body(ctx, l, chunk, lo, hi, sink);
+  sink.report(stats);
 }
 
 }  // namespace hfmm::core::internal

@@ -41,8 +41,11 @@ void Fmm2Config::validate() const {
         "Fmm2Config: truncation must satisfy 2M <= K-1 (rule exactness)");
   if (radius_ratio <= 0.0)
     throw std::invalid_argument("Fmm2Config: radius_ratio must be positive");
-  if (depth != -1 && depth < 2)
-    throw std::invalid_argument("Fmm2Config: explicit depth must be >= 2");
+  if (depth != -1 && (depth < 2 || depth > kMaxDepth2))
+    throw std::invalid_argument(
+        "Fmm2Config: explicit depth must be in [2, 15]");
+  if (!std::isfinite(particles_per_leaf))
+    throw std::invalid_argument("Fmm2Config: particles_per_leaf must be finite");
   if (separation < 1)
     throw std::invalid_argument("Fmm2Config: separation must be >= 1");
   if (supernodes && separation != 2)

@@ -143,12 +143,13 @@ std::vector<SupernodeEntry2> supernode_interactive2(int quadrant,
 }
 
 int optimal_depth2(std::size_t n_particles, double particles_per_leaf) {
-  if (particles_per_leaf <= 0.0)
+  if (!(particles_per_leaf > 0.0))
     throw std::invalid_argument("optimal_depth2: occupancy must be positive");
   int h = 0;
-  while ((static_cast<double>(n_particles) /
-          static_cast<double>(std::size_t{1} << (2 * (h + 1)))) >=
-         particles_per_leaf)
+  while (h < kMaxDepth2 &&
+         static_cast<double>(n_particles) /
+                 static_cast<double>(std::size_t{1} << (2 * (h + 1))) >=
+             particles_per_leaf)
     ++h;
   return h;
 }

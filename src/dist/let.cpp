@@ -31,18 +31,12 @@ LetBuilder::LetBuilder(const tree::ActiveLevels& act,
                      0);
 }
 
-void LetBuilder::need_far(int rank, int level, std::int32_t gai) {
+void LetBuilder::need_cell(MsgKind kind, int rank, int level,
+                           std::int32_t gai) {
   if (own_.at(level, gai) == rank) return;
   marks_[static_cast<std::size_t>(level)][mark_index(
       rank, act_.levels[static_cast<std::size_t>(level)].count(), gai)] |=
-      kFarBit;
-}
-
-void LetBuilder::need_local(int rank, int level, std::int32_t gai) {
-  if (own_.at(level, gai) == rank) return;
-  marks_[static_cast<std::size_t>(level)][mark_index(
-      rank, act_.levels[static_cast<std::size_t>(level)].count(), gai)] |=
-      kLocalBit;
+      kind == MsgKind::kFar ? kFarBit : kLocalBit;
 }
 
 void LetBuilder::need_bodies(int rank, std::int32_t gai) {

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <numbers>
 #include <set>
 
@@ -276,6 +277,31 @@ TEST(Solver2Test, ConfigValidation) {
   cfg.supernodes = true;
   cfg.separation = 1;
   EXPECT_THROW(FmmSolver2{cfg}, std::invalid_argument);
+  // Depth is capped so the 4^h leaf flats fit the uint32 leaf CSR; a NaN
+  // occupancy would otherwise fall through to depth 2.
+  for (const int depth : {kMaxDepth2 + 1, 40}) {
+    cfg = Fmm2Config{};
+    cfg.depth = depth;
+    EXPECT_THROW(cfg.validate(), std::invalid_argument) << depth;
+  }
+  cfg = Fmm2Config{};
+  cfg.depth = kMaxDepth2;
+  EXPECT_NO_THROW(cfg.validate());
+  for (const double occ : {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity()}) {
+    cfg = Fmm2Config{};
+    cfg.particles_per_leaf = occ;
+    EXPECT_THROW(FmmSolver2{cfg}, std::invalid_argument) << occ;
+  }
+}
+
+TEST(Tree2Test, OptimalDepthStopsAtTheCap) {
+  EXPECT_EQ(kMaxDepth2, 15);
+  EXPECT_EQ(optimal_depth2(1000000, 1e-6), kMaxDepth2);
+  EXPECT_EQ(optimal_depth2(1000000, 16.0), 7);
+  EXPECT_THROW(optimal_depth2(1000, std::numeric_limits<double>::quiet_NaN()),
+               std::invalid_argument);
+  EXPECT_THROW(optimal_depth2(1000, 0.0), std::invalid_argument);
 }
 
 TEST(Solver2Test, EmptyInput) {

@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstring>
 #include <numeric>
 #include <stdexcept>
@@ -140,8 +141,8 @@ TEST(LetTest, MarksCompileToMessagesWithExactByteModel) {
   tree::OwnershipLevels own;
   tree::build_ownership(hier, act, leaf_begin, own);
   dist::LetBuilder builder(act, own);
-  builder.need_far(0, 2, 0);  // own box: ignored
-  builder.need_far(0, 2, 1);  // remote far cell
+  builder.need_cell(dist::MsgKind::kFar, 0, 2, 0);  // own box: ignored
+  builder.need_cell(dist::MsgKind::kFar, 0, 2, 1);  // remote far cell
   builder.need_bodies(1, 0);  // remote bodies
   const std::vector<std::uint32_t> leaf_count{4, 3};
   const dist::LetGeometry geo{12, true, false};
@@ -185,15 +186,17 @@ core::FmmConfig reference_of(core::FmmConfig cfg) {
 void expect_bitwise_equal(const core::FmmResult& ref,
                           const core::FmmResult& got) {
   ASSERT_EQ(ref.phi.size(), got.phi.size());
-  if (!ref.phi.empty())
+  if (!ref.phi.empty()) {
     EXPECT_EQ(std::memcmp(ref.phi.data(), got.phi.data(),
                           ref.phi.size() * sizeof(double)),
               0);
+  }
   ASSERT_EQ(ref.grad.size(), got.grad.size());
-  if (!ref.grad.empty())
+  if (!ref.grad.empty()) {
     EXPECT_EQ(std::memcmp(ref.grad.data(), got.grad.data(),
                           ref.grad.size() * sizeof(Vec3)),
               0);
+  }
 }
 
 // Measured fabric traffic vs the LET plan's byte model: exact equality, and
@@ -302,6 +305,47 @@ TEST(DistSolveTest, VdwClusteredPeriodicMatchesReference) {
       make_uniform(1200, Box3{{0.02, 0.02, 0.02}, {0.45, 0.45, 0.45}}, 107));
   const core::FmmConfig cfg = vdw_base(true);
   for (const int r : {2, 4}) expect_dist_matches_reference(cfg, ps, r);
+}
+
+// The exchange volume on fixed inputs at R = 4. Measured == modeled alone
+// passes a requirement walk that over- or under-marks but stays
+// self-consistent, so the modeled bytes and every rank's incoming rows and
+// ghost bodies are pinned to the values the walk produces.
+struct PinnedExchange {
+  std::uint64_t modeled_bytes;
+  std::array<std::uint64_t, 4> let_cells, let_bodies;
+};
+
+void expect_exchange(core::FmmConfig cfg, const ParticleSet& ps,
+                     const PinnedExchange& want) {
+  cfg.mode = core::ExecutionMode::kDistributed;
+  cfg.dist_ranks = 4;
+  const core::FmmResult r = core::FmmSolver(cfg).solve(ps);
+  ASSERT_EQ(r.dist_ranks, 4);
+  ASSERT_EQ(r.dist.size(), 4u);
+  EXPECT_EQ(r.dist_modeled_bytes, want.modeled_bytes);
+  for (std::size_t i = 0; i < 4; ++i) {
+    EXPECT_EQ(r.dist[i].let_cells, want.let_cells[i]) << "rank " << i;
+    EXPECT_EQ(r.dist[i].let_bodies, want.let_bodies[i]) << "rank " << i;
+  }
+}
+
+TEST(DistSolveTest, ExchangeVolumeIsPinned) {
+  // Depths 4 and 3 so T1, T2 and T3 (far and local cells) all cross ranks.
+  core::FmmConfig supernodes;
+  supernodes.supernodes = true;
+  supernodes.depth = 4;
+  expect_exchange(supernodes, make_two_clusters(2400, Box3{}, 102),
+                  {302944, {161, 235, 215, 215}, {1710, 1747, 1721, 1811}});
+  core::FmmConfig plain;
+  plain.depth = 3;
+  expect_exchange(plain, make_uniform(2000, Box3{}, 101),
+                  {269216, {391, 449, 444, 406}, {569, 1097, 1106, 571}});
+  expect_exchange(
+      vdw_base(true),
+      typed_particles(make_uniform(
+          1200, Box3{{0.02, 0.02, 0.02}, {0.45, 0.45, 0.45}}, 107)),
+      {127980, {0, 0, 0, 0}, {820, 935, 929, 871}});
 }
 
 TEST(DistSolveTest, IncrementalSteppingStaysBitwise) {

@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <set>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -140,6 +141,47 @@ TEST(NearFieldTest, HalfOffsetsPartitionNeighbors) {
     }
     EXPECT_EQ(seen.size(), full.size() - 1);  // H u -H covers all, no self
   }
+}
+
+// The one neighbour walk the cost model, the distributed exchange plan and
+// the data-parallel comm counter share: self skipped, out-of-domain
+// neighbours clipped, or wrapped modulo the box count when periodic.
+TEST(NearFieldTest, ForEachNeighbourClipsWrapsAndSkipsSelf) {
+  const std::vector<Offset> offsets = near_field_offsets(2);
+  const auto walk = [&](BoxCoord c, std::int32_t n, bool periodic) {
+    std::vector<BoxCoord> out;
+    for_each_neighbour(c, n, offsets, periodic,
+                       [&](const BoxCoord& nb) { out.push_back(nb); });
+    return out;
+  };
+  // Interior box: all 124 neighbours, c + o in offset order, no self.
+  const std::vector<BoxCoord> interior = walk({3, 3, 3}, 8, false);
+  ASSERT_EQ(interior.size(), 124u);
+  EXPECT_EQ(interior.front(), (BoxCoord{1, 1, 1}));
+  EXPECT_EQ(interior.back(), (BoxCoord{5, 5, 5}));
+  EXPECT_EQ(std::count(interior.begin(), interior.end(), BoxCoord{3, 3, 3}),
+            0);
+  // Corner box, open domain: only offsets in [0, 2]^3 stay, minus self.
+  const std::vector<BoxCoord> clipped = walk({0, 0, 0}, 8, false);
+  EXPECT_EQ(clipped.size(), 26u);
+  for (const BoxCoord& b : clipped) {
+    EXPECT_TRUE(b.ix >= 0 && b.ix <= 2 && b.iy >= 0 && b.iy <= 2 &&
+                b.iz >= 0 && b.iz <= 2);
+    EXPECT_FALSE(b == (BoxCoord{0, 0, 0}));
+  }
+  // Corner box, periodic: every offset wraps onto a distinct box.
+  const std::vector<BoxCoord> wrapped = walk({0, 0, 0}, 8, true);
+  ASSERT_EQ(wrapped.size(), 124u);
+  EXPECT_EQ(wrapped.front(), (BoxCoord{6, 6, 6}));
+  EXPECT_EQ(wrapped.back(), (BoxCoord{2, 2, 2}));
+  std::set<std::tuple<int, int, int>> distinct;
+  for (const BoxCoord& b : wrapped) {
+    EXPECT_TRUE(b.ix >= 0 && b.ix < 8 && b.iy >= 0 && b.iy < 8 &&
+                b.iz >= 0 && b.iz < 8);
+    distinct.insert({b.ix, b.iy, b.iz});
+  }
+  EXPECT_EQ(distinct.size(), 124u);
+  EXPECT_EQ(distinct.count({0, 0, 0}), 0u);
 }
 
 TEST(NearFieldTest, SixtyTwoBoxInteractionsForD2) {

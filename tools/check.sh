@@ -27,33 +27,34 @@ run_suite() {
   local build_dir="$1"; shift
   cmake -B "$build_dir" -S . "$@" >/dev/null
   cmake --build "$build_dir" -j "$jobs"
+  # The full suite holds the short-range kernel (DESIGN.md §16), solver
+  # service (§17) and distributed executor (§18) suites and the clustered
+  # warm-solve fixture (reuse_test_clustered); each runs here once.
   ctest --test-dir "$build_dir" --output-on-failure -j "$jobs"
-  # Short-range kernel suite (DESIGN.md §16): the vdW P2P backends, the
-  # far-chain suppression and the periodic minimum-image wrap.
-  echo "== van der Waals kernel suite =="
-  ctest --test-dir "$build_dir" --output-on-failure \
-    -R 'Vdw|vdw_test'
-  # Solver-service suite (DESIGN.md §17): plan cache, batch scheduler and
-  # the C facade on their own row.
-  echo "== solver service suite =="
-  run_service_tests "$build_dir"
-  # Distributed executor suite (DESIGN.md §18): partition, LET exchange,
-  # owner-computes graphs and the bitwise R-rank equivalence on their own
-  # row.
-  echo "== distributed executor suite =="
-  run_dist_tests "$build_dir"
-  # Clustered bench smoke (plain tree only — sanitizer trees build no
-  # bench): every Plummer row must leave boxes inactive (active-box count
-  # below the box count of levels 0..depth), and the artifacts must carry
-  # pair counts and non-empty occupancy for every config.
+  # Bench smokes (plain tree only — sanitizer trees build no bench).
   if [[ -x "$build_dir/bench/bench_scaling" ]]; then
-    echo "== clustered bench smoke =="
-    "$build_dir/bench/bench_scaling" --nmax=32000 --ndp=8000 \
-      --dist=plummer --json="$build_dir/smoke_scaling.json" >/dev/null
-    grep -q '"near_pairs"' "$build_dir/smoke_scaling.json"
-    "$build_dir/bench/bench_breakdown" --n=20000 --dist=plummer \
-      --json="$build_dir/smoke_breakdown.json" >/dev/null
-    python3 - "$build_dir" << 'EOF'
+    clustered_bench_smoke "$build_dir"
+    vdw_bench_smoke "$build_dir"
+    service_bench_smoke "$build_dir"
+    dist_bench_smoke "$build_dir"
+  fi
+}
+
+# Clustered bench smoke: every Plummer row must leave boxes inactive
+# (active-box count below the box count of levels 0..depth), and every
+# breakdown config must carry pair counts, non-empty occupancy and a
+# non-empty near phase. The same breakdown run holds the vdW rows, whose
+# far phases must be empty DAG nodes (DESIGN.md §16).
+clustered_bench_smoke() {
+  local build_dir="$1"
+  echo "== clustered bench smoke =="
+  "$build_dir/bench/bench_scaling" --nmax=32000 --ndp=8000 \
+    --dist=plummer --json="$build_dir/smoke_scaling.json" >/dev/null
+  grep -q '"near_pairs"' "$build_dir/smoke_scaling.json"
+  "$build_dir/bench/bench_breakdown" --n=20000 --dist=plummer \
+    --json="$build_dir/smoke_breakdown.json" >/dev/null
+  grep -q '"pairs"' "$build_dir/smoke_breakdown.json"
+  python3 - "$build_dir" << 'EOF'
 import json, sys
 def all_boxes(depth):
     return sum(8 ** l for l in range(depth + 1))
@@ -62,24 +63,35 @@ for row in json.load(open(f"{build}/smoke_scaling.json"))["n_sweep"]:
     assert row["active_boxes"] < all_boxes(row["depth"]), row["n"]
 configs = json.load(open(f"{build}/smoke_breakdown.json"))["configs"]
 labels = {c["label"] for c in configs}
-for label in ("plummer_d4_sparse", "plummer_d5_sparse", "plummer_sparse_auto"):
+for label in ("plummer_d4_sparse", "plummer_d5_sparse", "plummer_sparse_auto",
+              "kernel_vdw"):
     assert label in labels, label
 for c in configs:
+    assert c["occupancy"], f"empty occupancy for {c['label']}"
+    near = [p for p in c["phases"] if p["phase"] == "near"][0]
+    assert near["boxes_total"] > 0, f"zero near boxes for {c['label']}"
     if c["dist"] == "plummer":
         assert c["active_boxes"] < all_boxes(c["depth"]), c["label"]
+    if c["kernel"] == "vdw":
+        far = [p for p in c["phases"] if p["phase"] in
+               ("p2m", "upward", "interactive", "downward", "l2p")]
+        assert len(far) == 5, f"missing far phases for {c['label']}"
+        for p in far:
+            assert p["boxes_active"] == 0 and p["pairs"] == 0, \
+                f"non-empty far phase {p['phase']} for {c['label']}"
+        assert near["pairs"] > 0, f"zero near pairs for {c['label']}"
 EOF
-    grep -q '"pairs"' "$build_dir/smoke_breakdown.json"
-    ! grep -q '"occupancy": \[\]' "$build_dir/smoke_breakdown.json"
-    # vdW bench smoke: --kernel retargets the sweep at the short-range
-    # kernel and every row records it.
-    echo "== vdW bench smoke =="
-    "$build_dir/bench/bench_scaling" --nmax=16000 --ndp=4000 --kernel=vdw \
-      --json="$build_dir/smoke_vdw.json" >/dev/null
-    grep -q '"kernel": "vdw"' "$build_dir/smoke_vdw.json"
-    grep -q '"near_pairs"' "$build_dir/smoke_vdw.json"
-    service_bench_smoke "$build_dir"
-    dist_bench_smoke "$build_dir"
-  fi
+}
+
+# vdW bench smoke: --kernel retargets the sweep at the short-range kernel
+# and every row records it.
+vdw_bench_smoke() {
+  local build_dir="$1"
+  echo "== vdW bench smoke =="
+  "$build_dir/bench/bench_scaling" --nmax=16000 --ndp=4000 --kernel=vdw \
+    --json="$build_dir/smoke_vdw.json" >/dev/null
+  grep -q '"kernel": "vdw"' "$build_dir/smoke_vdw.json"
+  grep -q '"near_pairs"' "$build_dir/smoke_vdw.json"
 }
 
 run_service_tests() {
@@ -97,8 +109,9 @@ run_dist_tests() {
 # bench_distributed gates the distributed executor's contract — R-rank
 # results bitwise-equal the single-rank reference, measured fabric bytes
 # equal the LET byte model exactly, and the DP simulator's off-VU traffic
-# brackets the exchange volume — with a non-zero exit; the greps pin the
-# JSON artifact shape CI consumes.
+# brackets the exchange volume — with a non-zero exit; the checks below
+# restate the first two per run, require the owned bodies to tile the
+# input, and pin the JSON artifact shape CI uploads.
 dist_bench_smoke() {
   local build_dir="$1"
   if [[ -x "$build_dir/bench/bench_distributed" ]]; then
@@ -107,13 +120,23 @@ dist_bench_smoke() {
       --json="$build_dir/smoke_distributed.json" >/dev/null
     grep -q '"bench": "bench_distributed"' "$build_dir/smoke_distributed.json"
     grep -q '"gates_passed": true' "$build_dir/smoke_distributed.json"
-    grep -q '"per_rank"' "$build_dir/smoke_distributed.json"
+    python3 - "$build_dir" << 'EOF'
+import json, sys
+d = json.load(open(f"{sys.argv[1]}/smoke_distributed.json"))
+for run in d["runs"]:
+    assert run["bitwise"], f"R={run['ranks']} not bitwise"
+    assert run["measured_bytes"] == run["modeled_bytes"], \
+        f"R={run['ranks']} fabric bytes diverge from the LET model"
+    assert run["per_rank"], f"R={run['ranks']} has no per-rank rows"
+    assert sum(r["owned_bodies"] for r in run["per_rank"]) == d["n"]
+EOF
   fi
 }
 
 # bench_service --smoke gates the warm-path contract (cached plans, zero
 # workspace growth, one plan build per workload) with a non-zero exit; the
-# greps pin the JSON artifact shape CI consumes.
+# checks below require plan builds shared across tenants, a reused pooled
+# client and ordered latencies, and pin the JSON artifact shape CI uploads.
 service_bench_smoke() {
   local build_dir="$1"
   if [[ -x "$build_dir/bench/bench_service" ]]; then
@@ -122,6 +145,16 @@ service_bench_smoke() {
       --json="$build_dir/smoke_service.json" >/dev/null
     grep -q '"bench": "bench_service"' "$build_dir/smoke_service.json"
     grep -q '"warm_zero_alloc": true' "$build_dir/smoke_service.json"
+    python3 - "$build_dir" << 'EOF'
+import json, sys
+d = json.load(open(f"{sys.argv[1]}/smoke_service.json"))
+svc = d["service"]
+assert svc["plan_misses"] <= len(d["scenarios"]), \
+    "plan cache failed to share builds across tenants"
+assert svc["clients_reused"] > 0, "client pool never reused a solver"
+for s in d["scenarios"]:
+    assert s["p50_ms"] > 0 and s["p95_ms"] >= s["p50_ms"]
+EOF
   fi
 }
 
