@@ -44,7 +44,8 @@ int main(void) {
   if (check(hfmm_context_create(&ctx), "context create")) return 1;
 
   /* One workload: order-5 Laplace with gradients, automatic everything.
-   * The plan is resolved and pinned here — every solve below is warm. */
+   * The plan is built into the context's cache here, so every solve below
+   * finds it. */
   hfmm_config cfg;
   hfmm_config_init(&cfg);
   cfg.with_gradient = 1;
@@ -85,7 +86,7 @@ int main(void) {
 
   int failures = 0;
   for (int b = 0; b < BATCH; ++b) {
-    /* The plan was pinned at creation: even first solves are warm. */
+    /* The plan was cached at creation: even first solves are warm. */
     if (!infos[b].plan_reused) {
       fprintf(stderr, "service_client: request %d rebuilt its plan\n", b);
       ++failures;

@@ -53,12 +53,6 @@ TranslationMatrix build_outer_to_points(const Params& params, double a_src,
                                         double a_dst,
                                         const Vec3& dst_center_minus_src);
 
-/// Same with the inner kernel (source is an inner approximation). Used for
-/// T3 (parent inner evaluated at child inner points).
-TranslationMatrix build_inner_to_points(const Params& params, double a_src,
-                                        double a_dst,
-                                        const Vec3& dst_center_minus_src);
-
 /// Where one translation's spheres sit, in units of the TARGET box side (=
 /// child side for T1/T3): the source approximation's kind and radius, the
 /// destination radius, and the destination centre minus the source centre.
@@ -114,14 +108,6 @@ class TranslationSet {
   const TranslationMatrix& t2(const tree::Offset& offset) const {
     return t2_[tree::offset_cube_index(offset, separation_)];
   }
-  /// Supernode T2 for entry `idx` of supernode_list(octant).
-  const TranslationMatrix& supernode_t2(int octant, std::size_t idx) const {
-    return supernode_[octant][idx];
-  }
-  const std::vector<tree::SupernodeEntry>& supernode_list(int octant) const {
-    return supernode_entries_[octant];
-  }
-
   std::size_t t2_count() const { return t2_.size(); }
 
   /// Total resident bytes of all matrices (the paper's memory discussion:
@@ -139,7 +125,6 @@ class TranslationSet {
   std::vector<TranslationMatrix> t1_;
   std::vector<TranslationMatrix> t3_;
   std::vector<TranslationMatrix> t2_;
-  std::vector<std::vector<tree::SupernodeEntry>> supernode_entries_;
   std::vector<std::vector<TranslationMatrix>> supernode_;
 };
 

@@ -39,7 +39,6 @@ class BarnesHut {
   /// Potential at an arbitrary point (includes all particles).
   double potential_at(const Vec3& x) const;
 
-  std::size_t node_count() const { return nodes_.size(); }
   int max_depth_reached() const { return max_depth_; }
 
  private:

@@ -52,6 +52,11 @@ void coordinate_sort(const ParticleSet& particles, const tree::Hierarchy& hier,
                      const BlockLayout& layout, BoxedParticles& out,
                      SortScratch* scratch = nullptr);
 
+/// Writes the non-empty leaf boxes of `boxed` (flat indices, in sort-rank
+/// order) to `out`, reusing its capacity.
+void occupied_leaves(const BoxedParticles& boxed,
+                     std::vector<std::uint32_t>& out);
+
 /// A plain Morton-order grouping (no VU/local bit split) — the "naive sort"
 /// baseline for the Figure 5 locality experiment.
 BoxedParticles morton_sort(const ParticleSet& particles,

@@ -10,10 +10,9 @@
  *                   pooled client solvers. Thread-compatible: distinct
  *                   contexts may be used from distinct threads freely;
  *                   calls on ONE context must be externally serialized.
- *   hfmm_plan     — one workload configuration admitted to a context, with
- *                   its solve plan resolved and pinned (a warm solve
- *                   performs no plan construction even if the LRU evicts
- *                   the entry). Create once, solve many times.
+ *   hfmm_plan     — one workload configuration admitted to a context, its
+ *                   solve plan built into the context's plan cache.
+ *                   Create once, solve many times.
  *
  * Errors are status codes (no exceptions cross this boundary); every
  * out-parameter is untouched on failure. Structs carrying fields start
@@ -140,9 +139,11 @@ hfmm_status hfmm_context_create_ex(size_t plan_cache_capacity,
                                    hfmm_context** out);
 void hfmm_context_destroy(hfmm_context* context);
 
-/* Admits `config` to the context and resolves (and pins) the solve plan
- * for ~n_hint particles. Plans with equal configuration share cache
- * entries, so creating N plans of one workload costs one build. */
+/* Admits `config` to the context and builds the solve plan for ~n_hint
+ * particles into the context's plan cache (0 skips the warm-up). Plans
+ * with equal configuration share cache entries, so creating N plans of
+ * one workload costs one build; an evicted plan is rebuilt by the next
+ * solve that needs it. */
 hfmm_status hfmm_plan_create(hfmm_context* context, const hfmm_config* config,
                              size_t n_hint, hfmm_plan** out);
 void hfmm_plan_destroy(hfmm_plan* plan);

@@ -33,7 +33,6 @@ class Hierarchy {
 
   int depth() const { return depth_; }
   const Box3& root() const { return root_; }
-  double root_side() const { return side_; }
 
   /// Number of boxes along each axis at `level`: 2^level.
   std::int32_t boxes_per_side(int level) const { return 1 << level; }

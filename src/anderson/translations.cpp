@@ -30,12 +30,6 @@ TranslationMatrix build_outer_to_points(const Params& params, double a_src,
   return build(params, {true, a_src, a_dst, dst_center_minus_src});
 }
 
-TranslationMatrix build_inner_to_points(const Params& params, double a_src,
-                                        double a_dst,
-                                        const Vec3& dst_center_minus_src) {
-  return build(params, {false, a_src, a_dst, dst_center_minus_src});
-}
-
 // Child outer (radius a_child_out, centred at the octant offset from the
 // parent centre) -> parent outer points (radius 2 a_child_out at origin).
 TranslationGeometry t1_geometry(const Params& params, int octant) {
@@ -122,21 +116,14 @@ TranslationSet::TranslationSet(const Params& params, int separation,
         t2_[idx] = build(params_, t2_geometry(params_, off));
       }
 
-  // Supernode T2: parent-level source outer sphere -> target child inner.
-  supernode_entries_.resize(8);
+  // Supernode T2: parent-level source outer sphere -> target child inner
+  // (same-level entries use the plain T2 above).
   supernode_.resize(8);
-  for (int o = 0; o < 8; ++o) {
-    supernode_entries_[o] = tree::supernode_interactive(o, separation);
-    if (!with_supernodes) continue;
-    for (const auto& entry : supernode_entries_[o]) {
-      if (entry.source_level_up == 0) {
-        supernode_[o].emplace_back();  // placeholder; plain t2() is used
-        continue;
-      }
-      supernode_[o].push_back(
-          build(params_, supernode_geometry(params_, o, entry.offset)));
-    }
-  }
+  for (int o = 0; o < 8 && with_supernodes; ++o)
+    for (const auto& entry : tree::supernode_interactive(o, separation))
+      if (entry.source_level_up == 1)
+        supernode_[o].push_back(
+            build(params_, supernode_geometry(params_, o, entry.offset)));
 }
 
 std::size_t TranslationSet::resident_bytes() const {

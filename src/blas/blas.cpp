@@ -1,6 +1,7 @@
 #include "hfmm/blas/blas.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <cstring>
 #include <vector>
 
@@ -9,12 +10,15 @@
 
 namespace hfmm::blas {
 
+// Each product is one std::fma (one vfmadd under -march=native), as in
+// pkern's kick/drift, so the bits do not depend on how the optimizer
+// contracts the loops.
 void gemv(const double* a, std::size_t lda, const double* x, double* y,
           std::size_t m, std::size_t n, bool accumulate) {
   for (std::size_t i = 0; i < m; ++i) {
     const double* __restrict__ row = a + i * lda;
     double acc = accumulate ? y[i] : 0.0;
-    for (std::size_t j = 0; j < n; ++j) acc += row[j] * x[j];
+    for (std::size_t j = 0; j < n; ++j) acc = std::fma(row[j], x[j], acc);
     y[i] = acc;
   }
 }
@@ -26,7 +30,7 @@ void vecmat(const double* x, const double* b, std::size_t ldb, double* y,
   for (std::size_t i = 0; i < k; ++i) {
     const double xi = x[i];
     const double* __restrict__ row = b + i * ldb;
-    for (std::size_t j = 0; j < n; ++j) out[j] += xi * row[j];
+    for (std::size_t j = 0; j < n; ++j) out[j] = std::fma(xi, row[j], out[j]);
   }
 }
 

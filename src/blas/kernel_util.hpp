@@ -1,7 +1,7 @@
 #pragma once
 // Internal machinery shared by the kernel backends: aligned thread-local
-// packing scratch, B panel packing, edge handling, and the blocked gemm /
-// gemm_batch drivers templated on the 4x8 micro-kernel. Not installed.
+// packing scratch, B panel packing, and the blocked gemm / gemm_batch
+// drivers templated on the 4x8 micro-kernel. Not installed.
 
 #include <cstddef>
 #include <cstdlib>
@@ -54,62 +54,51 @@ inline void pack_b_panels(const double* b, std::size_t ldb, std::size_t k,
   }
 }
 
-/// Edge fallback for partial tiles (mr < kMR or nr < kNR): scalar loop over
-/// the packed panel. O(m + n) of the work, so speed is irrelevant here.
-inline void gemm_edge(const double* a, std::size_t lda, const double* bp,
-                      double* c, std::size_t ldc, std::size_t mr,
-                      std::size_t nr, std::size_t k, bool accumulate) {
-  for (std::size_t i = 0; i < mr; ++i) {
-    const double* arow = a + i * lda;
-    double acc[kNR] = {0, 0, 0, 0, 0, 0, 0, 0};
-    for (std::size_t p = 0; p < k; ++p) {
-      const double v = arow[p];
-      const double* brow = bp + p * kNR;
-      for (std::size_t j = 0; j < kNR; ++j) acc[j] += v * brow[j];
-    }
-    double* crow = c + i * ldc;
-    if (accumulate)
-      for (std::size_t j = 0; j < nr; ++j) crow[j] += acc[j];
-    else
-      for (std::size_t j = 0; j < nr; ++j) crow[j] = acc[j];
-  }
-}
-
 /// Blocked multiply over an already-packed B. `Micro::run` computes one full
 /// kMR x kNR tile of C with accumulators held in registers for the whole k
-/// loop. Partial-width tiles still run the full micro-kernel (the panel is
-/// zero-padded) into an aligned staging tile, merged column-wise after; only
-/// the < kMR row tail drops to the scalar edge loop.
+/// loop. Every row of C takes that one code path, so a row's bits do not
+/// depend on how many rows share the call: partial tiles run the full
+/// micro-kernel into an aligned staging tile, over the panel's zero padding
+/// for a partial width and over `a_tail` (kMR x k scratch holding the
+/// < kMR row tail, zero-padded) for the last rows, and merge what is real.
 template <class Micro>
 void gemm_packed(const double* a, std::size_t lda, const double* bp,
                  double* c, std::size_t ldc, std::size_t m, std::size_t n,
-                 std::size_t k, bool accumulate) {
+                 std::size_t k, bool accumulate, double* a_tail) {
+  const std::size_t m_full = m - m % kMR;
+  if (m_full < m) {
+    std::memset(a_tail, 0, kMR * k * sizeof(double));
+    for (std::size_t r = 0; r < m - m_full; ++r)
+      std::memcpy(a_tail + r * k, a + (m_full + r) * lda, k * sizeof(double));
+  }
   for (std::size_t jp = 0; jp < n; jp += kNR) {
     const std::size_t nr = (n - jp < kNR) ? (n - jp) : kNR;
     const double* panel = bp + jp * k;
-    std::size_t i = 0;
-    if (nr == kNR) {
-      for (; i + kMR <= m; i += kMR)
-        Micro::run(a + i * lda, lda, panel, c + i * ldc + jp, ldc, k,
-                   accumulate);
-    } else {
+    for (std::size_t i = 0; i < m; i += kMR) {
+      const std::size_t mr = (m - i < kMR) ? (m - i) : kMR;
+      const double* ai = mr == kMR ? a + i * lda : a_tail;
+      const std::size_t la = mr == kMR ? lda : k;
+      if (mr == kMR && nr == kNR) {
+        Micro::run(ai, la, panel, c + i * ldc + jp, ldc, k, accumulate);
+        continue;
+      }
       alignas(64) double tile[kMR * kNR];
-      for (; i + kMR <= m; i += kMR) {
-        Micro::run(a + i * lda, lda, panel, tile, kNR, k, false);
-        for (std::size_t r = 0; r < kMR; ++r) {
-          double* crow = c + (i + r) * ldc + jp;
-          const double* trow = tile + r * kNR;
-          if (accumulate)
-            for (std::size_t j = 0; j < nr; ++j) crow[j] += trow[j];
-          else
-            for (std::size_t j = 0; j < nr; ++j) crow[j] = trow[j];
-        }
+      Micro::run(ai, la, panel, tile, kNR, k, false);
+      for (std::size_t r = 0; r < mr; ++r) {
+        double* crow = c + (i + r) * ldc + jp;
+        const double* trow = tile + r * kNR;
+        if (accumulate)
+          for (std::size_t j = 0; j < nr; ++j) crow[j] += trow[j];
+        else
+          for (std::size_t j = 0; j < nr; ++j) crow[j] = trow[j];
       }
     }
-    if (i < m)
-      gemm_edge(a + i * lda, lda, panel, c + i * ldc + jp, ldc, m - i, nr, k,
-                accumulate);
   }
+}
+
+/// Packing scratch of one call: B's panels, then the kMR x k row tail.
+inline double* gemm_scratch(std::size_t n, std::size_t k) {
+  return packed_scratch((padded_n(n) + kMR) * (k > 0 ? k : 1));
 }
 
 template <class Micro>
@@ -117,9 +106,10 @@ void gemm_driver(const double* a, std::size_t lda, const double* b,
                  std::size_t ldb, double* c, std::size_t ldc, std::size_t m,
                  std::size_t n, std::size_t k, bool accumulate) {
   if (m == 0 || n == 0) return;
-  double* bp = packed_scratch(padded_n(n) * (k > 0 ? k : 1));
+  double* bp = gemm_scratch(n, k);
   pack_b_panels(b, ldb, k, n, bp);
-  gemm_packed<Micro>(a, lda, bp, c, ldc, m, n, k, accumulate);
+  gemm_packed<Micro>(a, lda, bp, c, ldc, m, n, k, accumulate,
+                     bp + padded_n(n) * k);
 }
 
 /// Multiple-instance driver: when every instance shares one B (stride_b ==
@@ -133,11 +123,11 @@ void gemm_batch_driver(const double* a, std::size_t lda, std::size_t stride_a,
                        std::size_t count, bool accumulate) {
   if (m == 0 || n == 0 || count == 0) return;
   if (stride_b == 0) {
-    double* bp = packed_scratch(padded_n(n) * (k > 0 ? k : 1));
+    double* bp = gemm_scratch(n, k);
     pack_b_panels(b, ldb, k, n, bp);
     for (std::size_t inst = 0; inst < count; ++inst)
       gemm_packed<Micro>(a + inst * stride_a, lda, bp, c + inst * stride_c,
-                         ldc, m, n, k, accumulate);
+                         ldc, m, n, k, accumulate, bp + padded_n(n) * k);
   } else {
     for (std::size_t inst = 0; inst < count; ++inst)
       gemm_driver<Micro>(a + inst * stride_a, lda, b + inst * stride_b, ldb,

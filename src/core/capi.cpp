@@ -14,7 +14,6 @@
 
 #include "hfmm/anderson/params.hpp"
 #include "hfmm/service/service.hpp"
-#include "solver_internal.hpp"
 
 struct hfmm_context {
   hfmm::service::SolverService service;
@@ -24,10 +23,6 @@ struct hfmm_context {
 
 struct hfmm_plan {
   hfmm::core::FmmConfig config;
-  // Pinned lease on the resolved plan: the LRU may evict the cache entry,
-  // but this reference keeps warm solves plan-construction free for the
-  // plan handle's whole lifetime.
-  std::shared_ptr<const hfmm::core::internal::FmmPlan> lease;
 };
 
 namespace {
@@ -185,10 +180,11 @@ hfmm_status hfmm_plan_create(hfmm_context* context, const hfmm_config* config,
     const hfmm_status st = translate_config(*config, plan->config);
     if (st != HFMM_OK) return st;
     plan->config.validate();  // throws invalid_argument on a bad config
-    // Pin the solve plan at the depth the hint selects, so the pinned
-    // entry is the one solves will hit.
+    // Warm the shared cache with the solve plan at the depth the hint
+    // selects, so the first solve of that size finds it. The cache may
+    // evict it again like any other entry.
     if (n_hint > 0)
-      plan->lease = context->service.plan_cache()->plan(
+      context->service.plan_cache()->plan(
           plan->config, hfmm::core::depth_for(plan->config, n_hint));
     *out = plan.release();
     return HFMM_OK;

@@ -4,6 +4,7 @@
 #include <vector>
 
 #include "hfmm/baseline/direct.hpp"
+#include "hfmm/exec/graph.hpp"
 #include "hfmm/pkern/kernels.hpp"
 #include "hfmm/tree/interaction_lists.hpp"
 
@@ -12,7 +13,6 @@ namespace hfmm::core {
 namespace {
 
 using Run = NearFieldScratch::Run;
-using Row = NearFieldScratch::Row;
 
 struct BoxRange {
   std::uint32_t begin = 0, end = 0;
@@ -37,53 +37,27 @@ std::uint64_t vdw_pair_flops(bool with_gradient) {
   return with_gradient ? 34 : 24;
 }
 
-// Groups an interaction list into x-rows: consecutive offsets with the same
-// (dy, dz) and dx one apart share a row. The self offset is left out (a box
-// against itself is its own call), which splits the full list's (0, 0) row
-// in two. Both standard lists are z-major with dx fastest, so each (dy, dz)
-// becomes one row; any other order only yields shorter rows.
-void group_rows(std::span<const tree::Offset> offsets,
-                std::vector<Row>& rows) {
-  rows.clear();
-  for (const tree::Offset& o : offsets) {
-    if (o == tree::Offset{0, 0, 0}) continue;
-    if (!rows.empty()) {
-      Row& r = rows.back();
-      if (r.dy == o.dy && r.dz == o.dz && r.dx_hi + 1 == o.dx) {
-        r.dx_hi = o.dx;
-        continue;
-      }
-    }
-    rows.push_back({o.dx, o.dx, o.dy, o.dz});
-  }
-}
-
 // Plans a chunk's pkern calls into ch.runs and sets [ch.lo, ch.hi) to the
-// particle span they write; returns the per-box-pair counts. The `count`
-// target boxes come from `flat_of(i)` — a contiguous range in the box-range
-// form, an active-box list slice in the list form. Per nonempty target
-// box: the box against itself, then per x-row one run for each stretch of
-// boxes whose sorted particle ranges abut. The z|y|x coordinate-sort key
-// puts x-neighbours side by side, so a full row is usually one run; a run
-// breaks where ranges do not abut (multi-VU DP keys, the periodic seam)
-// and before it would pass kRunCap.
+// particle span they write; returns the per-box-pair counts. Per nonempty
+// target box: the box against itself, then its neighbours in list order
+// (tree::for_each_neighbour). With the symmetric list, a neighbour extends
+// the open source run when it lies in the same x-row and its sorted range
+// abuts the run. The z|y|x coordinate-sort key puts x-neighbours side by
+// side, so a full row is usually one run; a run breaks where ranges do not
+// abut (multi-VU DP keys, the periodic seam) and before it would pass
+// kRunCap.
 //
 // Only the symmetric list merges. The plain list keeps one call per box,
 // so a particle's sum does not depend on where its neighbours sit in
 // memory: the distributed executor (plain list, owned boxes then ghosts)
 // then reproduces the single-rank solve bit for bit.
-template <typename FlatOf>
 NearFieldResult plan_runs(const tree::Hierarchy& hier,
                           const dp::BoxedParticles& boxed,
                           std::span<const tree::Offset> offsets,
                           bool symmetric, bool periodic,
-                          NearFieldScratch::Chunk& ch, std::size_t count,
-                          FlatOf flat_of) {
+                          NearFieldScratch::Chunk& ch,
+                          std::span<const std::uint32_t> boxes) {
   const int h = hier.depth();
-  const std::int32_t n = hier.boxes_per_side(h);
-  const auto wrap = [n](std::int32_t v) { return (v + n) % n; };
-
-  group_rows(offsets, ch.rows);
   ch.runs.clear();
   std::size_t lo = boxed.sorted.size(), hi = 0;
   const auto emit = [&](const Run& r) {
@@ -93,8 +67,7 @@ NearFieldResult plan_runs(const tree::Hierarchy& hier,
   };
 
   NearFieldResult res;
-  for (std::size_t bi = 0; bi < count; ++bi) {
-    const std::size_t f = flat_of(bi);
+  for (const std::uint32_t f : boxes) {
     const BoxRange tr = range_of(boxed, f);
     const std::uint64_t t = tr.count();
     if (t == 0) continue;
@@ -103,37 +76,27 @@ NearFieldResult plan_runs(const tree::Hierarchy& hier,
       res.pair_interactions += t * (t - 1);
       ++res.box_interactions;
     }
-    const tree::BoxCoord c = hier.coord_of(h, f);
-    for (const Row& row : ch.rows) {
-      tree::BoxCoord nb{0, c.iy + row.dy, c.iz + row.dz};
-      std::int32_t x0 = c.ix + row.dx_lo, x1 = c.ix + row.dx_hi;
-      if (periodic) {
-        nb.iy = wrap(nb.iy);
-        nb.iz = wrap(nb.iz);
-      } else {
-        if (nb.iy < 0 || nb.iy >= n || nb.iz < 0 || nb.iz >= n) continue;
-        x0 = std::max(x0, 0);
-        x1 = std::min(x1, n - 1);
-      }
-      Run run{tr.begin, tr.end, 0, 0};
-      for (std::int32_t x = x0; x <= x1; ++x) {
-        nb.ix = periodic ? wrap(x) : x;
-        const BoxRange sr = range_of(boxed, hier.flat_index(h, nb));
-        if (sr.count() == 0) continue;
-        res.pair_interactions += t * sr.count();
-        ++res.box_interactions;
-        const bool open = run.se > run.sb;
-        if (open && symmetric && sr.begin == run.se &&
-            run.se - run.sb + sr.count() <= kRunCap) {
+    Run run{tr.begin, tr.end, 0, 0};
+    tree::BoxCoord row{};  // a neighbour in the open run's x-row
+    tree::for_each_neighbour(
+        hier.coord_of(h, f), hier.boxes_per_side(h), offsets, periodic,
+        [&](const tree::BoxCoord& nb) {
+          const BoxRange sr = range_of(boxed, hier.flat_index(h, nb));
+          if (sr.count() == 0) return;
+          res.pair_interactions += t * sr.count();
+          ++res.box_interactions;
+          const bool open = run.se > run.sb;
+          if (open && symmetric && nb.iy == row.iy && nb.iz == row.iz &&
+              sr.begin == run.se && run.se - run.sb + sr.count() <= kRunCap) {
+            run.se = sr.end;
+            return;
+          }
+          if (open) emit(run);
+          run.sb = sr.begin;
           run.se = sr.end;
-          continue;
-        }
-        if (open) emit(run);
-        run.sb = sr.begin;
-        run.se = sr.end;
-      }
-      if (run.se > run.sb) emit(run);
-    }
+          row = nb;
+        });
+    if (run.se > run.sb) emit(run);
   }
   ch.lo = ch.runs.empty() ? 0 : lo;
   ch.hi = ch.runs.empty() ? 0 : hi;
@@ -223,46 +186,24 @@ void execute_runs(const dp::BoxedParticles& boxed, bool symmetric,
   }
 }
 
-// Shared chunk body of both near_field_chunk forms: plan, then execute.
-template <typename FlatOf>
-NearFieldResult evaluate_boxes(const tree::Hierarchy& hier,
-                               const dp::BoxedParticles& boxed,
-                               std::span<const tree::Offset> offsets,
-                               bool symmetric, bool with_gradient,
-                               NearFieldScratch::Chunk& ch,
-                               const NearKernel& kern, std::size_t count,
-                               FlatOf flat_of) {
-  const bool vdw = kern.type == KernelType::kVanDerWaals;
-  // Periodic vdW: neighbour offsets wrap around the grid instead of
-  // falling off it (the pair kernel wraps the displacements to match).
-  // KernelSpec::validate + the solver's depth policy guarantee n >= 8, so
-  // the +/-2 offsets stay distinct after the wrap.
-  const bool periodic = vdw && kern.vdw.period > 0.0;
-  NearFieldResult res = plan_runs(hier, boxed, offsets, symmetric, periodic,
-                                  ch, count, flat_of);
-  execute_runs(boxed, symmetric, with_gradient, kern, ch);
-
-  // Flop count is analytic (pairs x per-pair cost), not measured.
-  const std::uint64_t per_pair =
-      (vdw ? vdw_pair_flops(with_gradient)
-           : baseline::direct_pair_flops(with_gradient)) +
-      (symmetric ? 4 : 0);
-  res.flops = res.pair_interactions * per_pair;
-  return res;
-}
-
 }  // namespace
 
-NearFieldResult near_field_chunk(const tree::Hierarchy& hier,
-                                 const dp::BoxedParticles& boxed,
-                                 std::span<const tree::Offset> offsets,
-                                 bool symmetric, bool with_gradient,
-                                 NearFieldScratch::Chunk& ch,
-                                 std::size_t box_lo, std::size_t box_hi,
-                                 const NearKernel& kern) {
-  return evaluate_boxes(hier, boxed, offsets, symmetric, with_gradient, ch,
-                        kern, box_hi - box_lo,
-                        [box_lo](std::size_t i) { return box_lo + i; });
+void near_field_costs(const tree::Hierarchy& hier,
+                      const dp::BoxedParticles& boxed,
+                      std::span<const tree::Offset> offsets,
+                      std::span<const std::uint32_t> boxes,
+                      const NearKernel& kern, std::span<std::uint64_t> cost) {
+  const int h = hier.depth();
+  for (std::size_t i = 0; i < boxes.size(); ++i) {
+    const std::uint64_t t = range_of(boxed, boxes[i]).count();
+    std::uint64_t pairs = t * (t > 0 ? t - 1 : 0);
+    tree::for_each_neighbour(
+        hier.coord_of(h, boxes[i]), hier.boxes_per_side(h), offsets,
+        kern.periodic(), [&](const tree::BoxCoord& nb) {
+          pairs += t * range_of(boxed, hier.flat_index(h, nb)).count();
+        });
+    cost[i] = pairs;
+  }
 }
 
 NearFieldResult near_field_chunk(const tree::Hierarchy& hier,
@@ -272,9 +213,20 @@ NearFieldResult near_field_chunk(const tree::Hierarchy& hier,
                                  NearFieldScratch::Chunk& ch,
                                  std::span<const std::uint32_t> boxes,
                                  const NearKernel& kern) {
-  return evaluate_boxes(hier, boxed, offsets, symmetric, with_gradient, ch,
-                        kern, boxes.size(),
-                        [boxes](std::size_t i) { return boxes[i]; });
+  // Periodic vdW: KernelSpec::validate + the solver's depth policy
+  // guarantee n >= 8, so the +/-2 offsets stay distinct after the wrap.
+  NearFieldResult res = plan_runs(hier, boxed, offsets, symmetric,
+                                  kern.periodic(), ch, boxes);
+  execute_runs(boxed, symmetric, with_gradient, kern, ch);
+
+  // Flop count is analytic (pairs x per-pair cost), not measured.
+  const std::uint64_t per_pair =
+      (kern.type == KernelType::kVanDerWaals
+           ? vdw_pair_flops(with_gradient)
+           : baseline::direct_pair_flops(with_gradient)) +
+      (symmetric ? 4 : 0);
+  res.flops = res.pair_interactions * per_pair;
+  return res;
 }
 
 void near_field_accumulate(const NearFieldScratch& scr, std::size_t used,
@@ -297,44 +249,41 @@ NearFieldResult near_field(const tree::Hierarchy& hier,
                            bool symmetric, std::span<double> phi,
                            std::span<Vec3> grad, ThreadPool& pool,
                            NearFieldScratch* scratch, const NearKernel& kern) {
-  const std::size_t boxes = hier.boxes_at(hier.depth());
   const bool with_gradient = !grad.empty();
-  const ParticleSet& p = boxed.sorted;
-
-  // Static chunking mirrors ThreadPool::parallel_chunks, so the chunk index
-  // of a range is just lo / step — no atomic ticket, and chunk-index order
-  // is box-range order by construction. `chunks` counts the nonempty
-  // pieces only, so no stale chunk is ever accumulated. The buffers live in
-  // caller-owned scratch (or a local fallback) so repeated calls — an
-  // integrator's timestep loop — reuse the capacity.
-  const std::size_t want = std::max<std::size_t>(
-      1, std::min(pool.size(), boxes));
-  const std::size_t step = (boxes + want - 1) / want;
-  const std::size_t chunks = (boxes + step - 1) / step;
+  // The buffers live in caller-owned scratch (or a local fallback) so
+  // repeated calls — an integrator's timestep loop — reuse the capacity.
   NearFieldScratch local;
   NearFieldScratch& scr = scratch != nullptr ? *scratch : local;
+  dp::occupied_leaves(boxed, scr.leaves);
+  scr.cost.resize(scr.leaves.size());
+  near_field_costs(hier, boxed, offsets, scr.leaves, kern, scr.cost);
+  const std::size_t chunks = near_chunk_count(scr.leaves.size());
   if (scr.chunks.size() < chunks) scr.chunks.resize(chunks);
   std::vector<NearFieldResult> partial(chunks);
 
-  pool.parallel_chunks(0, boxes, [&](std::size_t lo, std::size_t hi) {
-    const std::size_t me = lo / step;
-    partial[me] = near_field_chunk(hier, boxed, offsets, symmetric,
-                                   with_gradient, scr.chunks[me], lo, hi,
-                                   kern);
-  });
-
-  // Reduce chunk buffers into the output, parallel over disjoint particle
-  // ranges (the serial reduction was O(chunks * N) on one core and showed
-  // up at large N).
-  pool.parallel_chunks(0, p.size(), [&](std::size_t lo, std::size_t hi) {
-    near_field_accumulate(scr, chunks, with_gradient, phi, grad, lo, hi);
-  });
+  exec::PhaseGraph g;
+  const std::span<const std::uint32_t> leaves{scr.leaves};
+  const exec::NodeId near = g.add_weighted(
+      "near", "near", scr.cost, chunks,
+      [&](std::size_t c, std::size_t lo, std::size_t hi, PhaseStats&) {
+        partial[c] = near_field_chunk(hier, boxed, offsets, symmetric,
+                                      with_gradient, scr.chunks[c],
+                                      leaves.subspan(lo, hi - lo), kern);
+      });
+  const exec::NodeId acc = g.add(
+      "accumulate", "accumulate", boxed.sorted.size(), 0,
+      [&](std::size_t, std::size_t lo, std::size_t hi, PhaseStats&) {
+        near_field_accumulate(scr, chunks, with_gradient, phi, grad, lo, hi);
+      });
+  g.depend(acc, near);
+  PhaseBreakdown breakdown;
+  g.run(pool, exec::RunMode::kConcurrent, breakdown);
 
   NearFieldResult total;
-  for (std::size_t c = 0; c < chunks; ++c) {
-    total.pair_interactions += partial[c].pair_interactions;
-    total.box_interactions += partial[c].box_interactions;
-    total.flops += partial[c].flops;
+  for (const NearFieldResult& r : partial) {
+    total.pair_interactions += r.pair_interactions;
+    total.box_interactions += r.box_interactions;
+    total.flops += r.flops;
   }
   return total;
 }

@@ -167,15 +167,6 @@ std::shared_ptr<const FmmPlan> FmmPlan::build(
   plan->kernel = config.kernel.type;
   plan->depth = depth;
   plan->k = config.params.k();
-  // Short-range plans (trans == nullptr) carry only the near-field lists;
-  // the supernode gather plans exist to drive translations that never run,
-  // and only the kSupernode set holds the matrices they reference.
-  if (plan->trans && plan->trans->set == MatrixSet::kSupernode) {
-    plan->supernode_plans.resize(depth + 1);
-    for (int l = 2; l <= depth; ++l)
-      plan->supernode_plans[l] =
-          build_supernode_plan(*plan->trans, std::int32_t{1} << l);
-  }
   plan->near_offsets = tree::near_field_offsets(config.separation);
   plan->near_half_offsets = tree::near_field_half_offsets(config.separation);
   plan->build_seconds = t.seconds();
@@ -320,55 +311,6 @@ void apply_rows(const double* tt, std::size_t k, const double* src,
   flops += blas::gemm_flops(nb, k, k);
 }
 
-namespace {
-
-// Floor/ceil division by 2 that stays correct for negative numerators (C++
-// integer division truncates toward zero, which would admit out-of-bounds
-// sources near the low domain boundary).
-constexpr std::int32_t floor_div2(std::int32_t a) {
-  return (a >= 0) ? a / 2 : -((-a + 1) / 2);
-}
-constexpr std::int32_t ceil_div2(std::int32_t a) { return floor_div2(a + 1); }
-
-}  // namespace
-
-SupernodeLevelPlan build_supernode_plan(const TranslationData& trans,
-                                        std::int32_t n_child) {
-  SupernodeLevelPlan plan;
-  const std::int32_t np = n_child / 2;
-  for (int octant = 0; octant < 8; ++octant) {
-    const std::int32_t ov[3] = {octant & 1, (octant >> 1) & 1,
-                                (octant >> 2) & 1};
-    const auto& entries = trans.supernode_lists[octant];
-    for (std::size_t e = 0; e < entries.size(); ++e) {
-      const tree::SupernodeEntry& entry = entries[e];
-      SupernodePlanEntry pe;
-      pe.offset = entry.offset;
-      pe.parent_source = entry.source_level_up == 1;
-      const std::int32_t off[3] = {entry.offset.dx, entry.offset.dy,
-                                   entry.offset.dz};
-      bool empty = false;
-      for (int axis = 0; axis < 3; ++axis) {
-        if (pe.parent_source) {
-          // Source p + off must lie in [0, np).
-          pe.lo[axis] = std::max(0, -off[axis]);
-          pe.hi[axis] = std::min(np, np - off[axis]);
-        } else {
-          // Source 2p + ov + off must lie in [0, n_child).
-          pe.lo[axis] = std::max(0, ceil_div2(-(ov[axis] + off[axis])));
-          pe.hi[axis] = std::min(
-              np, floor_div2(n_child - 1 - ov[axis] - off[axis]) + 1);
-        }
-        if (pe.lo[axis] >= pe.hi[axis]) empty = true;
-      }
-      if (empty) continue;
-      pe.matrix = trans.supernode[octant][e];
-      plan.per_octant[octant].push_back(pe);
-    }
-  }
-  return plan;
-}
-
 }  // namespace internal
 
 // Derives the active level sets and the per-leaf cost model (the "active"
@@ -378,12 +320,11 @@ SupernodeLevelPlan build_supernode_plan(const TranslationData& trans,
 // buffers — a warm solve grows nothing here.
 void internal::update_active_costs(const FmmConfig& config,
                                    const internal::FmmPlan& plan,
-                                   const tree::Hierarchy& hier, bool periodic,
+                                   const tree::Hierarchy& hier,
+                                   const NearKernel& kern,
                                    internal::SolveWorkspace& ws,
                                    FmmResult& result) {
   const int h = hier.depth();
-  const std::span<const tree::Offset> offsets =
-      plan.near_list(config.near_symmetry);
   PhaseStats& st = result.breakdown["active"];
   ScopedPhaseTimer timer(st);
   const std::size_t cap_before = ws.active.capacity_bytes();
@@ -403,18 +344,10 @@ void internal::update_active_costs(const FmmConfig& config,
   internal::grow(ws.near_cost, nl, ws.allocs);
   // Per active leaf: leaf = its particle count, near = its near-field pair
   // count.
-  for (std::size_t ai = 0; ai < nl; ++ai) {
-    const std::size_t f = leaves.boxes[ai];
-    const std::uint64_t t = particles_in(ws.boxed, f);
-    ws.leaf_cost[ai] = t;
-    std::uint64_t pairs = t * (t > 0 ? t - 1 : 0);
-    tree::for_each_neighbour(
-        hier.coord_of(h, f), hier.boxes_per_side(h), offsets, periodic,
-        [&](const tree::BoxCoord& nb) {
-          pairs += t * particles_in(ws.boxed, hier.flat_index(h, nb));
-        });
-    ws.near_cost[ai] = pairs;
-  }
+  for (std::size_t ai = 0; ai < nl; ++ai)
+    ws.leaf_cost[ai] = particles_in(ws.boxed, leaves.boxes[ai]);
+  near_field_costs(hier, ws.boxed, plan.near_list(config.near_symmetry),
+                   leaves.boxes, kern, ws.near_cost);
 }
 
 void internal::record_phase_boxes(const tree::Hierarchy& hier,
@@ -523,11 +456,7 @@ FmmResult FmmSolver::solve_impl_(const ParticleSet& particles,
   // The non-empty leaf flats in sort-rank order (the active sets' input).
   {
     const std::size_t cap_before = ws.occupied.capacity();
-    ws.occupied.clear();
-    const std::size_t ranks = ws.boxed.box_begin.size() - 1;
-    for (std::size_t r = 0; r < ranks; ++r)
-      if (ws.boxed.box_begin[r + 1] > ws.boxed.box_begin[r])
-        ws.occupied.push_back(ws.boxed.rank_to_flat[r]);
+    dp::occupied_leaves(ws.boxed, ws.occupied);
     if (ws.occupied.capacity() != cap_before)
       ws.allocs.fetch_add(1, std::memory_order_relaxed);
   }
@@ -535,19 +464,15 @@ FmmResult FmmSolver::solve_impl_(const ParticleSet& particles,
     return solve_dist_(particles, hier, std::move(result), view);
 
   // The active level sets and the per-leaf cost model ("active" phase),
-  // shared with the distributed executor. Periodic short-range solves wrap
-  // box neighbours instead of clipping them, so the cost model counts the
-  // wrapped pairs the near field will evaluate.
-  const bool periodic = impl_->near.vdw.period > 0.0;
-  internal::update_active_costs(config_, plan, hier, periodic, ws, result);
+  // shared with the distributed executor.
+  internal::update_active_costs(config_, plan, hier, impl_->near, ws, result);
   const tree::ActiveLevels& act = ws.active;
 
   const std::size_t k = config_.params.k();
   // Near-field chunk policy: a fixed count independent of the worker count
   // (see kNearChunks), split by pair-count cost, so sequential and threaded
   // solves agree bitwise and no worker inherits a whole cluster core.
-  const std::size_t nf_chunks =
-      internal::near_chunk_count(act.levels[h].count());
+  const std::size_t nf_chunks = near_chunk_count(act.levels[h].count());
 
   ActiveContext ctx{config_, plan, hier, ws, act};
   using exec::NodeId;

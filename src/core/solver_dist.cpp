@@ -255,12 +255,13 @@ FmmResult FmmSolver::solve_dist_(const ParticleSet& particles,
   const std::size_t k = config_.params.k();
   const int h = hier.depth();
   const bool far_capable = config_.kernel.far_field_capable();
-  const bool periodic = impl_->near.vdw.period > 0.0;
+  const bool periodic = impl_->near.periodic();
   const bool with_gradient = config_.with_gradient;
 
   // "active" phase: global active sets + cost model, shared with the
   // shared-memory executor (and feeding the partitioner below).
-  internal::update_active_costs(config_, plan, hier, periodic, gws, result);
+  internal::update_active_costs(config_, plan, hier, impl_->near, gws,
+                                result);
   const tree::ActiveLevels& act = gws.active;
 
   if (impl_->dist == nullptr)

@@ -137,11 +137,7 @@ FmmResult FmmSolver::solve_dp_(const ParticleSet& particles,
         const std::size_t cap_before =
             ws.occupied.capacity() * sizeof(std::uint32_t) +
             ws.active.capacity_bytes();
-        ws.occupied.clear();
-        const std::size_t ranks = boxed.box_begin.size() - 1;
-        for (std::size_t r = 0; r < ranks; ++r)
-          if (boxed.box_begin[r + 1] > boxed.box_begin[r])
-            ws.occupied.push_back(boxed.rank_to_flat[r]);
+        dp::occupied_leaves(boxed, ws.occupied);
         tree::build_active_levels(hier, ws.occupied, ws.active);
         if (ws.occupied.capacity() * sizeof(std::uint32_t) +
                 ws.active.capacity_bytes() !=
@@ -467,7 +463,7 @@ FmmResult FmmSolver::solve_dp_(const ParticleSet& particles,
             &ws.near_scratch, impl_->near);
         stats.flops += nf.flops;
         stats.pairs += nf.pair_interactions;
-        const bool periodic = impl_->near.vdw.period > 0.0;
+        const bool periodic = impl_->near.periodic();
         std::uint64_t off_bytes = 0, msgs = 0;
         for (std::size_t f = 0; f < hier.boxes_at(h); ++f) {
           const tree::BoxCoord c = hier.coord_of(h, f);

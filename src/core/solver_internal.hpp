@@ -6,14 +6,13 @@
 // The solve path is layered into (DESIGN.md Section 11):
 //   * TranslationData — translation matrices in application-ready form,
 //     position- and depth-independent, built once per config;
-//   * FmmPlan — the immutable per-(config, depth) solve plan: supernode
-//     gather plans per level, near-field interaction lists, level-store
-//     shapes. Shared by reference across all three execution modes and
-//     across solve() calls;
+//   * FmmPlan — the immutable per-(config, depth) solve plan: the
+//     translation data and the near-field interaction lists. Shared by
+//     reference across all three execution modes and across solve() calls;
 //   * SolveWorkspace — every mutable buffer a solve touches (sorted
-//     particles, far/local level stores, per-chunk scratch arenas,
-//     near-field scratch), reused across solve() calls so a warm solve
-//     performs no plan construction and ~zero heap growth.
+//     particles, active sets, far/local level stores, per-chunk scratch
+//     arenas, near-field scratch), reused across solve() calls so a warm
+//     solve performs no plan construction and ~zero heap growth.
 
 #include <array>
 #include <atomic>
@@ -114,51 +113,24 @@ struct TranslationData {
   static std::shared_ptr<const TranslationData> build(const FmmConfig& config);
 };
 
-// Gather plan for the supernode interactive phase (paper Section 2.3) at one
-// level. The geometry is translation-invariant, so for a fixed octant and
-// supernode entry the set of parent boxes whose child target AND source are
-// both in bounds is always an axis-aligned rectangle of parent coordinates —
-// [lo, hi) per axis below compresses the per-box in-bounds source index
-// lists the solver would otherwise rebuild (and branch on) per box. Entries
-// whose rectangle is empty at this level are dropped at build time.
-struct SupernodePlanEntry {
-  const double* matrix = nullptr;     // T^T of the T2 or supernode matrix
-  tree::Offset offset;                // source offset, source-level box units
-  bool parent_source = false;         // source lives at level l - 1
-  std::int32_t lo[3] = {0, 0, 0};     // parent-coord rect, [lo, hi) per axis
-  std::int32_t hi[3] = {0, 0, 0};
-};
-
-struct SupernodeLevelPlan {
-  std::array<std::vector<SupernodePlanEntry>, 8> per_octant;
-};
-
-// Builds the plan for a level with `n_child` boxes per side (>= 4).
-SupernodeLevelPlan build_supernode_plan(const TranslationData& trans,
-                                        std::int32_t n_child);
-
 // ---------------------------------------------------------------------------
 // FmmPlan: the immutable per-(config, depth) solve plan. Everything in here
 // is position-independent structure (paper Sections 2.3, 3.3.4): the
-// translation data, the per-level supernode gather plans, and the
-// near-field interaction lists. The hierarchy's root cube is the only
-// geometry derived per solve (particles move), and it is an O(1) object —
-// translation matrices are expressed in box-side units, so they are
-// scale-invariant.
+// translation data and the near-field interaction lists. The hierarchy's
+// root cube is the only geometry derived per solve (particles move), and it
+// is an O(1) object — translation matrices are expressed in box-side units,
+// so they are scale-invariant.
 // ---------------------------------------------------------------------------
 
 struct FmmPlan {
   // Null for short-range kernels: their plans carry only the near-field
-  // interaction lists, and FmmPlan::build skips the supernode machinery.
+  // interaction lists.
   std::shared_ptr<const TranslationData> trans;
   // Plans are keyed by kernel (as well as depth) so a future plan cache can
   // be multi-tenant across workloads; plan_for rebuilds on a mismatch.
   KernelType kernel = KernelType::kLaplace3d;
   int depth = 0;
   std::size_t k = 0;
-  // Supernode gather plans indexed by level (empty unless the translation
-  // data is the kSupernode set; levels < 2 unused).
-  std::vector<SupernodeLevelPlan> supernode_plans;
   // Near-field interaction lists (full and the Newton-3rd-law half list).
   std::vector<tree::Offset> near_offsets;
   std::vector<tree::Offset> near_half_offsets;
@@ -260,22 +232,9 @@ class ChunkArena {
   std::vector<ChunkSlot> slots_;
 };
 
-// Near-stage chunk count of the shared-memory executor, bounded by the leaf
-// count. It is a constant, not a function of the worker count, so a
-// sequential solve and a threaded one group the near-field sums
-// the same way and agree bitwise on any host. 16 is 4 chunks a worker on a
-// 4-core host, fine enough for idle workers to drain the near field while
-// the far-field chain runs; span-sized chunk buffers keep 16 chunks cheap in
-// sequential mode. A pool wider than 16 runs the near stage on 16 workers.
-constexpr std::size_t kNearChunks = 16;
-
-inline std::size_t near_chunk_count(std::size_t leaves) {
-  return std::max<std::size_t>(1, std::min(leaves, kNearChunks));
-}
-
 struct SolveWorkspace {
-  // Box-major level stores: far/local potential vectors for every box of
-  // every level, [level][flat_box * K + i]. Grown once, zeroed per solve.
+  // Level stores: far/local potential vectors of each level's active boxes,
+  // [level][active_index * K + i] (prepare_levels). Grown, never shrunk.
   std::vector<std::vector<double>> far, local;
   // Sorted particle buffers (coordinate-sort output, reused in place).
   dp::BoxedParticles boxed;
@@ -331,9 +290,10 @@ struct SolveWorkspace {
     total += cap(phi_sorted) + cap(grad_sorted);
     total += cap(occupied) + cap(leaf_cost) + cap(near_cost);
     total += active.capacity_bytes() + arena.capacity_bytes();
+    total += cap(near_scratch.leaves) + cap(near_scratch.cost);
     for (const auto& ch : near_scratch.chunks) {
       total += cap(ch.phi) + cap(ch.grad) + cap(ch.pair_phi) + cap(ch.pair_gx) +
-               cap(ch.pair_gy) + cap(ch.pair_gz) + cap(ch.runs) + cap(ch.rows);
+               cap(ch.pair_gy) + cap(ch.pair_gz) + cap(ch.runs);
     }
     total += boxed.sorted.size() * 4 * sizeof(double);
     total += cap(boxed.box_begin) + cap(boxed.perm) + cap(boxed.box_of) +
@@ -357,10 +317,10 @@ struct SolveWorkspace {
 // model (ws.leaf_cost / ws.near_cost) from the sort output in
 // ws.boxed/ws.occupied — the "active" phase, shared by the shared-memory and
 // distributed executors — and reports the sets in result.active_boxes,
-// result.level_occupancy and the "active" phase's box counts. `periodic`
-// selects wrapped neighbour counting (periodic vdW).
+// result.level_occupancy and the "active" phase's box counts. The near
+// costs are near_field_costs() under `kern` (periodic vdW wraps).
 void update_active_costs(const FmmConfig& config, const FmmPlan& plan,
-                         const tree::Hierarchy& hier, bool periodic,
+                         const tree::Hierarchy& hier, const NearKernel& kern,
                          SolveWorkspace& ws, FmmResult& result);
 
 // Per-phase occupancy: the boxes each phase visited against the 8^l boxes

@@ -223,37 +223,37 @@ void union_body(ActiveContext& ctx, int l, std::size_t chunk, std::size_t lo,
   }
 }
 
-// Supernode T2 over active TARGETS [lo, hi) of level l: per octant, each
-// entry of the precomputed gather plan takes the octant's targets whose
-// parent lies in the entry's rectangle (source in bounds) and whose source
-// is active. Sources: far[l], and far[l - 1] for parent-level entries.
+// Supernode T2 over active TARGETS [lo, hi) of level l: per octant, the
+// octant's targets against each entry of its supernode list in list order;
+// like union_body, a target skips an entry whose source lies outside its
+// level or is inactive. Sources: far[l], and far[l - 1] for parent-level
+// entries (offset from the target's parent).
 template <class Sink>
 void supernode_body(ActiveContext& ctx, int l, std::size_t chunk,
                     std::size_t lo, std::size_t hi, Sink& sink) {
-  const std::int64_t n = ctx.hier.boxes_per_side(l);
-  const std::int64_t np = ctx.hier.boxes_per_side(l - 1);
-  const tree::LevelActiveSet& act = ctx.act.levels[l];
-  const tree::LevelActiveSet& act_parent = ctx.act.levels[l - 1];
-  const SupernodeLevelPlan& plan = ctx.plan.supernode_plans[l];
+  const TranslationData& trans = ctx.trans();
   const ChunkBoxes b(ctx, chunk, l, lo, hi);
   for (int o = 0; o < 8; ++o) {
-    for (const SupernodePlanEntry& pe : plan.per_octant[o]) {
-      const tree::BoxCoord off{pe.offset.dx, pe.offset.dy, pe.offset.dz};
-      const std::int64_t delta = flat_of(off, pe.parent_source ? np : n);
+    const std::vector<tree::SupernodeEntry>& entries = trans.supernode_lists[o];
+    for (std::size_t e = 0; e < entries.size(); ++e) {
+      const bool up = entries[e].source_level_up == 1;
+      const int sl = up ? l - 1 : l;
+      const std::int32_t n = ctx.hier.boxes_per_side(sl);
+      const tree::Offset& off = entries[e].offset;
       for (std::size_t j = b.octant_begin(o); j < b.octant_begin(o + 1);
            ++j) {
         const std::size_t i = b.order(j);
-        const tree::BoxCoord p = tree::Hierarchy::parent_of(b.coord(i));
-        if (p.ix < pe.lo[0] || p.ix >= pe.hi[0] || p.iy < pe.lo[1] ||
-            p.iy >= pe.hi[1] || p.iz < pe.lo[2] || p.iz >= pe.hi[2])
+        const tree::BoxCoord c =
+            up ? tree::Hierarchy::parent_of(b.coord(i)) : b.coord(i);
+        const tree::BoxCoord s{c.ix + off.dx, c.iy + off.dy, c.iz + off.dz};
+        if (s.ix < 0 || s.ix >= n || s.iy < 0 || s.iy >= n || s.iz < 0 ||
+            s.iz >= n)
           continue;
         const std::int32_t sa =
-            pe.parent_source
-                ? act_parent.dense_to_active[flat_of(p, np) + delta]
-                : act.dense_to_active[act.boxes[lo + i] + delta];
-        if (sa >= 0) sink.add(pe.parent_source ? l - 1 : l, sa, lo + i);
+            ctx.act.levels[sl].dense_to_active[flat_of(s, n)];
+        if (sa >= 0) sink.add(sl, sa, lo + i);
       }
-      sink.apply(pe.matrix);
+      sink.apply(trans.supernode[o][e]);
     }
   }
 }

@@ -102,6 +102,13 @@ BoxedParticles coordinate_sort(const ParticleSet& particles,
   return out;
 }
 
+void occupied_leaves(const BoxedParticles& boxed,
+                     std::vector<std::uint32_t>& out) {
+  out.clear();
+  for (std::size_t r = 0; r + 1 < boxed.box_begin.size(); ++r)
+    if (boxed.count_in_rank(r) > 0) out.push_back(boxed.rank_to_flat[r]);
+}
+
 BoxedParticles morton_sort(const ParticleSet& particles,
                            const tree::Hierarchy& hier) {
   const std::size_t n = particles.size();

@@ -4,7 +4,8 @@
 // within the rsqrt+Newton error budget (<= 1e-12 relative), including tail
 // lanes, self-pair skipping, softening, the near-field driver's
 // symmetric/non-symmetric equivalence on degenerate box populations, and
-// its merged source runs against one call per box pair.
+// its merged source runs against one call per box pair, its cost model,
+// and its independence from the pool size.
 
 #include <gtest/gtest.h>
 
@@ -21,6 +22,7 @@
 #include "hfmm/tree/interaction_lists.hpp"
 #include "hfmm/util/particles.hpp"
 #include "hfmm/util/rng.hpp"
+#include "hfmm/util/thread_pool.hpp"
 
 namespace hfmm {
 namespace {
@@ -627,9 +629,10 @@ std::pair<std::vector<double>, std::vector<Vec3>> chunked_field(
 // the counts equal the per-box reference (box pairs, not pkern calls), the
 // values agree with it within 1e-12, the chunk's buffers are exactly its
 // span (a fresh chunk, so an out-of-span write trips ASan) and the
-// reference writes nothing outside that span. Then the symmetric near field
-// of all of `in.boxes` agrees with the plain one. `sym_span`, when given,
-// receives the symmetric chunk's span.
+// reference writes nothing outside that span; near_field_costs prices each
+// box at the pairs a chunk of that box alone counts. Then the symmetric
+// near field of all of `in.boxes` agrees with the plain one. `sym_span`,
+// when given, receives the symmetric chunk's span.
 void expect_runs_match_per_box(
     const NearInput& in, std::span<const std::uint32_t> chunk,
     std::pair<std::size_t, std::size_t>* sym_span = nullptr) {
@@ -658,6 +661,17 @@ void expect_runs_match_per_box(
       const double gscale = ref.grad[i].norm() + 1.0;
       EXPECT_NEAR(ch.grad[i - ch.lo].x, ref.grad[i].x, kTol * gscale) << i;
       EXPECT_NEAR(ch.grad[i - ch.lo].z, ref.grad[i].z, kTol * gscale) << i;
+    }
+    std::vector<std::uint64_t> cost(chunk.size());
+    core::near_field_costs(in.hier, in.boxed, offsets, chunk, in.kern, cost);
+    for (std::size_t b = 0; b < chunk.size(); ++b) {
+      core::NearFieldScratch::Chunk one;
+      EXPECT_EQ(cost[b],
+                core::near_field_chunk(in.hier, in.boxed, offsets, symmetric,
+                                       false, one, chunk.subspan(b, 1),
+                                       in.kern)
+                    .pair_interactions)
+          << "box " << chunk[b];
     }
   }
 
@@ -708,7 +722,7 @@ TEST_P(NearFieldEdgeTest, RunsMatchPerBoxOnDenseRange) {
   core::NearFieldScratch::Chunk ch;
   const auto half = tree::near_field_half_offsets(2);
   const core::NearFieldResult r = core::near_field_chunk(
-      in.hier, in.boxed, half, true, false, ch, 0, in.hier.boxes_at(3));
+      in.hier, in.boxed, half, true, false, ch, in.boxes);
   EXPECT_LT(ch.runs.size() * 2, r.box_interactions);
   for (const core::NearFieldScratch::Run& run : ch.runs)
     EXPECT_LE(run.se - run.sb, 256u);
@@ -785,6 +799,60 @@ TEST_P(NearFieldEdgeTest, RunsMatchPerBoxOnMultiVuSort) {
   in.kern = core::NearKernel(1e-3);
   in.boxes = flat_range(0, in.hier.boxes_at(3));
   expect_runs_match_per_box(in, middle_third(in.boxes));
+}
+
+TEST_P(NearFieldEdgeTest, PoolSizeDoesNotChangeBits) {
+  // A clustered input at depth 4: the pair cost is far from uniform over
+  // the leaves, so an equal split per worker would group the sums
+  // differently on one worker and on four.
+  const ParticleSet p = make_plummer(3000, Box3{}, 71);
+  const tree::Hierarchy hier(tree::cube_containing(p.bounds()), 4);
+  const dp::BlockLayout layout(hier.boxes_per_side(4), {1, 1, 1});
+  const dp::BoxedParticles boxed = dp::coordinate_sort(p, hier, layout);
+  const std::size_t n = p.size();
+  ThreadPool one(1), four(4);
+  for (const bool symmetric : {false, true}) {
+    SCOPED_TRACE(symmetric ? "half list" : "full list");
+    const std::vector<tree::Offset> offsets =
+        symmetric ? tree::near_field_half_offsets(2)
+                  : tree::near_field_offsets(2);
+    std::vector<double> phi1(n, 0.0), phi4(n, 0.0);
+    std::vector<Vec3> grad1(n), grad4(n);
+    const core::NearFieldResult r1 = core::near_field(
+        hier, boxed, offsets, symmetric, phi1, grad1, one, nullptr, 1e-3);
+    const core::NearFieldResult r4 = core::near_field(
+        hier, boxed, offsets, symmetric, phi4, grad4, four, nullptr, 1e-3);
+    EXPECT_EQ(r1.pair_interactions, r4.pair_interactions);
+    EXPECT_EQ(r1.flops, r4.flops);
+    for (std::size_t i = 0; i < n; ++i) {
+      ASSERT_EQ(phi1[i], phi4[i]) << i;
+      ASSERT_EQ(grad1[i].x, grad4[i].x) << i;
+      ASSERT_EQ(grad1[i].y, grad4[i].y) << i;
+      ASSERT_EQ(grad1[i].z, grad4[i].z) << i;
+    }
+  }
+}
+
+TEST_P(NearFieldEdgeTest, TinyInputs) {
+  // N = 0, 1 and 2 (the pair in x-adjacent leaves): the half list counts 0,
+  // 0 and 1 particle pairs, and the pair's potentials are 1/r each way.
+  const tree::Hierarchy hier(Box3{}, 2);
+  const dp::BlockLayout layout(hier.boxes_per_side(2), {1, 1, 1});
+  const std::vector<tree::Offset> half = tree::near_field_half_offsets(2);
+  for (std::size_t n = 0; n <= 2; ++n) {
+    SCOPED_TRACE(n);
+    ParticleSet p(n);
+    for (std::size_t i = 0; i < n; ++i)
+      p.set(i, {0.1 + 0.2 * static_cast<double>(i), 0.1, 0.1}, 1.0);
+    const dp::BoxedParticles boxed = dp::coordinate_sort(p, hier, layout);
+    std::vector<double> phi(n, 0.0);
+    std::vector<Vec3> grad(n);
+    const core::NearFieldResult r = core::near_field(
+        hier, boxed, half, true, phi, grad, ThreadPool::global());
+    EXPECT_EQ(r.pair_interactions, n == 2 ? 1u : 0u);
+    for (std::size_t i = 0; i < n; ++i)
+      EXPECT_NEAR(phi[i], n == 2 ? 1.0 / 0.2 : 0.0, 1e-12);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Backends, NearFieldEdgeTest,

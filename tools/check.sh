@@ -1,11 +1,14 @@
 #!/usr/bin/env bash
-# Tier-1 check: build + ctest once normally, once with ASan + UBSan
-# (HFMM_SANITIZE=address,undefined), and once with TSan
+# Tier-1 check: build + ctest once normally, once as a Release build, once
+# with ASan + UBSan (HFMM_SANITIZE=address,undefined), and once with TSan
 # (HFMM_SANITIZE=thread — the concurrent phase-graph scheduler is the main
 # subject). Run from the repository root:
 #   tools/check.sh [jobs] [lane]
 # `lane` selects which suites run (default all): plain | asan | tsan |
-# service | dist | all — CI runs the lanes as separate matrix jobs. The
+# release | service | dist | all — CI runs the lanes as separate matrix
+# jobs. The `release` lane builds with -DCMAKE_BUILD_TYPE=Release (-O3)
+# and runs the full suite and the bench smokes there, so the bitwise
+# contracts (seq == threads, R ranks == one rank) hold at -O3 too. The
 # `service` lane is the focused fast path for the solver-service stack: the
 # service/C-API suites plain AND under TSan (the multi-tenant scheduler is
 # the main data-race subject), plus the bench_service smoke gate. The
@@ -17,8 +20,9 @@ set -euo pipefail
 jobs="${1:-$(nproc)}"
 lane="${2:-all}"
 case "$lane" in
-  all|plain|asan|tsan|service|dist) ;;
-  *) echo "unknown lane '$lane' (plain|asan|tsan|service|dist|all)" >&2; exit 2 ;;
+  all|plain|asan|tsan|release|service|dist) ;;
+  *) echo "unknown lane '$lane' (plain|asan|tsan|release|service|dist|all)" >&2
+     exit 2 ;;
 esac
 root="$(cd "$(dirname "$0")/.." && pwd)"
 cd "$root"
@@ -226,6 +230,11 @@ if [[ "$lane" == all || "$lane" == plain ]]; then
   env_readers_check
   echo "== tier-1: plain build =="
   run_suite build
+fi
+
+if [[ "$lane" == all || "$lane" == release ]]; then
+  echo "== tier-1: Release build =="
+  run_suite build-release -DCMAKE_BUILD_TYPE=Release
 fi
 
 if [[ "$lane" == all || "$lane" == asan ]]; then
