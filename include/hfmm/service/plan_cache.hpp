@@ -7,10 +7,11 @@
 //     supernodes and data-parallel solves apply), depth-independent, shared
 //     by every plan built from it. Never evicted (there are only a handful
 //     of rules in practice).
-//   * FmmPlan — per (translation config, kernel, depth),
-//     refcounted and LRU-evicted. Eviction while a solve is in flight is
-//     safe: clients hold shared_ptr leases, so the plan outlives its cache
-//     entry.
+//   * FmmPlan — per (translation config, kernel, depth), and for a
+//     short-range kernel also per cutoff, domain box and periodic wrap
+//     (its near lists are cut to the cutoff), refcounted and LRU-evicted.
+//     Eviction while a solve is in flight is safe: clients hold shared_ptr
+//     leases, so the plan outlives its cache entry.
 //
 // Every FmmSolver resolves its plans through a PlanCache. Solvers
 // constructed with a shared one — every client the SolverService pools —

@@ -47,7 +47,8 @@ struct SolveOutcome {
   /// Seconds the request waited from batch start until its solve body was
   /// claimed by a scheduler worker.
   double queue_seconds = 0.0;
-  /// Modeled admission cost (largest first — the batch claim order).
+  /// Modeled admission cost: the claim order (largest first) of a batch
+  /// that has a fresh client; see solve_batch.
   double modeled_cost = 0.0;
   /// True when the request was served by a pooled client (warm workspace)
   /// rather than a freshly constructed one.
@@ -82,9 +83,12 @@ class SolverService {
 
   /// Admits a batch of independent requests as one interleaved phase-graph
   /// run on the process-global pool: one serial DAG node per request, no
-  /// cross edges, claim order = modeled cost descending (stable by request
-  /// index). Outcomes are returned in REQUEST order. Each request's result
-  /// is bitwise-identical to a solo solve of the same (config, particles).
+  /// cross edges, costliest request claimed first (stable by request
+  /// index). Once every client of the batch has solved before, a request
+  /// costs its client's last solve seconds x N / N_last; a batch with a
+  /// fresh client is ordered by modeled_cost. Outcomes are returned in
+  /// REQUEST order. Each request's result is bitwise-identical to a solo
+  /// solve of the same (config, particles).
   std::vector<SolveOutcome> solve_batch(std::span<const SolveRequest> requests);
 
   /// The shared plan cache (for stats or for constructing cache-aware

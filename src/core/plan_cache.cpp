@@ -1,5 +1,6 @@
 #include "hfmm/service/plan_cache.hpp"
 
+#include <array>
 #include <bit>
 #include <cstdint>
 
@@ -53,11 +54,16 @@ struct TransKeyHash {
 };
 
 // Plan identity: the translation config it builds on, plus the kernel
-// family and the depth.
+// family and the depth. A short-range plan cuts its near lists to the
+// cutoff at the leaf side its domain box fixes (near_offsets_for), so the
+// cutoff, the box corners and the periodic wrap key it too; a far-field
+// plan leaves them zero.
 struct PlanKey {
   TransKey trans;
   int kernel = 0;
   int depth = 0;
+  std::array<std::uint64_t, 7> range_bits{};  // cutoff, box lo, box hi
+  bool periodic = false;
   bool operator==(const PlanKey&) const = default;
 };
 
@@ -66,6 +72,15 @@ PlanKey plan_key(const core::FmmConfig& config, int depth) {
   key.trans = trans_key(config);
   key.kernel = static_cast<int>(config.kernel.type);
   key.depth = depth;
+  const core::KernelSpec& k = config.kernel;
+  if (!k.far_field_capable()) {
+    const Box3& b = k.vdw_box;
+    const double range[7] = {k.vdw_cutoff, b.lo.x, b.lo.y, b.lo.z,
+                             b.hi.x,       b.hi.y, b.hi.z};
+    for (std::size_t i = 0; i < key.range_bits.size(); ++i)
+      key.range_bits[i] = std::bit_cast<std::uint64_t>(range[i]);
+    key.periodic = k.vdw_periodic;
+  }
   return key;
 }
 
@@ -74,6 +89,9 @@ struct PlanKeyHash {
     std::size_t h = TransKeyHash{}(key.trans);
     h = hash_combine(h, static_cast<std::size_t>(key.kernel));
     h = hash_combine(h, static_cast<std::size_t>(key.depth));
+    for (const std::uint64_t bits : key.range_bits)
+      h = hash_combine(h, static_cast<std::size_t>(bits));
+    h = hash_combine(h, static_cast<std::size_t>(key.periodic));
     return h;
   }
 };

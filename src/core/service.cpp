@@ -63,6 +63,14 @@ core::FmmConfig admitted_config(const core::FmmConfig& config) {
   return admitted;
 }
 
+// A pooled client solver and the wall seconds and size of its last solve,
+// which price the next request it serves (see solve_batch).
+struct Client {
+  std::unique_ptr<core::FmmSolver> solver;
+  double last_seconds = 0.0;
+  std::size_t last_n = 0;  // 0: fresh, or its last solve had no particles
+};
+
 }  // namespace
 
 double modeled_cost(const core::FmmConfig& config, std::size_t n) {
@@ -71,11 +79,16 @@ double modeled_cost(const core::FmmConfig& config, std::size_t n) {
   double boxes = 0.0;
   for (int l = 0; l <= h; ++l) boxes += std::ldexp(1.0, 3 * l);
   const double leaves = std::ldexp(1.0, 3 * h);
-  // Near field: each particle meets its leaf-neighborhood occupancy (27
-  // boxes at d = 2); clustered inputs make this an underestimate, which
-  // only perturbs the admission order, never correctness.
+  // Near field: each particle meets the occupancy of the neighbourhood the
+  // solve walks (125 boxes at d = 2, fewer for a short-range kernel whose
+  // cutoff is shorter than that reach); clustered inputs make this an
+  // underestimate, which only perturbs the admission order, never
+  // correctness.
   const double occupancy = static_cast<double>(n) / leaves;
-  double cost = static_cast<double>(n) * std::max(1.0, 27.0 * occupancy);
+  const double neighbourhood = static_cast<double>(
+      core::internal::near_offsets_for(config, h, false).size());
+  double cost =
+      static_cast<double>(n) * std::max(1.0, neighbourhood * occupancy);
   // Far field: every box pays ~O(K^2) per translation; supernodes cut the
   // interactive volume ~4.6x (paper Section 2.3).
   if (config.kernel.far_field_capable())
@@ -90,17 +103,15 @@ struct SolverService::Impl {
   // Idle clients by configuration signature. Acquired for the duration of
   // one request; growth is bounded by the peak number of concurrent
   // requests per configuration.
-  std::unordered_map<std::string, std::vector<std::unique_ptr<core::FmmSolver>>>
-      pool;
+  std::unordered_map<std::string, std::vector<Client>> pool;
   ServiceStats counters;
 
   explicit Impl(ServiceConfig cfg)
       : config(cfg), cache(std::make_shared<PlanCache>(cfg.plan_capacity)) {}
 
   // Pops an idle client for `sig` or builds one; `reused` reports which.
-  std::unique_ptr<core::FmmSolver> acquire(const std::string& sig,
-                                           const core::FmmConfig& admitted,
-                                           bool& reused) {
+  Client acquire(const std::string& sig, const core::FmmConfig& admitted,
+                 bool& reused) {
     {
       std::lock_guard<std::mutex> lock(mu);
       auto it = pool.find(sig);
@@ -109,8 +120,7 @@ struct SolverService::Impl {
         // same-signature tenants repeats, every tenant reclaims the client
         // whose workspace its own data already sized — LIFO would swap
         // clients between tenants and regrow workspaces each round.
-        std::unique_ptr<core::FmmSolver> client =
-            std::move(it->second.front());
+        Client client = std::move(it->second.front());
         it->second.erase(it->second.begin());
         ++counters.clients_reused;
         reused = true;
@@ -122,11 +132,10 @@ struct SolverService::Impl {
     // Construction outside the lock: plan resolution happens lazily at
     // solve time, but translation building in the ctor path would stall
     // every other acquire.
-    return std::make_unique<core::FmmSolver>(admitted, cache);
+    return {std::make_unique<core::FmmSolver>(admitted, cache)};
   }
 
-  void release(const std::string& sig,
-               std::unique_ptr<core::FmmSolver> client) {
+  void release(const std::string& sig, Client client) {
     std::lock_guard<std::mutex> lock(mu);
     pool[sig].push_back(std::move(client));
   }
@@ -171,27 +180,42 @@ std::vector<SolveOutcome> SolverService::solve_batch(
         modeled_cost(admitted[i], requests[i].particles->size());
   }
 
-  // Admission order: modeled cost descending, stable by request index.
-  // Node insertion order is the concurrent scheduler's claim order at
-  // equal priority, so the most expensive solves start first and the short
-  // ones pack the tail — the classic LPT heuristic.
-  std::vector<std::size_t> order(nreq);
-  std::iota(order.begin(), order.end(), std::size_t{0});
-  std::stable_sort(order.begin(), order.end(),
-                   [&](std::size_t a, std::size_t b) {
-                     return outcomes[a].modeled_cost >
-                            outcomes[b].modeled_cost;
-                   });
-
   // One client per in-flight request: same-signature requests get distinct
   // pooled instances (each owns its workspace), acquired up front so the
   // graph bodies never touch the pool map.
-  std::vector<std::unique_ptr<core::FmmSolver>> clients(nreq);
+  std::vector<Client> clients(nreq);
   for (std::size_t i = 0; i < nreq; ++i) {
     bool reused = false;
     clients[i] = impl_->acquire(sigs[i], admitted[i], reused);
     outcomes[i].client_reused = reused;
   }
+
+  // Claim order: costliest first, stable by request index. Node insertion
+  // order is the concurrent scheduler's claim order at equal priority, so
+  // the most expensive solves start first and the short ones pack the tail
+  // — the classic LPT heuristic. Once every client of the batch has solved
+  // before, a request costs its client's last wall seconds scaled by
+  // N / N_last: a measurement ranks clustered inputs, whose near field the
+  // model prices as uniform, above the uniform ones. A batch with a fresh
+  // client falls back on the model. Each request is still its own
+  // sequential solve, so no result bit depends on the order.
+  std::vector<double> cost(nreq);
+  bool measured = true;
+  for (std::size_t i = 0; i < nreq; ++i) {
+    const Client& c = clients[i];
+    measured = measured && c.last_n > 0;
+    if (c.last_n > 0)
+      cost[i] = c.last_seconds *
+                static_cast<double>(requests[i].particles->size()) /
+                static_cast<double>(c.last_n);
+  }
+  if (!measured)
+    for (std::size_t i = 0; i < nreq; ++i) cost[i] = outcomes[i].modeled_cost;
+  std::vector<std::size_t> order(nreq);
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  std::stable_sort(
+      order.begin(), order.end(),
+      [&](std::size_t a, std::size_t b) { return cost[a] > cost[b]; });
 
   // The batch DAG: one serial node per request, no cross edges — fully
   // interleaved on the pool workers. Each body is an entire (sequential,
@@ -204,8 +228,11 @@ std::vector<SolveOutcome> SolverService::solve_batch(
     g.add_serial("request:" + std::to_string(i), "service",
                  [&, i](PhaseStats&) {
                    outcomes[i].queue_seconds = queue_clock.seconds();
+                   WallTimer solve_clock;
                    outcomes[i].result =
-                       clients[i]->solve(*requests[i].particles);
+                       clients[i].solver->solve(*requests[i].particles);
+                   clients[i].last_seconds = solve_clock.seconds();
+                   clients[i].last_n = requests[i].particles->size();
                  });
   }
   PhaseBreakdown breakdown;
@@ -216,7 +243,7 @@ std::vector<SolveOutcome> SolverService::solve_batch(
     // Return every client to the pool before propagating — a failed batch
     // must not leak the others' warm workspaces.
     for (std::size_t i = 0; i < nreq; ++i)
-      if (clients[i]) impl_->release(sigs[i], std::move(clients[i]));
+      if (clients[i].solver) impl_->release(sigs[i], std::move(clients[i]));
     throw;
   }
   for (std::size_t i = 0; i < nreq; ++i)

@@ -167,10 +167,46 @@ std::shared_ptr<const FmmPlan> FmmPlan::build(
   plan->kernel = config.kernel.type;
   plan->depth = depth;
   plan->k = config.params.k();
-  plan->near_offsets = tree::near_field_offsets(config.separation);
-  plan->near_half_offsets = tree::near_field_half_offsets(config.separation);
+  plan->near_offsets = near_offsets_for(config, depth, false);
+  plan->near_half_offsets = near_offsets_for(config, depth, true);
   plan->build_seconds = t.seconds();
   return plan;
+}
+
+std::vector<tree::Offset> near_offsets_for(const FmmConfig& config, int depth,
+                                           bool symmetric) {
+  std::vector<tree::Offset> offsets =
+      symmetric ? tree::near_field_half_offsets(config.separation)
+                : tree::near_field_offsets(config.separation);
+  const KernelSpec& kernel = config.kernel;
+  if (kernel.far_field_capable()) return offsets;
+  // A short-range kernel adds an exact +0.0 beyond its cutoff, and two leaf
+  // boxes at offset o are at least side * sqrt(sum_i max(|o_i| - 1, 0)^2)
+  // apart, so an offset whose boxes lie farther apart than the cutoff adds
+  // nothing. Two slacks keep every pair the kernel counts: the rounding of
+  // the box assignment (2^-40 of the root's coordinates, and 1e-9 of the
+  // cutoff); and, in a periodic box, the root's pad: the grid spans a
+  // little more than the period, so a pair across the seam sits closer
+  // than its offset says by up to that excess per axis.
+  const tree::Hierarchy hier(tree::cube_containing(kernel.vdw_box), depth);
+  const Box3& root = hier.root();
+  double slack = std::ldexp(
+      std::max({std::abs(root.lo.x), std::abs(root.lo.y), std::abs(root.lo.z),
+                std::abs(root.hi.x), std::abs(root.hi.y), std::abs(root.hi.z)}),
+      -40);
+  if (kernel.vdw_periodic)
+    slack += hier.side_at(0) - kernel.vdw_box.max_side();
+  const double side = hier.side_at(depth);
+  const double reach = kernel.vdw_cutoff * (1.0 + 1e-9);
+  std::erase_if(offsets, [&](const tree::Offset& o) {
+    double gap2 = 0.0;
+    for (const std::int32_t d : {o.dx, o.dy, o.dz}) {
+      const double gap = std::max(side * (std::abs(d) - 1) - slack, 0.0);
+      gap2 += gap * gap;
+    }
+    return gap2 > reach * reach;
+  });
+  return offsets;
 }
 
 }  // namespace internal
@@ -258,6 +294,19 @@ int depth_for(const FmmConfig& config_, std::size_t n) {
   }
   int h = std::max(2, tree::optimal_depth(n, occupancy));
   if (!config_.kernel.far_field_capable()) {
+    if (config_.particles_per_leaf <= 0.0) {
+      // Without a far field a deeper tree costs no translations: go down to
+      // the deepest level whose leaf side is still >= the cutoff, where the
+      // near list is cut to the 27 boxes around the leaf
+      // (near_offsets_for), but no deeper than one particle per leaf on
+      // average.
+      const double root_side =
+          tree::cube_containing(config_.kernel.vdw_box).extent().x;
+      while (h < tree::kMaxDepth &&
+             std::ldexp(root_side, -(h + 1)) >= config_.kernel.vdw_cutoff &&
+             (std::size_t{1} << (3 * (h + 1))) <= n)
+        ++h;
+    }
     // Cutoff-coverage cap: the U-list reaches d leaf boxes, so with leaf
     // side s every pair within r < cutoff is covered when s >= cutoff / 2
     // (a per-axis box offset over such a pair is at most 2), i.e.

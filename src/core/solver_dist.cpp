@@ -577,7 +577,9 @@ FmmResult FmmSolver::solve_dist_(const ParticleSet& particles,
   for (int r = 0; r < R; ++r) {
     result.breakdown += rank_breakdowns[r];
     for (exec::StageTiming& st : rank_timelines[r]) {
-      st.stage = "r" + std::to_string(r) + ":" + st.stage;
+      std::string stage = "r";
+      stage.append(std::to_string(r)).append(":").append(st.stage);
+      st.stage = std::move(stage);
       result.timeline.push_back(std::move(st));
     }
   }

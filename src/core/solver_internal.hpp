@@ -54,6 +54,13 @@ struct UnionOffset {
 
 std::vector<UnionOffset> build_union_offsets(int separation);
 
+// The near-field offsets a solve at `depth` walks: the d-separation
+// neighbourhood (the half list when `symmetric`), cut for a short-range
+// kernel to the offsets whose two leaf boxes can hold a pair closer than
+// the cutoff. FmmPlan::build and the service's cost model both read it.
+std::vector<tree::Offset> near_offsets_for(const FmmConfig& config, int depth,
+                                           bool symmetric);
+
 // Applies dst[nb x K] += src[nb x K] * tt, where tt is a K x K matrix T^T
 // and src/dst rows are contiguous box-major potential vectors. The
 // aggregation mode only picks the BLAS call: one vecmat per row (the BLAS-2
@@ -131,7 +138,8 @@ struct FmmPlan {
   KernelType kernel = KernelType::kLaplace3d;
   int depth = 0;
   std::size_t k = 0;
-  // Near-field interaction lists (full and the Newton-3rd-law half list).
+  // Near-field interaction lists (full and the Newton-3rd-law half list),
+  // from near_offsets_for.
   std::vector<tree::Offset> near_offsets;
   std::vector<tree::Offset> near_half_offsets;
   double build_seconds = 0.0;

@@ -524,6 +524,15 @@ HFMM_AVX2_TARGET inline VdwConstsV vdw_consts(const VdwParams& vp) {
           _mm256_castsi256_pd(_mm256_set1_epi64x(-1))};
 }
 
+// row[tj[l]] in each lane l. The all-ones mask gathers every lane, as
+// _mm256_i32gather_pd does; the masked form takes a defined pass-through
+// operand where the plain one reads an undefined register, which GCC
+// flags with -Wmaybe-uninitialized.
+HFMM_AVX2_TARGET inline __m256d gather_row(const double* row, __m128i tj,
+                                           const VdwConstsV& c) {
+  return _mm256_mask_i32gather_pd(_mm256_setzero_pd(), row, tj, c.all, 8);
+}
+
 // Minimum-image wrap: round-to-nearest-even matches std::nearbyint under
 // the default rounding mode, fnmadd matches fma(-period, n, d).
 HFMM_AVX2_TARGET inline __m256d vdw_wrap_v(__m256d d, const VdwConstsV& c) {
@@ -589,8 +598,8 @@ HFMM_AVX2_TARGET inline void vdw_accum_target(
     __m256d r2 = _mm256_mul_pd(dx, dx);
     r2 = _mm256_fmadd_pd(dy, dy, r2);
     r2 = _mm256_fmadd_pd(dz, dz, r2);
-    const __m256d rm2 = _mm256_i32gather_pd(rrow, tj, 8);
-    const __m256d ev = _mm256_i32gather_pd(erow, tj, 8);
+    const __m256d rm2 = gather_row(rrow, tj, c);
+    const __m256d ev = gather_row(erow, tj, c);
     __m256d ef, c2v;
     vdw_pair_v(r2, rm2, ev, c, c.all, ef, c2v);
     acc.phi = _mm256_add_pd(acc.phi, ef);
@@ -620,8 +629,8 @@ HFMM_AVX2_TARGET inline void vdw_accum_target(
     r2 = _mm256_fmadd_pd(dy, dy, r2);
     r2 = _mm256_fmadd_pd(dz, dz, r2);
     r2 = _mm256_blendv_pd(c.one, r2, md);
-    const __m256d rm2 = _mm256_i32gather_pd(rrow, tj, 8);
-    const __m256d ev = _mm256_i32gather_pd(erow, tj, 8);
+    const __m256d rm2 = gather_row(rrow, tj, c);
+    const __m256d ev = gather_row(erow, tj, c);
     __m256d ef, c2v;
     vdw_pair_v(r2, rm2, ev, c, md, ef, c2v);
     acc.phi = _mm256_add_pd(acc.phi, ef);
@@ -722,8 +731,8 @@ HFMM_AVX2_TARGET void avx2_p2p_vdw_symmetric_impl(
       __m256d r2 = _mm256_mul_pd(dx, dx);
       r2 = _mm256_fmadd_pd(dy, dy, r2);
       r2 = _mm256_fmadd_pd(dz, dz, r2);
-      const __m256d rm2 = _mm256_i32gather_pd(rrow, tj, 8);
-      const __m256d ev = _mm256_i32gather_pd(erow, tj, 8);
+      const __m256d rm2 = gather_row(rrow, tj, c);
+      const __m256d ev = gather_row(erow, tj, c);
       __m256d ef, c2v;
       vdw_pair_v(r2, rm2, ev, c, c.all, ef, c2v);
       acc.phi = _mm256_add_pd(acc.phi, ef);
@@ -759,8 +768,8 @@ HFMM_AVX2_TARGET void avx2_p2p_vdw_symmetric_impl(
       r2 = _mm256_fmadd_pd(dy, dy, r2);
       r2 = _mm256_fmadd_pd(dz, dz, r2);
       r2 = _mm256_blendv_pd(c.one, r2, md);
-      const __m256d rm2 = _mm256_i32gather_pd(rrow, tj, 8);
-      const __m256d ev = _mm256_i32gather_pd(erow, tj, 8);
+      const __m256d rm2 = gather_row(rrow, tj, c);
+      const __m256d ev = gather_row(erow, tj, c);
       __m256d ef, c2v;
       vdw_pair_v(r2, rm2, ev, c, md, ef, c2v);
       acc.phi = _mm256_add_pd(acc.phi, ef);

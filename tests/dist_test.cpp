@@ -307,6 +307,22 @@ TEST(DistSolveTest, VdwClusteredPeriodicMatchesReference) {
   for (const int r : {2, 4}) expect_dist_matches_reference(cfg, ps, r);
 }
 
+// A cutoff below the leaf side cuts the near list that the exchange plan
+// and the near stage both walk: R = 4 still reproduces one rank bit for bit.
+TEST(DistSolveTest, VdwCutoffBelowLeafSideMatchesReference) {
+  const ParticleSet ps = typed_particles(make_uniform(3000, Box3{}, 109));
+  for (const bool periodic : {false, true})
+    for (const int depth : {3, 4}) {
+      SCOPED_TRACE(::testing::Message() << "periodic " << periodic
+                                        << " depth " << depth);
+      core::FmmConfig cfg = vdw_base(periodic);
+      cfg.kernel.vdw_cuton = 0.04;
+      cfg.kernel.vdw_cutoff = 0.06;
+      cfg.depth = depth;
+      expect_dist_matches_reference(cfg, ps, 4);
+    }
+}
+
 // The exchange volume on fixed inputs at R = 4. Measured == modeled alone
 // passes a requirement walk that over- or under-marks but stays
 // self-consistent, so the modeled bytes and every rank's incoming rows and

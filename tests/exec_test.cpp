@@ -9,6 +9,8 @@
 #include <atomic>
 #include <set>
 #include <stdexcept>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "hfmm/exec/graph.hpp"
@@ -170,7 +172,9 @@ TEST_P(RandomDagStress, EdgesRespectedAndChunksRunOnce) {
     const std::size_t max_chunks =
         1 + static_cast<std::size_t>(rng.uniform() * 8);
     expect_chunks[id] = std::min(range, max_chunks);
-    g.add("n" + std::to_string(id), "p", range, max_chunks,
+    std::string name = "n";
+    name.append(std::to_string(id));
+    g.add(std::move(name), "p", range, max_chunks,
           [&, id](std::size_t, std::size_t lo, std::size_t hi, PhaseStats&) {
             // Every predecessor must already have all its chunks done.
             for (const NodeId pr : preds[id])

@@ -34,6 +34,7 @@
 #include "hfmm/service/service.hpp"
 #include "hfmm/util/errors.hpp"
 #include "hfmm/util/particles.hpp"
+#include "hfmm/util/thread_pool.hpp"
 
 namespace hfmm {
 namespace {
@@ -163,6 +164,31 @@ TEST(PlanCacheTest, CapacityOneEvictsButInFlightPlanSurvives) {
   auto rebuilt = cache.plan(cfg, 3, &hit);
   EXPECT_FALSE(hit);
   EXPECT_NE(pinned.get(), rebuilt.get());
+}
+
+// A short-range plan's near lists depend on the cutoff, so two vdW tenants
+// that differ only there (same depth) must not share one: each batch result
+// matches its solo solve, and the cache built two plans.
+TEST(PlanCacheTest, VdwTenantsDifferingOnlyInCutoffGetTheirOwnPlans) {
+  ParticleSet p = make_uniform(2000, Box3{}, 17);
+  p.ensure_types();
+  std::vector<core::FmmConfig> configs(2);
+  configs[0].kernel.type = core::KernelType::kVanDerWaals;
+  configs[0].kernel.vdw_rmin = {0.05};
+  configs[0].depth = 3;
+  configs[1] = configs[0];
+  // Leaf side 1/8: the 0.06 cutoff keeps the 27 touching boxes, 0.15 also
+  // the boxes two apart along one axis.
+  configs[1].kernel.vdw_cutoff = 0.15;
+  service::SolverService svc;
+  const std::vector<service::SolveRequest> batch{{configs[0], &p},
+                                                 {configs[1], &p}};
+  const std::vector<service::SolveOutcome> out = svc.solve_batch(batch);
+  for (std::size_t i = 0; i < configs.size(); ++i) {
+    const core::FmmResult solo = core::FmmSolver(configs[i]).solve(p);
+    EXPECT_TRUE(bitwise_equal(solo.phi, out[i].result.phi)) << "tenant " << i;
+  }
+  EXPECT_EQ(svc.stats().plan_cache.plan_misses, 2u);
 }
 
 // --- SolverService: bitwise identity to solo solves ----------------------
@@ -397,6 +423,68 @@ TEST(ServiceTest, InvalidConfigRejectsBatchBeforeAcquiringClients) {
   const service::SolveOutcome next = svc.solve(good, p);
   EXPECT_TRUE(next.client_reused);
   EXPECT_EQ(svc.stats().clients_created, created);
+}
+
+// Once every client of a batch has solved, the batch claims its requests
+// by their clients' measured seconds. A clustered request, which the model
+// prices level with the uniform ones beside it, then starts first although
+// it comes last. The batch holds two more requests than the pool has
+// workers, so in the model's order the clustered request would be claimed
+// only after two solves had finished, behind every other request. A
+// request records its queue time just after its claim, so a worker
+// descheduled in between can reorder the records: two of three warm
+// batches must show the clustered request in the first wave.
+TEST(ServiceTest, WarmBatchClaimsItsCostliestRequestFirst) {
+  const std::size_t workers = ThreadPool::global().size();
+  core::FmmConfig cfg;
+  cfg.kernel.type = core::KernelType::kVanDerWaals;
+  std::vector<ParticleSet> particles;
+  for (std::size_t i = 0; i <= workers; ++i)
+    particles.push_back(make_uniform(4000, Box3{}, 300 + i));
+  // Every particle of the ball meets every other (leaf side 1/8 at N =
+  // 4000); a uniform particle meets ~200.
+  particles.push_back(
+      make_uniform(4000, Box3{{0.47, 0.47, 0.47}, {0.53, 0.53, 0.53}}, 399));
+  std::vector<service::SolveRequest> batch;
+  for (const ParticleSet& p : particles) batch.push_back({cfg, &p});
+  const std::size_t clustered = batch.size() - 1;
+
+  service::SolverService svc;
+  const std::vector<service::SolveOutcome> cold = svc.solve_batch(batch);
+  for (const service::SolveOutcome& o : cold)
+    EXPECT_EQ(o.modeled_cost, cold[clustered].modeled_cost);
+  int first_wave = 0;
+  for (int round = 0; round < 3; ++round) {
+    const std::vector<service::SolveOutcome> warm = svc.solve_batch(batch);
+    std::size_t claimed_before = 0;
+    for (std::size_t i = 0; i < clustered; ++i)
+      if (warm[i].queue_seconds < warm[clustered].queue_seconds)
+        ++claimed_before;
+    if (claimed_before < workers) ++first_wave;
+  }
+  EXPECT_GE(first_wave, 2);
+}
+
+// The model orders a batch with a fresh client. The service-mix tenants
+// (N = 20k each) keep their cold order: K = 72, then K = 12 (uniform and
+// clustered alike), then vdW. A vdW solve is priced by the neighbourhood it
+// walks, which its cutoff cuts.
+TEST(ServiceTest, ModeledCostRanksTheServiceMixTenants) {
+  core::FmmConfig k12;
+  k12.supernodes = true;
+  core::FmmConfig k72 = k12;
+  k72.params = anderson::params_d14_k72();
+  core::FmmConfig vdw = k12;
+  vdw.kernel.type = core::KernelType::kVanDerWaals;
+  vdw.kernel.vdw_rmin = {0.02, 0.016};
+  vdw.kernel.vdw_epsilon = {1.0, 0.5};
+  core::FmmConfig vdw_long = vdw;
+  vdw_long.kernel.vdw_cuton = 0.16;
+  vdw_long.kernel.vdw_cutoff = 0.22;
+  const std::size_t n = 20000;
+  EXPECT_GT(service::modeled_cost(k72, n), service::modeled_cost(k12, n));
+  EXPECT_GT(service::modeled_cost(k12, n), service::modeled_cost(vdw, n));
+  EXPECT_GT(service::modeled_cost(vdw_long, n), service::modeled_cost(vdw, n));
 }
 
 TEST(ServiceTest, ModeledCostGrowsWithNAndK) {

@@ -11,7 +11,10 @@
 //     reproducible);
 //   * end-to-end: FmmSolver with a short-range KernelSpec against an O(N^2)
 //     brute force on >= 2 distributions plus a periodic minimum-image case,
-//     empty far-field phases, warm-solve zero-alloc, and seq == threads.
+//     empty far-field phases, warm-solve zero-alloc, and seq == threads;
+//   * cutoff geometry: the plan's near lists cut to the cutoff, pairs just
+//     inside it across a kept box pair, solves whose cutoff is below the
+//     leaf side, and the depth the cutoff sets.
 
 #include <gtest/gtest.h>
 
@@ -20,13 +23,16 @@
 #include <cstring>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "hfmm/core/near_field.hpp"
 #include "hfmm/core/solver.hpp"
 #include "hfmm/pkern/kernels.hpp"
+#include "hfmm/tree/interaction_lists.hpp"
 #include "hfmm/util/particles.hpp"
 #include "hfmm/util/rng.hpp"
+#include "solver_internal.hpp"
 
 namespace hfmm {
 namespace {
@@ -460,6 +466,129 @@ TEST(VdwSolveTest, SequentialAndThreadedBitwiseIdentical) {
                            a.phi.size() * sizeof(double)));
   EXPECT_EQ(0, std::memcmp(a.grad.data(), b.grad.data(),
                            a.grad.size() * sizeof(Vec3)));
+}
+
+// --- Near lists cut to the cutoff ------------------------------------------
+
+core::FmmConfig cutoff_config(double cutoff, bool periodic, int depth) {
+  core::FmmConfig cfg = vdw_config(periodic);
+  cfg.kernel.vdw_cuton = 0.04;
+  cfg.kernel.vdw_cutoff = cutoff;
+  cfg.depth = depth;
+  return cfg;
+}
+
+// Unit box: the leaf side is 1/8 at depth 3 and 1/16 at depth 4 (times the
+// root's 1 + 1e-6 pad), both above a 0.06 cutoff, so only the boxes that
+// touch the leaf can hold a pair within it.
+TEST(VdwNearListTest, LeafSideAtLeastCutoffKeepsTheTouchingBoxes) {
+  for (const bool periodic : {false, true})
+    for (const int depth : {3, 4}) {
+      SCOPED_TRACE(::testing::Message() << "periodic " << periodic
+                                        << " depth " << depth);
+      const core::FmmConfig cfg = cutoff_config(0.06, periodic, depth);
+      const std::vector<tree::Offset> half =
+          core::internal::near_offsets_for(cfg, depth, true);
+      EXPECT_EQ(half.size(), 13u);
+      EXPECT_EQ(half, tree::near_field_half_offsets(1));
+      // The full list holds the 26 neighbours and the box itself.
+      EXPECT_EQ(core::internal::near_offsets_for(cfg, depth, false),
+                tree::near_field_offsets(1));
+    }
+}
+
+// With cutoff > sqrt(3) x side even the (2, 2, 2) corner box can hold a pair
+// within the cutoff: nothing is dropped.
+TEST(VdwNearListTest, CutoffBeyondTheCornerGapKeepsTheWholeNeighbourhood) {
+  for (const bool periodic : {false, true})
+    for (const auto& [cutoff, depth] :
+         {std::pair{0.06, 5}, std::pair{0.22, 3}}) {
+      SCOPED_TRACE(::testing::Message() << "periodic " << periodic
+                                        << " depth " << depth);
+      const core::FmmConfig cfg = cutoff_config(cutoff, periodic, depth);
+      EXPECT_EQ(core::internal::near_offsets_for(cfg, depth, true),
+                tree::near_field_half_offsets(2));
+      EXPECT_EQ(core::internal::near_offsets_for(cfg, depth, false),
+                tree::near_field_offsets(2));
+    }
+}
+
+// Two particles in leaf boxes two apart along x, closer than the cutoff by
+// a hair, and the cuton just below their distance so the switched pair adds
+// a visible amount: the solve must count them. Without a wrap the cutoff
+// sits just above the leaf side. Across the periodic seam the leaf side
+// (1/16 x (1 + 1e-6)) sits just above a 1/16 cutoff, yet the pair is closer:
+// the root's pad makes the grid span more than the period.
+TEST(VdwNearListTest, PairJustInsideTheCutoffAcrossAnOffsetTwoBoxPair) {
+  struct Case {
+    bool periodic;
+    double cutoff, xa, xb, distance;
+  };
+  for (const Case& c :
+       {Case{false, 0.0626, 0.3124, 0.37499995, 0.06259995},
+        Case{true, 0.0625, 0.9999999, 0.0624996, 0.0624997}}) {
+    SCOPED_TRACE(::testing::Message() << "periodic " << c.periodic);
+    core::FmmConfig cfg = cutoff_config(c.cutoff, c.periodic, 4);
+    cfg.kernel.vdw_rmin = {0.06};
+    cfg.kernel.vdw_epsilon = {1.0};
+    cfg.kernel.vdw_cuton = c.distance - (c.cutoff - c.distance);
+    ParticleSet ps(2);
+    ps.set(0, {c.xa, 0.5, 0.5}, 1.0);
+    ps.set(1, {c.xb, 0.5, 0.5}, 1.0);
+    ps.ensure_types();
+    const std::vector<std::int32_t> type{0, 0};
+    // The leaves sit two apart (through the wrap when periodic).
+    const tree::Hierarchy hier(tree::cube_containing(cfg.kernel.vdw_box), 4);
+    const std::int32_t ia = hier.leaf_of(ps.position(0)).ix;
+    const std::int32_t ib = hier.leaf_of(ps.position(1)).ix;
+    EXPECT_EQ(c.periodic ? (ib - ia + 16) % 16 : ib - ia, 2);
+    const core::FmmResult r = core::FmmSolver(cfg).solve(ps);
+    EXPECT_LT(r.phi[0], -0.1);  // the pair is counted
+    expect_solve_matches_brute_force(cfg, ps, type);
+  }
+}
+
+// A cutoff below the leaf side: the cut lists in every execution mode.
+TEST(VdwNearListTest, CutoffBelowLeafSideMatchesBruteForceInEveryMode) {
+  std::vector<std::int32_t> type;
+  const ParticleSet ps = typed_uniform(3000, 2024, type, 2);
+  for (const bool periodic : {false, true})
+    for (const int depth : {3, 4}) {
+      SCOPED_TRACE(::testing::Message() << "periodic " << periodic
+                                        << " depth " << depth);
+      core::FmmConfig seq = cutoff_config(0.06, periodic, depth);
+      seq.mode = core::ExecutionMode::kSequential;
+      expect_solve_matches_brute_force(seq, ps, type);
+      core::FmmConfig thr = seq;
+      thr.mode = core::ExecutionMode::kThreads;
+      const core::FmmResult a = core::FmmSolver(seq).solve(ps);
+      const core::FmmResult b = core::FmmSolver(thr).solve(ps);
+      ASSERT_EQ(a.phi.size(), b.phi.size());
+      EXPECT_EQ(0, std::memcmp(a.phi.data(), b.phi.data(),
+                               a.phi.size() * sizeof(double)));
+      EXPECT_EQ(0, std::memcmp(a.grad.data(), b.grad.data(),
+                               a.grad.size() * sizeof(Vec3)));
+      core::FmmConfig dp = seq;
+      dp.mode = core::ExecutionMode::kDataParallel;
+      expect_solve_matches_brute_force(dp, ps, type);
+    }
+}
+
+// The depth the cutoff sets: the deepest level whose leaf side is still
+// >= the cutoff, no deeper than one particle per leaf, never below the
+// floor of 2.
+TEST(VdwDepthTest, CutoffSetsTheDepth) {
+  const core::FmmConfig cfg = cutoff_config(0.06, false, -1);
+  EXPECT_EQ(core::depth_for(cfg, 20000), 4);
+  EXPECT_EQ(core::depth_for(cfg, 100000), 4);
+  EXPECT_EQ(core::depth_for(cfg, 2000), 3);
+  EXPECT_EQ(core::depth_for(cfg, 100), 2);
+  // A tiny cutoff stops at the occupancy bound (8^3 <= 1000 < 8^4), not at
+  // the cutoff's level 9.
+  core::FmmConfig tiny = cfg;
+  tiny.kernel.vdw_cuton = 5e-4;
+  tiny.kernel.vdw_cutoff = 1e-3;
+  EXPECT_EQ(core::depth_for(tiny, 1000), 3);
 }
 
 // The pair tables are indexed by type id unchecked, so a solve must reject

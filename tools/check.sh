@@ -48,7 +48,9 @@ run_suite() {
 # (active-box count below the box count of levels 0..depth), and every
 # breakdown config must carry pair counts, non-empty occupancy and a
 # non-empty near phase. The same breakdown run holds the vdW rows, whose
-# far phases must be empty DAG nodes (DESIGN.md §16).
+# far phases must be empty DAG nodes (DESIGN.md §16), and whose near lists
+# are cut to the cutoff: each evaluates under a quarter of the pairs of the
+# Laplace row on the same input.
 clustered_bench_smoke() {
   local build_dir="$1"
   echo "== clustered bench smoke =="
@@ -68,11 +70,15 @@ for row in json.load(open(f"{build}/smoke_scaling.json"))["n_sweep"]:
 configs = json.load(open(f"{build}/smoke_breakdown.json"))["configs"]
 labels = {c["label"] for c in configs}
 for label in ("plummer_d4_sparse", "plummer_d5_sparse", "plummer_sparse_auto",
-              "kernel_vdw"):
+              "kernel_laplace", "kernel_vdw"):
     assert label in labels, label
+def near_of(c):
+    return [p for p in c["phases"] if p["phase"] == "near"][0]
+laplace_pairs = near_of(
+    [c for c in configs if c["label"] == "kernel_laplace"][0])["pairs"]
 for c in configs:
     assert c["occupancy"], f"empty occupancy for {c['label']}"
-    near = [p for p in c["phases"] if p["phase"] == "near"][0]
+    near = near_of(c)
     assert near["boxes_total"] > 0, f"zero near boxes for {c['label']}"
     if c["dist"] == "plummer":
         assert c["active_boxes"] < all_boxes(c["depth"]), c["label"]
@@ -84,6 +90,8 @@ for c in configs:
             assert p["boxes_active"] == 0 and p["pairs"] == 0, \
                 f"non-empty far phase {p['phase']} for {c['label']}"
         assert near["pairs"] > 0, f"zero near pairs for {c['label']}"
+        assert 4 * near["pairs"] < laplace_pairs, \
+            f"{c['label']}: {near['pairs']} near pairs, Laplace {laplace_pairs}"
 EOF
 }
 
@@ -225,16 +233,20 @@ env_readers_check() {
   return "$bad"
 }
 
+# The plain and Release lanes fail on any compiler warning
+# (CMAKE_COMPILE_WARNING_AS_ERROR, CMake >= 3.24), so a new warning cannot
+# hide in the lane logs.
 if [[ "$lane" == all || "$lane" == plain ]]; then
   echo "== environment readers =="
   env_readers_check
   echo "== tier-1: plain build =="
-  run_suite build
+  run_suite build -DCMAKE_COMPILE_WARNING_AS_ERROR=ON
 fi
 
 if [[ "$lane" == all || "$lane" == release ]]; then
   echo "== tier-1: Release build =="
-  run_suite build-release -DCMAKE_BUILD_TYPE=Release
+  run_suite build-release -DCMAKE_BUILD_TYPE=Release \
+    -DCMAKE_COMPILE_WARNING_AS_ERROR=ON
 fi
 
 if [[ "$lane" == all || "$lane" == asan ]]; then
