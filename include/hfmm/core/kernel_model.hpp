@@ -71,6 +71,14 @@ struct KernelSpec {
   /// Number of atom types in the vdW tables.
   std::size_t vdw_types() const { return vdw_rmin.size(); }
 
+  /// Deepest hierarchy a short-range solve may run at: the U-list reaches
+  /// d = 2 leaf boxes per axis, so it covers every pair within the cutoff
+  /// while the leaf side stays >= cutoff / 2, i.e. up to depth
+  /// floor(log2(2 * side / cutoff)), and never past tree::kMaxDepth. The
+  /// automatic depth stops there, and FmmConfig::validate() rejects an
+  /// explicit depth beyond it. Short-range kernels only.
+  int max_depth() const;
+
   /// Throws std::invalid_argument on inconsistent parameters: a non-finite
   /// Laplace softening (it would turn every potential NaN). For vdW the
   /// cutoff must not exceed side/4 of the box: the U-list spans d = 2 leaf

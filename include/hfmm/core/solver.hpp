@@ -104,8 +104,7 @@ struct SolveView {
 /// Depth the solver will use for `n` particles under `config` — the
 /// automatic-depth rule (Section 2.3 occupancy balance and the short-range
 /// cutoff-coverage cap), or the explicit config.depth. Free function so the
-/// service's admission cost model can price a request without instantiating
-/// a solver.
+/// C API can warm a plan for a size hint without instantiating a solver.
 int depth_for(const FmmConfig& config, std::size_t n);
 
 class FmmSolver {
@@ -115,7 +114,7 @@ class FmmSolver {
   /// shared `cache` instead of being built per solver, so N clients of the
   /// same workload pay for one plan build (DESIGN.md Section 17). A null
   /// cache behaves exactly like the single-argument constructor, which
-  /// gives the solver a private one-plan cache.
+  /// gives the solver a private cache.
   FmmSolver(FmmConfig config, std::shared_ptr<service::PlanCache> cache);
   ~FmmSolver();
   FmmSolver(const FmmSolver&) = delete;

@@ -43,7 +43,7 @@ extern "C" {
 #endif
 
 /* Bumped when the binary interface changes incompatibly. */
-#define HFMM_ABI_VERSION 2
+#define HFMM_ABI_VERSION 3
 
 typedef enum hfmm_status {
   HFMM_OK = 0,
@@ -63,7 +63,10 @@ typedef struct hfmm_plan hfmm_plan;
 
 /* Workload configuration. hfmm_config_init() fills the defaults (order 5,
  * Laplace, automatic depth, no gradient); override fields after. The
- * vdw_* block is read only when kernel == HFMM_KERNEL_VDW. */
+ * vdw_* block is read only when kernel == HFMM_KERNEL_VDW. An explicit vdW
+ * depth must keep the leaf side at least half the cutoff
+ * (depth <= floor(log2(2 * box side / vdw_cutoff))); a deeper one would
+ * drop pairs and is rejected as HFMM_ERROR_INVALID_ARGUMENT. */
 typedef struct hfmm_config {
   size_t struct_size; /* = sizeof(hfmm_config), set by hfmm_config_init */
   int order;          /* quadrature order: 5 (K = 12) or 14 (K = 72)    */
@@ -125,7 +128,6 @@ typedef struct hfmm_context_stats {
   uint64_t batches;
   uint64_t plan_hits;
   uint64_t plan_misses;
-  uint64_t plan_evictions;
   uint64_t clients_created;
   uint64_t clients_reused;
 } hfmm_context_stats;
@@ -134,16 +136,13 @@ typedef struct hfmm_context_stats {
 void hfmm_config_init(hfmm_config* config);
 
 hfmm_status hfmm_context_create(hfmm_context** out);
-/* plan_cache_capacity bounds the resident plans (LRU); 0 = default. */
-hfmm_status hfmm_context_create_ex(size_t plan_cache_capacity,
-                                   hfmm_context** out);
 void hfmm_context_destroy(hfmm_context* context);
 
 /* Admits `config` to the context and builds the solve plan for ~n_hint
  * particles into the context's plan cache (0 skips the warm-up). Plans
  * with equal configuration share cache entries, so creating N plans of
- * one workload costs one build; an evicted plan is rebuilt by the next
- * solve that needs it. */
+ * one workload costs one build; the context keeps every plan it builds
+ * until it is destroyed. */
 hfmm_status hfmm_plan_create(hfmm_context* context, const hfmm_config* config,
                              size_t n_hint, hfmm_plan** out);
 void hfmm_plan_destroy(hfmm_plan* plan);

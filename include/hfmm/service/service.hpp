@@ -15,7 +15,6 @@
 // Data-parallel requests are rejected: the simulated machine fans out onto
 // the global pool itself and cannot be nested under the batch scheduler.
 
-#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <span>
@@ -26,11 +25,6 @@
 #include "hfmm/util/particles.hpp"
 
 namespace hfmm::service {
-
-struct ServiceConfig {
-  /// Plan LRU capacity of the shared PlanCache.
-  std::size_t plan_capacity = PlanCache::kDefaultCapacity;
-};
 
 /// One independent solve: a workload configuration plus its particles.
 /// `config.mode` is forced to sequential on admission (see above);
@@ -47,9 +41,6 @@ struct SolveOutcome {
   /// Seconds the request waited from batch start until its solve body was
   /// claimed by a scheduler worker.
   double queue_seconds = 0.0;
-  /// Modeled admission cost: the claim order (largest first) of a batch
-  /// that has a fresh client; see solve_batch.
-  double modeled_cost = 0.0;
   /// True when the request was served by a pooled client (warm workspace)
   /// rather than a freshly constructed one.
   bool client_reused = false;
@@ -63,14 +54,9 @@ struct ServiceStats {
   PlanCacheStats plan_cache;
 };
 
-/// Admission-ordering cost model: the modeled work of one solve (near-field
-/// pair estimate plus translation volume at the depth depth_for() selects).
-/// Unit-free; only the ordering matters.
-double modeled_cost(const core::FmmConfig& config, std::size_t n);
-
 class SolverService {
  public:
-  explicit SolverService(ServiceConfig config = {});
+  SolverService();
   ~SolverService();
   SolverService(const SolverService&) = delete;
   SolverService& operator=(const SolverService&) = delete;
@@ -83,12 +69,12 @@ class SolverService {
 
   /// Admits a batch of independent requests as one interleaved phase-graph
   /// run on the process-global pool: one serial DAG node per request, no
-  /// cross edges, costliest request claimed first (stable by request
-  /// index). Once every client of the batch has solved before, a request
-  /// costs its client's last solve seconds x N / N_last; a batch with a
-  /// fresh client is ordered by modeled_cost. Outcomes are returned in
-  /// REQUEST order. Each request's result is bitwise-identical to a solo
-  /// solve of the same (config, particles).
+  /// cross edges, costliest request claimed first (ties by request index).
+  /// A request costs its client's last solve seconds x N / N_last; a client
+  /// that has not solved yet costs +infinity, so a cold batch runs in
+  /// request order. Outcomes are returned in REQUEST order. Each request's
+  /// result is bitwise-identical to a solo solve of the same (config,
+  /// particles).
   std::vector<SolveOutcome> solve_batch(std::span<const SolveRequest> requests);
 
   /// The shared plan cache (for stats or for constructing cache-aware

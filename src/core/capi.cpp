@@ -17,8 +17,6 @@
 
 struct hfmm_context {
   hfmm::service::SolverService service;
-  explicit hfmm_context(hfmm::service::ServiceConfig config)
-      : service(config) {}
 };
 
 struct hfmm_plan {
@@ -155,16 +153,9 @@ void hfmm_config_init(hfmm_config* config) {
 }
 
 hfmm_status hfmm_context_create(hfmm_context** out) {
-  return hfmm_context_create_ex(0, out);
-}
-
-hfmm_status hfmm_context_create_ex(size_t plan_cache_capacity,
-                                   hfmm_context** out) {
   if (out == nullptr) return HFMM_ERROR_INVALID_ARGUMENT;
   return guarded([&] {
-    hfmm::service::ServiceConfig cfg;
-    if (plan_cache_capacity > 0) cfg.plan_capacity = plan_cache_capacity;
-    *out = new hfmm_context(cfg);
+    *out = new hfmm_context;
     return HFMM_OK;
   });
 }
@@ -181,8 +172,7 @@ hfmm_status hfmm_plan_create(hfmm_context* context, const hfmm_config* config,
     if (st != HFMM_OK) return st;
     plan->config.validate();  // throws invalid_argument on a bad config
     // Warm the shared cache with the solve plan at the depth the hint
-    // selects, so the first solve of that size finds it. The cache may
-    // evict it again like any other entry.
+    // selects, so the first solve of that size finds it.
     if (n_hint > 0)
       context->service.plan_cache()->plan(
           plan->config, hfmm::core::depth_for(plan->config, n_hint));
@@ -239,7 +229,6 @@ hfmm_status hfmm_context_stats_query(hfmm_context* context,
     out->batches = s.batches;
     out->plan_hits = s.plan_cache.plan_hits;
     out->plan_misses = s.plan_cache.plan_misses;
-    out->plan_evictions = s.plan_cache.plan_evictions;
     out->clients_created = s.clients_created;
     out->clients_reused = s.clients_reused;
     return HFMM_OK;
@@ -257,7 +246,7 @@ const char* hfmm_status_string(hfmm_status status) {
   return "unknown status";
 }
 
-const char* hfmm_version(void) { return "2.0.0"; }
+const char* hfmm_version(void) { return "3.0.0"; }
 
 int hfmm_abi_version(void) { return HFMM_ABI_VERSION; }
 

@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <stdexcept>
+#include <string>
 
 #include "hfmm/tree/hierarchy.hpp"
 
@@ -34,6 +35,12 @@ void FmmConfig::validate() const {
   if (depth != -1 && (depth < 2 || depth > tree::kMaxDepth))
     throw std::invalid_argument(
         "FmmConfig: explicit depth must be in [2, 10]");
+  if (depth != -1 && !kernel.far_field_capable() && depth > kernel.max_depth())
+    throw std::invalid_argument(
+        "FmmConfig: explicit depth " + std::to_string(depth) +
+        " puts the leaf side below half the vdw_cutoff, so the near field "
+        "would drop pairs within the cutoff; the deepest covered depth is " +
+        std::to_string(kernel.max_depth()));
   if (!(particles_per_leaf >= 0.0) || !std::isfinite(particles_per_leaf))
     throw std::invalid_argument(
         "FmmConfig: particles_per_leaf must be finite and positive (or 0 = "

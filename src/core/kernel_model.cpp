@@ -4,6 +4,8 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "hfmm/tree/hierarchy.hpp"
+
 namespace hfmm::core {
 
 const char* to_string(KernelType t) {
@@ -52,6 +54,12 @@ void KernelSpec::validate() const {
         "KernelSpec: vdw_cutoff must be <= vdw_box side / 4 so the "
         "d-separation U-list covers every in-range pair (see "
         "kernel_model.hpp)");
+}
+
+int KernelSpec::max_depth() const {
+  const double cap =
+      std::floor(std::log2(2.0 * vdw_box.max_side() / vdw_cutoff));
+  return cap < tree::kMaxDepth ? static_cast<int>(cap) : tree::kMaxDepth;
 }
 
 }  // namespace hfmm::core

@@ -4,7 +4,7 @@
 #include <bit>
 #include <cstdint>
 
-#include "hfmm/service/lru.hpp"
+#include "hfmm/service/shared_map.hpp"
 #include "solver_internal.hpp"
 
 namespace hfmm::service {
@@ -99,18 +99,11 @@ struct PlanKeyHash {
 }  // namespace
 
 struct PlanCache::Impl {
-  // Translation data is never evicted: there is one entry per quadrature
-  // configuration and the plans alias it by shared_ptr anyway. A huge
-  // capacity turns the LRU into a plain concurrent map with hit counters.
-  LruCache<TransKey, const TranslationData, TransKeyHash> trans;
-  LruCache<PlanKey, const FmmPlan, PlanKeyHash> plans;
-
-  explicit Impl(std::size_t capacity)
-      : trans(~std::size_t{0}), plans(capacity) {}
+  SharedMap<TransKey, const TranslationData, TransKeyHash> trans;
+  SharedMap<PlanKey, const FmmPlan, PlanKeyHash> plans;
 };
 
-PlanCache::PlanCache(std::size_t capacity)
-    : impl_(std::make_unique<Impl>(capacity)) {}
+PlanCache::PlanCache() : impl_(std::make_unique<Impl>()) {}
 
 PlanCache::~PlanCache() = default;
 
@@ -137,19 +130,16 @@ std::shared_ptr<const FmmPlan> PlanCache::plan(const core::FmmConfig& config,
 }
 
 PlanCacheStats PlanCache::stats() const {
-  const LruStats p = impl_->plans.stats();
-  const LruStats t = impl_->trans.stats();
+  const SharedMapStats p = impl_->plans.stats();
+  const SharedMapStats t = impl_->trans.stats();
   PlanCacheStats s;
   s.plan_hits = p.hits;
   s.plan_misses = p.misses;
-  s.plan_evictions = p.evictions;
   s.trans_hits = t.hits;
   s.trans_misses = t.misses;
   return s;
 }
 
 std::size_t PlanCache::size() const { return impl_->plans.size(); }
-
-std::size_t PlanCache::capacity() const { return impl_->plans.capacity(); }
 
 }  // namespace hfmm::service

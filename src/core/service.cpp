@@ -2,8 +2,8 @@
 
 #include <algorithm>
 #include <bit>
-#include <cmath>
 #include <cstdio>
+#include <limits>
 #include <mutex>
 #include <numeric>
 #include <stdexcept>
@@ -12,7 +12,7 @@
 #include <utility>
 
 #include "hfmm/exec/graph.hpp"
-#include "hfmm/service/lru.hpp"
+#include "hfmm/service/shared_map.hpp"
 #include "hfmm/util/thread_pool.hpp"
 #include "hfmm/util/timer.hpp"
 #include "solver_internal.hpp"
@@ -73,41 +73,14 @@ struct Client {
 
 }  // namespace
 
-double modeled_cost(const core::FmmConfig& config, std::size_t n) {
-  const int h = core::depth_for(config, n);
-  const double k = static_cast<double>(config.params.k());
-  double boxes = 0.0;
-  for (int l = 0; l <= h; ++l) boxes += std::ldexp(1.0, 3 * l);
-  const double leaves = std::ldexp(1.0, 3 * h);
-  // Near field: each particle meets the occupancy of the neighbourhood the
-  // solve walks (125 boxes at d = 2, fewer for a short-range kernel whose
-  // cutoff is shorter than that reach); clustered inputs make this an
-  // underestimate, which only perturbs the admission order, never
-  // correctness.
-  const double occupancy = static_cast<double>(n) / leaves;
-  const double neighbourhood = static_cast<double>(
-      core::internal::near_offsets_for(config, h, false).size());
-  double cost =
-      static_cast<double>(n) * std::max(1.0, neighbourhood * occupancy);
-  // Far field: every box pays ~O(K^2) per translation; supernodes cut the
-  // interactive volume ~4.6x (paper Section 2.3).
-  if (config.kernel.far_field_capable())
-    cost += boxes * k * k * (config.supernodes ? 875.0 / 4.6 : 875.0) / 8.0;
-  return cost;
-}
-
 struct SolverService::Impl {
-  ServiceConfig config;
-  std::shared_ptr<PlanCache> cache;
+  std::shared_ptr<PlanCache> cache = std::make_shared<PlanCache>();
   std::mutex mu;  // guards pool + counters
   // Idle clients by configuration signature. Acquired for the duration of
   // one request; growth is bounded by the peak number of concurrent
   // requests per configuration.
   std::unordered_map<std::string, std::vector<Client>> pool;
   ServiceStats counters;
-
-  explicit Impl(ServiceConfig cfg)
-      : config(cfg), cache(std::make_shared<PlanCache>(cfg.plan_capacity)) {}
 
   // Pops an idle client for `sig` or builds one; `reused` reports which.
   Client acquire(const std::string& sig, const core::FmmConfig& admitted,
@@ -141,8 +114,7 @@ struct SolverService::Impl {
   }
 };
 
-SolverService::SolverService(ServiceConfig config)
-    : impl_(std::make_unique<Impl>(config)) {}
+SolverService::SolverService() : impl_(std::make_unique<Impl>()) {}
 
 SolverService::~SolverService() = default;
 
@@ -176,8 +148,6 @@ std::vector<SolveOutcome> SolverService::solve_batch(
         *requests[i].particles, admitted[i].kernel,
         "SolverService: request " + std::to_string(i));
     sigs[i] = client_signature(admitted[i]);
-    outcomes[i].modeled_cost =
-        modeled_cost(admitted[i], requests[i].particles->size());
   }
 
   // One client per in-flight request: same-signature requests get distinct
@@ -190,27 +160,22 @@ std::vector<SolveOutcome> SolverService::solve_batch(
     outcomes[i].client_reused = reused;
   }
 
-  // Claim order: costliest first, stable by request index. Node insertion
+  // Claim order: costliest first, ties by request index. Node insertion
   // order is the concurrent scheduler's claim order at equal priority, so
   // the most expensive solves start first and the short ones pack the tail
-  // — the classic LPT heuristic. Once every client of the batch has solved
-  // before, a request costs its client's last wall seconds scaled by
-  // N / N_last: a measurement ranks clustered inputs, whose near field the
-  // model prices as uniform, above the uniform ones. A batch with a fresh
-  // client falls back on the model. Each request is still its own
-  // sequential solve, so no result bit depends on the order.
-  std::vector<double> cost(nreq);
-  bool measured = true;
+  // — the classic LPT heuristic. A request costs its client's last wall
+  // seconds scaled by N / N_last; a client that has not solved yet is
+  // unmeasured and goes first, so a cold batch runs in request order. Each
+  // request is still its own sequential solve, so no result bit depends on
+  // the order.
+  std::vector<double> cost(nreq, std::numeric_limits<double>::infinity());
   for (std::size_t i = 0; i < nreq; ++i) {
     const Client& c = clients[i];
-    measured = measured && c.last_n > 0;
     if (c.last_n > 0)
       cost[i] = c.last_seconds *
                 static_cast<double>(requests[i].particles->size()) /
                 static_cast<double>(c.last_n);
   }
-  if (!measured)
-    for (std::size_t i = 0; i < nreq; ++i) cost[i] = outcomes[i].modeled_cost;
   std::vector<std::size_t> order(nreq);
   std::iota(order.begin(), order.end(), std::size_t{0});
   std::stable_sort(

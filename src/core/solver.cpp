@@ -231,8 +231,8 @@ const FmmPlan& FmmSolver::Impl::plan_for(const FmmConfig& config, int depth,
   plan = cache->plan(config, depth, &hit);
   // A cache hit is a reuse, not a build: warm-path accounting
   // (plan_reused, zero plan allocs) holds from this client's very first
-  // solve when another client already built the plan. A private one-plan
-  // cache never hits here: its only entry is the memoized plan above.
+  // solve when another client already built the plan, and when a solver
+  // returns to a depth it solved at before.
   if (hit)
     breakdown["plan"].plan_reuse += 1;
   else
@@ -248,7 +248,7 @@ FmmSolver::FmmSolver(FmmConfig config,
     : config_(std::move(config)), impl_(std::make_unique<Impl>()) {
   config_.validate();
   impl_->cache =
-      cache ? std::move(cache) : std::make_shared<service::PlanCache>(1);
+      cache ? std::move(cache) : std::make_shared<service::PlanCache>();
   if (config_.mode == ExecutionMode::kDistributed) {
     // Owner-computes execution (DESIGN.md Section 18) requires the
     // non-symmetric near field so every target's contributions accumulate
@@ -307,17 +307,11 @@ int depth_for(const FmmConfig& config_, std::size_t n) {
              (std::size_t{1} << (3 * (h + 1))) <= n)
         ++h;
     }
-    // Cutoff-coverage cap: the U-list reaches d leaf boxes, so with leaf
-    // side s every pair within r < cutoff is covered when s >= cutoff / 2
-    // (a per-axis box offset over such a pair is at most 2), i.e.
-    // h <= floor(log2(2 * side / cutoff)). validate() guarantees
-    // cutoff <= side / 4, so the cap is always >= 3. Periodic solves
-    // additionally need >= 8 boxes per side so the +-2 wrapped offsets stay
-    // distinct modulo the box count.
-    const double side = config_.kernel.vdw_box.max_side();
-    const int cap = static_cast<int>(
-        std::floor(std::log2(2.0 * side / config_.kernel.vdw_cutoff)));
-    h = std::min(h, cap);
+    // Cutoff-coverage cap (KernelSpec::max_depth): the leaf side stays
+    // >= cutoff / 2. validate() guarantees cutoff <= side / 4, so the cap
+    // is always >= 3. Periodic solves additionally need >= 8 boxes per
+    // side so the +-2 wrapped offsets stay distinct modulo the box count.
+    h = std::min(h, config_.kernel.max_depth());
     h = std::max(h, config_.kernel.vdw_periodic ? 3 : 2);
   }
   return h;

@@ -57,7 +57,7 @@ std::vector<UnionOffset> build_union_offsets(int separation);
 // The near-field offsets a solve at `depth` walks: the d-separation
 // neighbourhood (the half list when `symmetric`), cut for a short-range
 // kernel to the offsets whose two leaf boxes can hold a pair closer than
-// the cutoff. FmmPlan::build and the service's cost model both read it.
+// the cutoff. FmmPlan::build reads it.
 std::vector<tree::Offset> near_offsets_for(const FmmConfig& config, int depth,
                                            bool symmetric);
 
@@ -363,7 +363,7 @@ namespace hfmm::core {
 
 struct FmmSolver::Impl {
   // Where plans come from: the shared cache when this solver is a service
-  // client, else a private one-plan cache. `trans` and `plan` memoize the
+  // client, else a private cache. `trans` and `plan` memoize the
   // last answers, so warm solves never take the cache's lock.
   std::shared_ptr<service::PlanCache> cache;
   std::shared_ptr<const internal::TranslationData> trans;

@@ -10,7 +10,7 @@
 
 #include "hfmm/blas/blas.hpp"
 #include "hfmm/pkern/kernels.hpp"
-#include "hfmm/service/lru.hpp"
+#include "hfmm/service/shared_map.hpp"
 #include "hfmm/util/rng.hpp"
 
 namespace hfmm::d2 {
@@ -159,7 +159,7 @@ void sort_particles(const ParticleSet2& p, const Quadtree& tree, Boxed2& out,
 // Immutable translation plan for one (k, truncation, radius_ratio,
 // separation, supernodes) configuration — the 2-D analogue of the 3-D
 // FmmPlan. Shared by every FmmSolver2 with the same configuration through
-// a process-wide LRU cache, so pooled service clients pay one build.
+// a process-wide map, so the solvers of one configuration share one build.
 struct Plan2 {
   CircleRule rule;
   std::size_t kp = 0;
@@ -198,7 +198,7 @@ struct Plan2KeyHash {
 }  // namespace
 
 std::shared_ptr<const Plan2> Plan2::get(const Fmm2Config& cfg) {
-  static service::LruCache<Plan2Key, const Plan2, Plan2KeyHash> cache(16);
+  static service::SharedMap<Plan2Key, const Plan2, Plan2KeyHash> cache;
   Plan2Key key;
   key.k = cfg.k;
   key.truncation = cfg.truncation;

@@ -1,7 +1,8 @@
 // Tests for the leapfrog integrator: two-body orbits, energy conservation,
 // momentum conservation, and time-reversibility of the symplectic scheme —
-// plus long-run energy drift on the streamed warm-solve path (DESIGN.md
-// Section 14).
+// plus long-run energy drift on the streamed warm-solve path and the
+// warm-step contract on both clustered inputs, a Plummer sphere and a
+// two-cluster merger (DESIGN.md Section 14).
 
 #include <gtest/gtest.h>
 
@@ -166,6 +167,29 @@ TEST(IntegratorTest, HundredStepPlummerEnergyDrift) {
   EXPECT_EQ(fs.streamed_evaluations, 101u);
   EXPECT_EQ(fs.saved_result_allocs, 202u);
   EXPECT_EQ(fs.warm_evaluations, 100u);
+}
+
+// The warm-step contract on the other clustered input: two cold clusters
+// falling together (the timestep loop's merger scenario). After
+// initialize() every step is a warm solve, although the particles move and
+// every solve rebuilds the sort and structures, and every evaluation
+// streams.
+TEST(IntegratorTest, TwoClusterMergerStepsWarmAndStreamed) {
+  FmmConfig cfg;
+  cfg.with_gradient = true;
+  cfg.supernodes = true;
+  cfg.kernel.softening = 1e-3;
+  FmmSolver solver(cfg);
+  SimulationState s;
+  s.particles = make_two_clusters(2000, Box3{}, 1203);
+  s.velocity.assign(2000, Vec3{});
+  LeapfrogIntegrator integ(solver, ForceLaw::kGravity, 1e-3);
+  integ.initialize(s);
+  integ.run(s, 6);
+  const ForceStats& fs = integ.force_stats();
+  EXPECT_EQ(fs.evaluations, 7u);
+  EXPECT_EQ(fs.streamed_evaluations, 7u);
+  EXPECT_EQ(fs.warm_evaluations, 6u);
 }
 
 }  // namespace

@@ -131,10 +131,11 @@ TEST_P(ReuseModes, WorkspaceSurvivesChangeInN) {
       << "test needs two N that select different depths";
 
   const FmmResult first_small = solver.solve(small);
-  const FmmResult first_large = solver.solve(large);  // deeper plan rebuilt
+  const FmmResult first_large = solver.solve(large);  // deeper plan built
   EXPECT_FALSE(first_large.plan_reused);
-  const FmmResult second_small = solver.solve(small);  // shallower again
-  EXPECT_FALSE(second_small.plan_reused);
+  // Shallower again: the solver's cache kept the first plan.
+  const FmmResult second_small = solver.solve(small);
+  EXPECT_TRUE(second_small.plan_reused);
 
   // Returning to a previously seen N must reproduce the results exactly;
   // a fresh solver is the oracle.

@@ -1,37 +1,43 @@
-// Solver-as-a-service (DESIGN.md Section 17): the LRU plan cache, the
+// Solver-as-a-service (DESIGN.md Section 17): the shared plan cache, the
 // SolverService scheduler, and the C-linkage facade.
 //
 // Covers:
-//   * LruCache semantics — hit/miss/eviction counters, LRU order, and the
-//     refcount guarantee that eviction never invalidates an in-flight value,
+//   * SharedMap semantics — hit/miss counters, one build per key, also
+//     under concurrent gets,
 //   * PlanCache sharing — one build per (config, depth), translation data
-//     shared across depths, eviction accounting,
+//     shared across depths,
 //   * service-vs-solo bitwise identity for both executors and kernels,
 //     solo and inside randomized mixed batches,
 //   * warm-path guarantees — cached-plan solves report plan_reused with
 //     zero workspace heap growth, pooled clients are reused,
 //   * admission rules — data-parallel requests and bad configs rejected
 //     atomically, before any pooled client is taken,
+//   * claim order — measured requests costliest first, unmeasured ones
+//     (fresh clients) ahead of them,
 //   * the C API — round trip against the C++ solver, versioned-struct
 //     validation, and error-code mapping.
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdint>
 #include <cstring>
 #include <limits>
 #include <memory>
+#include <set>
 #include <stdexcept>
 #include <string>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include "hfmm/anderson/params.hpp"
 #include "hfmm/baseline/direct.hpp"
 #include "hfmm/core/solver.hpp"
 #include "hfmm/hfmm_c.h"
-#include "hfmm/service/lru.hpp"
 #include "hfmm/service/plan_cache.hpp"
 #include "hfmm/service/service.hpp"
+#include "hfmm/service/shared_map.hpp"
 #include "hfmm/util/errors.hpp"
 #include "hfmm/util/particles.hpp"
 #include "hfmm/util/thread_pool.hpp"
@@ -51,61 +57,54 @@ bool bitwise_equal(const std::vector<Vec3>& a, const std::vector<Vec3>& b) {
           std::memcmp(a.data(), b.data(), a.size() * sizeof(Vec3)) == 0);
 }
 
-// --- LruCache ------------------------------------------------------------
+// --- SharedMap -----------------------------------------------------------
 
-TEST(LruCacheTest, CountsHitsMissesAndEvictions) {
-  service::LruCache<int, int> cache(2);
+TEST(SharedMapTest, CountsHitsAndMisses) {
+  service::SharedMap<int, int> cache;
   auto [a, hit_a] = cache.get_or_build(1, [] { return std::make_shared<int>(10); });
   EXPECT_FALSE(hit_a);
   auto [b, hit_b] = cache.get_or_build(1, [] { return std::make_shared<int>(99); });
   EXPECT_TRUE(hit_b);
   EXPECT_EQ(*b, 10);  // the factory must not run on a hit
+  EXPECT_EQ(a.get(), b.get());
   cache.get_or_build(2, [] { return std::make_shared<int>(20); });
-  cache.get_or_build(3, [] { return std::make_shared<int>(30); });  // evicts 1
-  EXPECT_EQ(cache.size(), 2u);
-  const service::LruStats s = cache.stats();
+  cache.get_or_build(3, [] { return std::make_shared<int>(30); });
+  EXPECT_EQ(cache.size(), 3u);
+  const service::SharedMapStats s = cache.stats();
   EXPECT_EQ(s.hits, 1u);
   EXPECT_EQ(s.misses, 3u);
-  EXPECT_EQ(s.evictions, 1u);
-  // Key 1 was the least recently used entry; re-requesting it is a miss.
-  auto [a2, hit_a2] =
-      cache.get_or_build(1, [] { return std::make_shared<int>(11); });
-  EXPECT_FALSE(hit_a2);
-  EXPECT_EQ(*a2, 11);
 }
 
-TEST(LruCacheTest, RecentUseProtectsFromEviction) {
-  service::LruCache<int, int> cache(2);
-  cache.get_or_build(1, [] { return std::make_shared<int>(1); });
-  cache.get_or_build(2, [] { return std::make_shared<int>(2); });
-  cache.get_or_build(1, [] { return std::make_shared<int>(0); });  // touch 1
-  cache.get_or_build(3, [] { return std::make_shared<int>(3); });  // evicts 2
-  auto [v1, hit1] = cache.get_or_build(1, [] { return std::make_shared<int>(0); });
-  EXPECT_TRUE(hit1);
-  auto [v2, hit2] = cache.get_or_build(2, [] { return std::make_shared<int>(9); });
-  EXPECT_FALSE(hit2);
-}
-
-TEST(LruCacheTest, EvictionKeepsInFlightValueAlive) {
-  service::LruCache<int, std::string> cache(1);
-  auto [held, hit] =
-      cache.get_or_build(1, [] { return std::make_shared<std::string>("x"); });
-  std::weak_ptr<std::string> watch = held;
-  cache.get_or_build(2, [] { return std::make_shared<std::string>("y"); });
-  EXPECT_EQ(cache.stats().evictions, 1u);
-  // The cache dropped its reference, but the in-flight holder keeps the
-  // value alive and intact.
-  ASSERT_FALSE(watch.expired());
-  EXPECT_EQ(*held, "x");
-  held.reset();
-  EXPECT_TRUE(watch.expired());
+// Run under TSan by the `service` lane of tools/check.sh: threads racing
+// for the same keys build each one once and all get the same value.
+TEST(SharedMapTest, ConcurrentGetsBuildEachKeyOnce) {
+  service::SharedMap<int, int> cache;
+  std::atomic<int> builds{0};
+  constexpr int kThreads = 4, kKeys = 3, kRounds = 50;
+  std::vector<std::vector<const int*>> seen(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t)
+    threads.emplace_back([&, t] {
+      for (int r = 0; r < kRounds; ++r) {
+        const auto build = [&] {
+          builds.fetch_add(1);
+          return std::make_shared<int>(r);
+        };
+        seen[t].push_back(cache.get_or_build(r % kKeys, build).first.get());
+      }
+    });
+  for (std::thread& th : threads) th.join();
+  EXPECT_EQ(builds.load(), kKeys);
+  const service::SharedMapStats s = cache.stats();
+  EXPECT_EQ(s.misses, static_cast<std::uint64_t>(kKeys));
+  EXPECT_EQ(s.hits, static_cast<std::uint64_t>(kThreads * kRounds - kKeys));
+  for (int t = 1; t < kThreads; ++t) EXPECT_EQ(seen[t], seen[0]);
 }
 
 // --- PlanCache -----------------------------------------------------------
 
 TEST(PlanCacheTest, SamePlanKeyHitsDifferentDepthMisses) {
   service::PlanCache cache;
-  EXPECT_EQ(cache.capacity(), service::PlanCache::kDefaultCapacity);
   core::FmmConfig cfg;
   bool hit = false;
   auto p3a = cache.plan(cfg, 3, &hit);
@@ -122,9 +121,11 @@ TEST(PlanCacheTest, SamePlanKeyHitsDifferentDepthMisses) {
   // Both depths share one translation set: built once, hit once.
   EXPECT_EQ(s.trans_misses, 1u);
   EXPECT_GE(s.trans_hits, 1u);
-  // A default cache keeps both plans, and the MRU plan still hits.
+  // The cache keeps both plans, and each still hits.
   EXPECT_EQ(cache.size(), 2u);
-  EXPECT_EQ(s.plan_evictions, 0u);
+  auto p3c = cache.plan(cfg, 3, &hit);
+  EXPECT_TRUE(hit);
+  EXPECT_EQ(p3a.get(), p3c.get());
   auto p4b = cache.plan(cfg, 4, &hit);
   EXPECT_TRUE(hit);
   EXPECT_EQ(p4.get(), p4b.get());
@@ -134,7 +135,7 @@ TEST(PlanCacheTest, SamePlanKeyHitsDifferentDepthMisses) {
 // supernodes on, so it gets its own translation entry: a threaded solver on
 // the same cache must not hand it the supernode set, nor take the union set.
 TEST(PlanCacheTest, DataParallelAndThreadedGetDifferentTranslations) {
-  auto cache = std::make_shared<service::PlanCache>(8);
+  auto cache = std::make_shared<service::PlanCache>();
   const ParticleSet p = make_uniform(1500, Box3{}, 12);
   const baseline::DirectResult direct = baseline::direct_all(p, false);
   for (const core::ExecutionMode mode :
@@ -147,23 +148,6 @@ TEST(PlanCacheTest, DataParallelAndThreadedGetDifferentTranslations) {
     EXPECT_LT(compare_fields(r.phi, direct.phi).rms_rel, 1e-3);
   }
   EXPECT_EQ(cache->stats().trans_misses, 2u);
-}
-
-TEST(PlanCacheTest, CapacityOneEvictsButInFlightPlanSurvives) {
-  service::PlanCache cache(1);
-  core::FmmConfig cfg;
-  bool hit = false;
-  auto pinned = cache.plan(cfg, 3, &hit);
-  core::FmmConfig other;
-  other.supernodes = true;
-  cache.plan(other, 3, &hit);  // capacity 1: evicts the depth-3 base plan
-  EXPECT_EQ(cache.stats().plan_evictions, 1u);
-  // The pinned lease still works, and re-requesting the evicted key is a
-  // fresh (but equivalent) build.
-  ASSERT_NE(pinned, nullptr);
-  auto rebuilt = cache.plan(cfg, 3, &hit);
-  EXPECT_FALSE(hit);
-  EXPECT_NE(pinned.get(), rebuilt.get());
 }
 
 // A short-range plan's near lists depend on the cutoff, so two vdW tenants
@@ -268,15 +252,17 @@ TEST(ServiceTest, MixedBatchMatchesSoloSolves) {
     EXPECT_TRUE(bitwise_equal(ref.phi, outcomes[i].result.phi));
     EXPECT_TRUE(bitwise_equal(ref.grad, outcomes[i].result.grad));
     EXPECT_GE(outcomes[i].queue_seconds, 0.0);
-    EXPECT_GT(outcomes[i].modeled_cost, 0.0);
   }
 }
 
 // Randomized stress: repeated mixed batches with duplicate configurations,
 // exercising pool reuse and concurrent cache access. Run under TSan by the
 // `service` lane of tools/check.sh. Determinism across the two rounds is
-// the assertion: identical inputs must produce identical bits regardless
-// of which pooled client or cached plan served them.
+// the first assertion: identical inputs must produce identical bits
+// regardless of which pooled client or cached plan served them. The second
+// is the warm path: round 2 finds every client pooled, every plan built
+// and every workspace sized, and the tenants of one workload share one
+// plan build.
 TEST(ServiceTest, RepeatedRandomizedBatchesAreDeterministic) {
   service::SolverService svc;
   std::vector<core::FmmConfig> configs;
@@ -298,9 +284,19 @@ TEST(ServiceTest, RepeatedRandomizedBatchesAreDeterministic) {
     EXPECT_TRUE(bitwise_equal(round1[i].result.phi, round2[i].result.phi));
     EXPECT_TRUE(bitwise_equal(round1[i].result.grad, round2[i].result.grad));
   }
-  // Round 2 found every client warm in the pool.
-  for (const service::SolveOutcome& o : round2) EXPECT_TRUE(o.client_reused);
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    SCOPED_TRACE(i);
+    EXPECT_TRUE(round2[i].client_reused);
+    EXPECT_TRUE(round2[i].result.plan_reused);
+    EXPECT_EQ(round2[i].result.workspace_allocs, 0u);
+  }
+  // The configs differ only in kernel, so a plan is one (kernel, depth).
+  std::set<std::pair<core::KernelType, int>> plans;
+  for (std::size_t i = 0; i < batch.size(); ++i)
+    plans.insert({configs[i].kernel.type,
+                  core::depth_for(configs[i], particles[i].size())});
   const service::ServiceStats s = svc.stats();
+  EXPECT_EQ(s.plan_cache.plan_misses, plans.size());
   EXPECT_EQ(s.solves, 2 * batch.size());
   EXPECT_EQ(s.batches, 2u);
   EXPECT_GE(s.clients_reused, batch.size());
@@ -425,15 +421,15 @@ TEST(ServiceTest, InvalidConfigRejectsBatchBeforeAcquiringClients) {
   EXPECT_EQ(svc.stats().clients_created, created);
 }
 
-// Once every client of a batch has solved, the batch claims its requests
-// by their clients' measured seconds. A clustered request, which the model
-// prices level with the uniform ones beside it, then starts first although
-// it comes last. The batch holds two more requests than the pool has
-// workers, so in the model's order the clustered request would be claimed
-// only after two solves had finished, behind every other request. A
-// request records its queue time just after its claim, so a worker
-// descheduled in between can reorder the records: two of three warm
-// batches must show the clustered request in the first wave.
+// A batch claims its requests by their clients' measured seconds. A
+// clustered request, whose solve costs far more than the uniform ones
+// beside it at the same N, then starts first although it comes last. The
+// batch holds two more requests than the pool has workers, so in request
+// order the clustered request would be claimed only after two solves had
+// finished, behind every other request. A request records its queue time
+// just after its claim, so a worker descheduled in between can reorder the
+// records: two of three warm batches must show the clustered request in
+// the first wave.
 TEST(ServiceTest, WarmBatchClaimsItsCostliestRequestFirst) {
   const std::size_t workers = ThreadPool::global().size();
   core::FmmConfig cfg;
@@ -450,9 +446,7 @@ TEST(ServiceTest, WarmBatchClaimsItsCostliestRequestFirst) {
   const std::size_t clustered = batch.size() - 1;
 
   service::SolverService svc;
-  const std::vector<service::SolveOutcome> cold = svc.solve_batch(batch);
-  for (const service::SolveOutcome& o : cold)
-    EXPECT_EQ(o.modeled_cost, cold[clustered].modeled_cost);
+  svc.solve_batch(batch);
   int first_wave = 0;
   for (int round = 0; round < 3; ++round) {
     const std::vector<service::SolveOutcome> warm = svc.solve_batch(batch);
@@ -465,36 +459,42 @@ TEST(ServiceTest, WarmBatchClaimsItsCostliestRequestFirst) {
   EXPECT_GE(first_wave, 2);
 }
 
-// The model orders a batch with a fresh client. The service-mix tenants
-// (N = 20k each) keep their cold order: K = 72, then K = 12 (uniform and
-// clustered alike), then vdW. A vdW solve is priced by the neighbourhood it
-// walks, which its cutoff cuts.
-TEST(ServiceTest, ModeledCostRanksTheServiceMixTenants) {
-  core::FmmConfig k12;
-  k12.supernodes = true;
-  core::FmmConfig k72 = k12;
-  k72.params = anderson::params_d14_k72();
-  core::FmmConfig vdw = k12;
-  vdw.kernel.type = core::KernelType::kVanDerWaals;
-  vdw.kernel.vdw_rmin = {0.02, 0.016};
-  vdw.kernel.vdw_epsilon = {1.0, 0.5};
-  core::FmmConfig vdw_long = vdw;
-  vdw_long.kernel.vdw_cuton = 0.16;
-  vdw_long.kernel.vdw_cutoff = 0.22;
-  const std::size_t n = 20000;
-  EXPECT_GT(service::modeled_cost(k72, n), service::modeled_cost(k12, n));
-  EXPECT_GT(service::modeled_cost(k12, n), service::modeled_cost(vdw, n));
-  EXPECT_GT(service::modeled_cost(vdw_long, n), service::modeled_cost(vdw, n));
-}
+// A client that has not solved yet has no measurement, so it is claimed
+// ahead of every measured request however cheap its solve: a new vdW
+// tenant joining warm K = 12 tenants starts in the first wave, although it
+// comes last and its near-field-only solve is cheaper than theirs. The
+// batch holds one more K = 12 request than the pool has workers. Each
+// round brings a tenant with a new cutoff, hence a fresh client; two of
+// three must show it in the first wave (see
+// WarmBatchClaimsItsCostliestRequestFirst).
+TEST(ServiceTest, FreshClientIsClaimedInTheFirstWave) {
+  const std::size_t workers = ThreadPool::global().size();
+  const core::FmmConfig k12;
+  std::vector<ParticleSet> particles;
+  for (std::size_t i = 0; i <= workers + 1; ++i)
+    particles.push_back(make_uniform(4000, Box3{}, 600 + i));
+  std::vector<service::SolveRequest> batch;
+  for (std::size_t i = 0; i <= workers; ++i)
+    batch.push_back({k12, &particles[i]});
+  service::SolverService svc;
+  svc.solve_batch(batch);  // every K = 12 client has now solved once
 
-TEST(ServiceTest, ModeledCostGrowsWithNAndK) {
-  core::FmmConfig cfg;
-  EXPECT_GT(service::modeled_cost(cfg, 10000),
-            service::modeled_cost(cfg, 1000));
-  core::FmmConfig big = cfg;
-  big.params = anderson::params_d14_k72();
-  EXPECT_GT(service::modeled_cost(big, 1000),
-            service::modeled_cost(cfg, 1000));
+  const std::size_t fresh = batch.size();
+  int first_wave = 0;
+  for (int round = 0; round < 3; ++round) {
+    core::FmmConfig vdw;
+    vdw.kernel.type = core::KernelType::kVanDerWaals;
+    vdw.kernel.vdw_cutoff = 0.06 + 0.001 * round;
+    std::vector<service::SolveRequest> mixed = batch;
+    mixed.push_back({vdw, &particles.back()});
+    const std::vector<service::SolveOutcome> out = svc.solve_batch(mixed);
+    ASSERT_FALSE(out[fresh].client_reused);
+    std::size_t claimed_before = 0;
+    for (std::size_t i = 0; i < fresh; ++i)
+      if (out[i].queue_seconds < out[fresh].queue_seconds) ++claimed_before;
+    if (claimed_before < workers) ++first_wave;
+  }
+  EXPECT_GE(first_wave, 2);
 }
 
 // --- C API ---------------------------------------------------------------
@@ -652,7 +652,7 @@ TEST(CApiTest, BatchSolveFillsEveryRequest) {
 
 TEST(CApiTest, ErrorMappingAndVersioning) {
   EXPECT_EQ(hfmm_abi_version(), HFMM_ABI_VERSION);
-  EXPECT_STREQ(hfmm_version(), "2.0.0");
+  EXPECT_STREQ(hfmm_version(), "3.0.0");
   EXPECT_STREQ(hfmm_status_string(HFMM_OK), "ok");
   EXPECT_STREQ(hfmm_status_string(HFMM_ERROR_UNSUPPORTED), "unsupported");
 
@@ -717,6 +717,36 @@ TEST(CApiTest, ErrorMappingAndVersioning) {
   req.phi = nullptr;
   EXPECT_EQ(hfmm_solve(ctx, &req, nullptr), HFMM_ERROR_INVALID_ARGUMENT);
 
+  hfmm_plan_destroy(plan);
+  hfmm_context_destroy(ctx);
+}
+
+// An explicit vdW depth whose leaf side falls below half the cutoff would
+// drop pairs within it: with cutoff 0.06 in the default unit box depth 5
+// (side 1/32) is the deepest accepted, and depth 6 is an invalid argument.
+TEST(CApiTest, VdwDepthPastTheCutoffCoverageIsInvalid) {
+  hfmm_context* ctx = nullptr;
+  ASSERT_EQ(hfmm_context_create(&ctx), HFMM_OK);
+  hfmm_config cfg;
+  hfmm_config_init(&cfg);
+  cfg.kernel = HFMM_KERNEL_VDW;
+  const double rmin[1] = {0.02};
+  const double eps[1] = {1.0};
+  cfg.vdw_ntypes = 1;
+  cfg.vdw_rmin = rmin;
+  cfg.vdw_epsilon = eps;
+  cfg.vdw_cuton = 0.04;
+  cfg.vdw_cutoff = 0.06;
+  hfmm_plan* plan = nullptr;
+  for (const int depth : {6, 7}) {
+    cfg.depth = depth;
+    EXPECT_EQ(hfmm_plan_create(ctx, &cfg, 100, &plan),
+              HFMM_ERROR_INVALID_ARGUMENT)
+        << "depth " << depth;
+    EXPECT_EQ(plan, nullptr);
+  }
+  cfg.depth = 5;
+  ASSERT_EQ(hfmm_plan_create(ctx, &cfg, 100, &plan), HFMM_OK);
   hfmm_plan_destroy(plan);
   hfmm_context_destroy(ctx);
 }

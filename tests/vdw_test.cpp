@@ -591,6 +591,34 @@ TEST(VdwDepthTest, CutoffSetsTheDepth) {
   EXPECT_EQ(core::depth_for(tiny, 1000), 3);
 }
 
+// An explicit depth is held to the same coverage cap: past it the leaf side
+// falls below half the cutoff and the near field would drop pairs within
+// it. In the unit box cutoff 0.06 caps the depth at 5 (side 1/32) and
+// cutoff 0.25 at 3; every depth up to the cap matches brute force, with and
+// without the periodic wrap, and every depth past it is rejected before a
+// solve.
+TEST(VdwDepthTest, ExplicitDepthPastTheCoverageCapIsRejected) {
+  std::vector<std::int32_t> type;
+  const ParticleSet ps = typed_uniform(2000, 2025, type, 2);
+  for (const bool periodic : {false, true})
+    for (const auto& [cutoff, cap] :
+         {std::pair{0.06, 5}, std::pair{0.25, 3}}) {
+      SCOPED_TRACE(::testing::Message() << "periodic " << periodic
+                                        << " cutoff " << cutoff);
+      EXPECT_EQ(cutoff_config(cutoff, periodic, -1).kernel.max_depth(), cap);
+      for (int depth = 2; depth <= cap; ++depth) {
+        SCOPED_TRACE(::testing::Message() << "depth " << depth);
+        expect_solve_matches_brute_force(
+            cutoff_config(cutoff, periodic, depth), ps, type);
+      }
+      for (const int depth : {cap + 1, cap + 2}) {
+        const core::FmmConfig cfg = cutoff_config(cutoff, periodic, depth);
+        EXPECT_THROW(cfg.validate(), std::invalid_argument) << depth;
+        EXPECT_THROW(core::FmmSolver{cfg}, std::invalid_argument) << depth;
+      }
+    }
+}
+
 // The pair tables are indexed by type id unchecked, so a solve must reject
 // an id outside the table before any work, in every execution mode.
 TEST(VdwSolveTest, TypeIdsOutsideTheTableAreRejected) {

@@ -10,8 +10,8 @@
 # and runs the full suite and the bench smokes there, so the bitwise
 # contracts (seq == threads, R ranks == one rank) hold at -O3 too. The
 # `service` lane is the focused fast path for the solver-service stack: the
-# service/C-API suites plain AND under TSan (the multi-tenant scheduler is
-# the main data-race subject), plus the bench_service smoke gate. The
+# service/C-API suites plain AND under TSan (the multi-tenant scheduler and
+# the shared plan cache are the main data-race subjects). The
 # `dist` lane does the same for the owner-computes distributed executor
 # (DESIGN.md §18): the dist suites plain AND under TSan (one thread per
 # rank over the message fabric), plus the bench_distributed gates.
@@ -39,7 +39,6 @@ run_suite() {
   if [[ -x "$build_dir/bench/bench_scaling" ]]; then
     clustered_bench_smoke "$build_dir"
     vdw_bench_smoke "$build_dir"
-    service_bench_smoke "$build_dir"
     dist_bench_smoke "$build_dir"
   fi
 }
@@ -109,7 +108,7 @@ vdw_bench_smoke() {
 run_service_tests() {
   local build_dir="$1"
   ctest --test-dir "$build_dir" --output-on-failure \
-    -R 'ServiceTest|CApiTest|LruCacheTest|PlanCacheTest|service_client'
+    -R 'ServiceTest|CApiTest|SharedMapTest|PlanCacheTest|service_client'
 }
 
 run_dist_tests() {
@@ -145,39 +144,13 @@ EOF
   fi
 }
 
-# bench_service --smoke gates the warm-path contract (cached plans, zero
-# workspace growth, one plan build per workload) with a non-zero exit; the
-# checks below require plan builds shared across tenants, a reused pooled
-# client and ordered latencies, and pin the JSON artifact shape CI uploads.
-service_bench_smoke() {
-  local build_dir="$1"
-  if [[ -x "$build_dir/bench/bench_service" ]]; then
-    echo "== service bench smoke =="
-    "$build_dir/bench/bench_service" --smoke \
-      --json="$build_dir/smoke_service.json" >/dev/null
-    grep -q '"bench": "bench_service"' "$build_dir/smoke_service.json"
-    grep -q '"warm_zero_alloc": true' "$build_dir/smoke_service.json"
-    python3 - "$build_dir" << 'EOF'
-import json, sys
-d = json.load(open(f"{sys.argv[1]}/smoke_service.json"))
-svc = d["service"]
-assert svc["plan_misses"] <= len(d["scenarios"]), \
-    "plan cache failed to share builds across tenants"
-assert svc["clients_reused"] > 0, "client pool never reused a solver"
-for s in d["scenarios"]:
-    assert s["p50_ms"] > 0 and s["p95_ms"] >= s["p50_ms"]
-EOF
-  fi
-}
-
-# The focused service lane: service/C-API suites on the plain tree, the
-# bench smoke gate, then the same suites under TSan.
+# The focused service lane: service/C-API suites on the plain tree, then
+# the same suites under TSan.
 run_service_lane() {
   cmake -B build -S . >/dev/null
   cmake --build build -j "$jobs"
   echo "== service suite: plain =="
   run_service_tests build
-  service_bench_smoke build
   echo "== service suite: TSan =="
   export TSAN_OPTIONS="halt_on_error=1:second_deadlock_stack=1"
   cmake -B build-tsan -S . \
