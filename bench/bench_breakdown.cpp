@@ -5,7 +5,7 @@
 // Alongside the tables, the per-phase trajectory is written to
 // BENCH_breakdown.json (override with --json=FILE; same machine-diffable
 // shape as BENCH_kernels.json):
-//   { "bench": "bench_breakdown",
+//   { "bench": "bench_breakdown", "nproc": 4,
 //     "configs": [ { "label": "d5_k12", "n":.., "k":.., "depth":..,
 //       "mode": "threads", "dist": "uniform",
 //       "active_boxes":.., "workspace_bytes":..,
@@ -31,6 +31,7 @@
 #include <cstring>
 #include <iostream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "bench_common.hpp"
@@ -254,7 +255,10 @@ int main(int argc, char** argv) {
   if (json == nullptr)
     std::fprintf(stderr, "bench_breakdown: cannot write %s\n", json_path);
   else
-    std::fprintf(json, "{\n  \"bench\": \"bench_breakdown\",\n  \"configs\": [");
+    std::fprintf(json,
+                 "{\n  \"bench\": \"bench_breakdown\",\n  \"nproc\": %u,\n"
+                 "  \"configs\": [",
+                 std::thread::hardware_concurrency());
 
   run("D=5 / K=12 configuration", "d5_k12", anderson::params_d5_k12(), n,
       false, json, true, opts);

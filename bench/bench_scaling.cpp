@@ -10,12 +10,14 @@
 //
 // --dist {uniform,plummer,two-clusters} selects the particle distribution.
 // The N sweep is written to BENCH_scaling.json (--json=FILE) with the
-// distribution, the active-box count, the per-level active-box occupancy
-// and the near-field pair count of every row.
+// host's core count ("nproc"), the distribution, and the active-box count,
+// the per-level active-box occupancy and the near-field pair count of every
+// row.
 
 #include <cstring>
 #include <iostream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "bench_common.hpp"
@@ -88,9 +90,11 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "bench_scaling: cannot write %s\n", json_path);
   else
     std::fprintf(json,
-                 "{\n  \"bench\": \"bench_scaling\",\n  \"dist\": \"%s\",\n"
-                 "  \"kernel\": \"%s\",\n  \"n_sweep\": [",
-                 dist.c_str(), core::to_string(kernel));
+                 "{\n  \"bench\": \"bench_scaling\",\n  \"nproc\": %u,\n"
+                 "  \"dist\": \"%s\",\n  \"kernel\": \"%s\",\n"
+                 "  \"n_sweep\": [",
+                 std::thread::hardware_concurrency(), dist.c_str(),
+                 core::to_string(kernel));
 
   // ---- Sweep 1: N, shared-memory executor, supernodes on (the paper's
   // production configuration).

@@ -36,7 +36,7 @@ void vecmat(const double* x, const double* b, std::size_t ldb, double* y,
 /// operations whatever m is (full 4-row tiles and the < 4-row tail agree),
 /// so a row's bits do not depend on how many rows share the call. The
 /// solver's gathered translations rely on it for bitwise reproducibility
-/// across worker and rank counts (GemmTest.RowBitsIndependentOfRowCount).
+/// across worker counts (GemmTest.RowBitsIndependentOfRowCount).
 void gemm(const double* a, std::size_t lda, const double* b, std::size_t ldb,
           double* c, std::size_t ldc, std::size_t m, std::size_t n,
           std::size_t k, bool accumulate);

@@ -16,7 +16,6 @@ enum class ExecutionMode {
   kSequential,    ///< single thread — the oracle
   kThreads,       ///< shared-memory parallel over boxes
   kDataParallel,  ///< simulated CM-style VU machine with counted comm
-  kDistributed,   ///< owner-computes in-process ranks with LET exchange (§18)
 };
 
 /// How translations are applied (paper Section 3.3.3):
@@ -39,7 +38,6 @@ struct FmmConfig {
   double particles_per_leaf = 0.0;
   int separation = 2;                ///< d-separation near field (paper: 2)
   bool supernodes = false;           ///< Section 2.3 supernode optimization
-  bool near_symmetry = true;         ///< Newton-3rd-law near field (Fig. 10)
   bool with_gradient = false;        ///< also compute field gradients
   /// The physics this solve evaluates (DESIGN.md §16): Laplace 3-D runs the
   /// full Anderson far-field chain, short-range kernels (van der Waals)
@@ -53,12 +51,6 @@ struct FmmConfig {
   dp::MachineConfig machine{2, 2, 2};
   dp::HaloStrategy halo = dp::HaloStrategy::kGhostSections;
   dp::EmbedMethod embed = dp::EmbedMethod::kLocalCopy;
-
-  // Distributed execution knobs (ExecutionMode::kDistributed, DESIGN.md
-  // §18; ignored in the other modes). `dist_ranks` is the REQUESTED rank
-  // count — the effective count is clamped so every rank owns at least one
-  // active leaf, and FmmResult::dist_ranks reports what actually ran.
-  int dist_ranks = 4;
 
   void validate() const;
 };

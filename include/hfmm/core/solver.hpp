@@ -34,19 +34,6 @@ class PlanCache;
 
 namespace hfmm::core {
 
-/// Per-rank counters of a distributed solve (ExecutionMode::kDistributed,
-/// DESIGN.md Section 18): measured fabric traffic, the local essential
-/// tree the rank received, and the partition's modeled cost share.
-struct DistRankStats {
-  std::uint64_t bytes_sent = 0;   ///< payload bytes pushed to the fabric
-  std::uint64_t bytes_recv = 0;   ///< payload bytes popped from the fabric
-  std::uint64_t let_bodies = 0;   ///< ghost bodies received (near field)
-  std::uint64_t let_cells = 0;    ///< far/local vectors received
-  std::uint64_t cost = 0;         ///< partition cost-model share
-  std::size_t owned_leaves = 0;   ///< active leaves owned
-  std::size_t owned_bodies = 0;   ///< particles owned
-};
-
 struct FmmResult {
   std::vector<double> phi;   ///< potential per particle (original order)
   std::vector<Vec3> grad;    ///< field gradient (if config.with_gradient)
@@ -73,15 +60,6 @@ struct FmmResult {
   /// seconds relative to the graph run, chunk split, worker count) — shows
   /// which stages overlapped in concurrent mode.
   std::vector<exec::StageTiming> timeline;
-  /// Distributed execution (ExecutionMode::kDistributed): effective rank
-  /// count (0 otherwise), the partition's (max / mean) cost-model rank
-  /// imbalance, the LET plan's modeled exchange bytes (which the measured
-  /// fabric traffic must match exactly — the pack loops realize the model),
-  /// and per-rank counters.
-  int dist_ranks = 0;
-  double dist_cost_imbalance = 0.0;
-  std::uint64_t dist_modeled_bytes = 0;
-  std::vector<DistRankStats> dist;
 };
 
 /// Borrowed, SORTED-order view of a solve's per-particle outputs — the
@@ -155,9 +133,6 @@ class FmmSolver {
   FmmResult solve_impl_(const ParticleSet& particles, SolveView* view);
   FmmResult solve_dp_(const ParticleSet& particles,
                       const tree::Hierarchy& hier, FmmResult result);
-  FmmResult solve_dist_(const ParticleSet& particles,
-                        const tree::Hierarchy& hier, FmmResult result,
-                        SolveView* view);
   FmmConfig config_;
   std::unique_ptr<Impl> impl_;
 };

@@ -137,21 +137,6 @@ class PhaseGraph {
   bool ran_ = false;
 };
 
-/// Multi-graph runner for the owner-computes distributed executor: runs
-/// each graph on its own dedicated std::thread in kInline mode and joins
-/// them all. Rank graphs contain stage bodies that BLOCK on message
-/// receives (hfmm::dist::Fabric), which is safe here precisely because
-/// every graph owns a whole thread — pool workers never block on a
-/// message, and a send posted by one graph unblocks the matching recv in
-/// another. `breakdowns` must have one entry per graph; `timelines`, when
-/// non-null, likewise. The first exception thrown by any graph is
-/// rethrown after all threads joined (the caller must ensure the other
-/// graphs cannot then block forever on a crashed peer — the LET schedule
-/// posts every send before any dependent recv, see DESIGN.md Section 18).
-void run_graphs(std::span<PhaseGraph* const> graphs,
-                std::span<PhaseBreakdown> breakdowns,
-                std::vector<std::vector<StageTiming>>* timelines = nullptr);
-
 /// Splits items [0, weights.size()) into at most `max_chunks` contiguous
 /// chunks of near-equal total weight (greedy prefix targets; every chunk
 /// gets at least one item). Returns the chunk bounds: bounds[c] .. bounds

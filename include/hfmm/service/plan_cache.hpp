@@ -9,8 +9,8 @@
 //     by every plan built from it: 1.17 MB at K = 12, 42.2 MB at K = 72.
 //   * FmmPlan — per (translation config, kernel, depth), and for a
 //     short-range kernel also per cutoff, domain box and periodic wrap
-//     (its near lists are cut to the cutoff). A plan holds only its two
-//     near lists, about 2.2 KB.
+//     (its near list is cut to the cutoff). A plan holds only its near
+//     list: the 62 offsets of the half list at d = 2, 744 B.
 //
 // Every FmmSolver resolves its plans through a PlanCache. Solvers
 // constructed with a shared one — every client the SolverService pools —

@@ -3,15 +3,17 @@
 // with hit/miss counters, shared by the solver service's plan cache
 // (DESIGN.md Section 17) and the 2-D solver's shared translation plans. It
 // has no bound and never evicts: every key space it serves is small (one
-// translation set per quadrature rule, one ~2 KB plan per configuration and
+// translation set per quadrature rule, one sub-KB plan per configuration and
 // depth). Values are shared_ptrs to const, so a holder never sees one
 // change.
 
+#include <condition_variable>
 #include <cstdint>
 #include <functional>
 #include <memory>
 #include <mutex>
 #include <unordered_map>
+#include <unordered_set>
 #include <utility>
 
 namespace hfmm::service {
@@ -27,20 +29,36 @@ class SharedMap {
   using Value = std::shared_ptr<V>;
 
   /// Returns the value for `key`, building it with `factory()` on a miss.
-  /// The factory runs under the lock: builds are rare and expensive
-  /// (translation matrices), so serializing them is cheaper than letting
-  /// two clients race the same build. Second element is true on a hit.
+  /// Each key is built once, outside the lock: a get of a key being built
+  /// waits for that build and counts as a hit, while gets of other keys
+  /// proceed. A factory that throws leaves no entry; its exception reaches
+  /// its caller, and the next get of the key builds again. A factory must
+  /// not get its own key: it would wait for itself. Second element is true
+  /// on a hit.
   template <typename Factory>
   std::pair<Value, bool> get_or_build(const Key& key, Factory&& factory) {
-    std::lock_guard<std::mutex> lock(mu_);
-    auto it = map_.find(key);
-    if (it != map_.end()) {
+    std::unique_lock<std::mutex> lock(mu_);
+    built_.wait(lock, [&] { return !building_.contains(key); });
+    if (const auto it = map_.find(key); it != map_.end()) {
       ++stats_.hits;
       return {it->second, true};
     }
     ++stats_.misses;
-    Value v = factory();
+    building_.insert(key);
+    lock.unlock();
+    Value v;
+    try {
+      v = factory();
+    } catch (...) {
+      lock.lock();
+      building_.erase(key);
+      built_.notify_all();
+      throw;
+    }
+    lock.lock();
+    building_.erase(key);
     map_.emplace(key, v);
+    built_.notify_all();
     return {std::move(v), false};
   }
 
@@ -55,7 +73,9 @@ class SharedMap {
 
  private:
   mutable std::mutex mu_;
+  std::condition_variable built_;  // a build finished or failed
   std::unordered_map<Key, Value, Hash> map_;
+  std::unordered_set<Key, Hash> building_;
   SharedMapStats stats_;
 };
 

@@ -53,15 +53,6 @@ struct PhaseStats {
   /// On the "plan" phase: solve plans served by a shared plan cache (a hit
   /// built by another client) instead of being built by this solve.
   std::uint64_t plan_reuse = 0;
-  /// Distributed-execution counters (DESIGN.md Section 18), reported on the
-  /// "let" phase: payload bytes pushed through / popped from the message
-  /// fabric, and the local-essential-tree content received — ghost bodies
-  /// for the near field, far/local potential vectors ("cells") for the
-  /// translation chain. Zero outside ExecutionMode::kDistributed.
-  std::uint64_t bytes_sent = 0;
-  std::uint64_t bytes_recv = 0;
-  std::uint64_t let_bodies = 0;
-  std::uint64_t let_cells = 0;
   /// Live ScopedPhaseTimer count on this phase (not merged by +=): lets
   /// nested timers on the same stats count wall time exactly once.
   int timing_depth = 0;
@@ -77,10 +68,6 @@ struct PhaseStats {
     pairs += o.pairs;
     if (o.cost_imbalance > cost_imbalance) cost_imbalance = o.cost_imbalance;
     plan_reuse += o.plan_reuse;
-    bytes_sent += o.bytes_sent;
-    bytes_recv += o.bytes_recv;
-    let_bodies += o.let_bodies;
-    let_cells += o.let_cells;
     return *this;
   }
 };

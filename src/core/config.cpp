@@ -13,7 +13,6 @@ const char* to_string(ExecutionMode m) {
     case ExecutionMode::kSequential: return "seq";
     case ExecutionMode::kThreads: return "threads";
     case ExecutionMode::kDataParallel: return "dp";
-    case ExecutionMode::kDistributed: return "dist";
   }
   return "?";
 }
@@ -47,8 +46,6 @@ void FmmConfig::validate() const {
         "automatic)");
   if (mode == ExecutionMode::kDataParallel && !machine.valid())
     throw std::invalid_argument("FmmConfig: invalid VU grid");
-  if (dist_ranks < 1 || dist_ranks > 64)
-    throw std::invalid_argument("FmmConfig: dist_ranks must be in [1, 64]");
   if (supernodes && separation != 2)
     throw std::invalid_argument(
         "FmmConfig: supernodes are defined for separation 2 (paper "

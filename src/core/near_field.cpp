@@ -47,10 +47,8 @@ std::uint64_t vdw_pair_flops(bool with_gradient) {
 // abut (multi-VU DP keys, the periodic seam) and before it would pass
 // kRunCap.
 //
-// Only the symmetric list merges. The plain list keeps one call per box,
-// so a particle's sum does not depend on where its neighbours sit in
-// memory: the distributed executor (plain list, owned boxes then ghosts)
-// then reproduces the single-rank solve bit for bit.
+// Only the symmetric list merges. The plain list, which only the Figure 10
+// baseline walks, keeps one call per box.
 NearFieldResult plan_runs(const tree::Hierarchy& hier,
                           const dp::BoxedParticles& boxed,
                           std::span<const tree::Offset> offsets,

@@ -54,7 +54,7 @@ struct TransKeyHash {
 };
 
 // Plan identity: the translation config it builds on, plus the kernel
-// family and the depth. A short-range plan cuts its near lists to the
+// family and the depth. A short-range plan cuts its near list to the
 // cutoff at the leaf side its domain box fixes (near_offsets_for), so the
 // cutoff, the box corners and the periodic wrap key it too; a far-field
 // plan leaves them zero.
@@ -117,12 +117,13 @@ std::shared_ptr<const TranslationData> PlanCache::translations(
 
 std::shared_ptr<const FmmPlan> PlanCache::plan(const core::FmmConfig& config,
                                                int depth, bool* hit) {
+  // The translations resolve first, outside the plan map, so a plan build
+  // is only its near list. Short-range kernels have no translation
+  // machinery; their plans carry only the near-field interaction list.
+  std::shared_ptr<const TranslationData> trans;
+  if (config.kernel.far_field_capable()) trans = translations(config);
   auto [value, was_hit] =
       impl_->plans.get_or_build(plan_key(config, depth), [&] {
-        // Short-range kernels have no translation machinery; their plans
-        // carry only the near-field interaction lists.
-        std::shared_ptr<const TranslationData> trans;
-        if (config.kernel.far_field_capable()) trans = translations(config);
         return FmmPlan::build(std::move(trans), config, depth);
       });
   if (hit != nullptr) *hit = was_hit;

@@ -35,12 +35,12 @@ std::string client_signature(const core::FmmConfig& c) {
     vdw_hash = hash_combine(vdw_hash, std::bit_cast<std::uint64_t>(e));
   std::snprintf(
       buf, sizeof buf,
-      "k%zu;t%d;o%a;i%a;d%d;ppl%a;sep%d;sn%d;sym%d;g%d;agg%d;"
+      "k%zu;t%d;o%a;i%a;d%d;ppl%a;sep%d;sn%d;g%d;agg%d;"
       "kt%d;soft%a;vc%a;vf%a;vp%d;vbox%a,%a,%a,%a,%a,%a;vh%zx",
       c.params.k(), c.params.truncation, c.params.outer_ratio,
       c.params.inner_ratio, c.depth, c.particles_per_leaf, c.separation,
-      static_cast<int>(c.supernodes), static_cast<int>(c.near_symmetry),
-      static_cast<int>(c.with_gradient), static_cast<int>(c.aggregation),
+      static_cast<int>(c.supernodes), static_cast<int>(c.with_gradient),
+      static_cast<int>(c.aggregation),
       static_cast<int>(c.kernel.type),
       c.kernel.softening, c.kernel.vdw_cuton, c.kernel.vdw_cutoff,
       static_cast<int>(c.kernel.vdw_periodic), c.kernel.vdw_box.lo.x,

@@ -167,17 +167,15 @@ std::shared_ptr<const FmmPlan> FmmPlan::build(
   plan->kernel = config.kernel.type;
   plan->depth = depth;
   plan->k = config.params.k();
-  plan->near_offsets = near_offsets_for(config, depth, false);
-  plan->near_half_offsets = near_offsets_for(config, depth, true);
+  plan->near_offsets = near_offsets_for(config, depth);
   plan->build_seconds = t.seconds();
   return plan;
 }
 
-std::vector<tree::Offset> near_offsets_for(const FmmConfig& config, int depth,
-                                           bool symmetric) {
+std::vector<tree::Offset> near_offsets_for(const FmmConfig& config,
+                                           int depth) {
   std::vector<tree::Offset> offsets =
-      symmetric ? tree::near_field_half_offsets(config.separation)
-                : tree::near_field_offsets(config.separation);
+      tree::near_field_half_offsets(config.separation);
   const KernelSpec& kernel = config.kernel;
   if (kernel.far_field_capable()) return offsets;
   // A short-range kernel adds an exact +0.0 beyond its cutoff, and two leaf
@@ -249,14 +247,6 @@ FmmSolver::FmmSolver(FmmConfig config,
   config_.validate();
   impl_->cache =
       cache ? std::move(cache) : std::make_shared<service::PlanCache>();
-  if (config_.mode == ExecutionMode::kDistributed) {
-    // Owner-computes execution (DESIGN.md Section 18) requires the
-    // non-symmetric near field so every target's contributions accumulate
-    // on the owning rank in the fixed offset order (the bitwise-identity
-    // requirement; the symmetric half list would write both sides of a
-    // pair, which crosses rank boundaries).
-    config_.near_symmetry = false;
-  }
   if (!config_.kernel.far_field_capable()) {
     impl_->vdw.build(config_.kernel);
     impl_->near.type = config_.kernel.type;
@@ -356,17 +346,19 @@ void apply_rows(const double* tt, std::size_t k, const double* src,
 
 }  // namespace internal
 
-// Derives the active level sets and the per-leaf cost model (the "active"
-// phase), shared by the shared-memory and distributed executors: particle
-// counts weight the leaf stages, near-field pair counts weight the
-// near-field chunks (and the distributed partitioner). Both reuse workspace
-// buffers — a warm solve grows nothing here.
-void internal::update_active_costs(const FmmConfig& config,
-                                   const internal::FmmPlan& plan,
-                                   const tree::Hierarchy& hier,
-                                   const NearKernel& kern,
-                                   internal::SolveWorkspace& ws,
-                                   FmmResult& result) {
+namespace {
+
+// Derives the active level sets (ws.active) and the per-active-leaf cost
+// model (ws.leaf_cost / ws.near_cost) from the sort output in
+// ws.boxed/ws.occupied — the "active" phase — and reports the sets in
+// result.active_boxes, result.level_occupancy and the phase's box counts.
+// Particle counts weight the leaf stages; near-field pair counts
+// (near_field_costs() under `kern`, so periodic vdW wraps) weight the
+// near-field chunks. Both reuse workspace buffers: a warm solve grows
+// nothing here.
+void update_active_costs(const FmmPlan& plan, const tree::Hierarchy& hier,
+                         const NearKernel& kern, SolveWorkspace& ws,
+                         FmmResult& result) {
   const int h = hier.depth();
   PhaseStats& st = result.breakdown["active"];
   ScopedPhaseTimer timer(st);
@@ -389,9 +381,23 @@ void internal::update_active_costs(const FmmConfig& config,
   // count.
   for (std::size_t ai = 0; ai < nl; ++ai)
     ws.leaf_cost[ai] = particles_in(ws.boxed, leaves.boxes[ai]);
-  near_field_costs(hier, ws.boxed, plan.near_list(config.near_symmetry),
-                   leaves.boxes, kern, ws.near_cost);
+  near_field_costs(hier, ws.boxed, plan.near_offsets, leaves.boxes, kern,
+                   ws.near_cost);
 }
+
+// Fills a SolveView from the workspace's sorted buffers; no-op when the
+// caller did not request streaming (the DP executor never streams).
+void publish_view(const SolveWorkspace& ws, const FmmConfig& config,
+                  std::size_t n, SolveView* view) {
+  if (view == nullptr || n == 0) return;
+  view->phi = std::span<const double>{ws.phi_sorted.data(), n};
+  if (config.with_gradient)
+    view->grad = std::span<const Vec3>{ws.grad_sorted.data(), n};
+  view->perm = std::span<const std::uint32_t>{ws.boxed.perm.data(), n};
+  view->q = std::span<const double>{ws.boxed.sorted.q().data(), n};
+}
+
+}  // namespace
 
 void internal::record_phase_boxes(const tree::Hierarchy& hier,
                                   const tree::ActiveLevels* act,
@@ -503,12 +509,9 @@ FmmResult FmmSolver::solve_impl_(const ParticleSet& particles,
     if (ws.occupied.capacity() != cap_before)
       ws.allocs.fetch_add(1, std::memory_order_relaxed);
   }
-  if (config_.mode == ExecutionMode::kDistributed)
-    return solve_dist_(particles, hier, std::move(result), view);
 
-  // The active level sets and the per-leaf cost model ("active" phase),
-  // shared with the distributed executor.
-  internal::update_active_costs(config_, plan, hier, impl_->near, ws, result);
+  // The active level sets and the per-leaf cost model ("active" phase).
+  update_active_costs(plan, hier, impl_->near, ws, result);
   const tree::ActiveLevels& act = ws.active;
 
   const std::size_t k = config_.params.k();
@@ -624,15 +627,14 @@ FmmResult FmmSolver::solve_impl_(const ParticleSet& particles,
   // The near field is independent of the whole far-field chain: it runs at
   // lower priority so idle workers pick it up, and meets the far field only
   // at the accumulate stage.
-  const std::span<const tree::Offset> offsets =
-      plan.near_list(config_.near_symmetry);
+  const std::span<const tree::Offset> offsets{plan.near_offsets};
   const std::span<const std::uint32_t> leaf_list{act.levels[h].boxes};
   const NodeId near = g.add_weighted(
       "near", "near", ws.near_cost, nf_chunks,
       [&, offsets, leaf_list](std::size_t c, std::size_t lo, std::size_t hi,
                               PhaseStats& st) {
         const NearFieldResult nf = near_field_chunk(
-            hier, ws.boxed, offsets, config_.near_symmetry,
+            hier, ws.boxed, offsets, /*symmetric=*/true,
             config_.with_gradient, ws.near_scratch.chunks[c],
             leaf_list.subspan(lo, hi - lo), impl_->near);
         st.flops += nf.flops;
@@ -672,7 +674,7 @@ FmmResult FmmSolver::solve_impl_(const ParticleSet& particles,
       ws.allocs.load(std::memory_order_relaxed);
   result.workspace_allocs = result.breakdown["workspace"].allocs;
   result.workspace_bytes = ws.workspace_bytes();
-  internal::publish_view(ws, config_, n, view);
+  publish_view(ws, config_, n, view);
   return result;
 }
 

@@ -458,9 +458,8 @@ FmmResult FmmSolver::solve_dp_(const ParticleSet& particles,
       "near", "near",
       [&](PhaseStats& stats) {
         const NearFieldResult nf = near_field(
-            hier, boxed, plan.near_list(config_.near_symmetry),
-            config_.near_symmetry, ws.phi_sorted, ws.grad_sorted, *impl_->pool,
-            &ws.near_scratch, impl_->near);
+            hier, boxed, plan.near_offsets, /*symmetric=*/true, ws.phi_sorted,
+            ws.grad_sorted, *impl_->pool, &ws.near_scratch, impl_->near);
         stats.flops += nf.flops;
         stats.pairs += nf.pair_interactions;
         const bool periodic = impl_->near.periodic();
@@ -469,7 +468,7 @@ FmmResult FmmSolver::solve_dp_(const ParticleSet& particles,
           const tree::BoxCoord c = hier.coord_of(h, f);
           const std::size_t vu = leaf_layout.home_of(c).vu;
           tree::for_each_neighbour(
-              c, nside, plan.near_list(config_.near_symmetry), periodic,
+              c, nside, plan.near_offsets, periodic,
               [&](const tree::BoxCoord& s) {
                 if (leaf_layout.home_of(s).vu == vu) return;
                 const std::uint32_t rank =

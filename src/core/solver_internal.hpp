@@ -1,14 +1,13 @@
 #pragma once
-// Internal machinery shared by the shared-memory executor (solver.cpp), the
-// data-parallel executor (solver_dp.cpp) and the distributed executor
-// (solver_dist.cpp). Not installed.
+// Internal machinery shared by the shared-memory executor (solver.cpp) and
+// the data-parallel executor (solver_dp.cpp). Not installed.
 //
 // The solve path is layered into (DESIGN.md Section 11):
 //   * TranslationData — translation matrices in application-ready form,
 //     position- and depth-independent, built once per config;
 //   * FmmPlan — the immutable per-(config, depth) solve plan: the
-//     translation data and the near-field interaction lists. Shared by
-//     reference across all three execution modes and across solve() calls;
+//     translation data and the near-field interaction list. Shared by
+//     reference across the execution modes and across solve() calls;
 //   * SolveWorkspace — every mutable buffer a solve touches (sorted
 //     particles, active sets, far/local level stores, per-chunk scratch
 //     arenas, near-field scratch), reused across solve() calls so a warm
@@ -54,12 +53,12 @@ struct UnionOffset {
 
 std::vector<UnionOffset> build_union_offsets(int separation);
 
-// The near-field offsets a solve at `depth` walks: the d-separation
-// neighbourhood (the half list when `symmetric`), cut for a short-range
-// kernel to the offsets whose two leaf boxes can hold a pair closer than
-// the cutoff. FmmPlan::build reads it.
-std::vector<tree::Offset> near_offsets_for(const FmmConfig& config, int depth,
-                                           bool symmetric);
+// The near-field offsets a solve at `depth` walks: the Newton-3rd-law half
+// list of the d-separation neighbourhood, cut for a short-range kernel to
+// the offsets whose two leaf boxes can hold a pair closer than the cutoff.
+// FmmPlan::build reads it.
+std::vector<tree::Offset> near_offsets_for(const FmmConfig& config,
+                                           int depth);
 
 // Applies dst[nb x K] += src[nb x K] * tt, where tt is a K x K matrix T^T
 // and src/dst rows are contiguous box-major potential vectors. The
@@ -123,7 +122,7 @@ struct TranslationData {
 // ---------------------------------------------------------------------------
 // FmmPlan: the immutable per-(config, depth) solve plan. Everything in here
 // is position-independent structure (paper Sections 2.3, 3.3.4): the
-// translation data and the near-field interaction lists. The hierarchy's
+// translation data and the near-field interaction list. The hierarchy's
 // root cube is the only geometry derived per solve (particles move), and it
 // is an O(1) object — translation matrices are expressed in box-side units,
 // so they are scale-invariant.
@@ -131,23 +130,17 @@ struct TranslationData {
 
 struct FmmPlan {
   // Null for short-range kernels: their plans carry only the near-field
-  // interaction lists.
+  // interaction list.
   std::shared_ptr<const TranslationData> trans;
   // Plans are keyed by kernel (as well as depth) so a future plan cache can
   // be multi-tenant across workloads; plan_for rebuilds on a mismatch.
   KernelType kernel = KernelType::kLaplace3d;
   int depth = 0;
   std::size_t k = 0;
-  // Near-field interaction lists (full and the Newton-3rd-law half list),
-  // from near_offsets_for.
+  // The near-field interaction list (the half list), from
+  // near_offsets_for.
   std::vector<tree::Offset> near_offsets;
-  std::vector<tree::Offset> near_half_offsets;
   double build_seconds = 0.0;
-
-  std::span<const tree::Offset> near_list(bool symmetric) const {
-    return symmetric ? std::span<const tree::Offset>(near_half_offsets)
-                     : std::span<const tree::Offset>(near_offsets);
-  }
 
   static std::shared_ptr<const FmmPlan> build(
       std::shared_ptr<const TranslationData> trans, const FmmConfig& config,
@@ -321,16 +314,6 @@ struct SolveWorkspace {
   }
 };
 
-// Derives the active level sets (ws.active) and the per-active-leaf cost
-// model (ws.leaf_cost / ws.near_cost) from the sort output in
-// ws.boxed/ws.occupied — the "active" phase, shared by the shared-memory and
-// distributed executors — and reports the sets in result.active_boxes,
-// result.level_occupancy and the "active" phase's box counts. The near
-// costs are near_field_costs() under `kern` (periodic vdW wraps).
-void update_active_costs(const FmmConfig& config, const FmmPlan& plan,
-                         const tree::Hierarchy& hier, const NearKernel& kern,
-                         SolveWorkspace& ws, FmmResult& result);
-
 // Per-phase occupancy: the boxes each phase visited against the 8^l boxes
 // of its levels (the leaf phases iterate leaves; upward iterates parents
 // 1..h-1; interactive 2..h; downward 3..h). A null `act` counts every box
@@ -338,24 +321,6 @@ void update_active_costs(const FmmConfig& config, const FmmPlan& plan,
 void record_phase_boxes(const tree::Hierarchy& hier,
                         const tree::ActiveLevels* act, bool far_capable,
                         PhaseBreakdown& breakdown);
-
-// Distributed-executor state (partition, LET plan, per-rank workspaces);
-// defined in solver_dist.cpp and owned via shared_ptr so Impl's destructor
-// needs no complete type here.
-struct DistState;
-
-// Fills a SolveView from the workspace's sorted buffers; no-op when the
-// caller did not request streaming. Shared by the shared-memory and
-// distributed executors (the DP executor does not stream).
-inline void publish_view(const SolveWorkspace& ws, const FmmConfig& config,
-                         std::size_t n, SolveView* view) {
-  if (view == nullptr || n == 0) return;
-  view->phi = std::span<const double>{ws.phi_sorted.data(), n};
-  if (config.with_gradient)
-    view->grad = std::span<const Vec3>{ws.grad_sorted.data(), n};
-  view->perm = std::span<const std::uint32_t>{ws.boxed.perm.data(), n};
-  view->q = std::span<const double>{ws.boxed.sorted.q().data(), n};
-}
 
 }  // namespace hfmm::core::internal
 
@@ -381,9 +346,6 @@ struct FmmSolver::Impl {
   // each solve, since the workspace buffer can reallocate on growth).
   internal::VdwTables vdw;
   NearKernel near;
-  // Distributed-executor state (ExecutionMode::kDistributed): the per-rank
-  // workspaces persist here so warm distributed solves reuse their buffers.
-  std::shared_ptr<internal::DistState> dist;
 
   // Builds (or reuses) the translation data; charged to "precompute".
   // `built` (optional) reports whether a fresh build happened — false on

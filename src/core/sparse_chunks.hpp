@@ -1,26 +1,21 @@
 #pragma once
-// Active-set chunk bodies shared by the shared-memory executor (solver.cpp)
-// and the distributed executor (solver_dist.cpp, over each rank's pruned
-// level sets). Every stage iterates ACTIVE indices of the supplied level
-// sets; a chunk is a range [lo, hi) of them (parents for T1, children for
-// T3, targets for T2).
+// Active-set chunk bodies of the shared-memory executor (solver.cpp). Every
+// stage iterates ACTIVE indices of the level sets; a chunk is a range
+// [lo, hi) of them (parents for T1, children for T3, targets for T2).
 //
-// A translation body walks its matrices in a fixed order (T1: octants
+// A translation stage walks its matrices in a fixed order (T1: octants
 // 0..7; T3: each child's octant matrix; union T2: offsets in list order;
 // supernode T2: per octant, entries in list order) and hands each (source
-// row, target) pair it finds to a sink: sink.add(level, row, t) says target
-// t of the chunk's level reads row `row` of level `level`'s store, and
-// sink.apply(matrix) says the pairs added since the last apply take
-// `matrix`. The executors' GatherSink gathers those rows into one slab,
-// applies the matrix with one internal::apply_rows call (Section 3.3.3
-// aggregation), and adds product row r into its destination row. Each
+// row, target) pair it finds to a GatherSink: sink.add(level, row, t)
+// gathers row `row` of level `level`'s store into the chunk's slab for
+// target t, and sink.apply(matrix) applies `matrix` to the rows gathered
+// since the last apply with one internal::apply_rows call (Section 3.3.3
+// aggregation) and adds product row r into its destination row. Each
 // destination therefore receives its contributions in matrix order, and a
 // gemm row's bits do not depend on how many rows share the call
-// (blas::gemm), so results do not depend on the chunk split, the worker
-// count or the rank count. Inactive sources hold exactly-zero far fields;
-// skipping them changes nothing. The distributed executor also runs the
-// bodies over the GLOBAL level sets with a sink that marks which rows each
-// target's owner needs: its exchange plan comes from these same lookups.
+// (blas::gemm), so results do not depend on the chunk split or the worker
+// count. Inactive sources hold exactly-zero far fields; skipping them
+// changes nothing.
 
 #include <array>
 #include <cstdint>
@@ -57,10 +52,7 @@ inline std::int64_t flat_of(const tree::BoxCoord& c, std::int64_t n) {
 }
 
 // P2M over active leaves [lo, hi): every active leaf is non-empty by
-// construction, writing its outer approximation at its ACTIVE row. The
-// distributed ranks pass a context whose workspace holds a rank-local
-// particle view and pruned level sets; the arithmetic is identical because
-// every lookup goes through the context's own boxed/active maps.
+// construction, writing its outer approximation at its ACTIVE row.
 inline void p2m_chunk(ActiveContext& ctx, std::size_t lo, std::size_t hi,
                       PhaseStats& stats) {
   const int h = ctx.hier.depth();
@@ -153,125 +145,10 @@ class ChunkBoxes {
   std::array<std::size_t, 9> octant_begin_{};
 };
 
-// Upward T1 over active PARENTS [lo, hi) of level l: per octant o, the
-// active children at o of the chunk's parents (children absent from the
-// level set are inactive). Sources: far[l + 1].
-template <class Sink>
-void upward_body(ActiveContext& ctx, int l, std::size_t chunk, std::size_t lo,
-                 std::size_t hi, Sink& sink) {
-  const tree::LevelActiveSet& children = ctx.act.levels[l + 1];
-  const std::int64_t nc = ctx.hier.boxes_per_side(l + 1);
-  const ChunkBoxes b(ctx, chunk, l, lo, hi);
-  for (int o = 0; o < 8; ++o) {
-    for (std::size_t i = 0; i < hi - lo; ++i) {
-      const std::int32_t ca = children.dense_to_active[flat_of(
-          tree::Hierarchy::child_of(b.coord(i), o), nc)];
-      if (ca >= 0) sink.add(l + 1, ca, lo + i);
-    }
-    sink.apply(ctx.trans().t1[o]);
-  }
-}
-
-// Downward T3 over active CHILDREN [lo, hi) of level l (l > 2): the
-// children of octant o take t3[o] from their parent, which is always active
-// (parent closure). Sources: local[l - 1].
-template <class Sink>
-void downward_body(ActiveContext& ctx, int l, std::size_t chunk,
-                   std::size_t lo, std::size_t hi, Sink& sink) {
-  const tree::LevelActiveSet& parents = ctx.act.levels[l - 1];
-  const std::int64_t np = ctx.hier.boxes_per_side(l - 1);
-  const ChunkBoxes b(ctx, chunk, l, lo, hi);
-  for (int o = 0; o < 8; ++o) {
-    for (std::size_t j = b.octant_begin(o); j < b.octant_begin(o + 1); ++j) {
-      const std::size_t i = b.order(j);
-      sink.add(l - 1,
-               parents.dense_to_active[flat_of(
-                   tree::Hierarchy::parent_of(b.coord(i)), np)],
-               lo + i);
-    }
-    sink.apply(ctx.trans().t3[o]);
-  }
-}
-
-// Non-supernode T2 over active TARGETS [lo, hi) of level l: per union
-// offset, the targets of an admissible parity (paper Section 3.3.2) whose
-// source lies in the domain and is active. Sources: far[l].
-template <class Sink>
-void union_body(ActiveContext& ctx, int l, std::size_t chunk, std::size_t lo,
-                std::size_t hi, Sink& sink) {
-  const int d = ctx.config.separation;
-  const std::int32_t n = ctx.hier.boxes_per_side(l);
-  const tree::LevelActiveSet& act = ctx.act.levels[l];
-  const ChunkBoxes b(ctx, chunk, l, lo, hi);
-  for (const UnionOffset& u : ctx.trans().union_offsets) {
-    const std::int64_t delta = flat_of({u.o.dx, u.o.dy, u.o.dz}, n);
-    for (std::size_t i = 0; i < hi - lo; ++i) {
-      const tree::BoxCoord& c = b.coord(i);
-      if (!u.all_parities) {
-        if (!(u.valid_parity[0] & (1 << (c.ix & 1)))) continue;
-        if (!(u.valid_parity[1] & (1 << (c.iy & 1)))) continue;
-        if (!(u.valid_parity[2] & (1 << (c.iz & 1)))) continue;
-      }
-      const std::int32_t sx = c.ix + u.o.dx, sy = c.iy + u.o.dy,
-                         sz = c.iz + u.o.dz;
-      if (sx < 0 || sx >= n || sy < 0 || sy >= n || sz < 0 || sz >= n)
-        continue;
-      const std::int32_t sa = act.dense_to_active[act.boxes[lo + i] + delta];
-      if (sa >= 0) sink.add(l, sa, lo + i);
-    }
-    sink.apply(ctx.trans().t2[tree::offset_cube_index(u.o, d)]);
-  }
-}
-
-// Supernode T2 over active TARGETS [lo, hi) of level l: per octant, the
-// octant's targets against each entry of its supernode list in list order;
-// like union_body, a target skips an entry whose source lies outside its
-// level or is inactive. Sources: far[l], and far[l - 1] for parent-level
-// entries (offset from the target's parent).
-template <class Sink>
-void supernode_body(ActiveContext& ctx, int l, std::size_t chunk,
-                    std::size_t lo, std::size_t hi, Sink& sink) {
-  const TranslationData& trans = ctx.trans();
-  const ChunkBoxes b(ctx, chunk, l, lo, hi);
-  for (int o = 0; o < 8; ++o) {
-    const std::vector<tree::SupernodeEntry>& entries = trans.supernode_lists[o];
-    for (std::size_t e = 0; e < entries.size(); ++e) {
-      const bool up = entries[e].source_level_up == 1;
-      const int sl = up ? l - 1 : l;
-      const std::int32_t n = ctx.hier.boxes_per_side(sl);
-      const tree::Offset& off = entries[e].offset;
-      for (std::size_t j = b.octant_begin(o); j < b.octant_begin(o + 1);
-           ++j) {
-        const std::size_t i = b.order(j);
-        const tree::BoxCoord c =
-            up ? tree::Hierarchy::parent_of(b.coord(i)) : b.coord(i);
-        const tree::BoxCoord s{c.ix + off.dx, c.iy + off.dy, c.iz + off.dz};
-        if (s.ix < 0 || s.ix >= n || s.iy < 0 || s.iy >= n || s.iz < 0 ||
-            s.iz >= n)
-          continue;
-        const std::int32_t sa =
-            ctx.act.levels[sl].dense_to_active[flat_of(s, n)];
-        if (sa >= 0) sink.add(sl, sa, lo + i);
-      }
-      sink.apply(trans.supernode[o][e]);
-    }
-  }
-}
-
-// The T2 body the config selects.
-template <class Sink>
-void interactive_body(ActiveContext& ctx, int l, std::size_t chunk,
-                      std::size_t lo, std::size_t hi, Sink& sink) {
-  if (ctx.config.supernodes)
-    supernode_body(ctx, l, chunk, lo, hi, sink);
-  else
-    union_body(ctx, l, chunk, lo, hi, sink);
-}
-
-// The executors' sink, over the chunk's ChunkSlot: add() copies the source
-// row into the slab; apply() runs the matrix over the gathered rows with one
-// internal::apply_rows call and scatter-adds product row r into `to` at its
-// target's row.
+// The translation stages' sink, over the chunk's ChunkSlot: add() copies
+// the source row into the slab; apply() runs the matrix over the gathered
+// rows with one internal::apply_rows call and scatter-adds product row r
+// into `to` at its target's row.
 class GatherSink {
  public:
   // Sources are rows of `from` (the far or local level stores).
@@ -324,27 +201,120 @@ class GatherSink {
   std::uint64_t flops_ = 0, moved_ = 0;
 };
 
-// The executors' translation stages: T1 into far[l], T3 and T2 into
-// local[l].
+// Upward T1 over active PARENTS [lo, hi) of level l, into far[l]: per
+// octant o, the active children at o of the chunk's parents (children
+// absent from the level set are inactive). Sources: far[l + 1].
 inline void upward_chunk(ActiveContext& ctx, int l, std::size_t chunk,
                          std::size_t lo, std::size_t hi, PhaseStats& stats) {
   GatherSink sink(ctx, chunk, lo, hi, ctx.ws.far, ctx.ws.far[l]);
-  upward_body(ctx, l, chunk, lo, hi, sink);
+  const tree::LevelActiveSet& children = ctx.act.levels[l + 1];
+  const std::int64_t nc = ctx.hier.boxes_per_side(l + 1);
+  const ChunkBoxes b(ctx, chunk, l, lo, hi);
+  for (int o = 0; o < 8; ++o) {
+    for (std::size_t i = 0; i < hi - lo; ++i) {
+      const std::int32_t ca = children.dense_to_active[flat_of(
+          tree::Hierarchy::child_of(b.coord(i), o), nc)];
+      if (ca >= 0) sink.add(l + 1, ca, lo + i);
+    }
+    sink.apply(ctx.trans().t1[o]);
+  }
   sink.report(stats);
 }
 
+// Downward T3 over active CHILDREN [lo, hi) of level l (l > 2), into
+// local[l]: the children of octant o take t3[o] from their parent, which is
+// always active (parent closure). Sources: local[l - 1].
 inline void downward_chunk(ActiveContext& ctx, int l, std::size_t chunk,
                            std::size_t lo, std::size_t hi, PhaseStats& stats) {
   GatherSink sink(ctx, chunk, lo, hi, ctx.ws.local, ctx.ws.local[l]);
-  downward_body(ctx, l, chunk, lo, hi, sink);
+  const tree::LevelActiveSet& parents = ctx.act.levels[l - 1];
+  const std::int64_t np = ctx.hier.boxes_per_side(l - 1);
+  const ChunkBoxes b(ctx, chunk, l, lo, hi);
+  for (int o = 0; o < 8; ++o) {
+    for (std::size_t j = b.octant_begin(o); j < b.octant_begin(o + 1); ++j) {
+      const std::size_t i = b.order(j);
+      sink.add(l - 1,
+               parents.dense_to_active[flat_of(
+                   tree::Hierarchy::parent_of(b.coord(i)), np)],
+               lo + i);
+    }
+    sink.apply(ctx.trans().t3[o]);
+  }
   sink.report(stats);
 }
 
+// Non-supernode T2 over active TARGETS [lo, hi) of level l: per union
+// offset, the targets of an admissible parity (paper Section 3.3.2) whose
+// source lies in the domain and is active. Sources: far[l].
+inline void union_body(ActiveContext& ctx, int l, std::size_t chunk,
+                       std::size_t lo, std::size_t hi, GatherSink& sink) {
+  const int d = ctx.config.separation;
+  const std::int32_t n = ctx.hier.boxes_per_side(l);
+  const tree::LevelActiveSet& act = ctx.act.levels[l];
+  const ChunkBoxes b(ctx, chunk, l, lo, hi);
+  for (const UnionOffset& u : ctx.trans().union_offsets) {
+    const std::int64_t delta = flat_of({u.o.dx, u.o.dy, u.o.dz}, n);
+    for (std::size_t i = 0; i < hi - lo; ++i) {
+      const tree::BoxCoord& c = b.coord(i);
+      if (!u.all_parities) {
+        if (!(u.valid_parity[0] & (1 << (c.ix & 1)))) continue;
+        if (!(u.valid_parity[1] & (1 << (c.iy & 1)))) continue;
+        if (!(u.valid_parity[2] & (1 << (c.iz & 1)))) continue;
+      }
+      const std::int32_t sx = c.ix + u.o.dx, sy = c.iy + u.o.dy,
+                         sz = c.iz + u.o.dz;
+      if (sx < 0 || sx >= n || sy < 0 || sy >= n || sz < 0 || sz >= n)
+        continue;
+      const std::int32_t sa = act.dense_to_active[act.boxes[lo + i] + delta];
+      if (sa >= 0) sink.add(l, sa, lo + i);
+    }
+    sink.apply(ctx.trans().t2[tree::offset_cube_index(u.o, d)]);
+  }
+}
+
+// Supernode T2 over active TARGETS [lo, hi) of level l: per octant, the
+// octant's targets against each entry of its supernode list in list order;
+// like union_body, a target skips an entry whose source lies outside its
+// level or is inactive. Sources: far[l], and far[l - 1] for parent-level
+// entries (offset from the target's parent).
+inline void supernode_body(ActiveContext& ctx, int l, std::size_t chunk,
+                           std::size_t lo, std::size_t hi, GatherSink& sink) {
+  const TranslationData& trans = ctx.trans();
+  const ChunkBoxes b(ctx, chunk, l, lo, hi);
+  for (int o = 0; o < 8; ++o) {
+    const std::vector<tree::SupernodeEntry>& entries = trans.supernode_lists[o];
+    for (std::size_t e = 0; e < entries.size(); ++e) {
+      const bool up = entries[e].source_level_up == 1;
+      const int sl = up ? l - 1 : l;
+      const std::int32_t n = ctx.hier.boxes_per_side(sl);
+      const tree::Offset& off = entries[e].offset;
+      for (std::size_t j = b.octant_begin(o); j < b.octant_begin(o + 1);
+           ++j) {
+        const std::size_t i = b.order(j);
+        const tree::BoxCoord c =
+            up ? tree::Hierarchy::parent_of(b.coord(i)) : b.coord(i);
+        const tree::BoxCoord s{c.ix + off.dx, c.iy + off.dy, c.iz + off.dz};
+        if (s.ix < 0 || s.ix >= n || s.iy < 0 || s.iy >= n || s.iz < 0 ||
+            s.iz >= n)
+          continue;
+        const std::int32_t sa =
+            ctx.act.levels[sl].dense_to_active[flat_of(s, n)];
+        if (sa >= 0) sink.add(sl, sa, lo + i);
+      }
+      sink.apply(trans.supernode[o][e]);
+    }
+  }
+}
+
+// T2 into local[l], with the body the config selects.
 inline void interactive_chunk(ActiveContext& ctx, int l, std::size_t chunk,
                               std::size_t lo, std::size_t hi,
                               PhaseStats& stats) {
   GatherSink sink(ctx, chunk, lo, hi, ctx.ws.far, ctx.ws.local[l]);
-  interactive_body(ctx, l, chunk, lo, hi, sink);
+  if (ctx.config.supernodes)
+    supernode_body(ctx, l, chunk, lo, hi, sink);
+  else
+    union_body(ctx, l, chunk, lo, hi, sink);
   sink.report(stats);
 }
 

@@ -5,7 +5,6 @@
 #include <condition_variable>
 #include <mutex>
 #include <stdexcept>
-#include <thread>
 
 namespace hfmm::exec {
 
@@ -330,35 +329,6 @@ void PhaseGraph::run_concurrent(ThreadPool& pool, PhaseBreakdown& breakdown,
   if (st.completed != total)
     throw std::logic_error("PhaseGraph::run: dependency cycle");
   finish(workers, worker_stats, breakdown, timeline);
-}
-
-void run_graphs(std::span<PhaseGraph* const> graphs,
-                std::span<PhaseBreakdown> breakdowns,
-                std::vector<std::vector<StageTiming>>* timelines) {
-  if (breakdowns.size() != graphs.size())
-    throw std::invalid_argument("run_graphs: one breakdown per graph");
-  if (timelines != nullptr && timelines->size() != graphs.size())
-    throw std::invalid_argument("run_graphs: one timeline per graph");
-  // Inline runs never touch the pool beyond size(); a single shared
-  // one-thread pool keeps every unchunked stage at exactly one chunk on
-  // every rank, matching the sequential reference's accumulation order.
-  ThreadPool inline_pool(1);
-  std::vector<std::exception_ptr> errors(graphs.size());
-  std::vector<std::thread> threads;
-  threads.reserve(graphs.size());
-  for (std::size_t i = 0; i < graphs.size(); ++i) {
-    threads.emplace_back([&, i] {
-      try {
-        graphs[i]->run(inline_pool, RunMode::kInline, breakdowns[i],
-                       timelines != nullptr ? &(*timelines)[i] : nullptr);
-      } catch (...) {
-        errors[i] = std::current_exception();
-      }
-    });
-  }
-  for (std::thread& t : threads) t.join();
-  for (const std::exception_ptr& e : errors)
-    if (e) std::rethrow_exception(e);
 }
 
 }  // namespace hfmm::exec

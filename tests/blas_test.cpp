@@ -183,8 +183,8 @@ TEST(GemmTest, RespectsLeadingDimensions) {
 }
 
 // The solver gathers a varying number of boxes into each translation gemm
-// (one chunk per worker, one per rank), so its bitwise reproducibility
-// across worker and rank counts rests on this: every row of an m-row call
+// (one chunk per worker), so its bitwise reproducibility across worker
+// counts rests on this: every row of an m-row call
 // equals, bit for bit, the same row computed alone — whether it lands in a
 // full 4-row micro-kernel tile or in the < 4-row tail.
 TEST(GemmTest, RowBitsIndependentOfRowCount) {

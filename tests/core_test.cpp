@@ -263,8 +263,7 @@ TEST(FmmSolverTest, PrecomputeHoldsOnlyTheAppliedMatrices) {
   EXPECT_EQ(supernode_set, 42218496u);
   EXPECT_EQ(union_set, 50678784u);
   for (const ExecutionMode mode :
-       {ExecutionMode::kSequential, ExecutionMode::kThreads,
-        ExecutionMode::kDistributed}) {
+       {ExecutionMode::kSequential, ExecutionMode::kThreads}) {
     EXPECT_EQ(bytes(mode, true), supernode_set);
     EXPECT_EQ(bytes(mode, false), union_set);
   }
@@ -390,7 +389,7 @@ TEST_P(DistributionTest, AccurateOnNonuniformInputs) {
   const baseline::DirectResult d = baseline::direct_all(p, false);
   for (const ExecutionMode mode :
        {ExecutionMode::kSequential, ExecutionMode::kThreads,
-        ExecutionMode::kDataParallel, ExecutionMode::kDistributed}) {
+        ExecutionMode::kDataParallel}) {
     FmmConfig cfg = base_config();
     cfg.mode = mode;
     FmmSolver solver(cfg);

@@ -204,7 +204,7 @@ TEST(ClusteredReuse, AlternatingDistributionsKeepWarmPathClustered) {
 // sort and structures from the moved particles, and the warm path reuses
 // only plan and workspace buffers, performing the identical arithmetic.
 // Uniform input on the threaded executor (the plain test below); Plummer
-// input on the threaded and the distributed (4 ranks) executors.
+// input on the same executor (the parameterized one).
 struct StepCase {
   const char* name;
   ExecutionMode mode;
@@ -216,7 +216,6 @@ void PrintTo(const StepCase& c, std::ostream* os) { *os << c.name; }
 void expect_warm_stepping_matches_fresh(const StepCase& c) {
   FmmConfig cfg = base_config(c.mode);
   cfg.depth = 3;
-  cfg.dist_ranks = 4;
   const double dt = 1e-3;
   const std::size_t n = 800;
   const auto initial = [&] {
@@ -279,8 +278,7 @@ TEST_P(IntegratorReuseExecutors, MultiStepMatchesFreshSolverPerStep) {
 INSTANTIATE_TEST_SUITE_P(
     Executors, IntegratorReuseExecutors,
     ::testing::Values(
-        StepCase{"sparse_plummer", ExecutionMode::kThreads, true},
-        StepCase{"dist4_plummer", ExecutionMode::kDistributed, true}),
+        StepCase{"sparse_plummer", ExecutionMode::kThreads, true}),
     [](const ::testing::TestParamInfo<StepCase>& info) {
       return std::string(info.param.name);
     });

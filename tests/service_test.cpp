@@ -3,7 +3,8 @@
 //
 // Covers:
 //   * SharedMap semantics — hit/miss counters, one build per key, also
-//     under concurrent gets,
+//     under concurrent gets, builds outside the lock, and a failed build
+//     retried,
 //   * PlanCache sharing — one build per (config, depth), translation data
 //     shared across depths,
 //   * service-vs-solo bitwise identity for both executors and kernels,
@@ -20,8 +21,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <cstring>
+#include <future>
 #include <limits>
 #include <memory>
 #include <set>
@@ -99,6 +102,64 @@ TEST(SharedMapTest, ConcurrentGetsBuildEachKeyOnce) {
   EXPECT_EQ(s.misses, static_cast<std::uint64_t>(kKeys));
   EXPECT_EQ(s.hits, static_cast<std::uint64_t>(kThreads * kRounds - kKeys));
   for (int t = 1; t < kThreads; ++t) EXPECT_EQ(seen[t], seen[0]);
+}
+
+// A build holds no lock: while key 1's factory is blocked, a get of key 2
+// returns, and a get of key 1 waits for the one build and counts as a hit.
+// Every wait is bounded, so a map that serializes builds fails here
+// instead of hanging.
+TEST(SharedMapTest, OtherKeysProceedWhileOneBuilds) {
+  using namespace std::chrono_literals;
+  service::SharedMap<int, int> cache;
+  std::promise<void> started, release;
+  std::future<void> has_started = started.get_future();
+  std::shared_future<void> released = release.get_future().share();
+  std::thread slow([&] {
+    cache.get_or_build(1, [&] {
+      started.set_value();
+      released.wait_for(30s);
+      return std::make_shared<int>(10);
+    });
+  });
+  EXPECT_EQ(has_started.wait_for(30s), std::future_status::ready);
+  auto other = std::async(std::launch::async, [&] {
+    return cache.get_or_build(2, [] { return std::make_shared<int>(20); });
+  });
+  auto same = std::async(std::launch::async, [&] {
+    return cache.get_or_build(1, [] { return std::make_shared<int>(99); });
+  });
+  EXPECT_EQ(other.wait_for(5s), std::future_status::ready)
+      << "key 2 waited for key 1's build";
+  release.set_value();
+  slow.join();
+  const auto [v2, hit2] = other.get();
+  EXPECT_EQ(*v2, 20);
+  EXPECT_FALSE(hit2);
+  const auto [v1, hit1] = same.get();
+  EXPECT_EQ(*v1, 10);  // key 1 was built once
+  EXPECT_TRUE(hit1);
+  const service::SharedMapStats s = cache.stats();
+  EXPECT_EQ(s.misses, 2u);
+  EXPECT_EQ(s.hits, 1u);
+}
+
+// A factory that throws leaves no entry: the exception reaches the caller,
+// and the next get of the key builds again.
+TEST(SharedMapTest, ThrowingFactoryIsRetriedOnTheNextGet) {
+  service::SharedMap<int, int> cache;
+  EXPECT_THROW(cache.get_or_build(1,
+                                  []() -> std::shared_ptr<int> {
+                                    throw std::runtime_error("build failed");
+                                  }),
+               std::runtime_error);
+  EXPECT_EQ(cache.size(), 0u);
+  const auto [v, hit] =
+      cache.get_or_build(1, [] { return std::make_shared<int>(7); });
+  EXPECT_FALSE(hit);
+  EXPECT_EQ(*v, 7);
+  EXPECT_EQ(cache.size(), 1u);
+  EXPECT_EQ(cache.stats().misses, 2u);
+  EXPECT_EQ(cache.stats().hits, 0u);
 }
 
 // --- PlanCache -----------------------------------------------------------

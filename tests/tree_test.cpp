@@ -143,9 +143,9 @@ TEST(NearFieldTest, HalfOffsetsPartitionNeighbors) {
   }
 }
 
-// The one neighbour walk the cost model, the distributed exchange plan and
-// the data-parallel comm counter share: self skipped, out-of-domain
-// neighbours clipped, or wrapped modulo the box count when periodic.
+// The one neighbour walk the near-field run planner, its cost model and the
+// data-parallel comm counter share: self skipped, out-of-domain neighbours
+// clipped, or wrapped modulo the box count when periodic.
 TEST(NearFieldTest, ForEachNeighbourClipsWrapsAndSkipsSelf) {
   const std::vector<Offset> offsets = near_field_offsets(2);
   const auto walk = [&](BoxCoord c, std::int32_t n, bool periodic) {

@@ -12,7 +12,7 @@
 //   * end-to-end: FmmSolver with a short-range KernelSpec against an O(N^2)
 //     brute force on >= 2 distributions plus a periodic minimum-image case,
 //     empty far-field phases, warm-solve zero-alloc, and seq == threads;
-//   * cutoff geometry: the plan's near lists cut to the cutoff, pairs just
+//   * cutoff geometry: the plan's near list cut to the cutoff, pairs just
 //     inside it across a kept box pair, solves whose cutoff is below the
 //     leaf side, and the depth the cutoff sets.
 
@@ -488,12 +488,9 @@ TEST(VdwNearListTest, LeafSideAtLeastCutoffKeepsTheTouchingBoxes) {
                                         << " depth " << depth);
       const core::FmmConfig cfg = cutoff_config(0.06, periodic, depth);
       const std::vector<tree::Offset> half =
-          core::internal::near_offsets_for(cfg, depth, true);
+          core::internal::near_offsets_for(cfg, depth);
       EXPECT_EQ(half.size(), 13u);
       EXPECT_EQ(half, tree::near_field_half_offsets(1));
-      // The full list holds the 26 neighbours and the box itself.
-      EXPECT_EQ(core::internal::near_offsets_for(cfg, depth, false),
-                tree::near_field_offsets(1));
     }
 }
 
@@ -506,10 +503,8 @@ TEST(VdwNearListTest, CutoffBeyondTheCornerGapKeepsTheWholeNeighbourhood) {
       SCOPED_TRACE(::testing::Message() << "periodic " << periodic
                                         << " depth " << depth);
       const core::FmmConfig cfg = cutoff_config(cutoff, periodic, depth);
-      EXPECT_EQ(core::internal::near_offsets_for(cfg, depth, true),
+      EXPECT_EQ(core::internal::near_offsets_for(cfg, depth),
                 tree::near_field_half_offsets(2));
-      EXPECT_EQ(core::internal::near_offsets_for(cfg, depth, false),
-                tree::near_field_offsets(2));
     }
 }
 

@@ -5,23 +5,20 @@
 # subject). Run from the repository root:
 #   tools/check.sh [jobs] [lane]
 # `lane` selects which suites run (default all): plain | asan | tsan |
-# release | service | dist | all — CI runs the lanes as separate matrix
-# jobs. The `release` lane builds with -DCMAKE_BUILD_TYPE=Release (-O3)
-# and runs the full suite and the bench smokes there, so the bitwise
-# contracts (seq == threads, R ranks == one rank) hold at -O3 too. The
-# `service` lane is the focused fast path for the solver-service stack: the
-# service/C-API suites plain AND under TSan (the multi-tenant scheduler and
-# the shared plan cache are the main data-race subjects). The
-# `dist` lane does the same for the owner-computes distributed executor
-# (DESIGN.md §18): the dist suites plain AND under TSan (one thread per
-# rank over the message fabric), plus the bench_distributed gates.
+# release | service | all — CI runs the lanes as separate matrix jobs. The
+# `release` lane builds with -DCMAKE_BUILD_TYPE=Release (-O3) and runs the
+# full suite and the bench smokes there, so the bitwise contract
+# (seq == threads) holds at -O3 too. The `service` lane is the focused fast
+# path for the solver-service stack: the service/C-API suites plain AND
+# under TSan (the multi-tenant scheduler and the shared plan cache are the
+# main data-race subjects).
 set -euo pipefail
 
 jobs="${1:-$(nproc)}"
 lane="${2:-all}"
 case "$lane" in
-  all|plain|asan|tsan|release|service|dist) ;;
-  *) echo "unknown lane '$lane' (plain|asan|tsan|release|service|dist|all)" >&2
+  all|plain|asan|tsan|release|service) ;;
+  *) echo "unknown lane '$lane' (plain|asan|tsan|release|service|all)" >&2
      exit 2 ;;
 esac
 root="$(cd "$(dirname "$0")/.." && pwd)"
@@ -31,15 +28,14 @@ run_suite() {
   local build_dir="$1"; shift
   cmake -B "$build_dir" -S . "$@" >/dev/null
   cmake --build "$build_dir" -j "$jobs"
-  # The full suite holds the short-range kernel (DESIGN.md §16), solver
-  # service (§17) and distributed executor (§18) suites and the clustered
-  # warm-solve fixture (reuse_test_clustered); each runs here once.
+  # The full suite holds the short-range kernel (DESIGN.md §16) and solver
+  # service (§17) suites and the clustered warm-solve fixture
+  # (reuse_test_clustered); each runs here once.
   ctest --test-dir "$build_dir" --output-on-failure -j "$jobs"
   # Bench smokes (plain tree only — sanitizer trees build no bench).
   if [[ -x "$build_dir/bench/bench_scaling" ]]; then
     clustered_bench_smoke "$build_dir"
     vdw_bench_smoke "$build_dir"
-    dist_bench_smoke "$build_dir"
   fi
 }
 
@@ -111,39 +107,6 @@ run_service_tests() {
     -R 'ServiceTest|CApiTest|SharedMapTest|PlanCacheTest|service_client'
 }
 
-run_dist_tests() {
-  local build_dir="$1"
-  ctest --test-dir "$build_dir" --output-on-failure \
-    -R 'ChannelTest|PartitionTest|OwnershipTest|LetTest|DistSolveTest'
-}
-
-# bench_distributed gates the distributed executor's contract — R-rank
-# results bitwise-equal the single-rank reference, measured fabric bytes
-# equal the LET byte model exactly, and the DP simulator's off-VU traffic
-# brackets the exchange volume — with a non-zero exit; the checks below
-# restate the first two per run, require the owned bodies to tile the
-# input, and pin the JSON artifact shape CI uploads.
-dist_bench_smoke() {
-  local build_dir="$1"
-  if [[ -x "$build_dir/bench/bench_distributed" ]]; then
-    echo "== distributed bench smoke =="
-    "$build_dir/bench/bench_distributed" --smoke \
-      --json="$build_dir/smoke_distributed.json" >/dev/null
-    grep -q '"bench": "bench_distributed"' "$build_dir/smoke_distributed.json"
-    grep -q '"gates_passed": true' "$build_dir/smoke_distributed.json"
-    python3 - "$build_dir" << 'EOF'
-import json, sys
-d = json.load(open(f"{sys.argv[1]}/smoke_distributed.json"))
-for run in d["runs"]:
-    assert run["bitwise"], f"R={run['ranks']} not bitwise"
-    assert run["measured_bytes"] == run["modeled_bytes"], \
-        f"R={run['ranks']} fabric bytes diverge from the LET model"
-    assert run["per_rank"], f"R={run['ranks']} has no per-rank rows"
-    assert sum(r["owned_bodies"] for r in run["per_rank"]) == d["n"]
-EOF
-  fi
-}
-
 # The focused service lane: service/C-API suites on the plain tree, then
 # the same suites under TSan.
 run_service_lane() {
@@ -161,33 +124,9 @@ run_service_lane() {
   run_service_tests build-tsan
 }
 
-# The focused dist lane: dist suites on the plain tree, the bench gates,
-# then the same suites under TSan (per-rank graph threads + fabric).
-run_dist_lane() {
-  cmake -B build -S . >/dev/null
-  cmake --build build -j "$jobs"
-  echo "== distributed suite: plain =="
-  run_dist_tests build
-  dist_bench_smoke build
-  echo "== distributed suite: TSan =="
-  export TSAN_OPTIONS="halt_on_error=1:second_deadlock_stack=1"
-  cmake -B build-tsan -S . \
-    -DHFMM_SANITIZE=thread \
-    -DCMAKE_BUILD_TYPE=RelWithDebInfo \
-    -DHFMM_BUILD_BENCH=OFF -DHFMM_BUILD_EXAMPLES=OFF >/dev/null
-  cmake --build build-tsan -j "$jobs"
-  run_dist_tests build-tsan
-}
-
 if [[ "$lane" == service ]]; then
   run_service_lane
   echo "== service lane passed =="
-  exit 0
-fi
-
-if [[ "$lane" == dist ]]; then
-  run_dist_lane
-  echo "== dist lane passed =="
   exit 0
 fi
 

@@ -24,26 +24,22 @@ int main() {
   for (int mode = 0; mode < 3; ++mode) {
     for (int agg = 0; agg < 3; ++agg) {
       for (int sn = 0; sn < 2; ++sn) {
-        for (int sym = 0; sym < 2; ++sym) {
-          core::FmmConfig cfg;
-          cfg.depth = 3;
-          cfg.mode = static_cast<core::ExecutionMode>(mode);
-          cfg.aggregation = static_cast<core::AggregationMode>(agg);
-          cfg.supernodes = sn != 0;
-          cfg.near_symmetry = sym != 0;
-          cfg.with_gradient = true;
-          core::FmmSolver solver(cfg);
-          const core::FmmResult r = solver.solve(p);
-          const core::FmmResult w = solver.solve(p);
-          std::uint64_t h = fnv(r.phi.data(), r.phi.size() * 8);
-          h = fnv(r.grad.data(), r.grad.size() * sizeof(Vec3), h);
-          std::uint64_t hw = fnv(w.phi.data(), w.phi.size() * 8);
-          hw = fnv(w.grad.data(), w.grad.size() * sizeof(Vec3), hw);
-          std::printf("mode=%d agg=%d sn=%d sym=%d cold=%016llx warm=%016llx\n",
-                      mode, agg, sn, sym,
-                      static_cast<unsigned long long>(h),
-                      static_cast<unsigned long long>(hw));
-        }
+        core::FmmConfig cfg;
+        cfg.depth = 3;
+        cfg.mode = static_cast<core::ExecutionMode>(mode);
+        cfg.aggregation = static_cast<core::AggregationMode>(agg);
+        cfg.supernodes = sn != 0;
+        cfg.with_gradient = true;
+        core::FmmSolver solver(cfg);
+        const core::FmmResult r = solver.solve(p);
+        const core::FmmResult w = solver.solve(p);
+        std::uint64_t h = fnv(r.phi.data(), r.phi.size() * 8);
+        h = fnv(r.grad.data(), r.grad.size() * sizeof(Vec3), h);
+        std::uint64_t hw = fnv(w.phi.data(), w.phi.size() * 8);
+        hw = fnv(w.grad.data(), w.grad.size() * sizeof(Vec3), hw);
+        std::printf("mode=%d agg=%d sn=%d cold=%016llx warm=%016llx\n", mode,
+                    agg, sn, static_cast<unsigned long long>(h),
+                    static_cast<unsigned long long>(hw));
       }
     }
   }
