@@ -7,8 +7,10 @@
 // 1996 CM-5E; the SHAPE of each comparison (who wins, by what factor, where
 // crossovers fall) is the reproduction target (EXPERIMENTS.md records both).
 
+#include <algorithm>
 #include <cstdio>
 #include <string>
+#include <vector>
 
 #include "hfmm/blas/blas.hpp"
 #include "hfmm/util/cli.hpp"
@@ -28,6 +30,13 @@ inline double peak_flops() {
 inline double efficiency(std::uint64_t flops, double seconds) {
   if (seconds <= 0.0) return 0.0;
   return static_cast<double>(flops) / seconds / peak_flops();
+}
+
+/// Median of a non-empty sample (the mean of the middle pair when even).
+inline double median(std::vector<double> v) {
+  std::sort(v.begin(), v.end());
+  const std::size_t m = v.size() / 2;
+  return v.size() % 2 != 0 ? v[m] : 0.5 * (v[m - 1] + v[m]);
 }
 
 /// The paper's second cross-machine metric: cycles per particle, using a

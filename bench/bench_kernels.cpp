@@ -1,7 +1,7 @@
 // Google-benchmark microbenchmarks of the hot kernels: the K x K
 // translation GEMMs at the paper's matrix sizes (K = 12 and K = 72), the
-// batched multiple-instance variant, the Poisson kernels, the near-field
-// pair kernel, and CSHIFT on the simulated machine.
+// Poisson kernels, the near-field pair kernel, and CSHIFT on the simulated
+// machine.
 //
 // Before the google-benchmark suite runs, a per-kernel sweep measures
 // GFLOP/s of every dispatchable BLAS backend (portable, avx2) on the
@@ -13,9 +13,8 @@
 //   { "bench": "bench_kernels", "nproc": 4,
 //     "default_kernel": "avx2", "default_pkern_kernel": "avx512",
 //     "kernels": [ { "kernel": "avx2", "supported": true,
-//                    "gemm": [ {"m":..,"n":..,"k":..,"gflops":..}, ... ],
-//                    "gemm_batch": [ {"m":..,"k":..,"instances":..,
-//                                     "gflops":..}, ... ] }, ... ],
+//                    "gemm": [ {"m":..,"n":..,"k":..,"gflops":..}, ... ] },
+//                  ... ],
 //     "pkern_kernels": [ { "kernel": "scalar", ... },
 //       { "kernel": "portable" | "avx2" | "avx512", "supported": true,
 //         "p2p": [ {"n":..,"block":..,"gradient":..,"gflops":..,
@@ -97,24 +96,6 @@ void BM_GemvTranslation(benchmark::State& state) {
 }
 BENCHMARK(BM_GemvTranslation)->Arg(12)->Arg(72);
 
-void BM_GemmBatch(benchmark::State& state) {
-  if (!select_or_skip(state, 1)) return;
-  const std::size_t k = static_cast<std::size_t>(state.range(0));
-  const std::size_t slab = 8, count = 128;
-  std::vector<double> a(count * slab * k, 1.0), t(k * k, 0.5),
-      c(count * slab * k, 0.0);
-  for (auto _ : state) {
-    blas::gemm_batch(a.data(), k, slab * k, t.data(), k, 0, c.data(), k,
-                     slab * k, slab, k, k, count, true);
-    benchmark::DoNotOptimize(c.data());
-  }
-  state.counters["Gflops"] = benchmark::Counter(
-      static_cast<double>(state.iterations()) * count *
-          static_cast<double>(blas::gemm_flops(slab, k, k)) / 1e9,
-      benchmark::Counter::kIsRate);
-}
-BENCHMARK(BM_GemmBatch)->ArgsProduct({{12, 72}, {0, 1}});
-
 void BM_OuterKernel(benchmark::State& state) {
   const int m = static_cast<int>(state.range(0));
   const Vec3 s{0, 0, 1}, x{2.5, 0.3, -1.0};
@@ -164,23 +145,6 @@ BENCHMARK(BM_P2mEvaluation);
 // Per-kernel GFLOP/s sweep -> BENCH_kernels.json
 // ---------------------------------------------------------------------------
 
-double measure_batch_flops(std::size_t m, std::size_t k, std::size_t count,
-                           double min_seconds) {
-  std::vector<double> a(count * m * k, 1.0), b(k * k, 0.5),
-      c(count * m * k, 0.0);
-  blas::gemm_batch(a.data(), k, m * k, b.data(), k, 0, c.data(), k, m * k, m,
-                   k, k, count, true);
-  WallTimer t;
-  std::uint64_t reps = 0;
-  do {
-    blas::gemm_batch(a.data(), k, m * k, b.data(), k, 0, c.data(), k, m * k,
-                     m, k, k, count, true);
-    ++reps;
-  } while (t.seconds() < min_seconds);
-  return static_cast<double>(reps * count * blas::gemm_flops(m, k, k)) /
-         t.seconds();
-}
-
 void write_pkern_json(std::FILE* f);
 
 void write_kernel_json(const char* path) {
@@ -191,10 +155,6 @@ void write_kernel_json(const char* path) {
   };
   const GemmShape gemm_shapes[] = {
       {4096, 12, 12}, {4096, 72, 72}, {72, 72, 72}, {96, 96, 96}};
-  struct BatchShape {
-    std::size_t m, k, count;
-  };
-  const BatchShape batch_shapes[] = {{8, 12, 512}, {8, 72, 512}};
 
   const blas::KernelKind initial = blas::active_kernel_kind();
   std::FILE* f = std::fopen(path, "w");
@@ -228,18 +188,6 @@ void write_kernel_json(const char* path) {
                      "%s\n        { \"m\": %zu, \"n\": %zu, \"k\": %zu, "
                      "\"gflops\": %.3f }",
                      i ? "," : "", s.m, s.n, s.k, gf);
-      }
-      std::fprintf(f, "\n      ],\n      \"gemm_batch\": [");
-      for (std::size_t i = 0; i < std::size(batch_shapes); ++i) {
-        const auto& s = batch_shapes[i];
-        const double gf = measure_batch_flops(s.m, s.k, s.count, 0.05) / 1e9;
-        std::printf(
-            "  %-8s gemm_batch m=%zu k=%zu x %zu inst : %7.2f GF/s\n",
-            blas::to_string(kind), s.m, s.k, s.count, gf);
-        std::fprintf(f,
-                     "%s\n        { \"m\": %zu, \"k\": %zu, \"instances\": "
-                     "%zu, \"gflops\": %.3f }",
-                     i ? "," : "", s.m, s.k, s.count, gf);
       }
       std::fprintf(f, "\n      ]");
     }

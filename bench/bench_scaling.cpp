@@ -12,8 +12,11 @@
 // The N sweep is written to BENCH_scaling.json (--json=FILE) with the
 // host's core count ("nproc"), the distribution, and the active-box count,
 // the per-level active-box occupancy and the near-field pair count of every
-// row.
+// row. A row's warm time is the median of kWarmSolves solves that follow
+// the cold one and one untimed warm-up; the JSON also carries their min and
+// max.
 
+#include <algorithm>
 #include <cstring>
 #include <iostream>
 #include <string>
@@ -27,6 +30,8 @@
 using namespace hfmm;
 
 namespace {
+
+constexpr int kWarmSolves = 5;
 
 ParticleSet make_dist(const std::string& dist, std::size_t n,
                       std::uint64_t seed) {
@@ -115,10 +120,18 @@ int main(int argc, char** argv) {
     WallTimer t;
     const core::FmmResult r = solver.solve(p);
     const double secs = t.seconds();
-    // Warm repeat on the reused plan/workspace — the steady-state cost.
-    t.reset();
+    // One untimed warm-up, then timed repeats on the reused plan/workspace
+    // — the steady-state cost.
     (void)solver.solve(p);
-    const double warm = t.seconds();
+    std::vector<double> warm_runs;
+    for (int rep = 0; rep < kWarmSolves; ++rep) {
+      t.reset();
+      (void)solver.solve(p);
+      warm_runs.push_back(t.seconds());
+    }
+    const double warm = bench::median(warm_runs);
+    const auto [warm_min, warm_max] =
+        std::minmax_element(warm_runs.begin(), warm_runs.end());
     const std::uint64_t near_pairs =
         r.breakdown.phases().count("near")
             ? r.breakdown.phases().at("near").pairs
@@ -137,11 +150,14 @@ int main(int argc, char** argv) {
                    "%s\n    { \"n\": %zu, \"depth\": %d, "
                    "\"kernel\": \"%s\", "
                    "\"cold_seconds\": %.6f, \"warm_seconds\": %.6f, "
+                   "\"warm_min_seconds\": %.6f, "
+                   "\"warm_max_seconds\": %.6f, \"warm_repeats\": %d, "
                    "\"near_pairs\": %llu, "
                    "\"active_boxes\": %zu, "
                    "\"workspace_bytes\": %zu, \"occupancy\": [",
                    first_row ? "" : ",", n, r.depth,
-                   core::to_string(r.kernel), secs, warm,
+                   core::to_string(r.kernel), secs, warm, *warm_min,
+                   *warm_max, kWarmSolves,
                    static_cast<unsigned long long>(near_pairs),
                    r.active_boxes, r.workspace_bytes);
       for (std::size_t l = 0; l < r.level_occupancy.size(); ++l)

@@ -4,10 +4,10 @@
 // Anderson's translations are K x K matrix actions on potential vectors
 // (Section 3.3.3 of the paper): applied one box at a time they are BLAS-2
 // (gemv); aggregated over boxes sharing a translation matrix they become
-// BLAS-3 (gemm), and aggregating over independent subgrid slices yields
-// multiple-instance gemm — the CMSSL feature the paper exploits. We provide
-// portable equivalents with identical call shapes so the aggregation
-// experiments (Table 3, Section 3.3.3) can compare the three forms.
+// BLAS-3 (gemm). The solver gathers every box that shares a matrix into one
+// slab and applies one gemm to it, so the paper's multiple-instance gemm
+// (CMSSL) needs no entry point of its own. The aggregation experiments
+// (Table 3, Section 3.3.3) compare the two forms.
 //
 // Conventions: row-major storage, C[m x n] (+)= A[m x k] * B[k x n].
 
@@ -40,15 +40,6 @@ void vecmat(const double* x, const double* b, std::size_t ldb, double* y,
 void gemm(const double* a, std::size_t lda, const double* b, std::size_t ldb,
           double* c, std::size_t ldc, std::size_t m, std::size_t n,
           std::size_t k, bool accumulate);
-
-/// Multiple-instance gemm: `count` independent products with the SAME shape,
-/// each instance i using a + i*stride_a etc. Matches the CMSSL
-/// multiple-instance matrix-multiplication call used in Section 3.3.3.
-void gemm_batch(const double* a, std::size_t lda, std::size_t stride_a,
-                const double* b, std::size_t ldb, std::size_t stride_b,
-                double* c, std::size_t ldc, std::size_t stride_c,
-                std::size_t m, std::size_t n, std::size_t k,
-                std::size_t count, bool accumulate);
 
 /// Floating-point operation counts (multiply+add counted separately, the
 /// convention used in the paper's efficiency metric).

@@ -16,8 +16,7 @@
 // Both backends share the same blocked driver: B is packed into 8-wide
 // column panels in 64-byte-aligned thread-local scratch, then 4x8 panels of
 // C are produced with all 32 accumulators live in registers across the whole
-// k loop. gemm_batch packs B once and reuses the packing across every
-// instance when stride_b == 0 (the shared-translation-matrix case).
+// k loop.
 
 #include <cstddef>
 
@@ -34,11 +33,6 @@ struct KernelBackend {
   void (*gemm)(const double* a, std::size_t lda, const double* b,
                std::size_t ldb, double* c, std::size_t ldc, std::size_t m,
                std::size_t n, std::size_t k, bool accumulate);
-  void (*gemm_batch)(const double* a, std::size_t lda, std::size_t stride_a,
-                     const double* b, std::size_t ldb, std::size_t stride_b,
-                     double* c, std::size_t ldc, std::size_t stride_c,
-                     std::size_t m, std::size_t n, std::size_t k,
-                     std::size_t count, bool accumulate);
 };
 
 /// True when `kind` can run on this CPU (portable always can).
@@ -48,7 +42,7 @@ bool kernel_supported(KernelKind kind);
 /// introspection); do not invoke its functions unless kernel_supported().
 const KernelBackend& kernel_backend(KernelKind kind);
 
-/// The backend all blas::gemm / blas::gemm_batch calls route through.
+/// The backend all blas::gemm calls route through.
 /// Initialized on first use: HFMM_BLAS_KERNEL if set (falling back with a
 /// stderr warning when the requested ISA is missing), else the best
 /// supported kernel.

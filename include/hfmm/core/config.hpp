@@ -20,9 +20,8 @@ enum class ExecutionMode {
 
 /// How translations are applied (paper Section 3.3.3):
 enum class AggregationMode {
-  kGemv,       ///< one matrix-vector product per box (BLAS-2)
-  kGemm,       ///< boxes aggregated into matrix-matrix products (BLAS-3)
-  kGemmBatch,  ///< multiple-instance GEMM over subgrid slabs (CMSSL style)
+  kGemv,  ///< one matrix-vector product per box (BLAS-2)
+  kGemm,  ///< boxes aggregated into matrix-matrix products (BLAS-3)
 };
 
 const char* to_string(ExecutionMode m);
@@ -45,6 +44,11 @@ struct FmmConfig {
   /// nodes.
   KernelSpec kernel{};
   ExecutionMode mode = ExecutionMode::kThreads;
+  /// The BLAS call applied to each slab of gathered boxes that share a
+  /// translation matrix: one gemm (BLAS-3) or one vecmat per box (BLAS-2,
+  /// the Table 3 reference), the same products in the same order. The
+  /// data-parallel executor applies every translation with a per-box vecmat
+  /// and ignores this field, as it ignores `supernodes`.
   AggregationMode aggregation = AggregationMode::kGemm;
 
   // Data-parallel execution knobs (ignored in the other modes).

@@ -16,6 +16,7 @@
 // augmented (K+1)-vector [g, Q], so the whole 3-D matrix machinery carries
 // over with (K+1) x (K+1) matrices.
 
+#include <cstddef>
 #include <span>
 
 #include "hfmm/d2/circle_rule.hpp"
@@ -63,5 +64,20 @@ double evaluate_inner(const CircleRule& rule, int truncation, double a,
 Point2 evaluate_inner_gradient(const CircleRule& rule, int truncation,
                                double a, const Point2& center,
                                std::span<const double> g, const Point2& x);
+
+/// Near-field P2P over SoA particle arrays: phi[i-tb] += sum_j -q_j/2
+/// log(r2) for targets [tb, te) and sources [sb, se). When gxy != nullptr,
+/// gxy[2(i-tb)] / [2(i-tb)+1] accumulate the gradient (-q_j d / r2) as
+/// interleaved (x, y) pairs, the Point2 layout. Identical ranges skip the
+/// self pair. std::log dominates the pair cost, so there is no SIMD variant.
+void p2p(const double* x, const double* y, const double* q, std::size_t tb,
+         std::size_t te, std::size_t sb, std::size_t se, double* phi,
+         double* gxy);
+
+/// P2M onto k circle points: g[i] += sum_j -pq[j]/2 log(|sp_i - p_j|^2)
+/// over a leaf's n particles.
+void p2m(const double* spx, const double* spy, std::size_t k,
+         const double* px, const double* py, const double* pq, std::size_t n,
+         double* g);
 
 }  // namespace hfmm::d2

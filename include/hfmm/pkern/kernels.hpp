@@ -71,8 +71,9 @@ struct VdwParams {
   double inv_period = 0.0;
 };
 
-/// Function table of one backend. All particle data is SoA; all outputs
-/// ACCUMULATE (+=) so callers can sum several source boxes into one target.
+/// Function table of one backend: only the kernels whose code differs by
+/// ISA. All particle data is SoA; all outputs ACCUMULATE (+=) so callers can
+/// sum several source boxes into one target.
 struct KernelBackend {
   const char* name;
 
@@ -113,42 +114,14 @@ struct KernelBackend {
               const double* py, const double* pz, std::size_t n, double* phi,
               Vec3* grad);
 
-  /// 2-D log-potential P2P: phi[i-tb] += sum_j -q_j/2 log(r2); when
-  /// gxy != nullptr, gxy[2(i-tb)] / [2(i-tb)+1] accumulate the gradient
-  /// (-q_j d / r2) as interleaved (x, y) pairs, matching d2::Point2 layout.
-  /// Identical ranges skip the self pair. The transcendental log keeps this
-  /// kernel shared between backends (see DESIGN.md).
-  void (*p2p2)(const double* x, const double* y, const double* q,
-               std::size_t tb, std::size_t te, std::size_t sb, std::size_t se,
-               double* phi, double* gxy);
-
-  /// 2-D P2M: g[i] += sum_k -pq[k]/2 log(|sp_i - p_k|^2).
-  void (*p2m2)(const double* spx, const double* spy, std::size_t k,
-               const double* px, const double* py, const double* pq,
-               std::size_t n, double* g);
-
-  /// Leapfrog kick: vel[i] = fma(c, acc[i], vel[i]) per component over n
-  /// Vec3 entries (c carries the half-step factor and sign). Every backend
-  /// computes an explicit correctly-rounded FMA — std::fma in portable
-  /// code, vfmadd in avx2 — so the bits are identical across backends and
-  /// immune to the compiler's -ffp-contract setting (a scalar mul-then-add
-  /// reference would contract or not depending on flags and TU).
-  void (*kick)(const Vec3* acc, double c, Vec3* vel, std::size_t n);
-
-  /// Leapfrog drift: x/y/z[i] = fma(dt, vel[i], x/y/z[i]) component-wise
-  /// over the SoA coordinate arrays (same explicit-FMA bit guarantee).
-  void (*drift)(const Vec3* vel, double dt, double* x, double* y, double* z,
-                std::size_t n);
-
   /// Van der Waals P2P: switched Lennard-Jones energy (and gradient when
   /// `grad != nullptr`) at targets [tb, te) due to sources [sb, se),
   /// accumulated like `p2p`. `type` indexes the per-pair Rmin^2/eps tables
   /// in `vp`. Pairs at or beyond the cutoff contribute exactly zero. The
   /// backends carry a BITWISE contract: every operation is a correctly
   /// rounded sub/mul/div/round or an explicit FMA in the same sequence, so
-  /// portable and avx2 results are identical to the last bit (the
-  /// integrator-facing guarantee the kick/drift entries already make); the
-  /// avx512 table uses the avx2 entries.
+  /// portable and avx2 results are identical to the last bit; the avx512
+  /// table uses the avx2 entries.
   void (*p2p_vdw)(const double* x, const double* y, const double* z,
                   const std::int32_t* type, std::size_t tb, std::size_t te,
                   std::size_t sb, std::size_t se, double* phi, Vec3* grad,

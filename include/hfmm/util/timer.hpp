@@ -27,17 +27,13 @@ class WallTimer {
 };
 
 /// Accumulated time, flop count, and data traffic for one phase.
-/// `comm_bytes` counts off-processor traffic on the simulated machine;
-/// `bytes_moved` counts local data motion (gather/scatter copies feeding the
-/// aggregated GEMMs — the paper's Section 3.4 copy cost), measured where the
-/// copies happen so the data-motion benches read real numbers. `allocs`
-/// counts heap-growth events (buffer or plan (re)builds) charged to the
-/// phase — a warm solve on a reused plan/workspace should report ~0.
+/// `comm_bytes` counts off-processor traffic on the simulated machine.
+/// `allocs` counts heap-growth events (buffer or plan (re)builds) charged to
+/// the phase — a warm solve on a reused plan/workspace should report ~0.
 struct PhaseStats {
   double seconds = 0.0;
   std::uint64_t flops = 0;
   std::uint64_t comm_bytes = 0;
-  std::uint64_t bytes_moved = 0;
   std::uint64_t allocs = 0;
   /// Active-box occupancy of the phase: boxes the phase actually visited
   /// vs. the dense box count it would visit without sparse level sets.
@@ -61,7 +57,6 @@ struct PhaseStats {
     seconds += o.seconds;
     flops += o.flops;
     comm_bytes += o.comm_bytes;
-    bytes_moved += o.bytes_moved;
     allocs += o.allocs;
     boxes_active += o.boxes_active;
     boxes_total += o.boxes_total;
@@ -87,9 +82,6 @@ class PhaseBreakdown {
 
   double total_seconds() const;
   std::uint64_t total_flops() const;
-  std::uint64_t total_comm_bytes() const;
-  std::uint64_t total_bytes_moved() const;
-  std::uint64_t total_allocs() const;
   void clear() { phases_.clear(); }
 
   /// Merge another breakdown into this one (phase-wise sum).

@@ -40,15 +40,6 @@ void gemm(const double* a, std::size_t lda, const double* b, std::size_t ldb,
   active_kernel().gemm(a, lda, b, ldb, c, ldc, m, n, k, accumulate);
 }
 
-void gemm_batch(const double* a, std::size_t lda, std::size_t stride_a,
-                const double* b, std::size_t ldb, std::size_t stride_b,
-                double* c, std::size_t ldc, std::size_t stride_c,
-                std::size_t m, std::size_t n, std::size_t k,
-                std::size_t count, bool accumulate) {
-  active_kernel().gemm_batch(a, lda, stride_a, b, ldb, stride_b, c, ldc,
-                             stride_c, m, n, k, count, accumulate);
-}
-
 double measure_gemm_flops(std::size_t m, std::size_t n, std::size_t k,
                           double min_seconds) {
   std::vector<double> a(m * k, 1.0), b(k * n, 1.0), c(m * n, 0.0);

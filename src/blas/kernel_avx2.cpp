@@ -85,17 +85,6 @@ void avx2_gemm(const double* a, std::size_t lda, const double* b,
   detail::gemm_driver<Avx2Micro>(a, lda, b, ldb, c, ldc, m, n, k, accumulate);
 }
 
-HFMM_AVX2_TARGET
-void avx2_gemm_batch(const double* a, std::size_t lda, std::size_t stride_a,
-                     const double* b, std::size_t ldb, std::size_t stride_b,
-                     double* c, std::size_t ldc, std::size_t stride_c,
-                     std::size_t m, std::size_t n, std::size_t k,
-                     std::size_t count, bool accumulate) {
-  detail::gemm_batch_driver<Avx2Micro>(a, lda, stride_a, b, ldb, stride_b, c,
-                                       ldc, stride_c, m, n, k, count,
-                                       accumulate);
-}
-
 }  // namespace
 
 bool avx2_cpu_supported() {
@@ -103,7 +92,7 @@ bool avx2_cpu_supported() {
 }
 
 const KernelBackend& avx2_backend() {
-  static const KernelBackend backend{"avx2", avx2_gemm, avx2_gemm_batch};
+  static const KernelBackend backend{"avx2", avx2_gemm};
   return backend;
 }
 
@@ -112,7 +101,7 @@ const KernelBackend& avx2_backend() {
 bool avx2_cpu_supported() { return false; }
 
 const KernelBackend& avx2_backend() {
-  static const KernelBackend backend{"avx2", nullptr, nullptr};
+  static const KernelBackend backend{"avx2", nullptr};
   return backend;
 }
 

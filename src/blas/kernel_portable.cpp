@@ -62,22 +62,10 @@ void portable_gemm(const double* a, std::size_t lda, const double* b,
                                      accumulate);
 }
 
-void portable_gemm_batch(const double* a, std::size_t lda,
-                         std::size_t stride_a, const double* b,
-                         std::size_t ldb, std::size_t stride_b, double* c,
-                         std::size_t ldc, std::size_t stride_c, std::size_t m,
-                         std::size_t n, std::size_t k, std::size_t count,
-                         bool accumulate) {
-  detail::gemm_batch_driver<PortableMicro>(a, lda, stride_a, b, ldb, stride_b,
-                                           c, ldc, stride_c, m, n, k, count,
-                                           accumulate);
-}
-
 }  // namespace
 
 const KernelBackend& portable_backend() {
-  static const KernelBackend backend{"portable", portable_gemm,
-                                     portable_gemm_batch};
+  static const KernelBackend backend{"portable", portable_gemm};
   return backend;
 }
 

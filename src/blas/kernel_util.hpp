@@ -1,7 +1,7 @@
 #pragma once
 // Internal machinery shared by the kernel backends: aligned thread-local
-// packing scratch, B panel packing, and the blocked gemm / gemm_batch
-// drivers templated on the 4x8 micro-kernel. Not installed.
+// packing scratch, B panel packing, and the blocked gemm driver templated
+// on the 4x8 micro-kernel. Not installed.
 
 #include <cstddef>
 #include <cstdlib>
@@ -54,17 +54,22 @@ inline void pack_b_panels(const double* b, std::size_t ldb, std::size_t k,
   }
 }
 
-/// Blocked multiply over an already-packed B. `Micro::run` computes one full
-/// kMR x kNR tile of C with accumulators held in registers for the whole k
-/// loop. Every row of C takes that one code path, so a row's bits do not
-/// depend on how many rows share the call: partial tiles run the full
+/// Blocked multiply: B is packed into panels, then `Micro::run` computes one
+/// full kMR x kNR tile of C with accumulators held in registers for the
+/// whole k loop. Every row of C takes that one code path, so a row's bits do
+/// not depend on how many rows share the call: partial tiles run the full
 /// micro-kernel into an aligned staging tile, over the panel's zero padding
-/// for a partial width and over `a_tail` (kMR x k scratch holding the
-/// < kMR row tail, zero-padded) for the last rows, and merge what is real.
+/// for a partial width and over `a_tail` (kMR x k scratch after the panels,
+/// holding the < kMR row tail, zero-padded) for the last rows, and merge
+/// what is real.
 template <class Micro>
-void gemm_packed(const double* a, std::size_t lda, const double* bp,
-                 double* c, std::size_t ldc, std::size_t m, std::size_t n,
-                 std::size_t k, bool accumulate, double* a_tail) {
+void gemm_driver(const double* a, std::size_t lda, const double* b,
+                 std::size_t ldb, double* c, std::size_t ldc, std::size_t m,
+                 std::size_t n, std::size_t k, bool accumulate) {
+  if (m == 0 || n == 0) return;
+  double* bp = packed_scratch((padded_n(n) + kMR) * (k > 0 ? k : 1));
+  pack_b_panels(b, ldb, k, n, bp);
+  double* a_tail = bp + padded_n(n) * k;
   const std::size_t m_full = m - m % kMR;
   if (m_full < m) {
     std::memset(a_tail, 0, kMR * k * sizeof(double));
@@ -93,45 +98,6 @@ void gemm_packed(const double* a, std::size_t lda, const double* bp,
           for (std::size_t j = 0; j < nr; ++j) crow[j] = trow[j];
       }
     }
-  }
-}
-
-/// Packing scratch of one call: B's panels, then the kMR x k row tail.
-inline double* gemm_scratch(std::size_t n, std::size_t k) {
-  return packed_scratch((padded_n(n) + kMR) * (k > 0 ? k : 1));
-}
-
-template <class Micro>
-void gemm_driver(const double* a, std::size_t lda, const double* b,
-                 std::size_t ldb, double* c, std::size_t ldc, std::size_t m,
-                 std::size_t n, std::size_t k, bool accumulate) {
-  if (m == 0 || n == 0) return;
-  double* bp = gemm_scratch(n, k);
-  pack_b_panels(b, ldb, k, n, bp);
-  gemm_packed<Micro>(a, lda, bp, c, ldc, m, n, k, accumulate,
-                     bp + padded_n(n) * k);
-}
-
-/// Multiple-instance driver: when every instance shares one B (stride_b ==
-/// 0, the translation-matrix case) the packing is done once and amortized
-/// over all `count` products instead of re-entering gemm per instance.
-template <class Micro>
-void gemm_batch_driver(const double* a, std::size_t lda, std::size_t stride_a,
-                       const double* b, std::size_t ldb, std::size_t stride_b,
-                       double* c, std::size_t ldc, std::size_t stride_c,
-                       std::size_t m, std::size_t n, std::size_t k,
-                       std::size_t count, bool accumulate) {
-  if (m == 0 || n == 0 || count == 0) return;
-  if (stride_b == 0) {
-    double* bp = gemm_scratch(n, k);
-    pack_b_panels(b, ldb, k, n, bp);
-    for (std::size_t inst = 0; inst < count; ++inst)
-      gemm_packed<Micro>(a + inst * stride_a, lda, bp, c + inst * stride_c,
-                         ldc, m, n, k, accumulate, bp + padded_n(n) * k);
-  } else {
-    for (std::size_t inst = 0; inst < count; ++inst)
-      gemm_driver<Micro>(a + inst * stride_a, lda, b + inst * stride_b, ldb,
-                         c + inst * stride_c, ldc, m, n, k, accumulate);
   }
 }
 

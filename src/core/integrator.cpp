@@ -3,9 +3,33 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "hfmm/pkern/kernels.hpp"
-
 namespace hfmm::core {
+
+namespace {
+
+// Leapfrog kick: vel[i] = fma(c, acc[i], vel[i]) per component, with c the
+// signed half-step factor. std::fma is correctly rounded, so the bits do
+// not depend on the compiler's -ffp-contract choice or on the ISA.
+void kick(const Vec3* acc, double c, Vec3* vel, std::size_t n) {
+  for (std::size_t i = 0; i < n; ++i) {
+    vel[i].x = std::fma(c, acc[i].x, vel[i].x);
+    vel[i].y = std::fma(c, acc[i].y, vel[i].y);
+    vel[i].z = std::fma(c, acc[i].z, vel[i].z);
+  }
+}
+
+// Leapfrog drift: x/y/z[i] = fma(dt, vel[i], x/y/z[i]), the same explicit
+// FMA onto the SoA coordinate arrays.
+void drift(const Vec3* vel, double dt, double* x, double* y, double* z,
+           std::size_t n) {
+  for (std::size_t i = 0; i < n; ++i) {
+    x[i] = std::fma(dt, vel[i].x, x[i]);
+    y[i] = std::fma(dt, vel[i].y, y[i]);
+    z[i] = std::fma(dt, vel[i].z, z[i]);
+  }
+}
+
+}  // namespace
 
 LeapfrogIntegrator::LeapfrogIntegrator(FmmSolver& solver, ForceLaw law,
                                        double dt)
@@ -80,16 +104,12 @@ void LeapfrogIntegrator::step(SimulationState& state) {
   const std::size_t n = p.size();
   if (accel_.size() != n || (n > 0 && state.phi.size() != n))
     throw std::logic_error("LeapfrogIntegrator: call initialize() first");
-  // Kick (half), drift, re-evaluate, kick (half). The kick and drift run on
-  // the dispatched particle kernels (SIMD over the flat velocity /
-  // coordinate arrays); both are contraction-free mul+add, so the update is
-  // bit-identical to the former per-particle scalar loop on every backend.
-  const pkern::KernelBackend& kern = pkern::active_kernel();
-  kern.kick(accel_.data(), 0.5 * dt_, state.velocity.data(), n);
-  kern.drift(state.velocity.data(), dt_, p.x().data(), p.y().data(),
-             p.z().data(), n);
+  // Kick (half), drift, re-evaluate, kick (half).
+  kick(accel_.data(), 0.5 * dt_, state.velocity.data(), n);
+  drift(state.velocity.data(), dt_, p.x().data(), p.y().data(), p.z().data(),
+        n);
   evaluate_forces(state);
-  kern.kick(accel_.data(), 0.5 * dt_, state.velocity.data(), n);
+  kick(accel_.data(), 0.5 * dt_, state.velocity.data(), n);
   state.time += dt_;
   ++state.steps;
 }

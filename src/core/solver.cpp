@@ -328,18 +328,6 @@ void apply_rows(const double* tt, std::size_t k, const double* src,
     case AggregationMode::kGemm:
       blas::gemm(src, k, tt, k, dst, k, nb, k, k, true);
       break;
-    case AggregationMode::kGemmBatch: {
-      constexpr std::size_t slab = 8;  // rows per instance
-      const std::size_t full = nb / slab;
-      if (full > 0)
-        blas::gemm_batch(src, k, slab * k, tt, k, 0, dst, k, slab * k, slab,
-                         k, k, full, true);
-      const std::size_t rem = nb - full * slab;
-      if (rem > 0)
-        blas::gemm(src + full * slab * k, k, tt, k, dst + full * slab * k, k,
-                   rem, k, k, true);
-      break;
-    }
   }
   flops += blas::gemm_flops(nb, k, k);
 }

@@ -12,6 +12,7 @@
 // delta it generates on the machine counters into its own phase.
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstring>
 #include <memory>
@@ -85,6 +86,12 @@ FmmResult FmmSolver::solve_dp_(const ParticleSet& particles,
   const std::size_t n = particles.size();
   const int h = hier.depth();
   const int d = config_.separation;
+  // The per-octant T2 offset lists the interactive stages walk, built once
+  // per solve instead of once per box.
+  std::array<std::vector<tree::Offset>, 8> interactive;
+  if (far_capable)
+    for (int o = 0; o < 8; ++o)
+      interactive[o] = tree::interactive_offsets(o, d);
 
   // Fold the requested VU grid so it never exceeds the leaf box grid.
   const std::int32_t nside = hier.boxes_per_side(h);
@@ -329,7 +336,7 @@ FmmResult FmmSolver::solve_dp_(const ParticleSet& particles,
                         level_layout.global_of({vu, lx, ly, lz});
                     const int oct = tree::Hierarchy::octant_of(c);
                     double* dst = temp_local->at(vu, lx, ly, lz).data();
-                    for (const auto& off : tree::interactive_offsets(oct, d)) {
+                    for (const tree::Offset& off : interactive[oct]) {
                       blas::vecmat(halo.at(vu, lx + ghost + off.dx,
                                            ly + ghost + off.dy,
                                            lz + ghost + off.dz)
@@ -349,7 +356,7 @@ FmmResult FmmSolver::solve_dp_(const ParticleSet& particles,
                         level_layout.global_of({vu, lx, ly, lz});
                     const int oct = tree::Hierarchy::octant_of(c);
                     double* dst = temp_local->at(vu, lx, ly, lz).data();
-                    for (const auto& off : tree::interactive_offsets(oct, d)) {
+                    for (const tree::Offset& off : interactive[oct]) {
                       const tree::BoxCoord s{c.ix + off.dx, c.iy + off.dy,
                                              c.iz + off.dz};
                       if (s.ix < 0 || s.ix >= nl || s.iy < 0 || s.iy >= nl ||
@@ -365,7 +372,7 @@ FmmResult FmmSolver::solve_dp_(const ParticleSet& particles,
               const tree::BoxCoord c = hier.coord_of(l, f);
               const std::size_t cr = machine_rank(machine, level_layout, c);
               const int oct = tree::Hierarchy::octant_of(c);
-              for (const auto& off : tree::interactive_offsets(oct, d)) {
+              for (const tree::Offset& off : interactive[oct]) {
                 const tree::BoxCoord s{c.ix + off.dx, c.iy + off.dy,
                                        c.iz + off.dz};
                 if (s.ix < 0 || s.ix >= nl || s.iy < 0 || s.iy >= nl ||
@@ -379,8 +386,8 @@ FmmResult FmmSolver::solve_dp_(const ParticleSet& particles,
             }
           }
           machine.stats() += level_machine.stats();
-          const std::size_t n_int = tree::interactive_offsets(0, d).size();
-          stats.flops += hier.boxes_at(l) * n_int * blas::gemv_flops(k, k);
+          stats.flops += hier.boxes_at(l) * interactive[0].size() *
+                         blas::gemv_flops(k, k);
           stats.comm_bytes += (machine.stats() - before).off_vu_bytes;
         });
     g.depend(t2, chain);

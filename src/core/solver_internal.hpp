@@ -63,8 +63,7 @@ std::vector<tree::Offset> near_offsets_for(const FmmConfig& config,
 // Applies dst[nb x K] += src[nb x K] * tt, where tt is a K x K matrix T^T
 // and src/dst rows are contiguous box-major potential vectors. The
 // aggregation mode only picks the BLAS call: one vecmat per row (the BLAS-2
-// reference), one gemm, or gemm_batch over 8-row instances. The only code
-// that branches on AggregationMode.
+// reference) or one gemm. The only code that branches on AggregationMode.
 void apply_rows(const double* tt, std::size_t k, const double* src,
                 double* dst, std::size_t nb, AggregationMode mode,
                 std::uint64_t& flops);

@@ -182,14 +182,10 @@ class GatherSink {
       const double* o = out + r * k_;
       for (std::size_t j = 0; j < k_; ++j) d[j] += o[j];
     }
-    moved_ += 2 * rows_ * k_ * sizeof(double);
     rows_ = 0;
   }
 
-  void report(PhaseStats& stats) const {
-    stats.flops += flops_;
-    stats.bytes_moved += moved_;
-  }
+  void report(PhaseStats& stats) const { stats.flops += flops_; }
 
  private:
   ChunkSlot& slot_;
@@ -198,7 +194,7 @@ class GatherSink {
   std::size_t k_;
   AggregationMode mode_;
   std::size_t rows_ = 0;
-  std::uint64_t flops_ = 0, moved_ = 0;
+  std::uint64_t flops_ = 0;
 };
 
 // Upward T1 over active PARENTS [lo, hi) of level l, into far[l]: per

@@ -111,4 +111,43 @@ Point2 evaluate_inner_gradient(const CircleRule& rule, int truncation,
   return sum;
 }
 
+void p2p(const double* x, const double* y, const double* q, std::size_t tb,
+         std::size_t te, std::size_t sb, std::size_t se, double* phi,
+         double* gxy) {
+  for (std::size_t i = tb; i < te; ++i) {
+    const double tx = x[i], ty = y[i];
+    double acc = 0.0, gx = 0.0, gy = 0.0;
+    for (std::size_t j = sb; j < se; ++j) {
+      if (j == i) continue;  // only possible when ranges are identical
+      const double dx = tx - x[j], dy = ty - y[j];
+      const double r2 = dx * dx + dy * dy;
+      acc += -0.5 * q[j] * std::log(r2);
+      if (gxy != nullptr) {
+        const double c = -q[j] / r2;
+        gx += c * dx;
+        gy += c * dy;
+      }
+    }
+    phi[i - tb] += acc;
+    if (gxy != nullptr) {
+      gxy[2 * (i - tb)] += gx;
+      gxy[2 * (i - tb) + 1] += gy;
+    }
+  }
+}
+
+void p2m(const double* spx, const double* spy, std::size_t k,
+         const double* px, const double* py, const double* pq, std::size_t n,
+         double* g) {
+  for (std::size_t i = 0; i < k; ++i) {
+    const double tx = spx[i], ty = spy[i];
+    double acc = 0.0;
+    for (std::size_t j = 0; j < n; ++j) {
+      const double dx = tx - px[j], dy = ty - py[j];
+      acc += -0.5 * pq[j] * std::log(dx * dx + dy * dy);
+    }
+    g[i] += acc;
+  }
+}
+
 }  // namespace hfmm::d2

@@ -9,7 +9,7 @@
 #include <stdexcept>
 
 #include "hfmm/blas/blas.hpp"
-#include "hfmm/pkern/kernels.hpp"
+#include "hfmm/d2/kernels.hpp"
 #include "hfmm/service/shared_map.hpp"
 #include "hfmm/util/rng.hpp"
 
@@ -397,9 +397,8 @@ Fmm2Result FmmSolver2::solve(const ParticleSet2& particles) {
             spx[i] = c.x + a * plan.rule.points[i].x;
             spy[i] = c.y + a * plan.rule.points[i].y;
           }
-          pkern::active_kernel().p2m2(spx.data(), spy.data(), k,
-                                      p.x.data() + b, p.y.data() + b,
-                                      p.q.data() + b, e - b, gv);
+          d2::p2m(spx.data(), spy.data(), k, p.x.data() + b,
+                  p.y.data() + b, p.q.data() + b, e - b, gv);
           for (std::uint32_t j = b; j < e; ++j) gv[k] += p.q[j];
         }
       });
@@ -553,12 +552,11 @@ Fmm2Result FmmSolver2::solve(const ParticleSet2& particles) {
             if (sb == se) continue;
             // Point2 is a plain {x, y} pair, so grad rows are exactly the
             // interleaved layout the kernel's gxy output expects.
-            pkern::active_kernel().p2p2(
-                p.x.data(), p.y.data(), p.q.data(), tb, te, sb, se,
-                phi_near.data() + tb,
-                config_.with_gradient
-                    ? reinterpret_cast<double*>(grad_near.data() + tb)
-                    : nullptr);
+            d2::p2p(p.x.data(), p.y.data(), p.q.data(), tb, te, sb, se,
+                    phi_near.data() + tb,
+                    config_.with_gradient
+                        ? reinterpret_cast<double*>(grad_near.data() + tb)
+                        : nullptr);
           }
         }
       },

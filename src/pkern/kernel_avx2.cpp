@@ -437,52 +437,6 @@ void avx2_l2p(const double* sx, const double* sy, const double* sz,
                            grad != nullptr ? grad + j : nullptr);
 }
 
-// Kick over the flat 3n-double view of the Vec3 velocity/acceleration
-// arrays: loadu / fmadd / storeu. The bit contract is an explicit
-// correctly-rounded FMA per lane (see kernels.hpp), so vfmadd here equals
-// the portable backend's std::fma exactly; the tail uses std::fma too.
-HFMM_AVX2_TARGET void avx2_kick(const Vec3* acc, double c, Vec3* vel,
-                                std::size_t n) {
-  if (n == 0) return;
-  const double* a = reinterpret_cast<const double*>(acc);
-  double* v = reinterpret_cast<double*>(vel);
-  const std::size_t m = 3 * n;
-  const __m256d vc = _mm256_set1_pd(c);
-  std::size_t i = 0;
-  for (; i + 4 <= m; i += 4)
-    _mm256_storeu_pd(v + i, _mm256_fmadd_pd(vc, _mm256_loadu_pd(a + i),
-                                            _mm256_loadu_pd(v + i)));
-  for (; i < m; ++i) v[i] = std::fma(c, a[i], v[i]);
-}
-
-// Drift gathers the AoS velocity components into registers with strided
-// set_pd loads and fmadds them onto the SoA coordinate arrays (same
-// explicit-FMA bit contract as the kick).
-HFMM_AVX2_TARGET void avx2_drift(const Vec3* vel, double dt, double* x,
-                                 double* y, double* z, std::size_t n) {
-  const __m256d vdt = _mm256_set1_pd(dt);
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256d vx =
-        _mm256_set_pd(vel[i + 3].x, vel[i + 2].x, vel[i + 1].x, vel[i].x);
-    const __m256d vy =
-        _mm256_set_pd(vel[i + 3].y, vel[i + 2].y, vel[i + 1].y, vel[i].y);
-    const __m256d vz =
-        _mm256_set_pd(vel[i + 3].z, vel[i + 2].z, vel[i + 1].z, vel[i].z);
-    _mm256_storeu_pd(
-        x + i, _mm256_fmadd_pd(vdt, vx, _mm256_loadu_pd(x + i)));
-    _mm256_storeu_pd(
-        y + i, _mm256_fmadd_pd(vdt, vy, _mm256_loadu_pd(y + i)));
-    _mm256_storeu_pd(
-        z + i, _mm256_fmadd_pd(vdt, vz, _mm256_loadu_pd(z + i)));
-  }
-  for (; i < n; ++i) {
-    x[i] = std::fma(dt, vel[i].x, x[i]);
-    y[i] = std::fma(dt, vel[i].y, y[i]);
-    z[i] = std::fma(dt, vel[i].z, z[i]);
-  }
-}
-
 // ---------------------------------------------------------------------------
 // Van der Waals (switched Lennard-Jones). These lanes carry a BITWISE
 // contract with the portable backend (see kernels.hpp): every vector op
@@ -829,9 +783,8 @@ bool avx2_cpu_supported() {
 
 const KernelBackend& avx2_backend() {
   static const KernelBackend backend{
-      "avx2",   avx2_p2p, avx2_p2p_symmetric,  avx2_p2m,
-      avx2_l2p, detail::shared_p2p2, detail::shared_p2m2,
-      avx2_kick, avx2_drift, avx2_p2p_vdw, avx2_p2p_vdw_symmetric};
+      "avx2",   avx2_p2p,     avx2_p2p_symmetric, avx2_p2m,
+      avx2_l2p, avx2_p2p_vdw, avx2_p2p_vdw_symmetric};
   return backend;
 }
 
@@ -841,8 +794,7 @@ bool avx2_cpu_supported() { return false; }
 
 const KernelBackend& avx2_backend() {
   static const KernelBackend backend{"avx2",  nullptr, nullptr, nullptr,
-                                     nullptr, nullptr, nullptr,
-                                     nullptr, nullptr, nullptr, nullptr};
+                                     nullptr, nullptr, nullptr};
   return backend;
 }
 

@@ -7,8 +7,8 @@
 // fp64 -> fp32 -> fp64 round trip on the critical path. Source tails use
 // masked loads and stores; dead lanes get q = 0 and r2 = 1 so they
 // contribute exactly nothing. Every other table entry is the AVX2 function,
-// so the vdW, kick and drift bitwise contracts with the portable backend
-// carry over unchanged. Functions carry target("avx512f,avx2,fma") so this
+// so the vdW bitwise contract with the portable backend carries over
+// unchanged. Functions carry target("avx512f,avx2,fma") so this
 // TU compiles at any x86-64 baseline and the cpuid dispatcher decides at
 // runtime. Helpers are templates, not lambdas: a lambda does not inherit
 // the target attribute, so intrinsics inside it would fail to inline.

@@ -298,28 +298,6 @@ void portable_l2p(const double* sx, const double* sy, const double* sz,
                            grad != nullptr ? grad + j : nullptr);
 }
 
-// Vec3 is three contiguous doubles, so the kick is one flat axpy over 3n
-// lanes — exactly what the SLP vectorizer wants. std::fma is correctly
-// rounded (a single vfmadd where the ISA has one, the exact libm fallback
-// where it doesn't), so the bits match the avx2 backend and never depend on
-// the compiler's contraction choices.
-void portable_kick(const Vec3* acc, double c, Vec3* vel, std::size_t n) {
-  if (n == 0) return;
-  const double* a = reinterpret_cast<const double*>(acc);
-  double* v = reinterpret_cast<double*>(vel);
-  const std::size_t m = 3 * n;
-  for (std::size_t i = 0; i < m; ++i) v[i] = std::fma(c, a[i], v[i]);
-}
-
-void portable_drift(const Vec3* vel, double dt, double* x, double* y,
-                    double* z, std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) {
-    x[i] = std::fma(dt, vel[i].x, x[i]);
-    y[i] = std::fma(dt, vel[i].y, y[i]);
-    z[i] = std::fma(dt, vel[i].z, z[i]);
-  }
-}
-
 // ---------------------------------------------------------------------------
 // Van der Waals (switched Lennard-Jones). Unlike the Coulomb lanes above,
 // these carry a BITWISE contract with the avx2 backend (see kernels.hpp):
@@ -494,10 +472,8 @@ void portable_p2p_vdw_symmetric(const double* x, const double* y,
 
 const KernelBackend& portable_backend() {
   static const KernelBackend backend{
-      "portable",        portable_p2p, portable_p2p_symmetric,
-      portable_p2m,      portable_l2p, detail::shared_p2p2,
-      detail::shared_p2m2, portable_kick, portable_drift,
-      portable_p2p_vdw,  portable_p2p_vdw_symmetric};
+      "portable",   portable_p2p,     portable_p2p_symmetric, portable_p2m,
+      portable_l2p, portable_p2p_vdw, portable_p2p_vdw_symmetric};
   return backend;
 }
 

@@ -1,9 +1,7 @@
 #pragma once
 // Internal machinery shared by the particle-kernel backends: exact scalar
-// paths used for vector tails and near-centre L2P fallbacks, and the
-// log-potential 2-D kernels that every backend shares (the transcendental
-// log dominates them, so there is no AVX2 variant to dispatch to). Not
-// installed.
+// paths used for vector tails and near-centre L2P fallbacks, and the vdW
+// per-pair arithmetic of the portable/avx2 bitwise contract. Not installed.
 
 #include <cmath>
 #include <cstddef>
@@ -204,51 +202,6 @@ inline void vdw_pair(double r2, double rm2, double e, const VdwParams& vp,
   }
   e_out = ef;
   c2_out = 2.0 * gf;
-}
-
-// ---------------------------------------------------------------------------
-// 2-D log-potential kernels, shared by every backend table: std::log
-// dominates the pair cost and has no AVX2 counterpart, so only the r^2 /
-// gradient arithmetic is left to the autovectorizer.
-// ---------------------------------------------------------------------------
-
-inline void shared_p2p2(const double* x, const double* y, const double* q,
-                        std::size_t tb, std::size_t te, std::size_t sb,
-                        std::size_t se, double* phi, double* gxy) {
-  for (std::size_t i = tb; i < te; ++i) {
-    const double tx = x[i], ty = y[i];
-    double acc = 0.0, gx = 0.0, gy = 0.0;
-    for (std::size_t j = sb; j < se; ++j) {
-      if (j == i) continue;  // only possible when ranges are identical
-      const double dx = tx - x[j], dy = ty - y[j];
-      const double r2 = dx * dx + dy * dy;
-      acc += -0.5 * q[j] * std::log(r2);
-      if (gxy != nullptr) {
-        const double c = -q[j] / r2;
-        gx += c * dx;
-        gy += c * dy;
-      }
-    }
-    phi[i - tb] += acc;
-    if (gxy != nullptr) {
-      gxy[2 * (i - tb)] += gx;
-      gxy[2 * (i - tb) + 1] += gy;
-    }
-  }
-}
-
-inline void shared_p2m2(const double* spx, const double* spy, std::size_t k,
-                        const double* px, const double* py, const double* pq,
-                        std::size_t n, double* g) {
-  for (std::size_t i = 0; i < k; ++i) {
-    const double tx = spx[i], ty = spy[i];
-    double acc = 0.0;
-    for (std::size_t j = 0; j < n; ++j) {
-      const double dx = tx - px[j], dy = ty - py[j];
-      acc += -0.5 * pq[j] * std::log(dx * dx + dy * dy);
-    }
-    g[i] += acc;
-  }
 }
 
 }  // namespace hfmm::pkern::detail

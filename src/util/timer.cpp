@@ -16,24 +16,6 @@ std::uint64_t PhaseBreakdown::total_flops() const {
   return f;
 }
 
-std::uint64_t PhaseBreakdown::total_comm_bytes() const {
-  std::uint64_t b = 0;
-  for (const auto& [name, s] : phases_) b += s.comm_bytes;
-  return b;
-}
-
-std::uint64_t PhaseBreakdown::total_bytes_moved() const {
-  std::uint64_t b = 0;
-  for (const auto& [name, s] : phases_) b += s.bytes_moved;
-  return b;
-}
-
-std::uint64_t PhaseBreakdown::total_allocs() const {
-  std::uint64_t a = 0;
-  for (const auto& [name, s] : phases_) a += s.allocs;
-  return a;
-}
-
 PhaseBreakdown& PhaseBreakdown::operator+=(const PhaseBreakdown& o) {
   for (const auto& [name, s] : o.phases()) phases_[name] += s;
   return *this;

@@ -1,5 +1,5 @@
 // Unit tests for the dense kernels: gemv/vecmat/gemm against a naive
-// reference, the multiple-instance batch, and the small factorizations.
+// reference, and the small factorizations.
 
 #include <gtest/gtest.h>
 
@@ -109,34 +109,6 @@ TEST(VecmatTest, MatchesGemvOnTransposeBitwise) {
   }
 }
 
-TEST(GemmBatchTest, EqualsLoopOfGemms) {
-  const std::size_t m = 6, n = 12, k = 12, count = 5;
-  const auto a = random_matrix(count * m, k, 9);
-  const auto b = random_matrix(k, n, 10);
-  std::vector<double> c(count * m * n, 0.0), ref(count * m * n, 0.0);
-  gemm_batch(a.data(), k, m * k, b.data(), n, 0, c.data(), n, m * n, m, n, k,
-             count, false);
-  for (std::size_t inst = 0; inst < count; ++inst)
-    gemm(a.data() + inst * m * k, k, b.data(), n, ref.data() + inst * m * n,
-         n, m, n, k, false);
-  for (std::size_t i = 0; i < c.size(); ++i) EXPECT_NEAR(c[i], ref[i], 1e-12);
-}
-
-TEST(GemmBatchTest, StridedInstancesWithSharedB) {
-  // stride_b = 0 shares one matrix across instances (the translation case).
-  const std::size_t m = 4, n = 3, k = 3, count = 2;
-  const auto a = random_matrix(count * m, k, 11);
-  const auto b = random_matrix(k, n, 12);
-  std::vector<double> c(count * m * n, 0.0);
-  gemm_batch(a.data(), k, m * k, b.data(), n, 0, c.data(), n, m * n, m, n, k,
-             count, false);
-  // Second instance must use the same B as the first.
-  std::vector<double> ref(m * n, 0.0);
-  gemm(a.data() + m * k, k, b.data(), n, ref.data(), n, m, n, k, false);
-  for (std::size_t i = 0; i < m * n; ++i)
-    EXPECT_NEAR(c[m * n + i], ref[i], 1e-12);
-}
-
 // Every m x n tail combination in 1..9 at a small and a large k: exercises
 // the micro-kernel full tiles, the partial-width staging path, and the
 // scalar row edge of the blocked driver in one sweep.
@@ -215,39 +187,6 @@ TEST(GemmTest, RowBitsIndependentOfRowCount) {
     }
   }
   select_kernel(before);
-}
-
-TEST(GemmBatchTest, StridedInstancesWithDistinctB) {
-  // stride_b != 0: per-instance B matrices (no packing reuse).
-  const std::size_t m = 5, n = 6, k = 4, count = 3;
-  const auto a = random_matrix(count * m, k, 41);
-  const auto b = random_matrix(count * k, n, 42);
-  std::vector<double> c(count * m * n, 0.0), ref(count * m * n, 0.0);
-  gemm_batch(a.data(), k, m * k, b.data(), n, k * n, c.data(), n, m * n, m, n,
-             k, count, false);
-  for (std::size_t inst = 0; inst < count; ++inst)
-    gemm(a.data() + inst * m * k, k, b.data() + inst * k * n, n,
-         ref.data() + inst * m * n, n, m, n, k, false);
-  for (std::size_t i = 0; i < c.size(); ++i) EXPECT_NEAR(c[i], ref[i], 1e-12);
-}
-
-TEST(GemmBatchTest, StridedLeadingDimensionInstances) {
-  // The solver's supernode kGemmBatch shape: A rows spaced lda = 2k apart
-  // (stride-2 child geometry), C rows spaced ldc = 2k, shared B.
-  const std::size_t m = 4, n = 3, k = 3, count = 2;
-  const std::size_t lda = 2 * k, ldc = 2 * k;
-  const auto a = random_matrix(count * m, lda, 43);
-  const auto b = random_matrix(k, n, 44);
-  std::vector<double> c(count * m * ldc, 1.0), ref(count * m * ldc, 1.0);
-  gemm_batch(a.data(), lda, m * lda, b.data(), n, 0, c.data(), ldc, m * ldc,
-             m, n, k, count, true);
-  for (std::size_t inst = 0; inst < count; ++inst)
-    for (std::size_t i = 0; i < m; ++i)
-      for (std::size_t j = 0; j < n; ++j)
-        for (std::size_t p = 0; p < k; ++p)
-          ref[(inst * m + i) * ldc + j] +=
-              a[(inst * m + i) * lda + p] * b[p * n + j];
-  for (std::size_t i = 0; i < c.size(); ++i) EXPECT_NEAR(c[i], ref[i], 1e-12);
 }
 
 // The portable and AVX2 backends must agree to rounding noise on every

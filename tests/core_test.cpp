@@ -52,14 +52,10 @@ INSTANTIATE_TEST_SUITE_P(
                                          ExecutionMode::kThreads,
                                          ExecutionMode::kDataParallel),
                        ::testing::Values(AggregationMode::kGemv,
-                                         AggregationMode::kGemm,
-                                         AggregationMode::kGemmBatch)),
+                                         AggregationMode::kGemm)),
     [](const auto& info) {
-      std::string s = std::string(to_string(std::get<0>(info.param))) + "_" +
-                      to_string(std::get<1>(info.param));
-      for (char& c : s)
-        if (c == '-') c = '_';
-      return s;
+      return std::string(to_string(std::get<0>(info.param))) + "_" +
+             to_string(std::get<1>(info.param));
     });
 
 TEST(FmmSolverTest, AllModesAgreeWithEachOther) {
@@ -88,8 +84,7 @@ TEST(FmmSolverTest, AggregationModesAgreeExactlyInStructure) {
        {make_uniform(700, Box3{}, 63), make_plummer(1500, Box3{}, 63)}) {
     std::vector<std::vector<double>> results;
     for (const AggregationMode agg :
-         {AggregationMode::kGemv, AggregationMode::kGemm,
-          AggregationMode::kGemmBatch}) {
+         {AggregationMode::kGemv, AggregationMode::kGemm}) {
       FmmConfig cfg = base_config();
       cfg.aggregation = agg;
       FmmSolver solver(cfg);
@@ -162,13 +157,9 @@ TEST_P(SupernodeAggregation, AgreesWithPlainSolverAndAcrossModes) {
 
 INSTANTIATE_TEST_SUITE_P(Modes, SupernodeAggregation,
                          ::testing::Values(AggregationMode::kGemv,
-                                           AggregationMode::kGemm,
-                                           AggregationMode::kGemmBatch),
+                                           AggregationMode::kGemm),
                          [](const auto& info) {
-                           std::string s = to_string(info.param);
-                           for (char& c : s)
-                             if (c == '-') c = '_';
-                           return s;
+                           return std::string(to_string(info.param));
                          });
 
 TEST(FmmSolverTest, SupernodeDeepHierarchyStaysAccurate) {
@@ -176,7 +167,7 @@ TEST(FmmSolverTest, SupernodeDeepHierarchyStaysAccurate) {
   FmmConfig cfg;
   cfg.depth = 4;
   cfg.supernodes = true;
-  cfg.aggregation = AggregationMode::kGemmBatch;
+  cfg.aggregation = AggregationMode::kGemm;
   const ParticleSet p = make_uniform(3000, Box3{}, 79);
   EXPECT_LT(solve_and_compare(cfg, p), 3e-3);
 }

@@ -17,6 +17,7 @@
 #include "hfmm/anderson/params.hpp"
 #include "hfmm/baseline/direct.hpp"
 #include "hfmm/core/near_field.hpp"
+#include "hfmm/d2/kernels.hpp"
 #include "hfmm/dp/sort.hpp"
 #include "hfmm/pkern/kernels.hpp"
 #include "hfmm/tree/interaction_lists.hpp"
@@ -286,6 +287,9 @@ TEST_P(PkernBackendTest, L2pNearCentreFallback) {
   EXPECT_NEAR(phi[1], 1.0, 1e-12);
 }
 
+// The 2-D near-field kernel left this table for d2::p2p, its only caller's
+// library; selecting any 3-D backend must leave it matching its per-pair
+// reference (disjoint target and source ranges, interleaved (x, y) gradient).
 TEST_P(PkernBackendTest, P2p2MatchesScalar2d) {
   Xoshiro256 rng(404);
   for (const std::size_t n : {1u, 2u, 7u, 40u}) {
@@ -305,66 +309,14 @@ TEST_P(PkernBackendTest, P2p2MatchesScalar2d) {
         ref_gxy[2 * i] += -q[j] * dx / r2;
         ref_gxy[2 * i + 1] += -q[j] * dy / r2;
       }
-    kern().p2p2(x.data(), y.data(), q.data(), 0, n, n, 2 * n, phi.data(),
-                gxy.data());
+    d2::p2p(x.data(), y.data(), q.data(), 0, n, n, 2 * n, phi.data(),
+            gxy.data());
     for (std::size_t i = 0; i < n; ++i) {
       EXPECT_NEAR(phi[i], ref_phi[i], kTol * (std::abs(ref_phi[i]) + 1.0));
       EXPECT_NEAR(gxy[2 * i], ref_gxy[2 * i],
                   kTol * (std::abs(ref_gxy[2 * i]) + 1.0));
       EXPECT_NEAR(gxy[2 * i + 1], ref_gxy[2 * i + 1],
                   kTol * (std::abs(ref_gxy[2 * i + 1]) + 1.0));
-    }
-  }
-}
-
-// Kick/drift carry a BITWISE contract (the integrator's identity tests rely
-// on it): every backend computes an explicit correctly-rounded FMA per
-// component — std::fma here is the reference, immune to -ffp-contract —
-// including sub-register tails.
-TEST_P(PkernBackendTest, KickMatchesScalarBitwise) {
-  Xoshiro256 rng(505);
-  const double c = 0.5 * 0.003;
-  for (const std::size_t n : {0u, 1u, 2u, 3u, 4u, 5u, 9u, 22u}) {
-    std::vector<Vec3> acc(n), vel(n), ref(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      acc[i] = {rng.uniform(-9.0, 9.0), rng.uniform(-9.0, 9.0),
-                rng.uniform(-9.0, 9.0)};
-      vel[i] = {rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0),
-                rng.uniform(-1.0, 1.0)};
-      ref[i] = {std::fma(c, acc[i].x, vel[i].x),
-                std::fma(c, acc[i].y, vel[i].y),
-                std::fma(c, acc[i].z, vel[i].z)};
-    }
-    kern().kick(acc.data(), c, vel.data(), n);
-    for (std::size_t i = 0; i < n; ++i) {
-      EXPECT_EQ(vel[i].x, ref[i].x);
-      EXPECT_EQ(vel[i].y, ref[i].y);
-      EXPECT_EQ(vel[i].z, ref[i].z);
-    }
-  }
-}
-
-TEST_P(PkernBackendTest, DriftMatchesScalarBitwise) {
-  Xoshiro256 rng(606);
-  const double dt = 0.007;
-  for (const std::size_t n : {0u, 1u, 3u, 4u, 6u, 13u, 32u}) {
-    std::vector<Vec3> vel(n);
-    std::vector<double> x(n), y(n), z(n), rx(n), ry(n), rz(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      vel[i] = {rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0),
-                rng.uniform(-2.0, 2.0)};
-      x[i] = rng.uniform();
-      y[i] = rng.uniform();
-      z[i] = rng.uniform();
-      rx[i] = std::fma(dt, vel[i].x, x[i]);
-      ry[i] = std::fma(dt, vel[i].y, y[i]);
-      rz[i] = std::fma(dt, vel[i].z, z[i]);
-    }
-    kern().drift(vel.data(), dt, x.data(), y.data(), z.data(), n);
-    for (std::size_t i = 0; i < n; ++i) {
-      EXPECT_EQ(x[i], rx[i]);
-      EXPECT_EQ(y[i], ry[i]);
-      EXPECT_EQ(z[i], rz[i]);
     }
   }
 }
@@ -387,14 +339,12 @@ TEST(PkernDispatchTest, PortableAlwaysSupported) {
 }
 
 // The avx512 table owns only the Laplace P2P pair; every other entry is the
-// AVX2 function, so the vdW/kick/drift bitwise contracts AVX2 keeps with
-// portable hold for avx512 without a test of their own.
+// AVX2 function, so the vdW bitwise contract AVX2 keeps with portable holds
+// for avx512 without a test of its own.
 TEST(PkernDispatchTest, Avx512SharesAvx2NonP2pEntries) {
   const auto& a = pkern::kernel_backend(pkern::KernelKind::kAvx2);
   const auto& b = pkern::kernel_backend(pkern::KernelKind::kAvx512);
-  EXPECT_TRUE(b.p2m == a.p2m && b.l2p == a.l2p && b.p2p2 == a.p2p2 &&
-              b.p2m2 == a.p2m2 && b.kick == a.kick && b.drift == a.drift &&
-              b.p2p_vdw == a.p2p_vdw &&
+  EXPECT_TRUE(b.p2m == a.p2m && b.l2p == a.l2p && b.p2p_vdw == a.p2p_vdw &&
               b.p2p_vdw_symmetric == a.p2p_vdw_symmetric);
 }
 

@@ -57,8 +57,7 @@ TEST_P(ReuseModes, ConsecutiveSolvesBitwiseIdentical) {
 TEST_P(ReuseModes, DeterministicAcrossAggregationModes) {
   const ParticleSet p = make_uniform(1200, Box3{}, 57);
   for (const AggregationMode agg :
-       {AggregationMode::kGemv, AggregationMode::kGemm,
-        AggregationMode::kGemmBatch}) {
+       {AggregationMode::kGemv, AggregationMode::kGemm}) {
     for (const bool sn : {false, true}) {
       FmmConfig cfg = base_config(GetParam());
       cfg.aggregation = agg;

@@ -22,7 +22,7 @@ static std::uint64_t fnv(const void* data, std::size_t bytes,
 int main() {
   const ParticleSet p = make_uniform(3000, Box3{}, 17);
   for (int mode = 0; mode < 3; ++mode) {
-    for (int agg = 0; agg < 3; ++agg) {
+    for (int agg = 0; agg < 2; ++agg) {
       for (int sn = 0; sn < 2; ++sn) {
         core::FmmConfig cfg;
         cfg.depth = 3;
