@@ -12,15 +12,17 @@
 // The N sweep is written to BENCH_scaling.json (--json=FILE) with the
 // host's core count ("nproc"), the distribution, and the active-box count,
 // the per-level active-box occupancy and the near-field pair count of every
-// row. A row's warm time is the median of kWarmSolves solves that follow
-// the cold one and one untimed warm-up; the JSON also carries their min and
-// max.
+// row. Every figure but the cold time comes from warm solves: the median of
+// kWarmSolves timed solves that follow the cold one and one untimed warm-up
+// (the JSON also carries their min and max), and the breakdown of the solve
+// whose time is that median.
 
 #include <algorithm>
 #include <cstring>
 #include <iostream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "bench_common.hpp"
@@ -65,6 +67,28 @@ void type_particles(ParticleSet& p) {
   p.ensure_types();
   for (std::size_t i = 0; i < p.size(); ++i)
     p.set_type(i, static_cast<std::int32_t>(i % 2));
+}
+
+struct WarmSolves {
+  double median = 0.0, min = 0.0, max = 0.0;
+  PhaseBreakdown breakdown;  ///< of the solve whose time is the median
+};
+
+// One untimed warm-up, then kWarmSolves timed solves on the reused
+// plan/workspace: the steady-state cost and its spread.
+WarmSolves time_warm_solves(core::FmmSolver& solver, const ParticleSet& p) {
+  (void)solver.solve(p);
+  std::vector<std::pair<double, PhaseBreakdown>> runs;
+  for (int rep = 0; rep < kWarmSolves; ++rep) {
+    WallTimer t;
+    core::FmmResult r = solver.solve(p);
+    runs.emplace_back(t.seconds(), std::move(r.breakdown));
+  }
+  std::sort(runs.begin(), runs.end(),
+            [](const auto& a, const auto& b) { return a.first < b.first; });
+  auto& mid = runs[runs.size() / 2];  // kWarmSolves is odd
+  return {mid.first, runs.front().first, runs.back().first,
+          std::move(mid.second)};
 }
 
 }  // namespace
@@ -120,30 +144,19 @@ int main(int argc, char** argv) {
     WallTimer t;
     const core::FmmResult r = solver.solve(p);
     const double secs = t.seconds();
-    // One untimed warm-up, then timed repeats on the reused plan/workspace
-    // — the steady-state cost.
-    (void)solver.solve(p);
-    std::vector<double> warm_runs;
-    for (int rep = 0; rep < kWarmSolves; ++rep) {
-      t.reset();
-      (void)solver.solve(p);
-      warm_runs.push_back(t.seconds());
-    }
-    const double warm = bench::median(warm_runs);
-    const auto [warm_min, warm_max] =
-        std::minmax_element(warm_runs.begin(), warm_runs.end());
+    const WarmSolves w = time_warm_solves(solver, p);
     const std::uint64_t near_pairs =
-        r.breakdown.phases().count("near")
-            ? r.breakdown.phases().at("near").pairs
+        w.breakdown.phases().count("near")
+            ? w.breakdown.phases().at("near").pairs
             : 0;
     t1.row({Table::num(std::uint64_t(n)), Table::num(std::uint64_t(r.depth)),
-            Table::num(secs, 3), Table::num(warm, 3),
-            Table::num(1e6 * warm / static_cast<double>(n), 3),
-            Table::num(bench::cycles_per_particle(warm, n), 4),
-            Table::num(static_cast<double>(r.breakdown.total_flops()) / 1e9,
+            Table::num(secs, 3), Table::num(w.median, 3),
+            Table::num(1e6 * w.median / static_cast<double>(n), 3),
+            Table::num(bench::cycles_per_particle(w.median, n), 4),
+            Table::num(static_cast<double>(w.breakdown.total_flops()) / 1e9,
                        3),
-            Table::percent(bench::efficiency(r.breakdown.total_flops(),
-                                             r.breakdown.total_seconds())),
+            Table::percent(bench::efficiency(w.breakdown.total_flops(),
+                                             w.breakdown.total_seconds())),
             Table::num(near_pairs)});
     if (json != nullptr) {
       std::fprintf(json,
@@ -156,8 +169,8 @@ int main(int argc, char** argv) {
                    "\"active_boxes\": %zu, "
                    "\"workspace_bytes\": %zu, \"occupancy\": [",
                    first_row ? "" : ",", n, r.depth,
-                   core::to_string(r.kernel), secs, warm, *warm_min,
-                   *warm_max, kWarmSolves,
+                   core::to_string(r.kernel), secs, w.median, w.min, w.max,
+                   kWarmSolves,
                    static_cast<unsigned long long>(near_pairs),
                    r.active_boxes, r.workspace_bytes);
       for (std::size_t l = 0; l < r.level_occupancy.size(); ++l)
@@ -189,15 +202,14 @@ int main(int argc, char** argv) {
     const std::size_t vus = cfg.machine.total_vus();
     core::FmmSolver solver(cfg);
     (void)solver.precompute();
-    WallTimer t;
     const core::FmmResult r = solver.solve(p);
-    const double secs = t.seconds();
-    // Estimated per-VU compute: total wall compute divided over VUs (the
-    // simulated VUs time-share the host), plus the modeled comm time.
-    const double comm = r.breakdown.phases().count("comm")
-                            ? r.breakdown.phases().at("comm").seconds
+    const WarmSolves w = time_warm_solves(solver, p);
+    // Estimated per-VU compute: total warm wall compute divided over VUs
+    // (the simulated VUs time-share the host), plus the modeled comm time.
+    const double comm = w.breakdown.phases().count("comm")
+                            ? w.breakdown.phases().at("comm").seconds
                             : 0.0;
-    const double per_vu = secs / static_cast<double>(vus);
+    const double per_vu = w.median / static_cast<double>(vus);
     t2.row({Table::num(std::uint64_t(vus)),
             Table::num(std::uint64_t(r.depth)), Table::num(per_vu, 3),
             Table::num(comm, 3), Table::percent(comm / (per_vu + comm)),
@@ -207,10 +219,13 @@ int main(int argc, char** argv) {
       std::fprintf(json,
                    "%s\n    { \"vus\": %zu, \"depth\": %d, "
                    "\"kernel\": \"%s\", "
+                   "\"warm_seconds\": %.6f, \"warm_min_seconds\": %.6f, "
+                   "\"warm_max_seconds\": %.6f, \"warm_repeats\": %d, "
                    "\"comm_seconds\": %.6f, \"off_vu_bytes\": %llu, "
                    "\"messages\": %llu }",
                    first_row ? "" : ",", vus, r.depth,
-                   core::to_string(r.kernel), comm,
+                   core::to_string(r.kernel), w.median, w.min, w.max,
+                   kWarmSolves, comm,
                    static_cast<unsigned long long>(r.comm.off_vu_bytes),
                    static_cast<unsigned long long>(r.comm.messages));
       first_row = false;

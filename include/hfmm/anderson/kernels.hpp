@@ -27,6 +27,10 @@ namespace hfmm::anderson {
 /// r = |x_rel|, u = s . x_rel / r. `x_rel` is relative to the sphere centre.
 double outer_kernel(int truncation, double a, const Vec3& s, const Vec3& x_rel);
 
+/// Below this |x_rel| the inner kernel takes its value at the centre, 1: only
+/// the n = 0 term survives there.
+inline constexpr double kInnerOriginRadius = 1e-300;
+
 /// Truncated inner Poisson kernel: sum_{n<=M} (2n+1) (r/a)^n P_n(u).
 double inner_kernel(int truncation, double a, const Vec3& s, const Vec3& x_rel);
 

@@ -8,7 +8,6 @@
 namespace hfmm::anderson {
 
 namespace {
-constexpr double kTinyRadius = 1e-300;
 constexpr int kMaxTruncation = 64;
 
 struct LegendreScratch {
@@ -37,7 +36,7 @@ double outer_kernel(int truncation, double a, const Vec3& s,
 double inner_kernel(int truncation, double a, const Vec3& s,
                     const Vec3& x_rel) {
   const double r = x_rel.norm();
-  if (r < kTinyRadius) return 1.0;  // only the n = 0 term survives at r = 0
+  if (r < kInnerOriginRadius) return 1.0;
   const double u = s.dot(x_rel) / r;
   LegendreScratch ls;
   quadrature::legendre_all(truncation, u, {ls.p, ls.p + truncation + 1});

@@ -1,6 +1,9 @@
 #include "hfmm/anderson/translations.hpp"
 
+#include <algorithm>
 #include <stdexcept>
+#include <utility>
+#include <vector>
 
 #include "hfmm/anderson/kernels.hpp"
 #include "hfmm/tree/hierarchy.hpp"
@@ -66,21 +69,67 @@ void build_translation_into(const Params& params, const TranslationGeometry& g,
                             bool transposed, std::span<double> out) {
   const auto& rule = params.rule;
   const std::size_t k = rule.size();
+  const int m = params.truncation;
   if (out.size() != k * k)
     throw std::invalid_argument("build_translation_into: bad output size");
   // Entry (j, i) lands at out[j * k + i] in T and at out[i * k + j] in T^T.
   const std::size_t row_stride = transposed ? 1 : k;
   const std::size_t col_stride = transposed ? k : 1;
+  // One row at a time: the destination point fixes x_rel, r and the ratio t,
+  // and the series runs over all K source points together (n outer, i
+  // inner). Each entry takes outer_kernel's / inner_kernel's arithmetic in
+  // their order, so it equals w_i * kernel(s_i, x_rel) bit for bit.
+  // The source points as coordinate arrays (unit-stride vector loads), then
+  // the per-row series state.
+  std::vector<double> scratch(7 * k);
+  double* sx = scratch.data();
+  double* sy = sx + k;
+  double* sz = sy + k;
+  double* u = sz + k;   // s_i . x_rel / r
+  double* pm = u + k;   // P_{n-1}(u)
+  double* pn = pm + k;  // P_n(u)
+  double* sum = pn + k;
+  for (std::size_t i = 0; i < k; ++i) {
+    sx[i] = rule.points[i].x;
+    sy[i] = rule.points[i].y;
+    sz[i] = rule.points[i].z;
+  }
   for (std::size_t j = 0; j < k; ++j) {
     const Vec3 x_rel = g.dst_minus_src + g.a_dst * rule.points[j];
+    const double r = x_rel.norm();
     double* row = out.data() + j * row_stride;
-    for (std::size_t i = 0; i < k; ++i) {
-      const double kv =
-          g.src_is_outer
-              ? outer_kernel(params.truncation, g.a_src, rule.points[i], x_rel)
-              : inner_kernel(params.truncation, g.a_src, rule.points[i], x_rel);
-      row[i * col_stride] = kv * rule.weights[i];
+    if (!g.src_is_outer && r < kInnerOriginRadius) {  // inner_kernel is 1
+      for (std::size_t i = 0; i < k; ++i) row[i * col_stride] = rule.weights[i];
+      continue;
     }
+    // tp = (a/r)^{n+1} (outer) or (r/a)^n (inner), starting at n = 0.
+    const double t = g.src_is_outer ? g.a_src / r : r / g.a_src;
+    double tp = g.src_is_outer ? t : 1.0;
+#pragma omp simd
+    for (std::size_t i = 0; i < k; ++i) {
+      u[i] = (sx[i] * x_rel.x + sy[i] * x_rel.y + sz[i] * x_rel.z) / r;
+      pn[i] = 1.0;
+      sum[i] = 0.0;
+    }
+    for (int n = 0;; ++n) {
+      const double c = (2 * n + 1) * tp;
+#pragma omp simd
+      for (std::size_t i = 0; i < k; ++i) sum[i] += c * pn[i];
+      if (n == m) break;
+      // (n+1) P_{n+1} = (2n+1) u P_n - n P_{n-1}, into P_{n-1}'s slot.
+      if (n == 0) {
+        std::copy(u, u + k, pm);
+      } else {
+#pragma omp simd
+        for (std::size_t i = 0; i < k; ++i)
+          pm[i] = ((2 * n + 1) * u[i] * pn[i] - n * pm[i]) / (n + 1);
+      }
+      std::swap(pm, pn);
+      tp *= t;
+    }
+#pragma omp simd
+    for (std::size_t i = 0; i < k; ++i)
+      row[i * col_stride] = sum[i] * rule.weights[i];
   }
 }
 

@@ -21,6 +21,8 @@ struct PortableMicro {
     // Eight 4-wide accumulator arrays, each the width of one 256-bit lane:
     // written this way (rather than acc[4][8]) GCC register-allocates every
     // array instead of spilling, matching the explicit-intrinsics schedule.
+    // SLP packs each fully unrolled j loop into one vector FMA; at -O2 GCC
+    // leaves these loops rolled, and so scalar, unless told to unroll them.
     double c00[4] = {}, c01[4] = {}, c10[4] = {}, c11[4] = {};
     double c20[4] = {}, c21[4] = {}, c30[4] = {}, c31[4] = {};
     const double* __restrict__ a0 = a;
@@ -31,13 +33,21 @@ struct PortableMicro {
       const double* __restrict__ b0 = bp + p * kNR;
       const double* __restrict__ b1 = b0 + 4;
       const double v0 = a0[p], v1 = a1[p], v2 = a2[p], v3 = a3[p];
+#pragma GCC unroll 4
       for (int j = 0; j < 4; ++j) c00[j] += v0 * b0[j];
+#pragma GCC unroll 4
       for (int j = 0; j < 4; ++j) c01[j] += v0 * b1[j];
+#pragma GCC unroll 4
       for (int j = 0; j < 4; ++j) c10[j] += v1 * b0[j];
+#pragma GCC unroll 4
       for (int j = 0; j < 4; ++j) c11[j] += v1 * b1[j];
+#pragma GCC unroll 4
       for (int j = 0; j < 4; ++j) c20[j] += v2 * b0[j];
+#pragma GCC unroll 4
       for (int j = 0; j < 4; ++j) c21[j] += v2 * b1[j];
+#pragma GCC unroll 4
       for (int j = 0; j < 4; ++j) c30[j] += v3 * b0[j];
+#pragma GCC unroll 4
       for (int j = 0; j < 4; ++j) c31[j] += v3 * b1[j];
     }
     const double* lo[kMR] = {c00, c10, c20, c30};

@@ -138,12 +138,13 @@ std::shared_ptr<const TranslationData> TranslationData::build(
   }
 
   const std::size_t kk = params.k() * params.k();
-  trans->store.resize(geometry.size() * kk);
+  trans->store_doubles = geometry.size() * kk;
+  trans->store = std::make_unique_for_overwrite<double[]>(trans->store_doubles);
   for (std::size_t s = 0; s < geometry.size(); ++s)
     anderson::build_translation_into(params, geometry[s], /*transposed=*/true,
-                                     {trans->store.data() + s * kk, kk});
+                                     {trans->store.get() + s * kk, kk});
   const auto at = [&](std::size_t slot) {
-    return trans->store.data() + slot * kk;
+    return trans->store.get() + slot * kk;
   };
   for (int o = 0; o < 8; ++o) {
     trans->t1[o] = at(t1_slot[o]);

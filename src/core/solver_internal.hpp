@@ -95,8 +95,10 @@ struct TranslationData {
   MatrixSet set = MatrixSet::kUnion;
   // Every matrix of the set, once, in the gemm orientation T^T (row i
   // weights source point i): K * K doubles each, back to back; apply_rows
-  // reads it as gemm's B.
-  std::vector<double> store;
+  // reads it as gemm's B. Allocated without zeroing: the build writes every
+  // slot.
+  std::unique_ptr<double[]> store;
+  std::size_t store_doubles = 0;
   std::array<const double*, 8> t1{}, t3{};
   // T2 by offset-cube index; null for offsets outside the set.
   std::vector<const double*> t2;
@@ -113,7 +115,7 @@ struct TranslationData {
   TranslationData& operator=(const TranslationData&) = delete;
 
   // Resident matrix bytes: exactly matrices x K^2 x 8.
-  std::size_t resident_bytes() const { return store.size() * sizeof(double); }
+  std::size_t resident_bytes() const { return store_doubles * sizeof(double); }
 
   static std::shared_ptr<const TranslationData> build(const FmmConfig& config);
 };

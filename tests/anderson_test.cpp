@@ -5,6 +5,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "hfmm/anderson/kernels.hpp"
 #include "hfmm/anderson/leaf_ops.hpp"
@@ -270,6 +274,79 @@ TEST(TranslationTest, BuildersReproduceStoredMatrices) {
   ts.build_t2_into(idx, buf);
   for (std::size_t i = 0; i < buf.size(); ++i)
     EXPECT_DOUBLE_EQ(buf[i], ts.t2({4, -2, 1}).m[i]);
+}
+
+// Counts the entries of `g`'s matrix, in either orientation, whose bits
+// differ from w_i * outer_kernel(...) or w_i * inner_kernel(...) evaluated
+// one entry at a time.
+std::size_t entries_off_the_kernel(const Params& p,
+                                   const TranslationGeometry& g) {
+  const std::size_t k = p.k();
+  std::vector<double> t(k * k), tt(k * k);
+  build_translation_into(p, g, /*transposed=*/false, t);
+  build_translation_into(p, g, /*transposed=*/true, tt);
+  std::size_t differ = 0;
+  for (std::size_t j = 0; j < k; ++j) {
+    const Vec3 x_rel = g.dst_minus_src + g.a_dst * p.rule.points[j];
+    for (std::size_t i = 0; i < k; ++i) {
+      const Vec3& s = p.rule.points[i];
+      const double want =
+          (g.src_is_outer ? outer_kernel(p.truncation, g.a_src, s, x_rel)
+                          : inner_kernel(p.truncation, g.a_src, s, x_rel)) *
+          p.rule.weights[i];
+      if (std::memcmp(&t[j * k + i], &want, sizeof want) != 0) ++differ;
+      if (std::memcmp(&tt[i * k + j], &want, sizeof want) != 0) ++differ;
+    }
+  }
+  return differ;
+}
+
+TEST(TranslationTest, RowBuilderMatchesKernelBitwise) {
+  // K = 12, K = 72, and a truncation-0 series (K = 12, M = 0).
+  for (const Params& p :
+       {params_d5_k12(), params_d14_k72(), params_for_order(1)}) {
+    SCOPED_TRACE("K = " + std::to_string(p.k()) +
+                 ", M = " + std::to_string(p.truncation));
+    std::vector<std::pair<std::string, TranslationGeometry>> cases;
+    for (int o = 0; o < 8; ++o) {
+      cases.emplace_back("T1 octant " + std::to_string(o), t1_geometry(p, o));
+      cases.emplace_back("T3 octant " + std::to_string(o), t3_geometry(p, o));
+    }
+    // The nearest and farthest interactive offsets of separation 2.
+    for (const tree::Offset& o : {tree::Offset{3, 0, 0}, tree::Offset{0, -3, 0},
+                                  tree::Offset{-3, 3, -3},
+                                  tree::Offset{5, 5, 5},
+                                  tree::Offset{-5, -5, -5}})
+      cases.emplace_back("T2 (" + std::to_string(o.dx) + ", " +
+                             std::to_string(o.dy) + ", " +
+                             std::to_string(o.dz) + ")",
+                         t2_geometry(p, o));
+    for (const int o : {0, 5, 7}) {
+      std::vector<tree::Offset> parent_offsets;
+      for (const tree::SupernodeEntry& e : tree::supernode_interactive(o, 2))
+        if (e.source_level_up == 1) parent_offsets.push_back(e.offset);
+      ASSERT_GE(parent_offsets.size(), 3u);
+      for (const std::size_t e :
+           {std::size_t{0}, parent_offsets.size() / 2,
+            parent_offsets.size() - 1})
+        cases.emplace_back(
+            "supernode octant " + std::to_string(o) + " entry " +
+                std::to_string(e),
+            supernode_geometry(p, o, parent_offsets[e]));
+    }
+    // Inner sources whose destination points sit on the source centre take
+    // inner_kernel's r = 0 branch: destination point 0 alone (its x_rel is
+    // an exact zero; the other rows run the series), then every point.
+    const TranslationGeometry one_on_centre{false, 2.0, 1.0,
+                                            -p.rule.points[0]};
+    ASSERT_EQ((one_on_centre.dst_minus_src + p.rule.points[0]).norm(), 0.0);
+    cases.emplace_back("inner, destination point 0 on the centre",
+                       one_on_centre);
+    cases.emplace_back("inner, every destination point on the centre",
+                       TranslationGeometry{false, 2.0, 0.0, {0, 0, 0}});
+    for (const auto& [what, g] : cases)
+      EXPECT_EQ(entries_off_the_kernel(p, g), 0u) << what;
+  }
 }
 
 TEST(LeafOpsTest, P2mThenOuterEvalApproximatesDirect) {
