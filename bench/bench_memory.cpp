@@ -7,10 +7,12 @@
 // particles fit on a 256-node CM-5E).
 
 #include <iostream>
+#include <string>
 
 #include "bench_common.hpp"
 #include "hfmm/anderson/translations.hpp"
 #include "hfmm/core/solver.hpp"
+#include "hfmm/quadrature/sphere_rule.hpp"
 #include "hfmm/util/particles.hpp"
 
 using namespace hfmm;
@@ -24,18 +26,20 @@ int main(int argc, char** argv) {
                       "1.53 MB at K=12, 53.9 MB at K=72) and per-particle "
                       "memory");
 
-  // The paper's full set next to what a solver keeps resident: one copy of
-  // each matrix its executor applies (FmmSolver::precompute()).
-  const auto solver_mb = [](const anderson::Params& params,
-                            core::ExecutionMode mode, bool supernodes) {
+  // The paper's full set next to what a solver keeps resident: one matrix
+  // per symmetry orbit of the matrices its executor applies
+  // (FmmSolver::precompute()), under the rule's signed axis permutations.
+  const auto solver_bytes = [](const anderson::Params& params,
+                               core::ExecutionMode mode, bool supernodes) {
     core::FmmConfig cfg;
     cfg.params = params;
     cfg.mode = mode;
     cfg.supernodes = supernodes;
-    return static_cast<double>(core::FmmSolver(cfg).precompute()) / 1e6;
+    return core::FmmSolver(cfg).precompute();
   };
-  Table t({"K", "T2 matrices", "T2 MB (paper formula)", "all matrices MB",
-           "supernode extra MB", "solver MB supernodes",
+  Table t({"K", "symmetries", "T2 matrices", "T2 MB (paper formula)",
+           "all matrices MB", "supernode extra MB",
+           "stored matrices (supernodes / union)", "solver MB supernodes",
            "solver MB no supernodes", "solver MB DP"});
   for (const int order : {5, 7, 9, 11, 14}) {
     const anderson::Params params = anderson::params_for_order(order);
@@ -46,15 +50,21 @@ int main(int argc, char** argv) {
     // the count), already included in resident_bytes().
     const double extra_mb = 8.0 * 98.0 * static_cast<double>(k) * k * 8 / 1e6;
     const core::ExecutionMode seq = core::ExecutionMode::kSequential;
-    t.row({Table::num(std::uint64_t(k)), Table::num(plain.t2_count()),
-           Table::num(t2_mb, 4),
+    const std::size_t sn = solver_bytes(params, seq, true);
+    const std::size_t un = solver_bytes(params, seq, false);
+    const std::size_t dp =
+        solver_bytes(params, core::ExecutionMode::kDataParallel, true);
+    const std::size_t matrix_bytes = k * k * sizeof(double);
+    t.row({Table::num(std::uint64_t(k)),
+           Table::num(quadrature::symmetries(params.rule).size()),
+           Table::num(plain.t2_count()), Table::num(t2_mb, 4),
            Table::num(static_cast<double>(plain.resident_bytes()) / 1e6, 4),
            Table::num(extra_mb, 4),
-           Table::num(solver_mb(params, seq, true), 4),
-           Table::num(solver_mb(params, seq, false), 4),
-           Table::num(
-               solver_mb(params, core::ExecutionMode::kDataParallel, true),
-               4)});
+           std::to_string(sn / matrix_bytes) + " / " +
+               std::to_string(un / matrix_bytes),
+           Table::num(static_cast<double>(sn) / 1e6, 4),
+           Table::num(static_cast<double>(un) / 1e6, 4),
+           Table::num(static_cast<double>(dp) / 1e6, 4)});
   }
   t.print(std::cout);
 
@@ -85,8 +95,9 @@ int main(int argc, char** argv) {
       "\npaper shape to verify: K=12 T2 storage is ~1.5 MB (matches the\n"
       "paper exactly — same formula), K=72 ~55 MB; per-particle memory is a\n"
       "few hundred bytes, consistent with 100M particles on a 256-node\n"
-      "machine with 32 MB per VU. A solver keeps 1018 K^2 doubles with\n"
-      "supernodes and 1222 K^2 without them or in DP mode, below the\n"
-      "paper's 1331 K^2.\n");
+      "machine with 32 MB per VU. A solver applies 1018 matrices with\n"
+      "supernodes and 1222 without them or in DP mode, and keeps one per\n"
+      "symmetry orbit: 158 / 205 K^2 doubles at K = 72 (8 symmetries) and\n"
+      "49 / 67 at K = 12 (24), against the paper's 1331 K^2.\n");
   return 0;
 }

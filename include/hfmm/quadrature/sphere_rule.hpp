@@ -17,7 +17,9 @@
 // the *mean* of f over the sphere. With this convention the n = 0 term of the
 // Poisson kernel reproduces a monopole exactly.
 
+#include <array>
 #include <cstddef>
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -59,6 +61,26 @@ SphereRule fibonacci_rule(int k, int fit_degree);
 ///   D <= 5          -> icosahedron (K = 12), exactly as the paper;
 ///   otherwise       -> smallest product rule of degree D.
 SphereRule rule_for_order(int order);
+
+/// A signed axis permutation R, (R v)_a = sign[a] * v[axis[a]], that maps a
+/// rule onto itself: R s_i = s_perm[i] and w_perm[i] = w_i. A translation
+/// matrix depends on its points only through dot products and norms, so the
+/// matrix of a displacement R v is the one of v with its points relabelled
+/// by perm (DESIGN.md Section 11).
+struct RuleSymmetry {
+  std::array<int, 3> axis{0, 1, 2};
+  std::array<double, 3> sign{1.0, 1.0, 1.0};
+  std::vector<std::uint32_t> perm;
+
+  Vec3 apply(const Vec3& v) const {
+    return {sign[0] * v[axis[0]], sign[1] * v[axis[1]], sign[2] * v[axis[2]]};
+  }
+};
+
+/// Every one of the 48 signed axis permutations that maps `rule` onto itself
+/// (points within 1e-12, weights within 1e-12 of the largest), the identity
+/// first: 24 for the icosahedron, 8 for the K = 72 product rule.
+std::vector<RuleSymmetry> symmetries(const SphereRule& rule);
 
 /// The paper's headline configurations: K = 12 (D = 5) and K = 72. The K = 72
 /// rule is the 6 x 12 product rule (degree 11) standing in for McLaren's

@@ -87,9 +87,11 @@ class Hierarchy {
 /// still yields a cube of positive side.
 Box3 cube_containing(const Box3& b, double pad = 1e-6);
 
-/// Deepest hierarchy the solver builds: the 8^h leaf flat indices must fit
-/// the uint32 arrays that hold active sets and sort ranks.
-inline constexpr int kMaxDepth = 10;
+/// Deepest hierarchy the solver builds. The active sets and the sort keep
+/// flat arrays of 8^h entries per level, so depth 8 already takes ~280 MB
+/// whatever N is, and depths 9 and 10 would take ~2.2 and ~18 GB. The
+/// automatic rule would reach depth 9 only above ~1.07e9 particles.
+inline constexpr int kMaxDepth = 8;
 
 /// The paper's optimal-depth rule (Section 2.3): pick h so the number of
 /// leaf boxes 8^h is proportional to N, balancing hierarchy traversal

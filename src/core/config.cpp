@@ -32,7 +32,9 @@ void FmmConfig::validate() const {
     throw std::invalid_argument("FmmConfig: separation must be >= 1");
   if (depth != -1 && (depth < 2 || depth > tree::kMaxDepth))
     throw std::invalid_argument(
-        "FmmConfig: explicit depth must be in [2, 10]");
+        "FmmConfig: explicit depth must be in [2, " +
+        std::to_string(tree::kMaxDepth) +
+        "] (a deeper tree needs GBs of flat per-box arrays at any N)");
   if (depth != -1 && !kernel.far_field_capable() && depth > kernel.max_depth())
     throw std::invalid_argument(
         "FmmConfig: explicit depth " + std::to_string(depth) +

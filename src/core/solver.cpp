@@ -6,8 +6,11 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <map>
+#include <span>
 #include <stdexcept>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "hfmm/anderson/kernels.hpp"
@@ -17,6 +20,7 @@
 #include "hfmm/core/near_field.hpp"
 #include "hfmm/dp/multigrid.hpp"
 #include "hfmm/dp/sort.hpp"
+#include "hfmm/quadrature/sphere_rule.hpp"
 #include "hfmm/service/plan_cache.hpp"
 #include "hfmm/tree/interaction_lists.hpp"
 #include "solver_internal.hpp"
@@ -100,12 +104,13 @@ std::shared_ptr<const TranslationData> TranslationData::build(
   WallTimer t;
   const anderson::Params& params = config.params;
   const int d = config.separation;
+  const std::size_t k = params.k();
   auto trans = std::make_shared<TranslationData>();
   trans->set = matrix_set_for(config);
   trans->union_offsets = build_union_offsets(d);
 
-  // Assign every matrix of the set a slot in the store, then build each
-  // straight into its slot. T2 slots are shared by offset-cube index.
+  // Assign every matrix of the set a slot. T2 slots are shared by
+  // offset-cube index.
   std::vector<anderson::TranslationGeometry> geometry;
   const auto add = [&](const anderson::TranslationGeometry& g) {
     geometry.push_back(g);
@@ -123,38 +128,106 @@ std::shared_ptr<const TranslationData> TranslationData::build(
     t1_slot[o] = add(anderson::t1_geometry(params, o));
     t3_slot[o] = add(anderson::t3_geometry(params, o));
   }
-  std::array<std::vector<std::size_t>, 8> supernode_slot;
+  std::vector<std::size_t> t2_use_slot;  // in the T2 stage's walk order
+  std::vector<OrbitUse> t2_uses;
   if (trans->set == MatrixSet::kUnion) {
-    for (const UnionOffset& u : trans->union_offsets) t2_slot_of(u.o);
+    for (std::size_t u = 0; u < trans->union_offsets.size(); ++u) {
+      t2_use_slot.push_back(t2_slot_of(trans->union_offsets[u].o));
+      t2_uses.push_back({0, static_cast<std::uint32_t>(u), nullptr});
+    }
   } else {
     for (int o = 0; o < 8; ++o) {
       trans->supernode_lists[o] = tree::supernode_interactive(o, d);
-      for (const tree::SupernodeEntry& e : trans->supernode_lists[o])
-        supernode_slot[o].push_back(
-            e.source_level_up == 1
-                ? add(anderson::supernode_geometry(params, o, e.offset))
-                : t2_slot_of(e.offset));
+      const std::vector<tree::SupernodeEntry>& list = trans->supernode_lists[o];
+      for (std::size_t e = 0; e < list.size(); ++e) {
+        t2_use_slot.push_back(
+            list[e].source_level_up == 1
+                ? add(anderson::supernode_geometry(params, o, list[e].offset))
+                : t2_slot_of(list[e].offset));
+        t2_uses.push_back({static_cast<std::uint32_t>(o),
+                           static_cast<std::uint32_t>(e), nullptr});
+      }
     }
   }
 
-  const std::size_t kk = params.k() * params.k();
-  trans->store_doubles = geometry.size() * kk;
-  trans->store = std::make_unique_for_overwrite<double[]>(trans->store_doubles);
-  for (std::size_t s = 0; s < geometry.size(); ++s)
-    anderson::build_translation_into(params, geometry[s], /*transposed=*/true,
-                                     {trans->store.get() + s * kk, kk});
-  const auto at = [&](std::size_t slot) {
-    return trans->store.get() + slot * kk;
+  // Group the slots into orbits: a slot joins the first earlier
+  // representative of its family and radii whose displacement some rule
+  // symmetry R maps onto its own (R only permutes and negates coordinates,
+  // so the keys compare exactly), and otherwise represents a new orbit.
+  const std::vector<quadrature::RuleSymmetry> sym =
+      quadrature::symmetries(params.rule);
+  for (const quadrature::RuleSymmetry& r : sym)
+    trans->perms.insert(trans->perms.end(), r.perm.begin(), r.perm.end());
+  using Key = std::tuple<bool, double, double, double, double, double>;
+  const auto key = [](const anderson::TranslationGeometry& g, const Vec3& v) {
+    return Key{g.src_is_outer, g.a_src, g.a_dst, v.x, v.y, v.z};
   };
-  for (int o = 0; o < 8; ++o) {
-    trans->t1[o] = at(t1_slot[o]);
-    trans->t3[o] = at(t3_slot[o]);
-    for (const std::size_t slot : supernode_slot[o])
-      trans->supernode[o].push_back(at(slot));
+  std::map<Key, std::size_t> rep_of;     // representative key -> stored index
+  std::vector<std::size_t> rep_slots;    // stored index -> slot
+  std::vector<std::size_t> stored_of(geometry.size());
+  std::vector<std::size_t> map_of(geometry.size());
+  for (std::size_t s = 0; s < geometry.size(); ++s) {
+    const anderson::TranslationGeometry& g = geometry[s];
+    std::size_t m = 0;
+    auto it = rep_of.end();
+    for (; m < sym.size(); ++m) {
+      // The displacement u with R_m u == v.
+      Vec3 u;
+      for (int a = 0; a < 3; ++a)
+        u[sym[m].axis[a]] = sym[m].sign[a] * g.dst_minus_src[a];
+      it = rep_of.find(key(g, u));
+      if (it != rep_of.end()) break;
+    }
+    if (it == rep_of.end()) {
+      it = rep_of.emplace(key(g, g.dst_minus_src), rep_slots.size()).first;
+      rep_slots.push_back(s);
+      m = 0;
+    }
+    stored_of[s] = it->second;
+    map_of[s] = m;
   }
-  trans->t2.assign(t2_slot.size(), nullptr);
+
+  const std::size_t kk = k * k;
+  trans->store_doubles = rep_slots.size() * kk;
+  trans->store = std::make_unique_for_overwrite<double[]>(trans->store_doubles);
+  for (std::size_t i = 0; i < rep_slots.size(); ++i)
+    anderson::build_translation_into(params, geometry[rep_slots[i]],
+                                     /*transposed=*/true,
+                                     {trans->store.get() + i * kk, kk});
+  const auto ref = [&](std::size_t slot) {
+    return MatrixRef{trans->store.get() + stored_of[slot] * kk,
+                     trans->perms.data() + map_of[slot] * k};
+  };
+
+  // Per stage, the orbits in order of their first use, each with its uses
+  // in walk order.
+  const auto group = [&](std::vector<Orbit>& orbits,
+                         std::span<const std::size_t> slots,
+                         std::span<const OrbitUse> uses) {
+    std::vector<std::size_t> index(rep_slots.size(), kNone);
+    for (std::size_t i = 0; i < slots.size(); ++i) {
+      std::size_t& at = index[stored_of[slots[i]]];
+      if (at == kNone) {
+        at = orbits.size();
+        orbits.push_back({ref(slots[i]).matrix, {}});
+      }
+      OrbitUse use = uses[i];
+      use.perm = ref(slots[i]).perm;
+      orbits[at].uses.push_back(use);
+    }
+  };
+  std::array<OrbitUse, 8> octant_uses{};
+  for (int o = 0; o < 8; ++o) {
+    octant_uses[o].octant = static_cast<std::uint32_t>(o);
+    trans->t1[o] = ref(t1_slot[o]);
+    trans->t3[o] = ref(t3_slot[o]);
+  }
+  group(trans->t1_orbits, t1_slot, octant_uses);
+  group(trans->t3_orbits, t3_slot, octant_uses);
+  group(trans->t2_orbits, t2_use_slot, t2_uses);
+  trans->t2.assign(t2_slot.size(), MatrixRef{});
   for (std::size_t i = 0; i < t2_slot.size(); ++i)
-    if (t2_slot[i] != kNone) trans->t2[i] = at(t2_slot[i]);
+    if (t2_slot[i] != kNone) trans->t2[i] = ref(t2_slot[i]);
   trans->build_seconds = t.seconds();
   return trans;
 }

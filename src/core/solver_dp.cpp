@@ -17,6 +17,7 @@
 #include <cstring>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "hfmm/anderson/leaf_ops.hpp"
 #include "hfmm/blas/blas.hpp"
@@ -68,6 +69,21 @@ void mask_halo(dp::Machine& machine, dp::HaloGrid& halo) {
           }
         }
   });
+}
+
+// y += x T^T for one box (BLAS-2), T the set's matrix `m`: x and y go
+// through m's point permutation into `scratch` (2K doubles), the stored
+// matrix runs there, and y comes back the same way.
+void apply_box(const internal::MatrixRef& m, std::size_t k, const double* x,
+               double* y, std::vector<double>& scratch) {
+  double* xp = scratch.data();
+  double* yp = xp + k;
+  for (std::size_t i = 0; i < k; ++i) {
+    xp[i] = x[m.perm[i]];
+    yp[i] = y[m.perm[i]];
+  }
+  blas::vecmat(xp, m.matrix, k, yp, k, k, true);
+  for (std::size_t j = 0; j < k; ++j) y[m.perm[j]] = yp[j];
 }
 
 }  // namespace
@@ -219,6 +235,7 @@ FmmResult FmmSolver::solve_dp_(const ParticleSet& particles,
           auto temp_parent = std::make_unique<dp::DistGrid>(parent_layout, k);
           dp::Machine parent_machine(parent_layout.machine());
           parent_machine.for_each_vu([&](std::size_t vu) {
+            std::vector<double> scratch(2 * k);
             for (std::int32_t lz = 0; lz < parent_layout.sub_z(); ++lz)
               for (std::int32_t ly = 0; ly < parent_layout.sub_y(); ++ly)
                 for (std::int32_t lx = 0; lx < parent_layout.sub_x(); ++lx) {
@@ -227,8 +244,8 @@ FmmResult FmmSolver::solve_dp_(const ParticleSet& particles,
                   double* dst = temp_parent->at(vu, lx, ly, lz).data();
                   for (int o = 0; o < 8; ++o) {
                     const tree::BoxCoord cc = tree::Hierarchy::child_of(pc, o);
-                    blas::vecmat(temp_child->at_global(cc).data(),
-                                 trans->t1[o], k, dst, k, k, true);
+                    apply_box(trans->t1[o], k,
+                              temp_child->at_global(cc).data(), dst, scratch);
                   }
                 }
           });
@@ -283,17 +300,18 @@ FmmResult FmmSolver::solve_dp_(const ParticleSet& particles,
             level_machine.cost_model() = machine.cost_model();
             const dp::BlockLayout& pl = local_parent->layout();
             level_machine.for_each_vu([&](std::size_t vu) {
+              std::vector<double> scratch(2 * k);
               for (std::int32_t lz = 0; lz < level_layout.sub_z(); ++lz)
                 for (std::int32_t ly = 0; ly < level_layout.sub_y(); ++ly)
                   for (std::int32_t lx = 0; lx < level_layout.sub_x(); ++lx) {
                     const tree::BoxCoord c =
                         level_layout.global_of({vu, lx, ly, lz});
                     const int o = tree::Hierarchy::octant_of(c);
-                    blas::vecmat(
+                    apply_box(
+                        trans->t3[o], k,
                         local_parent->at_global(tree::Hierarchy::parent_of(c))
                             .data(),
-                        trans->t3[o], k,
-                        temp_local->at(vu, lx, ly, lz).data(), k, k, true);
+                        temp_local->at(vu, lx, ly, lz).data(), scratch);
                   }
             });
             for (std::size_t f = 0; f < hier.boxes_at(l); ++f) {
@@ -329,6 +347,7 @@ FmmResult FmmSolver::solve_dp_(const ParticleSet& particles,
             machine.stats() += level_machine.stats();
             level_machine.reset_stats();
             level_machine.for_each_vu([&](std::size_t vu) {
+              std::vector<double> scratch(2 * k);
               for (std::int32_t lz = 0; lz < level_layout.sub_z(); ++lz)
                 for (std::int32_t ly = 0; ly < level_layout.sub_y(); ++ly)
                   for (std::int32_t lx = 0; lx < level_layout.sub_x(); ++lx) {
@@ -337,18 +356,19 @@ FmmResult FmmSolver::solve_dp_(const ParticleSet& particles,
                     const int oct = tree::Hierarchy::octant_of(c);
                     double* dst = temp_local->at(vu, lx, ly, lz).data();
                     for (const tree::Offset& off : interactive[oct]) {
-                      blas::vecmat(halo.at(vu, lx + ghost + off.dx,
-                                           ly + ghost + off.dy,
-                                           lz + ghost + off.dz)
-                                       .data(),
-                                   trans->t2[tree::offset_cube_index(off, d)],
-                                   k, dst, k, k, true);
+                      apply_box(trans->t2[tree::offset_cube_index(off, d)], k,
+                                halo.at(vu, lx + ghost + off.dx,
+                                        ly + ghost + off.dy,
+                                        lz + ghost + off.dz)
+                                    .data(),
+                                dst, scratch);
                     }
                   }
             });
           } else {
             // Small-level fallback: direct global reads with counted comm.
             level_machine.for_each_vu([&](std::size_t vu) {
+              std::vector<double> scratch(2 * k);
               for (std::int32_t lz = 0; lz < level_layout.sub_z(); ++lz)
                 for (std::int32_t ly = 0; ly < level_layout.sub_y(); ++ly)
                   for (std::int32_t lx = 0; lx < level_layout.sub_x(); ++lx) {
@@ -362,9 +382,8 @@ FmmResult FmmSolver::solve_dp_(const ParticleSet& particles,
                       if (s.ix < 0 || s.ix >= nl || s.iy < 0 || s.iy >= nl ||
                           s.iz < 0 || s.iz >= nl)
                         continue;
-                      blas::vecmat(temp_far->at_global(s).data(),
-                                   trans->t2[tree::offset_cube_index(off, d)],
-                                   k, dst, k, k, true);
+                      apply_box(trans->t2[tree::offset_cube_index(off, d)], k,
+                                temp_far->at_global(s).data(), dst, scratch);
                     }
                   }
             });

@@ -73,7 +73,7 @@ void apply_rows(const double* tt, std::size_t k, const double* src,
 // once per config, shared (by shared_ptr) by every FmmPlan depth.
 // ---------------------------------------------------------------------------
 
-// Which translation matrices a TranslationData builds: only those its
+// Which translation matrices a TranslationData covers: only those its
 // executor applies (DESIGN.md Section 11).
 enum class MatrixSet : std::uint8_t {
   // T1/T3 plus the T2 of all 1206 union interactive offsets (d = 2): every
@@ -91,30 +91,66 @@ inline MatrixSet matrix_set_for(const FmmConfig& config) {
              : MatrixSet::kUnion;
 }
 
+// One matrix of the set as an executor applies it: the stored matrix of its
+// symmetry orbit (the representative, T^T of displacement v) and the point
+// permutation pi of the map R that takes v to this matrix's displacement.
+// In the T^T layout T(Rv)[pi(a) K + pi(b)] == T(v)[a K + b] up to rounding,
+// so dst += src T(Rv)^T is dst[pi(b)] += sum_a src[pi(a)] T(v)[a K + b]:
+// gather the source through pi, apply the representative, scatter through
+// pi. A representative's own pi is the identity.
+struct MatrixRef {
+  const double* matrix = nullptr;
+  const std::uint32_t* perm = nullptr;  // pi, K entries
+};
+
+// Where a translation stage applies one member of an orbit: the octant
+// (T1/T3: the child's octant; supernode T2: the target's octant) and the
+// entry (union T2: the position in union_offsets; supernode T2: the
+// position in supernode_lists[octant]), with the member's pi.
+struct OrbitUse {
+  std::uint32_t octant = 0;
+  std::uint32_t entry = 0;
+  const std::uint32_t* perm = nullptr;
+};
+
+// One stored matrix and, in the stage's walk order, every use of a member
+// of its orbit.
+struct Orbit {
+  const double* matrix = nullptr;
+  std::vector<OrbitUse> uses;
+};
+
 struct TranslationData {
   MatrixSet set = MatrixSet::kUnion;
-  // Every matrix of the set, once, in the gemm orientation T^T (row i
-  // weights source point i): K * K doubles each, back to back; apply_rows
-  // reads it as gemm's B. Allocated without zeroing: the build writes every
-  // slot.
+  // One matrix per symmetry orbit of the set (the orbit's first member, in
+  // the gemm orientation T^T: row i weights source point i): K * K doubles
+  // each, back to back; apply_rows reads it as gemm's B. Allocated without
+  // zeroing: the build writes every slot.
   std::unique_ptr<double[]> store;
   std::size_t store_doubles = 0;
-  std::array<const double*, 8> t1{}, t3{};
-  // T2 by offset-cube index; null for offsets outside the set.
-  std::vector<const double*> t2;
+  // The point permutation of each of the rule's symmetries
+  // (quadrature::symmetries), K entries each, the identity first.
+  std::vector<std::uint32_t> perms;
+  // Every matrix of the set by its family index (DP executor). t2 is by
+  // offset-cube index; null for offsets outside the set.
+  std::array<MatrixRef, 8> t1{}, t3{};
+  std::vector<MatrixRef> t2;
+  // The set's orbits per stage (shared-memory executor): T1 and T3 over
+  // octants; T2 over union_offsets (kUnion) or supernode_lists
+  // (kSupernode). Each use appears in exactly one orbit.
+  std::vector<Orbit> t1_orbits, t3_orbits, t2_orbits;
   std::vector<UnionOffset> union_offsets;
-  // kSupernode only: per octant, tree::supernode_interactive and, aligned
-  // with it, each entry's matrix (its T2 for same-level entries).
+  // kSupernode only: per octant, tree::supernode_interactive.
   std::array<std::vector<tree::SupernodeEntry>, 8> supernode_lists;
-  std::array<std::vector<const double*>, 8> supernode;
   double build_seconds = 0.0;
 
   TranslationData() = default;
-  // The matrix pointers above point into `store`; a copy would alias it.
+  // The matrix and permutation pointers above point into `store` and
+  // `perms`; a copy would alias them.
   TranslationData(const TranslationData&) = delete;
   TranslationData& operator=(const TranslationData&) = delete;
 
-  // Resident matrix bytes: exactly matrices x K^2 x 8.
+  // Resident matrix bytes: exactly stored matrices x K^2 x 8.
   std::size_t resident_bytes() const { return store_doubles * sizeof(double); }
 
   static std::shared_ptr<const TranslationData> build(const FmmConfig& config);
@@ -207,6 +243,7 @@ void grow(std::vector<T>& v, std::size_t n,
 struct ChunkSlot {
   std::vector<double> slab, out;       // gathered source rows, their products
   std::vector<std::uint32_t> dst;      // destination row of each slab row
+  std::vector<const std::uint32_t*> perm;  // point permutation of each row
   std::vector<tree::BoxCoord> coord;   // coordinates of the chunk's boxes
   std::vector<std::uint32_t> order;    // chunk positions grouped by octant
 };
@@ -226,6 +263,7 @@ class ChunkArena {
     for (const ChunkSlot& s : slots_)
       b += (s.slab.capacity() + s.out.capacity()) * sizeof(double) +
            (s.dst.capacity() + s.order.capacity()) * sizeof(std::uint32_t) +
+           s.perm.capacity() * sizeof(const std::uint32_t*) +
            s.coord.capacity() * sizeof(tree::BoxCoord);
     return b;
   }

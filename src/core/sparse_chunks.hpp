@@ -3,23 +3,26 @@
 // stage iterates ACTIVE indices of the level sets; a chunk is a range
 // [lo, hi) of them (parents for T1, children for T3, targets for T2).
 //
-// A translation stage walks its matrices in a fixed order (T1: octants
-// 0..7; T3: each child's octant matrix; union T2: offsets in list order;
-// supernode T2: per octant, entries in list order) and hands each (source
-// row, target) pair it finds to a GatherSink: sink.add(level, row, t)
-// gathers row `row` of level `level`'s store into the chunk's slab for
-// target t, and sink.apply(matrix) applies `matrix` to the rows gathered
-// since the last apply with one internal::apply_rows call (Section 3.3.3
-// aggregation) and adds product row r into its destination row. Each
-// destination therefore receives its contributions in matrix order, and a
-// gemm row's bits do not depend on how many rows share the call
+// A translation stage walks its matrices' symmetry orbits in a fixed order
+// (TranslationData::t1_orbits, t3_orbits, t2_orbits; DESIGN.md Section 11)
+// and, per orbit, every use of one of its members (T1/T3: an octant; union
+// T2: an offset; supernode T2: an octant's list entry). It hands each
+// (source row, target) pair a use finds to a GatherSink:
+// sink.add(level, row, t) gathers row `row` of level `level`'s store into
+// the chunk's slab for target t, through the member's point permutation;
+// at the end of the orbit, or when the slab is full, sink.apply() applies
+// the orbit's stored matrix to the rows gathered since the last apply with
+// one internal::apply_rows call (Section 3.3.3 aggregation) and adds
+// product row r, through the same permutation, into its destination row.
+// Each destination therefore receives its contributions in walk order, and
+// a gemm row's bits do not depend on how many rows share the call
 // (blas::gemm), so results do not depend on the chunk split or the worker
 // count. Inactive sources hold exactly-zero far fields; skipping them
 // changes nothing.
 
 #include <array>
 #include <cstdint>
-#include <cstring>
+#include <vector>
 
 #include "hfmm/anderson/leaf_ops.hpp"
 #include "hfmm/blas/blas.hpp"
@@ -145,10 +148,13 @@ class ChunkBoxes {
   std::array<std::size_t, 9> octant_begin_{};
 };
 
-// The translation stages' sink, over the chunk's ChunkSlot: add() copies
-// the source row into the slab; apply() runs the matrix over the gathered
-// rows with one internal::apply_rows call and scatter-adds product row r
-// into `to` at its target's row.
+// The translation stages' sink, over the chunk's ChunkSlot: run() walks a
+// stage's orbits; add() copies a source row into the slab through the
+// current member's point permutation; apply() runs the orbit's matrix over
+// the gathered rows with one internal::apply_rows call and scatter-adds
+// product row r into `to` at its target's row, through that row's
+// permutation. The slab holds one row per chunk box: an orbit with more
+// rows applies as often as it fills it.
 class GatherSink {
  public:
   // Sources are rows of `from` (the far or local level stores).
@@ -159,40 +165,62 @@ class GatherSink {
         from_(from),
         to_(to.data()),
         k_(ctx.config.params.k()),
+        capacity_(hi - lo),
         mode_(ctx.config.aggregation) {
-    grow(slot_.slab, (hi - lo) * k_, ctx.ws.allocs);
-    grow(slot_.out, (hi - lo) * k_, ctx.ws.allocs);
-    grow(slot_.dst, hi - lo, ctx.ws.allocs);
+    grow(slot_.slab, capacity_ * k_, ctx.ws.allocs);
+    grow(slot_.out, capacity_ * k_, ctx.ws.allocs);
+    grow(slot_.dst, capacity_, ctx.ws.allocs);
+    grow(slot_.perm, capacity_, ctx.ws.allocs);
+  }
+
+  // For each orbit in order: gather(use) for each of its uses, then apply.
+  template <class Gather>
+  void run(const std::vector<Orbit>& orbits, Gather&& gather) {
+    for (const Orbit& orbit : orbits) {
+      matrix_ = orbit.matrix;
+      for (const OrbitUse& use : orbit.uses) {
+        perm_ = use.perm;
+        gather(use);
+      }
+      apply();
+    }
   }
 
   void add(int level, std::int32_t row, std::size_t target) {
-    std::memcpy(slot_.slab.data() + rows_ * k_,
-                from_[level].data() + static_cast<std::size_t>(row) * k_,
-                k_ * sizeof(double));
-    slot_.dst[rows_++] = static_cast<std::uint32_t>(target);
-  }
-
-  void apply(const double* matrix) {
-    if (rows_ == 0) return;
-    double* out = slot_.out.data();
-    std::fill(out, out + rows_ * k_, 0.0);
-    apply_rows(matrix, k_, slot_.slab.data(), out, rows_, mode_, flops_);
-    for (std::size_t r = 0; r < rows_; ++r) {
-      double* d = to_ + static_cast<std::size_t>(slot_.dst[r]) * k_;
-      const double* o = out + r * k_;
-      for (std::size_t j = 0; j < k_; ++j) d[j] += o[j];
-    }
-    rows_ = 0;
+    if (rows_ == capacity_) apply();
+    const double* src =
+        from_[level].data() + static_cast<std::size_t>(row) * k_;
+    double* s = slot_.slab.data() + rows_ * k_;
+    for (std::size_t i = 0; i < k_; ++i) s[i] = src[perm_[i]];
+    slot_.dst[rows_] = static_cast<std::uint32_t>(target);
+    slot_.perm[rows_++] = perm_;
   }
 
   void report(PhaseStats& stats) const { stats.flops += flops_; }
 
  private:
+  void apply() {
+    if (rows_ == 0) return;
+    double* out = slot_.out.data();
+    std::fill(out, out + rows_ * k_, 0.0);
+    apply_rows(matrix_, k_, slot_.slab.data(), out, rows_, mode_, flops_);
+    for (std::size_t r = 0; r < rows_; ++r) {
+      double* d = to_ + static_cast<std::size_t>(slot_.dst[r]) * k_;
+      const std::uint32_t* p = slot_.perm[r];
+      const double* o = out + r * k_;
+      for (std::size_t j = 0; j < k_; ++j) d[p[j]] += o[j];
+    }
+    rows_ = 0;
+  }
+
   ChunkSlot& slot_;
   const std::vector<std::vector<double>>& from_;
   double* to_;
   std::size_t k_;
+  std::size_t capacity_;
   AggregationMode mode_;
+  const double* matrix_ = nullptr;
+  const std::uint32_t* perm_ = nullptr;
   std::size_t rows_ = 0;
   std::uint64_t flops_ = 0;
 };
@@ -206,14 +234,14 @@ inline void upward_chunk(ActiveContext& ctx, int l, std::size_t chunk,
   const tree::LevelActiveSet& children = ctx.act.levels[l + 1];
   const std::int64_t nc = ctx.hier.boxes_per_side(l + 1);
   const ChunkBoxes b(ctx, chunk, l, lo, hi);
-  for (int o = 0; o < 8; ++o) {
+  sink.run(ctx.trans().t1_orbits, [&](const OrbitUse& use) {
+    const int o = static_cast<int>(use.octant);
     for (std::size_t i = 0; i < hi - lo; ++i) {
       const std::int32_t ca = children.dense_to_active[flat_of(
           tree::Hierarchy::child_of(b.coord(i), o), nc)];
       if (ca >= 0) sink.add(l + 1, ca, lo + i);
     }
-    sink.apply(ctx.trans().t1[o]);
-  }
+  });
   sink.report(stats);
 }
 
@@ -226,7 +254,8 @@ inline void downward_chunk(ActiveContext& ctx, int l, std::size_t chunk,
   const tree::LevelActiveSet& parents = ctx.act.levels[l - 1];
   const std::int64_t np = ctx.hier.boxes_per_side(l - 1);
   const ChunkBoxes b(ctx, chunk, l, lo, hi);
-  for (int o = 0; o < 8; ++o) {
+  sink.run(ctx.trans().t3_orbits, [&](const OrbitUse& use) {
+    const int o = static_cast<int>(use.octant);
     for (std::size_t j = b.octant_begin(o); j < b.octant_begin(o + 1); ++j) {
       const std::size_t i = b.order(j);
       sink.add(l - 1,
@@ -234,8 +263,7 @@ inline void downward_chunk(ActiveContext& ctx, int l, std::size_t chunk,
                    tree::Hierarchy::parent_of(b.coord(i)), np)],
                lo + i);
     }
-    sink.apply(ctx.trans().t3[o]);
-  }
+  });
   sink.report(stats);
 }
 
@@ -244,11 +272,12 @@ inline void downward_chunk(ActiveContext& ctx, int l, std::size_t chunk,
 // source lies in the domain and is active. Sources: far[l].
 inline void union_body(ActiveContext& ctx, int l, std::size_t chunk,
                        std::size_t lo, std::size_t hi, GatherSink& sink) {
-  const int d = ctx.config.separation;
+  const TranslationData& trans = ctx.trans();
   const std::int32_t n = ctx.hier.boxes_per_side(l);
   const tree::LevelActiveSet& act = ctx.act.levels[l];
   const ChunkBoxes b(ctx, chunk, l, lo, hi);
-  for (const UnionOffset& u : ctx.trans().union_offsets) {
+  sink.run(trans.t2_orbits, [&](const OrbitUse& use) {
+    const UnionOffset& u = trans.union_offsets[use.entry];
     const std::int64_t delta = flat_of({u.o.dx, u.o.dy, u.o.dz}, n);
     for (std::size_t i = 0; i < hi - lo; ++i) {
       const tree::BoxCoord& c = b.coord(i);
@@ -264,42 +293,37 @@ inline void union_body(ActiveContext& ctx, int l, std::size_t chunk,
       const std::int32_t sa = act.dense_to_active[act.boxes[lo + i] + delta];
       if (sa >= 0) sink.add(l, sa, lo + i);
     }
-    sink.apply(ctx.trans().t2[tree::offset_cube_index(u.o, d)]);
-  }
+  });
 }
 
-// Supernode T2 over active TARGETS [lo, hi) of level l: per octant, the
-// octant's targets against each entry of its supernode list in list order;
-// like union_body, a target skips an entry whose source lies outside its
-// level or is inactive. Sources: far[l], and far[l - 1] for parent-level
-// entries (offset from the target's parent).
+// Supernode T2 over active TARGETS [lo, hi) of level l: per use, the
+// targets of the use's octant against its supernode list entry; like
+// union_body, a target skips an entry whose source lies outside its level
+// or is inactive. Sources: far[l], and far[l - 1] for parent-level entries
+// (offset from the target's parent).
 inline void supernode_body(ActiveContext& ctx, int l, std::size_t chunk,
                            std::size_t lo, std::size_t hi, GatherSink& sink) {
   const TranslationData& trans = ctx.trans();
   const ChunkBoxes b(ctx, chunk, l, lo, hi);
-  for (int o = 0; o < 8; ++o) {
-    const std::vector<tree::SupernodeEntry>& entries = trans.supernode_lists[o];
-    for (std::size_t e = 0; e < entries.size(); ++e) {
-      const bool up = entries[e].source_level_up == 1;
-      const int sl = up ? l - 1 : l;
-      const std::int32_t n = ctx.hier.boxes_per_side(sl);
-      const tree::Offset& off = entries[e].offset;
-      for (std::size_t j = b.octant_begin(o); j < b.octant_begin(o + 1);
-           ++j) {
-        const std::size_t i = b.order(j);
-        const tree::BoxCoord c =
-            up ? tree::Hierarchy::parent_of(b.coord(i)) : b.coord(i);
-        const tree::BoxCoord s{c.ix + off.dx, c.iy + off.dy, c.iz + off.dz};
-        if (s.ix < 0 || s.ix >= n || s.iy < 0 || s.iy >= n || s.iz < 0 ||
-            s.iz >= n)
-          continue;
-        const std::int32_t sa =
-            ctx.act.levels[sl].dense_to_active[flat_of(s, n)];
-        if (sa >= 0) sink.add(sl, sa, lo + i);
-      }
-      sink.apply(trans.supernode[o][e]);
+  sink.run(trans.t2_orbits, [&](const OrbitUse& use) {
+    const int o = static_cast<int>(use.octant);
+    const tree::SupernodeEntry& entry = trans.supernode_lists[o][use.entry];
+    const bool up = entry.source_level_up == 1;
+    const int sl = up ? l - 1 : l;
+    const std::int32_t n = ctx.hier.boxes_per_side(sl);
+    const tree::Offset& off = entry.offset;
+    for (std::size_t j = b.octant_begin(o); j < b.octant_begin(o + 1); ++j) {
+      const std::size_t i = b.order(j);
+      const tree::BoxCoord c =
+          up ? tree::Hierarchy::parent_of(b.coord(i)) : b.coord(i);
+      const tree::BoxCoord s{c.ix + off.dx, c.iy + off.dy, c.iz + off.dz};
+      if (s.ix < 0 || s.ix >= n || s.iy < 0 || s.iy >= n || s.iz < 0 ||
+          s.iz >= n)
+        continue;
+      const std::int32_t sa = ctx.act.levels[sl].dense_to_active[flat_of(s, n)];
+      if (sa >= 0) sink.add(sl, sa, lo + i);
     }
-  }
+  });
 }
 
 // T2 into local[l], with the body the config selects.

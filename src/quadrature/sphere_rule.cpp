@@ -1,5 +1,6 @@
 #include "hfmm/quadrature/sphere_rule.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <numbers>
 #include <stdexcept>
@@ -122,6 +123,39 @@ SphereRule rule_for_order(int order) {
   if (order < 0) throw std::invalid_argument("rule_for_order: order >= 0");
   if (order <= 5) return icosahedron_rule();
   return product_rule_for_degree(order);
+}
+
+std::vector<RuleSymmetry> symmetries(const SphereRule& rule) {
+  constexpr double kTol = 1e-12;
+  const std::size_t k = rule.size();
+  double wmax = 0.0;
+  for (const double w : rule.weights) wmax = std::max(wmax, std::abs(w));
+  std::vector<RuleSymmetry> out;
+  std::array<int, 3> axis{0, 1, 2};
+  do {  // axis orders in lexicographic order: the identity comes first
+    for (int signs = 0; signs < 8; ++signs) {
+      RuleSymmetry r;
+      r.axis = axis;
+      for (int a = 0; a < 3; ++a) r.sign[a] = (signs >> a) & 1 ? -1.0 : 1.0;
+      std::vector<bool> hit(k, false);
+      for (std::size_t i = 0; i < k; ++i) {
+        const Vec3 image = r.apply(rule.points[i]);
+        for (std::size_t j = 0; j < k; ++j) {
+          const Vec3 d = image - rule.points[j];
+          if (!hit[j] &&
+              std::max({std::abs(d.x), std::abs(d.y), std::abs(d.z)}) <= kTol &&
+              std::abs(rule.weights[i] - rule.weights[j]) <= kTol * wmax) {
+            hit[j] = true;
+            r.perm.push_back(static_cast<std::uint32_t>(j));
+            break;
+          }
+        }
+        if (r.perm.size() != i + 1) break;
+      }
+      if (r.perm.size() == k) out.push_back(std::move(r));
+    }
+  } while (std::next_permutation(axis.begin(), axis.end()));
+  return out;
 }
 
 SphereRule rule_k12() { return icosahedron_rule(); }

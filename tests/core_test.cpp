@@ -4,15 +4,23 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
+#include <map>
+#include <set>
 #include <stdexcept>
 #include <string>
 #include <tuple>
+#include <utility>
+#include <vector>
 
+#include "hfmm/anderson/translations.hpp"
 #include "hfmm/baseline/direct.hpp"
 #include "hfmm/core/solver.hpp"
+#include "hfmm/quadrature/sphere_rule.hpp"
 #include "hfmm/util/errors.hpp"
+#include "solver_internal.hpp"
 
 namespace hfmm::core {
 namespace {
@@ -237,10 +245,12 @@ TEST(FmmSolverTest, ThreadedNoSupernodesMatchesSequentialBitwise) {
   }
 }
 
-// Each solver keeps one copy of each matrix its executor applies (DESIGN.md
-// Section 11): at K = 72, 8 T1 + 8 T3 + the 1002 matrices the supernode
-// lists reference, or 8 + 8 + the 1206 union T2 offsets without supernodes
-// and in data-parallel mode, which never applies supernode matrices.
+// Each solver keeps one matrix per symmetry orbit of the matrices its
+// executor applies (DESIGN.md Section 11). At K = 72 the supernode set (8
+// T1 + 8 T3 + the 1002 matrices the supernode lists reference) has 158
+// orbits under the rule's 8 symmetries, and the union set (8 + 8 + the 1206
+// union T2 offsets: no supernodes, or data-parallel mode, which never
+// applies supernode matrices) has 205.
 TEST(FmmSolverTest, PrecomputeHoldsOnlyTheAppliedMatrices) {
   const auto bytes = [](ExecutionMode mode, bool supernodes) {
     FmmConfig cfg;
@@ -249,10 +259,10 @@ TEST(FmmSolverTest, PrecomputeHoldsOnlyTheAppliedMatrices) {
     cfg.supernodes = supernodes;
     return FmmSolver(cfg).precompute();
   };
-  const std::size_t supernode_set = 1018 * 72 * 72 * sizeof(double);
-  const std::size_t union_set = 1222 * 72 * 72 * sizeof(double);
-  EXPECT_EQ(supernode_set, 42218496u);
-  EXPECT_EQ(union_set, 50678784u);
+  const std::size_t supernode_set = 158 * 72 * 72 * sizeof(double);
+  const std::size_t union_set = 205 * 72 * 72 * sizeof(double);
+  EXPECT_EQ(supernode_set, 6552576u);
+  EXPECT_EQ(union_set, 8501760u);
   for (const ExecutionMode mode :
        {ExecutionMode::kSequential, ExecutionMode::kThreads}) {
     EXPECT_EQ(bytes(mode, true), supernode_set);
@@ -260,6 +270,125 @@ TEST(FmmSolverTest, PrecomputeHoldsOnlyTheAppliedMatrices) {
   }
   EXPECT_EQ(bytes(ExecutionMode::kDataParallel, true), union_set);
   EXPECT_EQ(bytes(ExecutionMode::kDataParallel, false), union_set);
+}
+
+// One matrix stands for each symmetry orbit (DESIGN.md Section 11): every
+// member, built directly, equals the orbit's stored matrix with its points
+// relabelled by the member's permutation, to rounding; each use of a stage
+// lies in exactly one orbit; and the DP executor's per-offset lookups name
+// the same matrix and permutation. Three rules with different groups, both
+// matrix sets.
+TEST(TranslationOrbitTest, MembersArePermutedRepresentatives) {
+  using internal::MatrixRef;
+  using internal::MatrixSet;
+  using internal::Orbit;
+  using internal::OrbitUse;
+  using internal::TranslationData;
+  struct Case {
+    anderson::Params params;
+    std::size_t symmetries, supernode_stored, union_stored;
+  };
+  const Case cases[] = {{anderson::params_d5_k12(), 24, 49, 67},
+                        {anderson::params_d14_k72(), 8, 158, 205},
+                        {anderson::params_for_order(9), 8, 137, 191}};
+  for (const Case& c : cases) {
+    const anderson::Params& params = c.params;
+    const std::size_t k = params.k();
+    EXPECT_EQ(quadrature::symmetries(params.rule).size(), c.symmetries);
+    for (const bool supernodes : {true, false}) {
+      SCOPED_TRACE(::testing::Message()
+                   << "K = " << k << ", supernodes " << supernodes);
+      FmmConfig cfg;
+      cfg.params = params;
+      cfg.supernodes = supernodes;
+      const auto data = TranslationData::build(cfg);
+      const TranslationData& trans = *data;
+      const std::size_t stored =
+          supernodes ? c.supernode_stored : c.union_stored;
+      EXPECT_EQ(trans.resident_bytes(), stored * k * k * sizeof(double));
+      ASSERT_EQ(trans.set,
+                supernodes ? MatrixSet::kSupernode : MatrixSet::kUnion);
+
+      // Stage 0: T1, 1: T3, 2: T2 over union offsets or supernode entries.
+      const auto geometry = [&](int stage, const OrbitUse& use) {
+        if (stage == 0) return anderson::t1_geometry(params, use.octant);
+        if (stage == 1) return anderson::t3_geometry(params, use.octant);
+        if (!supernodes)
+          return anderson::t2_geometry(params,
+                                       trans.union_offsets[use.entry].o);
+        const tree::SupernodeEntry& e =
+            trans.supernode_lists[use.octant][use.entry];
+        return e.source_level_up == 1
+                   ? anderson::supernode_geometry(params, use.octant, e.offset)
+                   : anderson::t2_geometry(params, e.offset);
+      };
+      std::set<const double*> matrices;
+      std::vector<double> direct(k * k);
+      double worst = 0.0;
+      const std::vector<Orbit>* stages[] = {&trans.t1_orbits,
+                                            &trans.t3_orbits,
+                                            &trans.t2_orbits};
+      for (int stage = 0; stage < 3; ++stage) {
+        std::map<std::pair<std::uint32_t, std::uint32_t>, int> seen;
+        for (const Orbit& orbit : *stages[stage]) {
+          EXPECT_TRUE(matrices.insert(orbit.matrix).second)
+              << "stage " << stage << " repeats a stored matrix";
+          for (const OrbitUse& use : orbit.uses) {
+            ++seen[{use.octant, use.entry}];
+            anderson::build_translation_into(params, geometry(stage, use),
+                                             /*transposed=*/true, direct);
+            double scale = 0.0, diff = 0.0;
+            for (std::size_t a = 0; a < k; ++a)
+              for (std::size_t b = 0; b < k; ++b) {
+                const double d = direct[use.perm[a] * k + use.perm[b]];
+                scale = std::max(scale, std::abs(d));
+                diff = std::max(diff, std::abs(d - orbit.matrix[a * k + b]));
+              }
+            worst = std::max(worst, diff / scale);
+            // The DP executor's lookups agree with the orbit walk.
+            MatrixRef ref;
+            if (stage == 0) ref = trans.t1[use.octant];
+            if (stage == 1) ref = trans.t3[use.octant];
+            if (stage == 2 && !supernodes)
+              ref = trans.t2[tree::offset_cube_index(
+                  trans.union_offsets[use.entry].o, cfg.separation)];
+            if (ref.matrix != nullptr) {
+              EXPECT_EQ(ref.matrix, orbit.matrix);
+              EXPECT_EQ(ref.perm, use.perm);
+            }
+          }
+        }
+        // Every use of the stage exactly once.
+        std::size_t uses = 8;
+        if (stage == 2) {
+          uses = 0;
+          if (!supernodes) {
+            uses = trans.union_offsets.size();
+            EXPECT_EQ(uses, 1206u);
+          }
+          for (int o = 0; supernodes && o < 8; ++o)
+            uses += trans.supernode_lists[o].size();
+        }
+        EXPECT_EQ(seen.size(), uses) << "stage " << stage;
+        for (const auto& [use, count] : seen) {
+          EXPECT_EQ(count, 1) << "stage " << stage;
+          const auto [octant, entry] = use;
+          if (stage < 2) {
+            EXPECT_LT(octant, 8u);
+            EXPECT_EQ(entry, 0u);
+          } else if (!supernodes) {
+            EXPECT_EQ(octant, 0u);
+            EXPECT_LT(entry, uses);
+          } else {
+            ASSERT_LT(octant, 8u);
+            EXPECT_LT(entry, trans.supernode_lists[octant].size());
+          }
+        }
+      }
+      EXPECT_EQ(matrices.size(), stored);
+      EXPECT_LE(worst, 1e-13);
+    }
+  }
 }
 
 // One NaN or infinity in the input would turn every potential into NaN;
@@ -492,9 +621,9 @@ TEST(FmmSolverTest, ConfigValidation) {
   cfg.supernodes = true;
   cfg.separation = 1;
   EXPECT_THROW(FmmSolver{cfg}, std::invalid_argument);
-  // Values that would otherwise turn every potential NaN, or index past
-  // the uint32 box arrays (depth > 10). Checked without solving: a solve
-  // at such a depth would need tens of GB.
+  // Values that would otherwise turn every potential NaN, or need GBs of
+  // flat per-box arrays (depth > 8). Checked without solving: a solve at
+  // such a depth would need 2 GB or more.
   const double inf = std::numeric_limits<double>::infinity();
   const double nan = std::numeric_limits<double>::quiet_NaN();
   for (const double soft : {nan, inf}) {
@@ -502,13 +631,13 @@ TEST(FmmSolverTest, ConfigValidation) {
     cfg.kernel.softening = soft;
     EXPECT_THROW(FmmSolver{cfg}, std::invalid_argument) << soft;
   }
-  for (const int depth : {11, 40}) {
+  for (const int depth : {9, 10, 11, 40}) {
     cfg = FmmConfig{};
     cfg.depth = depth;
     EXPECT_THROW(FmmSolver{cfg}, std::invalid_argument) << depth;
   }
   cfg = FmmConfig{};
-  cfg.depth = 10;
+  cfg.depth = 8;
   EXPECT_NO_THROW(cfg.validate());
   for (const double occupancy : {nan, inf}) {
     cfg = FmmConfig{};

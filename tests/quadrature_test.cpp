@@ -197,6 +197,51 @@ TEST(SphereRuleTest, MeanOfConstantIsConstant) {
   }
 }
 
+// The translation store keeps one matrix per orbit of these maps (DESIGN.md
+// Section 11). Each map sends every point onto a point of equal weight,
+// as a bijection; the groups differ by rule: the icosahedron's 24 are the
+// sign flips and cyclic axis permutations, the K = 72 product rule's 8 are
+// x and y flips with the x <-> y swap, and the 5 x 10 rule's 8 are the
+// three sign flips.
+TEST(SphereRuleTest, AxisSymmetriesMapPointsOntoPoints) {
+  const auto swaps_xy = [](const RuleSymmetry& r) {
+    return r.axis == std::array<int, 3>{1, 0, 2};
+  };
+  const auto flips_z = [](const RuleSymmetry& r) { return r.sign[2] < 0; };
+  struct Case {
+    SphereRule rule;
+    std::size_t maps;
+    bool any_swap_xy, any_flip_z;
+  };
+  for (const Case& c : {Case{icosahedron_rule(), 24, false, true},
+                        Case{rule_k72(), 8, true, false},
+                        Case{product_rule_for_degree(9), 8, false, true}}) {
+    const std::vector<RuleSymmetry> sym = symmetries(c.rule);
+    ASSERT_EQ(sym.size(), c.maps) << c.rule.name;
+    for (std::size_t i = 0; i < c.rule.size(); ++i)
+      EXPECT_EQ(sym[0].perm[i], i) << "the identity comes first";
+    bool any_swap = false, any_flip = false;
+    for (const RuleSymmetry& r : sym) {
+      any_swap |= swaps_xy(r);
+      any_flip |= flips_z(r);
+      std::vector<bool> hit(c.rule.size(), false);
+      for (std::size_t i = 0; i < c.rule.size(); ++i) {
+        const std::uint32_t j = r.perm[i];
+        ASSERT_LT(j, c.rule.size());
+        EXPECT_FALSE(hit[j]);
+        hit[j] = true;
+        const Vec3 d = r.apply(c.rule.points[i]) - c.rule.points[j];
+        EXPECT_LT(d.norm(), 1e-12);
+        EXPECT_NEAR(c.rule.weights[i], c.rule.weights[j], 1e-15);
+      }
+    }
+    EXPECT_EQ(any_swap, c.any_swap_xy) << c.rule.name;
+    EXPECT_EQ(any_flip, c.any_flip_z) << c.rule.name;
+  }
+  // The Fibonacci spiral has no symmetry but the identity.
+  EXPECT_EQ(symmetries(fibonacci_rule(40, 5)).size(), 1u);
+}
+
 TEST(SphereRuleTest, InvalidArgumentsThrow) {
   EXPECT_THROW(product_rule(0, 5), std::invalid_argument);
   EXPECT_THROW(fibonacci_rule(0, 3), std::invalid_argument);

@@ -435,26 +435,35 @@ TEST(SparseSolveTest, WarmSparseSolveBitwiseAndZeroGrowth) {
   EXPECT_TRUE(bitwise_equal(cold.phi, fresh.solve(p).phi));
 }
 
-// A sequential solve gathers each matrix's rows into one gemm per stage; a
-// threaded one splits them over one chunk per worker. Every row must still
-// come out bit for bit the same.
+// A sequential solve gathers each orbit's rows into as few gemms as its
+// slab allows; a threaded one splits them over one chunk per worker, whose
+// smaller slabs fill and apply more often. Every row must still come out
+// bit for bit the same, at K = 12 (orbits of up to 24 members) and K = 72
+// (up to 8).
 TEST(SparseSolveTest, SequentialAndThreadedSparseAgreeBitwise) {
+  const auto expect_agree = [](core::FmmConfig cfg, const ParticleSet& p) {
+    cfg.mode = core::ExecutionMode::kSequential;
+    core::FmmSolver seq(cfg);
+    cfg.mode = core::ExecutionMode::kThreads;
+    core::FmmSolver thr(cfg);
+    const core::FmmResult rs = seq.solve(p);
+    const core::FmmResult rt = thr.solve(p);
+    EXPECT_TRUE(bitwise_equal(rs.phi, rt.phi));
+    EXPECT_TRUE(bitwise_equal(rs.grad, rt.grad));
+  };
   for (const ParticleSet& p :
        {make_uniform(3000, Box3{}, 16), make_plummer(2000, Box3{}, 16)}) {
     for (const bool supernodes : {true, false}) {
+      SCOPED_TRACE(::testing::Message() << "K = 12, supernodes " << supernodes);
       core::FmmConfig cfg = sparse_config(4);
       cfg.supernodes = supernodes;
-      cfg.mode = core::ExecutionMode::kSequential;
-      core::FmmSolver seq(cfg);
-      cfg.mode = core::ExecutionMode::kThreads;
-      core::FmmSolver thr(cfg);
-      const core::FmmResult rs = seq.solve(p);
-      const core::FmmResult rt = thr.solve(p);
-      EXPECT_TRUE(bitwise_equal(rs.phi, rt.phi)) << "supernodes " << supernodes;
-      EXPECT_TRUE(bitwise_equal(rs.grad, rt.grad))
-          << "supernodes " << supernodes;
+      expect_agree(cfg, p);
     }
   }
+  SCOPED_TRACE("K = 72, supernodes");
+  core::FmmConfig cfg = sparse_config(3);
+  cfg.params = anderson::params_d14_k72();
+  expect_agree(cfg, make_plummer(2000, Box3{}, 16));
 }
 
 TEST(SparseSolveTest, DataParallelMaskedMatchesPaddedDense) {

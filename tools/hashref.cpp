@@ -1,8 +1,11 @@
-// Dev harness: prints FNV-1a hashes of solver outputs over a config sweep.
-// Used to verify bitwise-identical results across the exec-graph refactor.
+// Dev harness: prints FNV-1a hashes of solver outputs over a config sweep,
+// so two builds can be checked for bitwise-identical results: K = 12 over
+// every mode, aggregation and supernode setting; K = 72 sequential and
+// threaded, supernodes on and off; and the 2-D solver.
 #include <cstdio>
 #include <cstring>
 
+#include "hfmm/anderson/params.hpp"
 #include "hfmm/core/solver.hpp"
 #include "hfmm/d2/solver.hpp"
 #include "hfmm/util/particles.hpp"
@@ -19,6 +22,21 @@ static std::uint64_t fnv(const void* data, std::size_t bytes,
   return h;
 }
 
+// Cold and warm hashes of one solver's phi and grad.
+static void print_solve(const char* label, const core::FmmConfig& cfg,
+                        const ParticleSet& p) {
+  core::FmmSolver solver(cfg);
+  const core::FmmResult r = solver.solve(p);
+  const core::FmmResult w = solver.solve(p);
+  std::uint64_t h = fnv(r.phi.data(), r.phi.size() * 8);
+  h = fnv(r.grad.data(), r.grad.size() * sizeof(Vec3), h);
+  std::uint64_t hw = fnv(w.phi.data(), w.phi.size() * 8);
+  hw = fnv(w.grad.data(), w.grad.size() * sizeof(Vec3), hw);
+  std::printf("%s cold=%016llx warm=%016llx\n", label,
+              static_cast<unsigned long long>(h),
+              static_cast<unsigned long long>(hw));
+}
+
 int main() {
   const ParticleSet p = make_uniform(3000, Box3{}, 17);
   for (int mode = 0; mode < 3; ++mode) {
@@ -30,17 +48,24 @@ int main() {
         cfg.aggregation = static_cast<core::AggregationMode>(agg);
         cfg.supernodes = sn != 0;
         cfg.with_gradient = true;
-        core::FmmSolver solver(cfg);
-        const core::FmmResult r = solver.solve(p);
-        const core::FmmResult w = solver.solve(p);
-        std::uint64_t h = fnv(r.phi.data(), r.phi.size() * 8);
-        h = fnv(r.grad.data(), r.grad.size() * sizeof(Vec3), h);
-        std::uint64_t hw = fnv(w.phi.data(), w.phi.size() * 8);
-        hw = fnv(w.grad.data(), w.grad.size() * sizeof(Vec3), hw);
-        std::printf("mode=%d agg=%d sn=%d cold=%016llx warm=%016llx\n", mode,
-                    agg, sn, static_cast<unsigned long long>(h),
-                    static_cast<unsigned long long>(hw));
+        char label[64];
+        std::snprintf(label, sizeof label, "mode=%d agg=%d sn=%d", mode, agg,
+                      sn);
+        print_solve(label, cfg, p);
       }
+    }
+  }
+  for (int mode = 0; mode < 2; ++mode) {
+    for (int sn = 0; sn < 2; ++sn) {
+      core::FmmConfig cfg;
+      cfg.params = anderson::params_d14_k72();
+      cfg.depth = 3;
+      cfg.mode = static_cast<core::ExecutionMode>(mode);
+      cfg.supernodes = sn != 0;
+      cfg.with_gradient = true;
+      char label[64];
+      std::snprintf(label, sizeof label, "k=72 mode=%d sn=%d", mode, sn);
+      print_solve(label, cfg, p);
     }
   }
   {
